@@ -262,31 +262,20 @@ def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
         _summary(out_dir, cfg, algorithm, result.value, seed, started, extra)
         return result.value
 
-    if algorithm == "mixed-model-weights":
+    if algorithm in ("mixed-model-weights", "simplex-weights"):
         n_obs = cfg.get("n_obs")
-        wd = mixed_model_weights(space, cov, model=model, total_obs=n_obs,
-                                 tolerance=cfg.get("tolerance", 1e-6))
+        if algorithm == "mixed-model-weights":
+            wd = mixed_model_weights(space, cov, model=model, total_obs=n_obs,
+                                     tolerance=cfg.get("tolerance", 1e-6))
+        else:
+            wd = simplex_weight_descent(space, cov, model=model,
+                                        tolerance=cfg.get("tolerance", 1e-8))
         write_weights_csv(out_dir / "weights.csv", space, wd.weights)
         extra["iterations"] = wd.iterations
         value = wd.value
         if m is not None or (space.granularity != "sequence" and n_obs):
             budget = m if space.granularity == "sequence" else int(n_obs)
             rounded = best_rounding(space, cov, wd.weights, budget, model=model)
-            write_design_grid(out_dir / "design_grid.csv", space, rounded.design)
-            extra["rounding_scheme"] = rounded.scheme
-            extra["design_counts"] = list(rounded.design.counts)
-            value = rounded.value
-        _summary(out_dir, cfg, algorithm, value, seed, started, extra)
-        return value
-
-    if algorithm == "simplex-weights":
-        wd = simplex_weight_descent(space, cov, model=model,
-                                    tolerance=cfg.get("tolerance", 1e-8))
-        write_weights_csv(out_dir / "weights.csv", space, wd.weights)
-        extra["iterations"] = wd.iterations
-        value = wd.value
-        if m is not None:
-            rounded = best_rounding(space, cov, wd.weights, m, model=model)
             write_design_grid(out_dir / "design_grid.csv", space, rounded.design)
             extra["rounding_scheme"] = rounded.scheme
             extra["design_counts"] = list(rounded.design.counts)
@@ -312,19 +301,39 @@ def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
                                         params.cluster_mean_correlation, budget)
         prec = treatment_precision(params, treat)
         if prec > 0 and (best is None or prec > best[0]):
-            best = (prec, treat)
+            counts = _sequence_counts(space, treat)
+            if counts is not None:
+                best = (prec, counts)
     if best is None:
-        raise InfeasibleError("no budget yields a finite-variance design")
-    precision, treat = best
-    with open(out_dir / "design_grid.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster", "source"] +
-                        [f"period_{t}" for t in range(1, space.n_periods + 1)])
-        for k, row in enumerate(treat):
-            writer.writerow([f"cluster_{k}", "closed-form"] +
-                            [f"{int(v)}:{params.obs_per_cell}" for v in row])
+        raise InfeasibleError(
+            "no budget yields a finite-variance design within the design space")
+    precision, counts = best
+    design = space.design_from_counts(counts)
+    write_design_grid(out_dir / "design_grid.csv", space, design)
+    extra["design_counts"] = list(design.counts)
     _summary(out_dir, cfg, algorithm, 1.0 / precision, seed, started, extra)
     return 1.0 / precision
+
+
+def _sequence_counts(space: DesignSpace, treat: np.ndarray) -> list[int] | None:
+    """Unit multiplicities realising each row of a treatment matrix as a
+    complete unit of the space; ``None`` when a row has no such unit left
+    within the replication cap."""
+    units: dict[tuple[int, ...], list[int]] = {}
+    for j, unit in enumerate(space.units):
+        if len(unit.cells) == space.n_periods:
+            pattern = [0] * space.n_periods
+            for cell in unit.cells:
+                pattern[cell.period - 1] = cell.treated
+            units.setdefault(tuple(pattern), []).append(j)
+    counts = [0] * space.n_units
+    for row in treat:
+        free = [j for j in units.get(tuple(int(v) for v in row), [])
+                if counts[j] < space.max_replication]
+        if not free:
+            return None
+        counts[free[0]] += 1
+    return counts
 
 
 @click.group()

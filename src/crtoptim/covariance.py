@@ -72,11 +72,16 @@ class CovarianceSpec:
             raise ValidationError("lags must be non-negative")
         if cluster_lag > 0:
             return 0.0
+        return float(self.within(np.asarray(time_lag)))
+
+    def within(self, lags: np.ndarray) -> np.ndarray:
+        """Random-effect covariance within one cluster over an array of
+        absolute time lags."""
         if self.kind == "EXC1":
-            return self.tau2
+            return np.full(lags.shape, self.tau2)
         if self.kind == "EXC2":
-            return self.tau2 + self.omega2 if time_lag == 0 else self.tau2
-        return self.tau2 * self.decay ** time_lag
+            return np.where(lags == 0, self.tau2 + self.omega2, self.tau2)
+        return self.tau2 * self.decay ** lags
 
     @property
     def icc(self) -> float:

@@ -35,6 +35,27 @@ def treatment_contrast(n_params: int) -> np.ndarray:
     return c
 
 
+def _contrast_kernel(m: np.ndarray, c: np.ndarray):
+    """Rank-aware eigen-solve behind every criterion value.
+
+    Returns ``(value, coef, lam, vecs)`` with ``value = c' M^+ c``; callers
+    that need the estimation direction form ``M^+ c = vecs @ (coef / lam)``.
+    ``value`` is ``inf`` and the rest ``None`` when the contrast is outside
+    the range of ``M`` or ``M`` is not positive semi-definite to tolerance.
+    """
+    m = 0.5 * (m + m.T)
+    w, v = np.linalg.eigh(m)
+    wmax = w[-1] if w.size else 0.0
+    if wmax <= 0.0 or w[0] < -RANK_TOL * wmax:
+        return math.inf, None, None, None
+    keep = w > RANK_TOL * wmax
+    vecs, lam = v[:, keep], w[keep]
+    coef = vecs.T @ c
+    if np.linalg.norm(c - vecs @ coef) > RANGE_TOL * np.linalg.norm(c):
+        return math.inf, None, None, None
+    return float(np.sum(coef ** 2 / lam)), coef, lam, vecs
+
+
 def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
     """``c' M^+ c`` through a rank-revealing eigendecomposition.
 
@@ -42,22 +63,7 @@ def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
     design carries no information on it) or when ``M`` is not positive
     semi-definite to tolerance.
     """
-    m = 0.5 * (m + m.T)
-    w, v = np.linalg.eigh(m)
-    wmax = w[-1] if w.size else 0.0
-    if wmax <= 0.0:
-        return math.inf
-    if w[0] < -RANK_TOL * wmax:
-        return math.inf
-    keep = w > RANK_TOL * wmax
-    coef = v[:, keep].T @ c
-    resid = c - v[:, keep] @ coef
-    cnorm = np.linalg.norm(c)
-    if cnorm == 0.0:
-        return 0.0
-    if np.linalg.norm(resid) > RANGE_TOL * cnorm:
-        return math.inf
-    return float(np.sum(coef ** 2 / w[keep]))
+    return _contrast_kernel(m, c)[0]
 
 
 def c_optimality(m: np.ndarray, c: np.ndarray) -> float:
@@ -116,15 +122,25 @@ def build_sigma(space: DesignSpace, design: Design, cov: CovarianceSpec,
     return sigma
 
 
-def _cell_weights(model: ModelSpec, cov: CovarianceSpec, periods: np.ndarray,
-                  treated: np.ndarray, n_periods: int) -> np.ndarray:
-    """Iterated weight of a single observation in each cell."""
+def _cell_block(model: ModelSpec, cov: CovarianceSpec, periods: np.ndarray,
+                treated: np.ndarray, n_periods: int):
+    """Cell-level pieces of the aggregated model: ``(x, base, w)``.
+
+    ``x`` holds the fixed-effect row of each cell, ``base`` the within-cluster
+    random-effect covariance between the cells, and ``w`` the iterated
+    weight of one observation per cell. A cell holding ``n`` observations
+    adds ``1 / (w n)`` to the diagonal of ``base``.
+    """
+    x = np.zeros((periods.size, n_periods + 1))
+    x[np.arange(periods.size), periods - 1] = 1.0
+    x[:, n_periods] = treated
+    base = cov.within(np.abs(periods[:, None] - periods[None, :]))
     if model.is_gaussian:
-        return np.full(periods.shape[0], 1.0 / cov.sigma2)
+        return x, base, np.full(periods.size, 1.0 / cov.sigma2)
     beta = model.beta_for(n_periods)
     eta = beta[periods - 1] + beta[n_periods] * treated
-    return iterated_weights(model, eta, re_variance=cov.entry(0, 0),
-                            sigma2=cov.sigma2)
+    return x, base, iterated_weights(model, eta, re_variance=cov.entry(0, 0),
+                                     sigma2=cov.sigma2)
 
 
 def aggregate_cluster_periods(space: DesignSpace, design: Design,
@@ -143,26 +159,12 @@ def aggregate_cluster_periods(space: DesignSpace, design: Design,
     lay = expand_design(space, design)
     if lay.n_cells == 0:
         raise ValidationError("design has no observations to aggregate")
-    n_cells = lay.n_cells
-    xbar = np.zeros((n_cells, space.n_periods + 1))
-    xbar[np.arange(n_cells), lay.cell_period - 1] = 1.0
-    xbar[:, space.n_periods] = lay.cell_treated
-
-    w = _cell_weights(model, cov, lay.cell_period, lay.cell_treated, space.n_periods)
+    xbar, base, w = _cell_block(model, cov, lay.cell_period, lay.cell_treated,
+                                space.n_periods)
     same_cluster = lay.cell_cluster[:, None] == lay.cell_cluster[None, :]
-    lags = np.abs(lay.cell_period[:, None] - lay.cell_period[None, :])
-    sigbar = np.where(same_cluster, _entry_matrix(cov, lags), 0.0)
+    sigbar = np.where(same_cluster, base, 0.0)
     sigbar[np.diag_indices_from(sigbar)] += 1.0 / (w * lay.cell_n)
     return xbar, sigbar
-
-
-def _entry_matrix(cov: CovarianceSpec, lags: np.ndarray) -> np.ndarray:
-    """Vectorised within-cluster covariance entries over a lag matrix."""
-    if cov.kind == "EXC1":
-        return np.full(lags.shape, cov.tau2)
-    if cov.kind == "EXC2":
-        return np.where(lags == 0, cov.tau2 + cov.omega2, cov.tau2)
-    return cov.tau2 * cov.decay ** lags
 
 
 def unit_information_blocks(space: DesignSpace, cov: CovarianceSpec,
@@ -177,13 +179,8 @@ def unit_information_blocks(space: DesignSpace, cov: CovarianceSpec,
         periods = np.array([c.period for c in unit.cells])
         treated = np.array([c.treated for c in unit.cells])
         counts = np.array([c.count for c in unit.cells])
-        x = np.zeros((len(periods), p))
-        x[np.arange(len(periods)), periods - 1] = 1.0
-        x[:, p - 1] = treated
-        w = _cell_weights(model, cov, periods, treated, space.n_periods)
-        lags = np.abs(periods[:, None] - periods[None, :])
-        block = _entry_matrix(cov, lags) + np.diag(1.0 / (w * counts))
-        blocks[j] = x.T @ np.linalg.solve(block, x)
+        x, base, w = _cell_block(model, cov, periods, treated, space.n_periods)
+        blocks[j] = x.T @ np.linalg.solve(base + np.diag(1.0 / (w * counts)), x)
     return blocks
 
 
@@ -194,6 +191,36 @@ class _ClusterBlock:
     base: np.ndarray         # cell-level random-effect covariance
     weight: np.ndarray       # iterated weight of one observation per cell
     n_per: np.ndarray        # observations added per unit replicate
+
+    def solve(self, n_obs: np.ndarray):
+        """``(sel, X_a, Sigma_a^-1 X_a)`` over the cells ``sel`` holding a
+        positive number of observations ``n_obs``; ``None`` when none do."""
+        sel = n_obs > 0
+        if not sel.any():
+            return None
+        xa = self.x[sel]
+        block = self.base[np.ix_(sel, sel)] + np.diag(
+            1.0 / (self.weight[sel] * n_obs[sel]))
+        return sel, xa, np.linalg.solve(block, xa)
+
+
+def _cluster_blocks(space: DesignSpace, cov: CovarianceSpec,
+                    model: ModelSpec) -> list[_ClusterBlock]:
+    """One block per cluster, over the cells of all units in it."""
+    by_cluster: dict[int, list[int]] = {}
+    for j, unit in enumerate(space.units):
+        by_cluster.setdefault(unit.cluster_id, []).append(j)
+    clusters = []
+    for cid in sorted(by_cluster):
+        cells = [(j, cell) for j in by_cluster[cid] for cell in space.units[j].cells]
+        x, base, w = _cell_block(model, cov,
+                                 np.array([cell.period for _, cell in cells]),
+                                 np.array([cell.treated for _, cell in cells]),
+                                 space.n_periods)
+        clusters.append(_ClusterBlock(
+            unit_idx=np.array([j for j, _ in cells], dtype=int), x=x, base=base,
+            weight=w, n_per=np.array([cell.count for _, cell in cells])))
+    return clusters
 
 
 class DesignCriterion:
@@ -219,48 +246,11 @@ class DesignCriterion:
             raise ValidationError(f"contrast must have length {p}")
         self._n_params = p
         if space.granularity == "sequence":
-            self._unit_blocks = self._build_unit_blocks()
+            self._unit_blocks = unit_information_blocks(space, covariance, self.model)
             self._clusters = None
         else:
             self._unit_blocks = None
-            self._clusters = self._build_cluster_blocks()
-
-    # -- construction -------------------------------------------------
-
-    def _cell_rows(self, periods, treated):
-        rows = np.zeros((len(periods), self._n_params))
-        rows[np.arange(len(periods)), periods - 1] = 1.0
-        rows[:, self._n_params - 1] = treated
-        return rows
-
-    def _build_unit_blocks(self) -> np.ndarray:
-        return unit_information_blocks(self.space, self.covariance, self.model)
-
-    def _build_cluster_blocks(self) -> list[_ClusterBlock]:
-        by_cluster: dict[int, list[int]] = {}
-        for j, unit in enumerate(self.space.units):
-            by_cluster.setdefault(unit.cluster_id, []).append(j)
-        clusters = []
-        for cid in sorted(by_cluster):
-            cell_unit, periods, treated, n_per = [], [], [], []
-            for j in by_cluster[cid]:
-                for cell in self.space.units[j].cells:
-                    cell_unit.append(j)
-                    periods.append(cell.period)
-                    treated.append(cell.treated)
-                    n_per.append(cell.count)
-            periods = np.array(periods)
-            treated = np.array(treated)
-            w = _cell_weights(self.model, self.covariance, periods, treated,
-                              self.space.n_periods)
-            lags = np.abs(periods[:, None] - periods[None, :])
-            clusters.append(_ClusterBlock(
-                unit_idx=np.array(cell_unit, dtype=int),
-                x=self._cell_rows(periods, treated),
-                base=_entry_matrix(self.covariance, lags),
-                weight=w,
-                n_per=np.array(n_per)))
-        return clusters
+            self._clusters = _cluster_blocks(space, covariance, self.model)
 
     # -- evaluation ----------------------------------------------------
 
@@ -271,14 +261,10 @@ class DesignCriterion:
             return np.tensordot(counts.astype(float), self._unit_blocks, axes=1)
         m = np.zeros((self._n_params, self._n_params))
         for cl in self._clusters:
-            mult = counts[cl.unit_idx]
-            sel = mult > 0
-            if not sel.any():
-                continue
-            n_obs = mult[sel] * cl.n_per[sel]
-            block = cl.base[np.ix_(sel, sel)] + np.diag(1.0 / (cl.weight[sel] * n_obs))
-            xa = cl.x[sel]
-            m += xa.T @ np.linalg.solve(block, xa)
+            part = cl.solve(counts[cl.unit_idx] * cl.n_per)
+            if part is not None:
+                _, xa, solved = part
+                m += xa.T @ solved
         return m
 
     def value(self, counts) -> float:

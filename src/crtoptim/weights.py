@@ -6,9 +6,11 @@ current weights define the observation covariance, the covariance defines
 the estimation weights of the best linear unbiased estimator, and the
 Cauchy-Schwarz inequality turns those back into design weights. At
 cluster-period (or observation) granularity only the residual part of the
-covariance is weight-dependent and the update is ``phi = |a| / sum|a|``;
-at sequence granularity whole independent unit blocks scale with their
-weight and the update becomes ``phi ∝ phi * sqrt(y' A_k y)``.
+covariance is weight-dependent and the update is ``phi ∝ |a| / sqrt(w)``,
+with ``a`` the estimation weight and ``w`` the iterated weight of one
+observation in each cell; at sequence granularity whole independent unit
+blocks scale with their weight and the update becomes
+``phi ∝ phi * sqrt(y' A_k y)``.
 
 :func:`simplex_weight_descent` minimises the same criterion for mutually
 uncorrelated units by projected gradient descent over the probability
@@ -24,7 +26,7 @@ import numpy as np
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import DesignSpace
 from .errors import ConvergenceError, InfeasibleError, ValidationError
-from .glscore import (_cell_weights, _entry_matrix, treatment_contrast,
+from .glscore import (_cluster_blocks, _contrast_kernel, treatment_contrast,
                       unit_information_blocks)
 
 # Cells whose weight falls below this bound are dropped for good.
@@ -61,21 +63,6 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + lam, 0.0)
 
 
-def _rank_solve(m: np.ndarray, c: np.ndarray) -> np.ndarray | None:
-    """Solve ``M y = c`` through the eigendecomposition used by the
-    criterion; ``None`` when the contrast is not identified."""
-    m = 0.5 * (m + m.T)
-    w, v = np.linalg.eigh(m)
-    wmax = w[-1] if w.size else 0.0
-    if wmax <= 0:
-        return None
-    keep = w > 1e-10 * wmax
-    coef = v[:, keep].T @ c
-    if np.linalg.norm(c - v[:, keep] @ coef) > 1e-8 * np.linalg.norm(c):
-        return None
-    return v[:, keep] @ (coef / w[keep])
-
-
 def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
                         model: ModelSpec | None = None,
                         contrast: np.ndarray | None = None,
@@ -86,11 +73,12 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
 
     At cluster-period or observation granularity ``total_obs`` sets the
     target number of observations ``N`` and the covariance of a cell mean
-    is its random-effect part plus ``1 / (N w phi)``; two safeguards keep
-    the iteration stable: cells dropping below ``1e-7`` weight are removed
-    permanently, and period columns whose total weight reaches zero leave
-    the linear predictor. At sequence granularity the weights are cluster
-    proportions and ``total_obs`` only annotates the result.
+    is its random-effect part plus ``1 / (N w phi)``, so each update sets
+    ``phi ∝ |a| / sqrt(w)`` from the estimation weights ``a``. Cells
+    dropping below ``1e-7`` weight are removed permanently; the rank-aware
+    solve ignores period columns left without cells. At sequence
+    granularity the weights are cluster proportions and ``total_obs`` only
+    annotates the result.
 
     Raises :class:`ConvergenceError` past ``max_iter`` iterations (the
     error carries the last iterate) or if an update increases the
@@ -122,11 +110,9 @@ def _block_fixed_point(space, cov, model, c, total_obs, tolerance, max_iter):
     f_prev = math.inf
     converged = False
     for it in range(1, max_iter + 2):
-        m = np.tensordot(phi, blocks, axes=1)
-        y = _rank_solve(m, c)
-        if y is None:
+        f, coef, lam, vecs = _contrast_kernel(np.tensordot(phi, blocks, axes=1), c)
+        if vecs is None:
             raise InfeasibleError("contrast is not identified by the design space")
-        f = float(c @ y)
         if converged:
             # one extra pass so the reported value belongs to the final weights
             return WeightedDesign(phi, f, it - 1, total_budget=total_obs)
@@ -137,6 +123,7 @@ def _block_fixed_point(space, cov, model, c, total_obs, tolerance, max_iter):
                 f"criterion increased at iteration {it}: {f_prev} -> {f}",
                 weights=phi.copy(), iterations=it)
         f_prev = f
+        y = vecs @ (coef / lam)
         gain = np.einsum("i,kij,j->k", y, blocks, y)
         gain[~active] = 0.0
         q = phi * np.sqrt(np.maximum(gain, 0.0))
@@ -163,50 +150,26 @@ def _cell_fixed_point(space, cov, model, c, total_obs, tolerance, max_iter):
         if len(unit.cells) != 1:
             raise ValidationError(
                 "cluster-period weights need single-cell experimental units")
+    clusters = _cluster_blocks(space, cov, model)
     j = space.n_units
-    periods = np.array([u.cells[0].period for u in space.units])
-    treated = np.array([u.cells[0].treated for u in space.units])
-    clusters = np.array([u.cluster_id for u in space.units])
-    w = _cell_weights(model, cov, periods, treated, space.n_periods)
-
-    x = np.zeros((j, space.n_periods + 1))
-    x[np.arange(j), periods - 1] = 1.0
-    x[:, space.n_periods] = treated
-
-    cluster_ids = sorted(set(clusters.tolist()))
-    members = [np.flatnonzero(clusters == cid) for cid in cluster_ids]
-    bases = []
-    for idx in members:
-        lags = np.abs(periods[idx][:, None] - periods[idx][None, :])
-        bases.append(_entry_matrix(cov, lags))
-
     phi = np.full(j, 1.0 / j)
     active = np.ones(j, dtype=bool)
-    col_active = np.ones(space.n_periods + 1, dtype=bool)
     f_prev = math.inf
     converged = False
 
     for it in range(1, max_iter + 2):
-        cols = np.flatnonzero(col_active)
-        p_act = cols.size
-        m = np.zeros((p_act, p_act))
-        solves = []
-        for idx, base in zip(members, bases):
-            sel = active[idx]
-            if not sel.any():
-                solves.append(None)
+        m = np.zeros((c.size, c.size))
+        parts = []
+        for cl in clusters:
+            part = cl.solve(total_obs * phi[cl.unit_idx])
+            if part is None:
                 continue
-            rows = idx[sel]
-            block = base[np.ix_(sel, sel)] + np.diag(
-                1.0 / (total_obs * w[rows] * phi[rows]))
-            xa = x[np.ix_(rows, cols)]
-            solved = np.linalg.solve(block, xa)
-            solves.append((rows, solved))
+            sel, xa, solved = part
             m += xa.T @ solved
-        y = _rank_solve(m, c[cols])
-        if y is None:
+            parts.append((cl.unit_idx[sel], cl.weight[sel], solved))
+        f, coef, lam, vecs = _contrast_kernel(m, c)
+        if vecs is None:
             raise InfeasibleError("contrast is not identified by the design space")
-        f = float(c[cols] @ y)
         if converged:
             # one extra pass so the reported value belongs to the final weights
             return WeightedDesign(phi, f, it - 1, total_budget=total_obs)
@@ -218,37 +181,27 @@ def _cell_fixed_point(space, cov, model, c, total_obs, tolerance, max_iter):
                 weights=phi.copy(), iterations=it)
         f_prev = f
 
-        a = np.zeros(j)
-        for entry in solves:
-            if entry is None:
-                continue
-            rows, solved = entry
-            a[rows] = solved @ y
-        abs_a = np.abs(a[active])
-        total = abs_a.sum()
+        # the residual part of the criterion is sum a^2 / (N w phi), which
+        # the simplex minimises at phi proportional to |a| / sqrt(w)
+        y = vecs @ (coef / lam)
+        q = np.zeros(j)
+        for rows, w, solved in parts:
+            q[rows] = np.abs(solved @ y) / np.sqrt(w)
+        total = q.sum()
         if total <= 0:
             raise InfeasibleError("all cells carry zero estimation weight")
-        phi_new = np.zeros(j)
-        phi_new[active] = abs_a / total
+        phi_new = q / total
         delta = np.abs(phi - phi_new).max()
         phi = phi_new
 
         dropped = active & (phi < WEIGHT_FLOOR)
-        rebased = False
         if dropped.any():
             active &= ~dropped
             if not active.any():
                 raise InfeasibleError("all cells were dropped")
             phi[dropped] = 0.0
             phi /= phi.sum()
-            rebased = True
-        # retire period columns whose cells carry no weight
-        for t in range(space.n_periods):
-            if col_active[t] and phi[active & (periods == t + 1)].sum() == 0.0:
-                col_active[t] = False
-                rebased = True
-        if rebased:
-            f_prev = math.inf
+            f_prev = math.inf  # dropping re-baselines the monitor
         elif delta <= tolerance:
             converged = True
     raise ConvergenceError(f"no convergence in {max_iter} iterations",
@@ -282,11 +235,11 @@ def simplex_weight_descent(space: DesignSpace, cov: CovarianceSpec,
     phi = np.full(j, 1.0 / j)
 
     def f_grad(pvec):
-        m = np.tensordot(pvec, blocks, axes=1)
-        y = _rank_solve(m, c)
-        if y is None:
+        f, coef, lam, vecs = _contrast_kernel(np.tensordot(pvec, blocks, axes=1), c)
+        if vecs is None:
             return math.inf, None
-        return float(c @ y), -np.einsum("i,kij,j->k", y, blocks, y)
+        y = vecs @ (coef / lam)
+        return f, -np.einsum("i,kij,j->k", y, blocks, y)
 
     fval, grad = f_grad(phi)
     if not math.isfinite(fval):

@@ -81,6 +81,17 @@ class TestOptimize:
         assert result.exit_code == 0, result.output
         grid = (tmp_path / "out" / "design_grid.csv").read_text().splitlines()
         assert len(grid) == 1 + 6
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert sum(summary["design_counts"]) == 6
+        assert max(summary["design_counts"]) <= 4
+
+    def test_closed_form_respects_replication_cap(self, tmp_path, runner):
+        # six clusters cannot be drawn from five sequences used at most once
+        cfg = base_config(tmp_path, algorithm="closed-form", m=6)
+        cfg["space"]["standard"]["maxReplication"] = 1
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, ["optimize", "--config", cfg_path])
+        assert result.exit_code == 3, result.output
 
     def test_grid_mode(self, tmp_path, runner):
         cfg = base_config(tmp_path, restarts=3)

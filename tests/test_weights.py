@@ -7,6 +7,7 @@ from crtoptim import (CovarianceSpec, InfeasibleError,
                       simplex_weight_descent, space_from_sequences,
                       standard_space, stepped_wedge_weights,
                       unidirectional_weights, unit_information_blocks)
+from crtoptim.covariance import iterated_weights
 from crtoptim.glscore import contrast_variance, treatment_contrast
 
 
@@ -74,9 +75,24 @@ class TestMixedModelWeights:
             uniform = np.full(space.n_units, 1.0 / space.n_units)
             assert wd.value <= _cell_value(space, cov, uniform, n) + 1e-12
 
+    @pytest.mark.parametrize("family", ["binomial-logit", "poisson-log"])
+    def test_non_gaussian_cell_weights_converge(self, family):
+        # the cell update must divide |a| by sqrt(w): with the GLM weight
+        # left out the criterion rises and the iteration aborts
+        space = standard_space(4, max_replication=10,
+                               granularity="cluster-period")
+        cov = CovarianceSpec.from_icc("EXC2", 0.1, cac=0.5)
+        model = ModelSpec(family, beta=(-2, -1.5, -1, -0.5, 0.5))
+        wd = mixed_model_weights(space, cov, model=model, total_obs=100.0)
+        uniform = np.full(space.n_units, 1.0 / space.n_units)
+        assert wd.value <= _cell_value(space, cov, uniform, 100.0, model)
+        assert wd.value == pytest.approx(
+            _cell_value(space, cov, wd.weights, 100.0, model), rel=1e-9)
+
     def test_drops_uninformative_cells_at_independence(self):
         # with no cluster effects, cells in never-treated periods carry no
-        # information; the safeguard must remove them and their period column
+        # information; the safeguard must remove them, and the rank-aware
+        # solve then ignores their empty period column
         t = 3
         space = cell_space(sequence_patterns(t)[1:t])
         cov = CovarianceSpec("EXC1", tau2=0.0, sigma2=1.0)
@@ -129,21 +145,25 @@ class TestMixedModelWeights:
         assert err.value.iterations == 2
 
 
-def _cell_value(space, cov, phi, total_obs):
+def _cell_value(space, cov, phi, total_obs, model=ModelSpec()):
     """Criterion of explicit cell weights (independent check path)."""
-    from crtoptim.glscore import _cell_weights, _entry_matrix
     periods = np.array([u.cells[0].period for u in space.units])
     treated = np.array([u.cells[0].treated for u in space.units])
     clusters = np.array([u.cluster_id for u in space.units])
-    w = _cell_weights(ModelSpec(), cov, periods, treated, space.n_periods)
     x = np.zeros((space.n_units, space.n_periods + 1))
     x[np.arange(space.n_units), periods - 1] = 1.0
     x[:, space.n_periods] = treated
-    same = clusters[:, None] == clusters[None, :]
-    lags = np.abs(periods[:, None] - periods[None, :])
-    sigma = np.where(same, _entry_matrix(cov, lags), 0.0)
-    sigma[np.diag_indices_from(sigma)] += 1.0 / (total_obs * w * phi)
-    m = x.T @ np.linalg.solve(sigma, x)
+    if model.is_gaussian:
+        w = np.full(space.n_units, 1.0 / cov.sigma2)
+    else:
+        w = iterated_weights(model, x @ model.beta_for(space.n_periods),
+                             sigma2=cov.sigma2)
+    keep = phi > 0  # cells without observations leave the model
+    same = clusters[keep, None] == clusters[None, keep]
+    lags = np.abs(periods[keep, None] - periods[None, keep])
+    sigma = np.where(same, cov.within(lags), 0.0)
+    sigma[np.diag_indices_from(sigma)] += 1.0 / (total_obs * w[keep] * phi[keep])
+    m = x[keep].T @ np.linalg.solve(sigma, x[keep])
     return contrast_variance(m, treatment_contrast(space.n_periods + 1))
 
 
