@@ -18,6 +18,7 @@ from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace
 from .errors import InfeasibleError, ValidationError
 from .glscore import DesignCriterion
+from .search import _best_step
 
 
 def _check_weights(weights) -> np.ndarray:
@@ -101,13 +102,7 @@ def _greedy_fill(criterion: DesignCriterion, weights: np.ndarray,
     resulting criterion. Caller screens cap violations."""
     alloc = np.floor(total * weights).astype(int)
     while alloc.sum() < total:
-        best = None
-        for jdx in np.flatnonzero(alloc < cap):
-            alloc[jdx] += 1
-            val = criterion.value(alloc)
-            alloc[jdx] -= 1
-            if best is None or val < best[0]:
-                best = (val, jdx)
+        best = _best_step(criterion.value, alloc, np.flatnonzero(alloc < cap), +1)
         if best is None:
             raise InfeasibleError("replication caps leave the total unreachable")
         alloc[best[1]] += 1

@@ -16,7 +16,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -65,6 +64,11 @@ def _require(cfg: dict, field: str, kind, where: str):
     return value
 
 
+def _optional(cfg: dict, field: str, kind, where: str, default):
+    """``_require`` for a field that may be left out."""
+    return _require(cfg, field, kind, where) if field in cfg else default
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -89,8 +93,9 @@ def parse_space(cfg: dict) -> DesignSpace:
             return standard_space(
                 _require(std, "T", int, "space.standard."),
                 style=std.get("style", "no-reversibility"),
-                max_replication=std.get("maxReplication", 1),
-                cells_per_period=std.get("count", 1),
+                max_replication=_optional(std, "maxReplication", int,
+                                          "space.standard.", 1),
+                cells_per_period=_optional(std, "count", int, "space.standard.", 1),
                 granularity=std.get("granularity", "sequence"))
         n_periods = _require(spec, "T", int, "space.")
         unit_specs = _require(spec, "units", list, "space.")
@@ -102,10 +107,11 @@ def parse_space(cfg: dict) -> DesignSpace:
                 where = f"space.units[{i}].cells[{k}]."
                 parsed.append(Cell(_require(cell, "period", int, where),
                                    _require(cell, "treated", int, where),
-                                   cell.get("count", 1)))
+                                   _optional(cell, "count", int, where, 1)))
             units.append(ExperimentalUnit(u.get("clusterId", i), tuple(parsed)))
         return DesignSpace(n_periods, tuple(units),
-                           max_replication=spec.get("maxReplication", 1),
+                           max_replication=_optional(spec, "maxReplication", int,
+                                                     "space.", 1),
                            granularity=spec.get("granularity", "sequence"))
     except ValidationError as exc:
         raise ConfigError(f"invalid field 'space': {exc}") from exc
@@ -113,17 +119,19 @@ def parse_space(cfg: dict) -> DesignSpace:
 
 def parse_covariance(cfg: dict, key: str = "covariance") -> CovarianceSpec:
     spec = _require(cfg, key, dict, "")
-    kind = _require(spec, "kind", str, f"{key}.")
+    where = f"{key}."
+    kind = _require(spec, "kind", str, where)
+    decay = _optional(spec, "decay", float, where, 1.0)
+    sigma2 = _optional(spec, "sigma2", float, where, 1.0)
     try:
         if "icc" in spec:
             return CovarianceSpec.from_icc(
-                kind, _require(spec, "icc", float, f"{key}."),
-                cac=spec.get("cac"), decay=spec.get("decay", 1.0),
-                sigma2=spec.get("sigma2", 1.0))
-        return CovarianceSpec(kind, tau2=_require(spec, "tau2", float, f"{key}."),
-                              omega2=spec.get("omega2", 0.0),
-                              decay=spec.get("decay", 1.0),
-                              sigma2=spec.get("sigma2", 1.0))
+                kind, _require(spec, "icc", float, where),
+                cac=_optional(spec, "cac", float, where, None), decay=decay,
+                sigma2=sigma2)
+        return CovarianceSpec(kind, tau2=_require(spec, "tau2", float, where),
+                              omega2=_optional(spec, "omega2", float, where, 0.0),
+                              decay=decay, sigma2=sigma2)
     except ValidationError as exc:
         raise ConfigError(f"invalid field '{key}': {exc}") from exc
 
@@ -241,7 +249,7 @@ def _summary(out_dir: Path, cfg: dict, algorithm: str, value: float,
 
 
 def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
-                seed, workers, out_dir: Path) -> float:
+                seed, out_dir: Path) -> float:
     started = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
     criterion = robust if robust is not None else DesignCriterion(
@@ -252,8 +260,7 @@ def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
         if m is None:
             raise ConfigError("missing field 'm'")
         if algorithm == "local":
-            result = local_search(space, criterion, m, restarts=restarts,
-                                  seed=seed, workers=workers)
+            result = local_search(space, criterion, m, restarts=restarts, seed=seed)
             extra["restarts"] = restarts
         else:
             result = reverse_greedy(space, criterion, m)
@@ -263,18 +270,19 @@ def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
         return result.value
 
     if algorithm in ("mixed-model-weights", "simplex-weights"):
-        n_obs = cfg.get("n_obs")
+        n_obs = _optional(cfg, "n_obs", int, "", None)
+        tolerance = _optional(cfg, "tolerance", float, "",
+                              1e-6 if algorithm == "mixed-model-weights" else 1e-8)
         if algorithm == "mixed-model-weights":
             wd = mixed_model_weights(space, cov, model=model, total_obs=n_obs,
-                                     tolerance=cfg.get("tolerance", 1e-6))
+                                     tolerance=tolerance)
         else:
-            wd = simplex_weight_descent(space, cov, model=model,
-                                        tolerance=cfg.get("tolerance", 1e-8))
+            wd = simplex_weight_descent(space, cov, model=model, tolerance=tolerance)
         write_weights_csv(out_dir / "weights.csv", space, wd.weights)
         extra["iterations"] = wd.iterations
         value = wd.value
         if m is not None or (space.granularity != "sequence" and n_obs):
-            budget = m if space.granularity == "sequence" else int(n_obs)
+            budget = m if space.granularity == "sequence" else n_obs
             rounded = best_rounding(space, cov, wd.weights, budget, model=model)
             write_design_grid(out_dir / "design_grid.csv", space, rounded.design)
             extra["rounding_scheme"] = rounded.scheme
@@ -347,10 +355,8 @@ def main():
 @click.option("--m", "m_override", type=int, default=None)
 @click.option("--restarts", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=None)
 @click.option("--out", "out_override", type=click.Path(), default=None)
-def optimize(config_path, algorithm, m_override, restarts, seed, workers,
-             out_override):
+def optimize(config_path, algorithm, m_override, restarts, seed, out_override):
     """Run an optimiser described by a JSON configuration."""
     try:
         cfg = load_config(config_path)
@@ -364,11 +370,10 @@ def optimize(config_path, algorithm, m_override, restarts, seed, workers,
         m = m_override if m_override is not None else cfg.get("m")
         if m is not None and (not isinstance(m, int) or m < 1):
             raise ConfigError("field 'm' must be a positive integer")
-        restarts = restarts if restarts is not None else cfg.get("restarts", 100)
-        seed = seed if seed is not None else cfg.get("seed", 0)
-        if workers is None:
-            workers = int(os.environ.get("CRT_OPTIM_WORKERS",
-                                         cfg.get("workers", 1)))
+        if restarts is None:
+            restarts = _optional(cfg, "restarts", int, "", 100)
+        if seed is None:
+            seed = _optional(cfg, "seed", int, "", 0)
         out_dir = Path(out_override or cfg.get("out", "."))
 
         grid = cfg.get("grid")
@@ -381,11 +386,11 @@ def optimize(config_path, algorithm, m_override, restarts, seed, workers,
                     "algorithms (local, reverse-greedy)")
         if grid is not None:
             _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed,
-                      workers, out_dir)
+                      out_dir)
         else:
             cov = parse_covariance(cfg) if robust is None else None
             value = _run_single(cfg, space, cov, model, robust, algorithm, m,
-                                restarts, seed, workers, out_dir)
+                                restarts, seed, out_dir)
             label = "inf" if math.isinf(value) else f"{value:.10g}"
             click.echo(f"{algorithm}: criterion value {label}")
     except ConfigError as exc:
@@ -396,7 +401,7 @@ def optimize(config_path, algorithm, m_override, restarts, seed, workers,
         _fail(3, str(exc))
 
 
-def _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed, workers,
+def _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed,
               out_dir: Path):
     if not isinstance(grid, dict):
         raise ConfigError("field 'grid' must be an object")
@@ -416,7 +421,7 @@ def _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed, workers,
                 raise ConfigError(f"invalid field 'grid': {exc}") from exc
             cell_dir = out_dir / f"icc{icc}_{second_key}{second}"
             value = _run_single(cfg, space, cov, model, None, algorithm, m,
-                                restarts, seed, workers, cell_dir)
+                                restarts, seed, cell_dir)
             index_rows.append([icc, second, value, str(cell_dir.name)])
             label = "inf" if math.isinf(value) else f"{value:.10g}"
             click.echo(f"icc={icc} {second_key}={second}: {label}")

@@ -52,6 +52,9 @@ class CovarianceSpec:
     def __post_init__(self):
         if self.kind not in COVARIANCE_KINDS:
             raise ValidationError(f"unknown covariance kind {self.kind!r}")
+        for name in ("sigma2", "tau2", "omega2", "decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.tau2 < 0:
             raise ValidationError("tau2 must be non-negative")
         if self.omega2 < 0:

@@ -226,11 +226,11 @@ def _cluster_blocks(space: DesignSpace, cov: CovarianceSpec,
 class DesignCriterion:
     """Treatment-variance criterion for one covariance/model setting.
 
-    Instances are immutable after construction and safe to share across
-    threads; ``value`` maps a vector of per-unit multiplicities to the
-    criterion. For sequence-granularity spaces the per-unit information
-    blocks are precomputed once and summed, which makes repeated
-    evaluation inside combinatorial searches cheap.
+    Instances are immutable after construction; ``value`` maps a vector
+    of per-unit multiplicities to the criterion. For sequence-granularity
+    spaces the per-unit information blocks are precomputed once and
+    summed, which makes repeated evaluation inside combinatorial searches
+    cheap.
     """
 
     def __init__(self, space: DesignSpace, covariance: CovarianceSpec,

@@ -11,7 +11,6 @@ lowest unit index, which keeps runs with equal seeds identical.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,22 +69,31 @@ def _random_start(space: DesignSpace, crit, m: int, rng) -> np.ndarray:
         f"no finite-criterion start of size {m} found in {MAX_START_DRAWS} draws")
 
 
+def _best_step(crit, counts, units, step):
+    """Lowest ``(value, u)`` over ``counts + step * e_u`` for ``u`` in
+    ``units``, ties to the first ``u``; ``None`` when ``units`` is empty.
+    ``counts`` is restored before returning."""
+    best = None
+    for u in units:
+        counts[u] += step
+        val = crit(counts)
+        counts[u] -= step
+        if best is None or val < best[0]:
+            best = (val, u)
+    return best
+
+
 def _best_swap(space, crit, counts, current):
     """Best strictly improving single swap, ties to lowest (remove, add)."""
     best = None
-    removable = np.flatnonzero(counts > 0)
     addable = np.flatnonzero(counts < space.max_replication)
-    for r in removable:
+    for r in np.flatnonzero(counts > 0):
         counts[r] -= 1
-        for a in addable:
-            if a == r:
-                continue
-            counts[a] += 1
-            val = crit(counts)
-            counts[a] -= 1
-            if val < current and (best is None or val < best[0]):
-                best = (val, r, a)
+        move = _best_step(crit, counts, addable[addable != r], +1)
         counts[r] += 1
+        if move is not None and move[0] < current and (
+                best is None or move[0] < best[0]):
+            best = (move[0], r, move[1])
     return best
 
 
@@ -102,15 +110,15 @@ def _single_local_run(space, crit, m, rng):
 
 
 def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
-                 seed: int | None = None, workers: int = 1,
+                 seed: int | None = None,
                  progress: Callable[[int, float], None] | None = None
                  ) -> SearchResult:
     """Best design of size ``m`` over independent local-search restarts.
 
     Each restart walks from a random feasible start to a local optimum in
     the single-swap neighbourhood. Identical seeds yield identical
-    results regardless of ``workers``; restarts merge by smallest value
-    with earlier restarts winning ties.
+    results; restarts merge by smallest value with earlier restarts
+    winning ties, and ``progress(idx, best)`` follows each restart.
     """
     if m < 1 or m > space.total_capacity:
         raise InfeasibleError(
@@ -118,29 +126,14 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     if restarts < 1:
         raise ValidationError("restarts must be at least 1")
     crit = _as_callable(criterion)
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-
-    def run(idx):
-        return _single_local_run(space, crit, m, np.random.default_rng(seeds[idx]))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(restarts)))
-    else:
-        outcomes = []
-        best_so_far = math.inf
-        for idx in range(restarts):
-            outcomes.append(run(idx))
-            best_so_far = min(best_so_far, outcomes[-1][1])
-            if progress is not None:
-                progress(idx, best_so_far)
-
-    best_counts, best_value = outcomes[0]
-    for counts, value in outcomes[1:]:
-        if value < best_value:
+    best_counts, best_value = None, math.inf
+    for idx, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
+        counts, value = _single_local_run(space, crit, m,
+                                          np.random.default_rng(child))
+        if value < best_value:  # restarts end finite, so the first one wins
             best_counts, best_value = counts, value
-    if progress is not None and workers > 1:
-        progress(restarts - 1, best_value)
+        if progress is not None:
+            progress(idx, best_value)
     return SearchResult(space.design_from_counts(best_counts), best_value,
                         restarts=restarts)
 
@@ -158,13 +151,7 @@ def reverse_greedy(space: DesignSpace, criterion, m: int,
     size = int(counts.sum())
     step = 0
     while size > m:
-        best = None
-        for r in np.flatnonzero(counts > 0):
-            counts[r] -= 1
-            val = crit(counts)
-            counts[r] += 1
-            if best is None or val < best[0]:
-                best = (val, r)
+        best = _best_step(crit, counts, np.flatnonzero(counts > 0), -1)
         counts[best[1]] -= 1
         size -= 1
         step += 1

@@ -30,6 +30,11 @@ def base_config(tmp_path, **overrides):
     return cfg
 
 
+EXPLICIT_SPACE = {"T": 2, "units": [
+    {"cells": [{"period": 1, "treated": 0}, {"period": 2, "treated": 1}]},
+    {"cells": [{"period": 1, "treated": 0}, {"period": 2, "treated": 0}]}]}
+
+
 class TestOptimize:
     def test_local_search_bundle(self, tmp_path, runner):
         cfg_path = write_json(tmp_path / "cfg.json", base_config(tmp_path))
@@ -150,12 +155,6 @@ class TestOptimize:
         assert result.exit_code == 2
         assert "robust" in result.output
 
-    def test_workers_env_fallback(self, tmp_path, runner, monkeypatch):
-        monkeypatch.setenv("CRT_OPTIM_WORKERS", "2")
-        cfg_path = write_json(tmp_path / "cfg.json", base_config(tmp_path))
-        result = runner.invoke(main, ["optimize", "--config", cfg_path])
-        assert result.exit_code == 0, result.output
-
     def test_malformed_json_names_location(self, tmp_path, runner):
         bad = tmp_path / "bad.json"
         bad.write_text('{"space": }')
@@ -176,6 +175,50 @@ class TestOptimize:
         cfg_path = write_json(tmp_path / "cfg.json", cfg)
         result = runner.invoke(main, ["optimize", "--config", cfg_path])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("overrides, keys, bad, field", [
+        ({}, ("restarts",), "5", "restarts"),
+        ({}, ("seed",), "x", "seed"),
+        ({}, ("seed",), 1.5, "seed"),
+        ({"algorithm": "mixed-model-weights"}, ("n_obs",), "40", "n_obs"),
+        ({"algorithm": "simplex-weights"}, ("tolerance",), "1e-6", "tolerance"),
+        ({}, ("space", "standard", "maxReplication"), "2",
+         "space.standard.maxReplication"),
+        ({}, ("space", "standard", "count"), "5", "space.standard.count"),
+        ({"space": EXPLICIT_SPACE}, ("space", "maxReplication"), "2",
+         "space.maxReplication"),
+        ({"space": EXPLICIT_SPACE}, ("space", "units", 0, "cells", 0, "count"),
+         "5", "space.units[0].cells[0].count"),
+        ({}, ("covariance", "cac"), "0.5", "covariance.cac"),
+        ({}, ("covariance", "sigma2"), "1", "covariance.sigma2"),
+        ({"covariance": {"kind": "AR1", "tau2": 0.05}}, ("covariance", "decay"),
+         "0.5", "covariance.decay"),
+        ({"covariance": {"kind": "EXC2", "tau2": 0.05}}, ("covariance", "omega2"),
+         "0.01", "covariance.omega2"),
+    ])
+    def test_mistyped_optional_field_exits_two(self, tmp_path, runner,
+                                                overrides, keys, bad, field):
+        cfg = json.loads(json.dumps(base_config(tmp_path, **overrides)))
+        *parents, last = keys
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[last] = bad
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, ["optimize", "--config", cfg_path])
+        assert result.exit_code == 2, result.output
+        assert f"'{field}'" in result.output
+
+    @pytest.mark.parametrize("field", ["tau2", "omega2", "sigma2"])
+    def test_non_finite_variance_component_exits_two(self, tmp_path, runner,
+                                                      field):
+        cov = {"kind": "EXC2", "tau2": 0.04, "omega2": 0.01}
+        cov[field] = float("nan")
+        cfg_path = write_json(tmp_path / "cfg.json",
+                              base_config(tmp_path, covariance=cov))
+        result = runner.invoke(main, ["optimize", "--config", cfg_path])
+        assert result.exit_code == 2, result.output
+        assert field in result.output
 
     def test_infeasible_budget_exits_three(self, tmp_path, runner):
         cfg = base_config(tmp_path, m=1000)

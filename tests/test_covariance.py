@@ -74,6 +74,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             CovarianceSpec("AR1", tau2=0.1, decay=1.2)
 
+    @pytest.mark.parametrize("kind, field", [
+        ("EXC1", "tau2"), ("EXC2", "omega2"), ("EXC1", "sigma2")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_components(self, kind, field, bad):
+        with pytest.raises(ValidationError, match=field):
+            CovarianceSpec(kind, **{"tau2": 0.1, field: bad})
+
     def test_rejects_attenuated_gaussian(self):
         with pytest.raises(ValidationError):
             ModelSpec(attenuate=True)

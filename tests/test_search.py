@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from crtoptim import (CovarianceSpec, DesignCriterion, InfeasibleError,
-                      brute_force_optimum, local_search, reverse_greedy,
-                      space_from_sequences, standard_space, swap_delta)
+                      best_rounding, brute_force_optimum, local_search,
+                      reverse_greedy, space_from_sequences, standard_space,
+                      swap_delta)
 
 
 def small_instance(rng):
@@ -64,13 +65,6 @@ class TestLocalSearch:
         assert a.design.counts == b.design.counts
         assert a.value == b.value
 
-    def test_workers_do_not_change_the_result(self):
-        space = standard_space(4, max_replication=3, cells_per_period=2)
-        crit = DesignCriterion(space, CovarianceSpec("EXC2", tau2=0.1, omega2=0.02))
-        serial = local_search(space, crit, 6, restarts=8, seed=7, workers=1)
-        threaded = local_search(space, crit, 6, restarts=8, seed=7, workers=4)
-        assert serial.design.counts == threaded.design.counts
-
     def test_infeasible_budget_rejected(self):
         space = standard_space(3)
         crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
@@ -118,6 +112,37 @@ class TestReverseGreedy:
         a = reverse_greedy(space, crit, 4)
         b = reverse_greedy(space, crit, 4)
         assert a.design.counts == b.design.counts
+
+
+class TestTieRule:
+    """Units 0/1 and 2/3 are duplicates, so every single-unit move has an
+    exact tie; each sweep must settle it toward the lowest unit index."""
+
+    space = space_from_sequences([(0, 1), (0, 1), (0, 0), (0, 0)],
+                                 max_replication=2)
+    cov = CovarianceSpec("EXC1", tau2=0.1)
+
+    @pytest.mark.parametrize("m, expected", [
+        (2, (0, 1, 0, 1)), (3, (0, 1, 1, 1)), (5, (0, 2, 2, 1))])
+    def test_reverse_greedy_removes_lowest_index_first(self, m, expected):
+        crit = DesignCriterion(self.space, self.cov)
+        assert reverse_greedy(self.space, crit, m).design.counts == expected
+
+    @pytest.mark.parametrize("m, expected", [
+        (2, (1, 0, 1, 0)), (3, (1, 0, 2, 0)), (5, (1, 1, 2, 1))])
+    def test_greedy_fill_adds_lowest_index_first(self, m, expected):
+        result = best_rounding(self.space, self.cov, np.full(4, 0.25), m)
+        assert result.candidates["floor-greedy"][0] == expected
+
+    @pytest.mark.parametrize("m, expected", [
+        (2, [(0, 1, 0, 1), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)]),
+        (3, [(1, 0, 1, 1), (1, 0, 1, 1), (0, 1, 1, 1), (0, 1, 1, 1)]),
+        (5, [(0, 2, 2, 1), (1, 1, 2, 1), (1, 1, 2, 1), (1, 1, 1, 2)])])
+    def test_local_search_never_swaps_between_tied_units(self, m, expected):
+        crit = DesignCriterion(self.space, self.cov)
+        found = [local_search(self.space, crit, m, restarts=3, seed=s).design.counts
+                 for s in range(4)]
+        assert found == expected
 
 
 class TestSwapDelta:
