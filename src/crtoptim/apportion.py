@@ -102,7 +102,7 @@ def _greedy_fill(criterion: DesignCriterion, weights: np.ndarray,
     resulting criterion. Caller screens cap violations."""
     alloc = np.floor(total * weights).astype(int)
     while alloc.sum() < total:
-        best = _best_step(criterion.value, alloc, np.flatnonzero(alloc < cap), +1)
+        best = _best_step(criterion.values, alloc, np.flatnonzero(alloc < cap), +1)
         if best is None:
             raise InfeasibleError("replication caps leave the total unreachable")
         alloc[best[1]] += 1

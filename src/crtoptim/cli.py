@@ -142,9 +142,13 @@ def parse_model(cfg: dict, key: str = "model") -> ModelSpec:
     spec = cfg[key]
     if not isinstance(spec, dict):
         raise ConfigError(f"field '{key}' must be an object")
+    beta = spec.get("beta")
+    if beta is not None and (not isinstance(beta, list) or not all(
+            isinstance(b, (int, float)) and not isinstance(b, bool) for b in beta)):
+        raise ConfigError(f"field '{key}.beta' must be a list of numbers")
     try:
         return ModelSpec(family=spec.get("family", "gaussian-identity"),
-                         beta=spec.get("beta"),
+                         beta=beta,
                          attenuate=spec.get("attenuate", False))
     except ValidationError as exc:
         raise ConfigError(f"invalid field '{key}': {exc}") from exc
@@ -374,6 +378,8 @@ def optimize(config_path, algorithm, m_override, restarts, seed, out_override):
             restarts = _optional(cfg, "restarts", int, "", 100)
         if seed is None:
             seed = _optional(cfg, "seed", int, "", 0)
+        if seed < 0:
+            raise ConfigError("field 'seed' must be a non-negative integer")
         out_dir = Path(out_override or cfg.get("out", "."))
 
         grid = cfg.get("grid")

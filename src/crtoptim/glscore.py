@@ -10,10 +10,18 @@ to cluster-period means (an exact reduction, since fixed effects are
 constant within a cell) and each cluster contributes an independent small
 block. :class:`DesignCriterion` caches those blocks so that optimisers can
 score thousands of candidate designs cheaply.
+
+Scoring is batched: :meth:`DesignCriterion.values` maps a ``(K, J)`` matrix
+of per-unit counts to ``K`` criteria through one stacked rank-aware
+eigen-solve over ``(K, P, P)`` information matrices, and every other
+criterion value (``value``, ``contrast_variance``, the weight solvers) is
+that kernel on a stack of one. Each row's information matrix is
+accumulated in a fixed order over units or clusters, never by one BLAS
+product across rows whose kernel (and rounding) could change with ``K``,
+so a row's value is bit-identical whichever batch it is scored in.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +34,10 @@ from .errors import NumericDomainError, ValidationError
 # residual of the contrast after projection onto the range of M.
 RANK_TOL = 1e-10
 RANGE_TOL = 1e-8
+# Working-array budget of one stacked evaluation; ``values`` scores larger
+# batches in chunks, so a big neighbourhood never builds a
+# ``(K, clusters, cells, cells)`` array beyond this size.
+CHUNK_BYTES = 1 << 24
 
 
 def treatment_contrast(n_params: int) -> np.ndarray:
@@ -38,22 +50,27 @@ def treatment_contrast(n_params: int) -> np.ndarray:
 def _contrast_kernel(m: np.ndarray, c: np.ndarray):
     """Rank-aware eigen-solve behind every criterion value.
 
-    Returns ``(value, coef, lam, vecs)`` with ``value = c' M^+ c``; callers
-    that need the estimation direction form ``M^+ c = vecs @ (coef / lam)``.
-    ``value`` is ``inf`` and the rest ``None`` when the contrast is outside
-    the range of ``M`` or ``M`` is not positive semi-definite to tolerance.
+    ``m`` is a stack ``(..., P, P)`` of information matrices. Returns
+    ``(value, h, vecs)`` with ``value[...] = c' M^+ c``; callers that need
+    the estimation direction form ``M^+ c = vecs @ h``. ``value`` is ``inf``
+    where the contrast is outside the range of ``M`` or ``M`` is not
+    positive semi-definite to tolerance. Every matrix is decided and solved
+    on its own, so its results do not depend on the rest of the stack.
     """
-    m = 0.5 * (m + m.T)
-    w, v = np.linalg.eigh(m)
-    wmax = w[-1] if w.size else 0.0
-    if wmax <= 0.0 or w[0] < -RANK_TOL * wmax:
-        return math.inf, None, None, None
-    keep = w > RANK_TOL * wmax
-    vecs, lam = v[:, keep], w[keep]
-    coef = vecs.T @ c
-    if np.linalg.norm(c - vecs @ coef) > RANGE_TOL * np.linalg.norm(c):
-        return math.inf, None, None, None
-    return float(np.sum(coef ** 2 / lam)), coef, lam, vecs
+    m = 0.5 * (m + np.swapaxes(m, -1, -2))
+    w, vecs = np.linalg.eigh(m)
+    wmax = w[..., -1:]
+    keep = w > RANK_TOL * np.maximum(wmax, 0.0)
+    coef = c @ vecs
+    lam = np.where(keep, w, np.inf)
+    value = np.sum(coef ** 2 / lam, axis=-1)
+    # the part of c outside the range of M lies along the dropped
+    # eigenvectors; written so that a NaN matrix also counts as bad
+    outside = np.sum(np.where(keep, 0.0, coef) ** 2, axis=-1)
+    bad = ((wmax[..., 0] <= 0.0) | (w[..., 0] < -RANK_TOL * wmax[..., 0])
+           | ~(outside <= RANGE_TOL ** 2 * (c @ c)))
+    value[bad] = np.inf
+    return value, coef / lam, vecs
 
 
 def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
@@ -63,13 +80,15 @@ def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
     design carries no information on it) or when ``M`` is not positive
     semi-definite to tolerance.
     """
-    return _contrast_kernel(m, c)[0]
+    return float(_contrast_kernel(np.asarray(m, dtype=float)[None], c)[0][0])
 
 
 def c_optimality(m: np.ndarray, c: np.ndarray) -> float:
     """Design criterion value for an information matrix and contrast."""
     m = np.asarray(m, dtype=float)
     c = np.asarray(c, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError("information matrix must be square")
     if c.shape != (m.shape[0],):
         raise ValidationError("contrast length does not match the information matrix")
     return contrast_variance(m, c)
@@ -185,52 +204,78 @@ def unit_information_blocks(space: DesignSpace, cov: CovarianceSpec,
 
 
 @dataclass
-class _ClusterBlock:
-    unit_idx: np.ndarray     # owning unit index for each cell
-    x: np.ndarray            # cell rows of the fixed-effects matrix
-    base: np.ndarray         # cell-level random-effect covariance
-    weight: np.ndarray       # iterated weight of one observation per cell
-    n_per: np.ndarray        # observations added per unit replicate
+class _ClusterBlocks:
+    """Cell-level pieces of every cluster, stacked over clusters and padded
+    to a common cell count: ``(C, c, ...)``. A padding cell has a zero row
+    in ``x``, never holds observations and so adds zero wherever it goes."""
+
+    unit_idx: np.ndarray     # (C, c) owning unit of each cell
+    x: np.ndarray            # (C, c, P) cell rows of the fixed-effects matrix
+    base: np.ndarray         # (C, c, c) cell-level random-effect covariance
+    weight: np.ndarray       # (C, c) iterated weight of one observation per cell
+    n_per: np.ndarray        # (C, c) observations added per unit replicate
 
     def solve(self, n_obs: np.ndarray):
-        """``(sel, X_a, Sigma_a^-1 X_a)`` over the cells ``sel`` holding a
-        positive number of observations ``n_obs``; ``None`` when none do."""
-        sel = n_obs > 0
-        if not sel.any():
-            return None
-        xa = self.x[sel]
-        block = self.base[np.ix_(sel, sel)] + np.diag(
-            1.0 / (self.weight[sel] * n_obs[sel]))
-        return sel, xa, np.linalg.solve(block, xa)
+        """``(s, t, info)`` for observation counts ``n_obs`` (``(..., C, c)``).
+
+        With ``S = diag(s)``, ``s = sqrt(w n_obs)``, the covariance of a
+        cluster's cell means is ``B + S^-2``, so the cluster adds ``sx' t``
+        to the information, with ``sx = S X`` and ``t = (I + S B S)^-1 S X``,
+        and its GLS weights are ``Sigma^-1 X = S t``. Cells holding no
+        observations (or a negative count) get zero rows and drop out.
+        ``info`` sums the clusters in order: ``(..., P, P)``.
+        """
+        s = np.sqrt(self.weight * np.maximum(n_obs, 0))
+        sx = s[..., None] * self.x
+        a = self.base * (s[..., :, None] * s[..., None, :]) + np.eye(s.shape[-1])
+        t = np.linalg.solve(a, sx)
+        per_cluster = np.swapaxes(sx, -1, -2) @ t
+        info = per_cluster[..., 0, :, :].copy()
+        for k in range(1, per_cluster.shape[-3]):
+            info += per_cluster[..., k, :, :]
+        return s, t, info
 
 
 def _cluster_blocks(space: DesignSpace, cov: CovarianceSpec,
-                    model: ModelSpec) -> list[_ClusterBlock]:
+                    model: ModelSpec) -> _ClusterBlocks:
     """One block per cluster, over the cells of all units in it."""
     by_cluster: dict[int, list[int]] = {}
     for j, unit in enumerate(space.units):
         by_cluster.setdefault(unit.cluster_id, []).append(j)
-    clusters = []
-    for cid in sorted(by_cluster):
-        cells = [(j, cell) for j in by_cluster[cid] for cell in space.units[j].cells]
+    cells = [[(j, cell) for j in by_cluster[cid] for cell in space.units[j].cells]
+             for cid in sorted(by_cluster)]
+    n_cells = max(len(cl) for cl in cells)
+    p = space.n_periods + 1
+    blocks = _ClusterBlocks(
+        unit_idx=np.zeros((len(cells), n_cells), dtype=int),
+        x=np.zeros((len(cells), n_cells, p)),
+        base=np.zeros((len(cells), n_cells, n_cells)),
+        weight=np.ones((len(cells), n_cells)),
+        n_per=np.zeros((len(cells), n_cells), dtype=int))
+    for k, cl in enumerate(cells):
+        n = len(cl)
         x, base, w = _cell_block(model, cov,
-                                 np.array([cell.period for _, cell in cells]),
-                                 np.array([cell.treated for _, cell in cells]),
+                                 np.array([cell.period for _, cell in cl]),
+                                 np.array([cell.treated for _, cell in cl]),
                                  space.n_periods)
-        clusters.append(_ClusterBlock(
-            unit_idx=np.array([j for j, _ in cells], dtype=int), x=x, base=base,
-            weight=w, n_per=np.array([cell.count for _, cell in cells])))
-    return clusters
+        blocks.unit_idx[k, :n] = [j for j, _ in cl]
+        blocks.x[k, :n] = x
+        blocks.base[k, :n, :n] = base
+        blocks.weight[k, :n] = w
+        blocks.n_per[k, :n] = [cell.count for _, cell in cl]
+    return blocks
 
 
 class DesignCriterion:
     """Treatment-variance criterion for one covariance/model setting.
 
     Instances are immutable after construction; ``value`` maps a vector
-    of per-unit multiplicities to the criterion. For sequence-granularity
-    spaces the per-unit information blocks are precomputed once and
-    summed, which makes repeated evaluation inside combinatorial searches
-    cheap.
+    of per-unit multiplicities to the criterion and ``values`` maps a
+    ``(K, J)`` batch of them to ``K`` criteria in one call, which is how
+    the combinatorial searches score a whole neighbourhood. For
+    sequence-granularity spaces the per-unit information blocks are
+    precomputed once and summed; otherwise the padded cell blocks of all
+    clusters are solved in one stacked call for the whole batch.
     """
 
     def __init__(self, space: DesignSpace, covariance: CovarianceSpec,
@@ -248,28 +293,53 @@ class DesignCriterion:
         if space.granularity == "sequence":
             self._unit_blocks = unit_information_blocks(space, covariance, self.model)
             self._clusters = None
+            row_bytes = 8 * p * p
         else:
             self._unit_blocks = None
             self._clusters = _cluster_blocks(space, covariance, self.model)
+            n_clusters, n_cells = self._clusters.unit_idx.shape
+            row_bytes = 8 * n_clusters * n_cells * (n_cells + 2 * p)
+        self._chunk_rows = max(1, CHUNK_BYTES // row_bytes)
 
     # -- evaluation ----------------------------------------------------
 
-    def information(self, counts: np.ndarray) -> np.ndarray:
-        """Information matrix of the design given per-unit multiplicities."""
-        counts = np.asarray(counts)
+    def _batch(self, batch) -> np.ndarray:
+        batch = np.asarray(batch)
+        if batch.ndim != 2 or batch.shape[1] != self.space.n_units:
+            raise ValidationError(
+                f"counts must be a (K, {self.space.n_units}) batch of "
+                f"per-unit multiplicities, got shape {batch.shape}")
+        return batch
+
+    def _information(self, batch: np.ndarray) -> np.ndarray:
+        """Information matrices ``(K, P, P)`` of a checked ``(K, J)`` batch.
+
+        Sums run in a fixed order over units (or clusters) whatever ``K``
+        is, so a row's matrix does not depend on the rest of the batch.
+        """
         if self._unit_blocks is not None:
-            return np.tensordot(counts.astype(float), self._unit_blocks, axes=1)
-        m = np.zeros((self._n_params, self._n_params))
-        for cl in self._clusters:
-            part = cl.solve(counts[cl.unit_idx] * cl.n_per)
-            if part is not None:
-                _, xa, solved = part
-                m += xa.T @ solved
-        return m
+            # einsum accumulates over units in order for every row; a BLAS
+            # product would switch kernels (and rounding) with K
+            return np.einsum("kj,jab->kab", batch, self._unit_blocks)
+        cl = self._clusters
+        return cl.solve(batch[:, cl.unit_idx] * cl.n_per)[2]
+
+    def information(self, counts) -> np.ndarray:
+        """Information matrix of the design given per-unit multiplicities."""
+        return self._information(self._batch(np.asarray(counts)[None]))[0]
+
+    def values(self, batch) -> np.ndarray:
+        """Criterion values of a ``(K, J)`` batch of per-unit multiplicities,
+        one per row; row ``i`` equals ``value(batch[i])`` bit for bit."""
+        batch = self._batch(batch)
+        if len(batch) <= self._chunk_rows:
+            return _contrast_kernel(self._information(batch), self.contrast)[0]
+        return np.concatenate([self.values(batch[i:i + self._chunk_rows])
+                               for i in range(0, len(batch), self._chunk_rows)])
 
     def value(self, counts) -> float:
         """Criterion value (treatment variance; ``inf`` when unidentified)."""
-        return contrast_variance(self.information(counts), self.contrast)
+        return float(self.values(np.asarray(counts)[None])[0])
 
     def value_of(self, design: Design) -> float:
         design.validate(self.space)

@@ -10,7 +10,6 @@ wherever a plain criterion does.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,17 +79,20 @@ class RobustCriterion:
             for entry in model_class.entries
         ]
 
-    def value(self, counts) -> float:
+    def values(self, batch) -> np.ndarray:
+        """Robust criteria of a ``(K, J)`` batch of per-unit multiplicities:
+        each part scores the whole batch once, and a row that any part
+        cannot identify is ``inf``."""
         log_form = self.model_class.form == "log-average"
         total = 0.0
         for prior, crit in self._parts:
-            if prior == 0.0:
-                continue
-            v = crit.value(counts)
-            if not math.isfinite(v):
-                return math.inf
-            total += prior * (math.log(v) if log_form else v)
+            if prior > 0.0:
+                v = crit.values(batch)
+                total = total + prior * (np.log(v) if log_form else v)
         return total
+
+    def value(self, counts) -> float:
+        return float(self.values(np.asarray(counts)[None])[0])
 
     def value_of(self, design: Design) -> float:
         design.validate(self.space)

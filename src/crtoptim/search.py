@@ -5,8 +5,12 @@ multisets, so they work unchanged for plain and robust criteria (any
 monotone supermodular function of the design). Local search repeatedly
 applies the best value-improving single swap from random feasible starts;
 reverse greedy strips the full space down to the target size, removing
-whichever unit costs the least variance. Ties always break toward the
-lowest unit index, which keeps runs with equal seeds identical.
+whichever unit costs the least variance. Each sweep builds its whole
+neighbourhood (every swap, or every single-unit removal) as one ``(K, J)``
+count matrix and scores it with one batched criterion call (``values``);
+a plain callable on one count vector is scored row by row instead. Ties
+always break toward the lowest unit index (the first minimum of the
+batch), which keeps runs with equal seeds identical.
 """
 from __future__ import annotations
 
@@ -30,17 +34,24 @@ class SearchResult:
     restarts: int = 1
 
 
-def _as_callable(criterion) -> Callable[[np.ndarray], float]:
+def _as_batch(criterion) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch form of a criterion: a ``(K, J)`` count matrix in, ``K``
+    values out. A criterion object contributes its ``values``; a plain
+    callable on one count vector is scored row by row."""
     if callable(criterion):
-        return criterion
-    return criterion.value
+        return lambda batch: np.array([criterion(row) for row in batch], dtype=float)
+    return criterion.values
+
+
+def _score(crit, counts) -> float:
+    """Value of one design under a batch criterion."""
+    return float(crit(counts[None])[0])
 
 
 def swap_delta(space: DesignSpace, criterion, design: Design,
                remove: int, add: int) -> float:
     """Criterion change from swapping one replicate of ``remove`` for one
     of ``add``; consistent with full re-evaluation."""
-    crit = _as_callable(criterion)
     counts = np.asarray(design.counts, dtype=int)
     if remove == add:
         return 0.0
@@ -48,58 +59,66 @@ def swap_delta(space: DesignSpace, criterion, design: Design,
         raise ValidationError(f"unit {remove} is not in the design")
     if counts[add] >= space.max_replication:
         raise ValidationError(f"unit {add} is already at the replication cap")
-    before = crit(counts)
-    counts[remove] -= 1
-    counts[add] += 1
-    after = crit(counts)
+    swapped = counts.copy()
+    swapped[remove] -= 1
+    swapped[add] += 1
+    before, after = _as_batch(criterion)(np.stack([counts, swapped]))
     if math.isinf(after) and math.isinf(before):
         return 0.0
-    return after - before
+    return float(after - before)
 
 
-def _random_start(space: DesignSpace, crit, m: int, rng) -> np.ndarray:
+def _random_start(space: DesignSpace, crit, m: int, rng):
+    """A random size-``m`` design with a finite criterion, and its value."""
     pool = np.repeat(np.arange(space.n_units), space.max_replication)
     for _ in range(MAX_START_DRAWS):
         counts = np.zeros(space.n_units, dtype=int)
         picked = rng.choice(pool.size, size=m, replace=False)
         np.add.at(counts, pool[picked], 1)
-        if math.isfinite(crit(counts)):
-            return counts
+        value = _score(crit, counts)
+        if math.isfinite(value):
+            return counts, value
     raise InfeasibleError(
         f"no finite-criterion start of size {m} found in {MAX_START_DRAWS} draws")
 
 
 def _best_step(crit, counts, units, step):
     """Lowest ``(value, u)`` over ``counts + step * e_u`` for ``u`` in
-    ``units``, ties to the first ``u``; ``None`` when ``units`` is empty.
-    ``counts`` is restored before returning."""
-    best = None
-    for u in units:
-        counts[u] += step
-        val = crit(counts)
-        counts[u] -= step
-        if best is None or val < best[0]:
-            best = (val, u)
-    return best
+    ``units``, scored in one batch, ties to the first ``u``; ``None`` when
+    ``units`` is empty."""
+    if len(units) == 0:
+        return None
+    batch = np.repeat(counts[None], len(units), axis=0)
+    batch[np.arange(len(units)), units] += step
+    values = crit(batch)
+    i = int(np.argmin(values))
+    return float(values[i]), int(units[i])
 
 
 def _best_swap(space, crit, counts, current):
-    """Best strictly improving single swap, ties to lowest (remove, add)."""
-    best = None
+    """Best strictly improving single swap ``(value, remove, add)``.
+
+    Every ``(remove, add)`` pair is scored in one batch in row-major
+    order, so the first minimum is the lowest ``(remove, add)``."""
+    removable = np.flatnonzero(counts > 0)
     addable = np.flatnonzero(counts < space.max_replication)
-    for r in np.flatnonzero(counts > 0):
-        counts[r] -= 1
-        move = _best_step(crit, counts, addable[addable != r], +1)
-        counts[r] += 1
-        if move is not None and move[0] < current and (
-                best is None or move[0] < best[0]):
-            best = (move[0], r, move[1])
-    return best
+    r, a = np.nonzero(removable[:, None] != addable[None, :])
+    remove, add = removable[r], addable[a]
+    if remove.size == 0:
+        return None
+    batch = np.repeat(counts[None], remove.size, axis=0)
+    rows = np.arange(remove.size)
+    batch[rows, remove] -= 1
+    batch[rows, add] += 1
+    values = crit(batch)
+    i = int(np.argmin(values))
+    if values[i] < current:
+        return float(values[i]), int(remove[i]), int(add[i])
+    return None
 
 
 def _single_local_run(space, crit, m, rng):
-    counts = _random_start(space, crit, m, rng)
-    current = crit(counts)
+    counts, current = _random_start(space, crit, m, rng)
     while True:
         best = _best_swap(space, crit, counts, current)
         if best is None:
@@ -125,7 +144,7 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
             f"m={m} outside [1, {space.total_capacity}] for this space")
     if restarts < 1:
         raise ValidationError("restarts must be at least 1")
-    crit = _as_callable(criterion)
+    crit = _as_batch(criterion)
     best_counts, best_value = None, math.inf
     for idx, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
         counts, value = _single_local_run(space, crit, m,
@@ -146,7 +165,7 @@ def reverse_greedy(space: DesignSpace, criterion, m: int,
     if m < 1 or m > space.total_capacity:
         raise InfeasibleError(
             f"m={m} outside [1, {space.total_capacity}] for this space")
-    crit = _as_callable(criterion)
+    crit = _as_batch(criterion)
     counts = np.full(space.n_units, space.max_replication, dtype=int)
     size = int(counts.sum())
     step = 0
@@ -157,7 +176,7 @@ def reverse_greedy(space: DesignSpace, criterion, m: int,
         step += 1
         if progress is not None:
             progress(step, best[0])
-    value = crit(counts)
+    value = _score(crit, counts)
     if not math.isfinite(value):
         raise InfeasibleError(
             f"reverse greedy reached size {m} with an infinite criterion")

@@ -17,7 +17,11 @@ from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace, build_d, build_x, build_z
 from .errors import (EnumerationLimitError, InfeasibleError, ValidationError)
 from .glscore import treatment_contrast
-from .search import SearchResult, _as_callable
+from .search import SearchResult, _as_batch, _score
+
+
+# Enumerated designs scored per batched criterion call.
+BRUTE_FORCE_BATCH = 4096
 
 
 def _count_multisets(n_units: int, cap: int, m: int) -> int:
@@ -36,6 +40,8 @@ def brute_force_optimum(space: DesignSpace, criterion, m: int,
 
     Refuses to run when the enumeration would exceed ``limit`` candidates;
     the error message carries the count so callers can shrink the problem.
+    Candidates are scored in batches of ``BRUTE_FORCE_BATCH`` in enumeration
+    order, and the first minimum in that order wins.
     """
     if m < 1 or m > space.total_capacity:
         raise InfeasibleError(f"m={m} outside [1, {space.total_capacity}]")
@@ -43,20 +49,29 @@ def brute_force_optimum(space: DesignSpace, criterion, m: int,
     if n_designs > limit:
         raise EnumerationLimitError(
             f"enumeration of {n_designs} designs exceeds the limit {limit}")
-    crit = _as_callable(criterion)
+    crit = _as_batch(criterion)
     counts = np.zeros(space.n_units, dtype=int)
+    pending: list[np.ndarray] = []
     best_value = math.inf
     best_counts: tuple[int, ...] | None = None
 
-    def recurse(j: int, remaining: int):
+    def score_pending():
+        # the first minimum of a batch is the first in enumeration order
         nonlocal best_value, best_counts
+        values = crit(np.array(pending))
+        i = int(np.argmin(values))
+        if values[i] < best_value or best_counts is None:
+            best_value = float(values[i])
+            best_counts = tuple(int(v) for v in pending[i])
+        pending.clear()
+
+    def recurse(j: int, remaining: int):
         if j == space.n_units - 1:
             if remaining <= space.max_replication:
                 counts[j] = remaining
-                val = crit(counts)
-                if val < best_value or (val == best_value and best_counts is None):
-                    best_value = val
-                    best_counts = tuple(int(v) for v in counts)
+                pending.append(counts.copy())
+                if len(pending) == BRUTE_FORCE_BATCH:
+                    score_pending()
                 counts[j] = 0
             return
         tail_cap = (space.n_units - 1 - j) * space.max_replication
@@ -68,6 +83,8 @@ def brute_force_optimum(space: DesignSpace, criterion, m: int,
         counts[j] = 0
 
     recurse(0, m)
+    if pending:
+        score_pending()
     if best_counts is None or not math.isfinite(best_value):
         raise InfeasibleError(f"every design of size {m} has infinite criterion")
     return SearchResult(space.design_from_counts(best_counts), best_value)
@@ -198,7 +215,7 @@ def supermodularity_probe(space: DesignSpace, criterion, n_triples: int,
     """
     if n_triples < 1:
         raise ValidationError("need at least one probe triple")
-    crit = _as_callable(criterion)
+    crit = _as_batch(criterion)
     rng = np.random.default_rng(seed)
     cap = space.max_replication
     violations = []
@@ -219,17 +236,14 @@ def supermodularity_probe(space: DesignSpace, criterion, n_triples: int,
         if addable.size == 0:
             continue
         unit = int(rng.choice(addable))
-        f_subset = crit(subset)
+        f_subset = _score(crit, subset)
         if not math.isfinite(f_subset):
             continue
         drawn += 1
-        f_base = crit(base)
-        subset[unit] += 1
-        f_subset_plus = crit(subset)
-        subset[unit] -= 1
-        base[unit] += 1
-        f_base_plus = crit(base)
-        base[unit] -= 1
+        plus = np.zeros(space.n_units, dtype=int)
+        plus[unit] = 1
+        f_base, f_subset_plus, f_base_plus = map(float, crit(
+            np.stack([base, subset + plus, base + plus])))
 
         if f_base > f_subset + slack:
             violations.append(ProbeViolation(

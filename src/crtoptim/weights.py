@@ -51,6 +51,12 @@ class WeightedDesign:
             raise ValidationError("weights must form a probability vector")
 
 
+def _solve_one(m: np.ndarray, c: np.ndarray):
+    """``(c' M^+ c, M^+ c)`` for one information matrix (a stack of one)."""
+    f, h, vecs = _contrast_kernel(m[None], c)
+    return float(f[0]), vecs[0] @ h[0]
+
+
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex."""
     v = np.asarray(v, dtype=float)
@@ -110,8 +116,8 @@ def _block_fixed_point(space, cov, model, c, total_obs, tolerance, max_iter):
     f_prev = math.inf
     converged = False
     for it in range(1, max_iter + 2):
-        f, coef, lam, vecs = _contrast_kernel(np.tensordot(phi, blocks, axes=1), c)
-        if vecs is None:
+        f, y = _solve_one(np.tensordot(phi, blocks, axes=1), c)
+        if not math.isfinite(f):
             raise InfeasibleError("contrast is not identified by the design space")
         if converged:
             # one extra pass so the reported value belongs to the final weights
@@ -123,7 +129,6 @@ def _block_fixed_point(space, cov, model, c, total_obs, tolerance, max_iter):
                 f"criterion increased at iteration {it}: {f_prev} -> {f}",
                 weights=phi.copy(), iterations=it)
         f_prev = f
-        y = vecs @ (coef / lam)
         gain = np.einsum("i,kij,j->k", y, blocks, y)
         gain[~active] = 0.0
         q = phi * np.sqrt(np.maximum(gain, 0.0))
@@ -151,6 +156,7 @@ def _cell_fixed_point(space, cov, model, c, total_obs, tolerance, max_iter):
             raise ValidationError(
                 "cluster-period weights need single-cell experimental units")
     clusters = _cluster_blocks(space, cov, model)
+    sqrt_w = np.sqrt(clusters.weight)
     j = space.n_units
     phi = np.full(j, 1.0 / j)
     active = np.ones(j, dtype=bool)
@@ -158,17 +164,9 @@ def _cell_fixed_point(space, cov, model, c, total_obs, tolerance, max_iter):
     converged = False
 
     for it in range(1, max_iter + 2):
-        m = np.zeros((c.size, c.size))
-        parts = []
-        for cl in clusters:
-            part = cl.solve(total_obs * phi[cl.unit_idx])
-            if part is None:
-                continue
-            sel, xa, solved = part
-            m += xa.T @ solved
-            parts.append((cl.unit_idx[sel], cl.weight[sel], solved))
-        f, coef, lam, vecs = _contrast_kernel(m, c)
-        if vecs is None:
+        s, t, m = clusters.solve(total_obs * phi[clusters.unit_idx])
+        f, y = _solve_one(m, c)
+        if not math.isfinite(f):
             raise InfeasibleError("contrast is not identified by the design space")
         if converged:
             # one extra pass so the reported value belongs to the final weights
@@ -182,11 +180,10 @@ def _cell_fixed_point(space, cov, model, c, total_obs, tolerance, max_iter):
         f_prev = f
 
         # the residual part of the criterion is sum a^2 / (N w phi), which
-        # the simplex minimises at phi proportional to |a| / sqrt(w)
-        y = vecs @ (coef / lam)
-        q = np.zeros(j)
-        for rows, w, solved in parts:
-            q[rows] = np.abs(solved @ y) / np.sqrt(w)
+        # the simplex minimises at phi proportional to |a| / sqrt(w), with
+        # the estimation weights a = Sigma^-1 X y = S t y
+        q = np.bincount(clusters.unit_idx.ravel(), minlength=j,
+                        weights=(np.abs(s * (t @ y)) / sqrt_w).ravel())
         total = q.sum()
         if total <= 0:
             raise InfeasibleError("all cells carry zero estimation weight")
@@ -235,10 +232,9 @@ def simplex_weight_descent(space: DesignSpace, cov: CovarianceSpec,
     phi = np.full(j, 1.0 / j)
 
     def f_grad(pvec):
-        f, coef, lam, vecs = _contrast_kernel(np.tensordot(pvec, blocks, axes=1), c)
-        if vecs is None:
+        f, y = _solve_one(np.tensordot(pvec, blocks, axes=1), c)
+        if not math.isfinite(f):
             return math.inf, None
-        y = vecs @ (coef / lam)
         return f, -np.einsum("i,kij,j->k", y, blocks, y)
 
     fval, grad = f_grad(phi)

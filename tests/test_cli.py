@@ -195,6 +195,10 @@ class TestOptimize:
          "0.5", "covariance.decay"),
         ({"covariance": {"kind": "EXC2", "tau2": 0.05}}, ("covariance", "omega2"),
          "0.01", "covariance.omega2"),
+        ({"model": {"family": "binomial-logit", "beta": [0, 0, 0, 0, 0]}},
+         ("model", "beta"), 3, "model.beta"),
+        ({"model": {"family": "binomial-logit", "beta": [0, 0, 0, 0, 0]}},
+         ("model", "beta"), ["a", 0, 0, 0, 0], "model.beta"),
     ])
     def test_mistyped_optional_field_exits_two(self, tmp_path, runner,
                                                 overrides, keys, bad, field):
@@ -208,6 +212,15 @@ class TestOptimize:
         result = runner.invoke(main, ["optimize", "--config", cfg_path])
         assert result.exit_code == 2, result.output
         assert f"'{field}'" in result.output
+
+    @pytest.mark.parametrize("via_flag", [False, True])
+    def test_negative_seed_exits_two(self, tmp_path, runner, via_flag):
+        cfg = base_config(tmp_path, **({} if via_flag else {"seed": -1}))
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        args = ["optimize", "--config", cfg_path] + (["--seed", "-1"] if via_flag else [])
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "'seed'" in result.output
 
     @pytest.mark.parametrize("field", ["tau2", "omega2", "sigma2"])
     def test_non_finite_variance_component_exits_two(self, tmp_path, runner,

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from crtoptim import (CovarianceSpec, DesignCriterion, ModelSpec,
-                      ValidationError, aggregate_cluster_periods, build_d,
+from crtoptim import (CovarianceSpec, DesignCriterion, ModelClass, ModelSpec,
+                      RobustCriterion, ValidationError,
+                      aggregate_cluster_periods, build_d,
                       build_sigma, build_x, build_z, c_optimality,
                       glm_weight_diagonal, information_matrix,
                       space_from_sequences, standard_space,
@@ -167,6 +168,14 @@ class TestCOptimality:
         with pytest.raises(ValidationError):
             c_optimality(np.eye(3), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("m", [np.ones((3, 2)), np.ones(3), np.ones((1, 3, 3))])
+    def test_non_square_matrix_rejected(self, m):
+        with pytest.raises(ValidationError):
+            c_optimality(m, np.array([0.0, 0.0, 1.0]))
+
+    def test_nan_matrix_is_infinite(self):
+        assert math.isinf(c_optimality(np.full((2, 2), np.nan), np.array([0.0, 1.0])))
+
 
 class TestAggregation:
     def test_residual_variance_example(self):
@@ -306,3 +315,63 @@ class TestCriterionEvaluator:
             after = crit.value(counts)
             if math.isfinite(before):
                 assert after <= before + 1e-10
+
+
+def _batch_with_infinite_rows(rng, space, k):
+    """Random count rows, with the empty design and an all-control design
+    (both leave the treatment unidentified) among them."""
+    batch = rng.integers(0, 3, size=(k, space.n_units))
+    batch[0] = 0
+    batch[1] = 0
+    batch[1, 0] = 1
+    return batch
+
+
+class TestBatchedValues:
+    @pytest.mark.parametrize("granularity",
+                             ["sequence", "cluster-period", "observation"])
+    @pytest.mark.parametrize("kind", ["EXC1", "EXC2", "AR1"])
+    def test_rows_bit_identical_to_value(self, granularity, kind):
+        rng = np.random.default_rng(31)
+        space = standard_space(4, max_replication=2, cells_per_period=2,
+                               granularity=granularity)
+        cov = {"EXC1": CovarianceSpec("EXC1", tau2=0.05),
+               "EXC2": CovarianceSpec("EXC2", tau2=0.05, omega2=0.02),
+               "AR1": CovarianceSpec("AR1", tau2=0.05, decay=0.6)}[kind]
+        crit = DesignCriterion(space, cov)
+        for k in (2, 9, 40):
+            batch = _batch_with_infinite_rows(rng, space, k)
+            values = crit.values(batch)
+            assert values.shape == (k,)
+            assert math.isinf(values[0]) and math.isinf(values[1])
+            for row, got in zip(batch, values):
+                assert float(got).hex() == crit.value(row).hex()
+
+    @pytest.mark.parametrize("form", ["linear-average", "log-average"])
+    def test_robust_rows_bit_identical_to_value(self, form):
+        rng = np.random.default_rng(32)
+        space = standard_space(4, max_replication=2, cells_per_period=3)
+        specs = [CovarianceSpec.from_icc("EXC2", icc, cac=0.6) for icc in (0.02, 0.1)]
+        specs.append(CovarianceSpec.from_icc("AR1", 0.05, decay=0.5))
+        crit = RobustCriterion(space, ModelClass.equal_priors(specs, form=form))
+        batch = _batch_with_infinite_rows(rng, space, 30)
+        values = crit.values(batch)
+        assert math.isinf(values[0]) and math.isinf(values[1])
+        for row, got in zip(batch, values):
+            assert float(got).hex() == crit.value(row).hex()
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.ones((2, 3)),
+                                     np.ones((2, 5, 1)), np.ones(())])
+    def test_batch_shape_checked(self, bad):
+        space = standard_space(3)          # 4 units
+        crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+        with pytest.raises(ValidationError):
+            crit.values(bad)
+
+    def test_wrong_length_counts_rejected(self):
+        space = standard_space(3)
+        crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+        with pytest.raises(ValidationError):
+            crit.value([1, 1, 1])
+        with pytest.raises(ValidationError):
+            crit.information([1, 1, 1, 1, 1])

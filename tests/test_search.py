@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from crtoptim import (CovarianceSpec, DesignCriterion, InfeasibleError,
-                      best_rounding, brute_force_optimum, local_search,
-                      reverse_greedy, space_from_sequences, standard_space,
-                      swap_delta)
+                      ModelClass, RobustCriterion, best_rounding,
+                      brute_force_optimum, local_search, reverse_greedy,
+                      space_from_sequences, standard_space, swap_delta)
 
 
 def small_instance(rng):
@@ -143,6 +143,29 @@ class TestTieRule:
         found = [local_search(self.space, crit, m, restarts=3, seed=s).design.counts
                  for s in range(4)]
         assert found == expected
+
+
+class TestReportedValue:
+    """The value a search reports is the criterion of the design it returns,
+    bit for bit, although the search scored that design inside a batch."""
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    def test_plain_criterion(self, granularity):
+        space = standard_space(4, max_replication=2, cells_per_period=3,
+                               granularity=granularity)
+        crit = DesignCriterion(space, CovarianceSpec("AR1", tau2=0.05, decay=0.6))
+        for result in (local_search(space, crit, 5, restarts=4, seed=5),
+                       reverse_greedy(space, crit, 5)):
+            assert result.value.hex() == crit.value(result.design.counts).hex()
+
+    @pytest.mark.parametrize("form", ["linear-average", "log-average"])
+    def test_robust_criterion(self, form):
+        space = standard_space(4, max_replication=3, cells_per_period=5)
+        specs = [CovarianceSpec.from_icc("EXC2", icc, cac=0.7) for icc in (0.02, 0.1)]
+        crit = RobustCriterion(space, ModelClass.equal_priors(specs, form=form))
+        for result in (local_search(space, crit, 6, restarts=4, seed=6),
+                       reverse_greedy(space, crit, 6)):
+            assert result.value.hex() == crit.value(result.design.counts).hex()
 
 
 class TestSwapDelta:

@@ -62,6 +62,24 @@ class TestBruteForce:
             ls = local_search(space, crit, m, restarts=3, seed=1)
             assert brute.value <= ls.value + 1e-12
 
+    @pytest.mark.parametrize("batch", [2, 3, 4096])
+    def test_first_minimum_in_enumeration_order_wins(self, monkeypatch, batch):
+        # units 0/1 and 2/3 are duplicates, so the optimum is tied across
+        # designs; the first one enumerated must win however they are batched
+        from crtoptim import validate
+        monkeypatch.setattr(validate, "BRUTE_FORCE_BATCH", batch, raising=False)
+        space = space_from_sequences([(0, 1), (0, 1), (0, 0), (0, 0)],
+                                     max_replication=2)
+        crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+        assert brute_force_optimum(space, crit, 2).design.counts == (0, 1, 0, 1)
+        assert brute_force_optimum(space, crit, 3).design.counts == (0, 1, 0, 2)
+
+    def test_plain_callable_criterion(self):
+        space = space_from_sequences([(0, 1), (0, 0), (1, 1)], max_replication=2)
+        crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+        via_callable = brute_force_optimum(space, lambda counts: crit.value(counts), 3)
+        assert via_callable == brute_force_optimum(space, crit, 3)
+
     def test_enumeration_guard(self):
         space = standard_space(6, max_replication=10, cells_per_period=1)
         crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
