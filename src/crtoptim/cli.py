@@ -47,21 +47,34 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _is_number(value, kind) -> bool:
+    """A JSON number (``kind`` float) or integer (``kind`` int); a boolean
+    is neither."""
+    return (isinstance(value, (int, float) if kind is float else int)
+            and not isinstance(value, bool))
+
+
 def _require(cfg: dict, field: str, kind, where: str):
     if field not in cfg:
         raise ConfigError(f"missing field '{where}{field}'")
     value = cfg[field]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"field '{where}{field}' must be a number")
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"field '{where}{field}' must be an integer")
-        return value
+    if kind in (float, int):
+        if not _is_number(value, kind):
+            noun = "a number" if kind is float else "an integer"
+            raise ConfigError(f"field '{where}{field}' must be {noun}")
+        return float(value) if kind is float else value
     if not isinstance(value, kind):
         raise ConfigError(f"field '{where}{field}' has the wrong type")
     return value
+
+
+def _require_list(cfg: dict, field: str, kind, where: str) -> list:
+    """A list whose entries are all ``kind`` (float or int), as written."""
+    values = _require(cfg, field, object, where)
+    if not isinstance(values, list) or not all(_is_number(v, kind) for v in values):
+        noun = "numbers" if kind is float else "integers"
+        raise ConfigError(f"field '{where}{field}' must be a list of {noun}")
+    return values
 
 
 def _optional(cfg: dict, field: str, kind, where: str, default):
@@ -142,10 +155,8 @@ def parse_model(cfg: dict, key: str = "model") -> ModelSpec:
     spec = cfg[key]
     if not isinstance(spec, dict):
         raise ConfigError(f"field '{key}' must be an object")
-    beta = spec.get("beta")
-    if beta is not None and (not isinstance(beta, list) or not all(
-            isinstance(b, (int, float)) and not isinstance(b, bool) for b in beta)):
-        raise ConfigError(f"field '{key}.beta' must be a list of numbers")
+    beta = (_require_list(spec, "beta", float, f"{key}.")
+            if spec.get("beta") is not None else None)
     try:
         return ModelSpec(family=spec.get("family", "gaussian-identity"),
                          beta=beta,
@@ -256,13 +267,13 @@ def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
                 seed, out_dir: Path) -> float:
     started = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
-    criterion = robust if robust is not None else DesignCriterion(
-        space, cov, model=model)
     extra: dict = {}
 
     if algorithm in ("local", "reverse-greedy"):
         if m is None:
             raise ConfigError("missing field 'm'")
+        criterion = robust if robust is not None else DesignCriterion(
+            space, cov, model=model)
         if algorithm == "local":
             result = local_search(space, criterion, m, restarts=restarts, seed=seed)
             extra["restarts"] = restarts
@@ -298,6 +309,9 @@ def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
     # closed-form: scan treated-cell budgets of the switch ordering
     if cov.kind != "EXC2":
         raise ConfigError("field 'algorithm': closed-form needs an EXC2 covariance")
+    if not model.is_gaussian:
+        raise ConfigError(
+            "field 'model': closed-form needs a gaussian-identity model")
     if m is None:
         raise ConfigError("missing field 'm'")
     counts = {c.count for u in space.units for c in u.cells}
@@ -412,17 +426,15 @@ def _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed,
     if not isinstance(grid, dict):
         raise ConfigError("field 'grid' must be an object")
     kind = _require(grid, "kind", str, "grid.")
-    iccs = _require(grid, "icc", list, "grid.")
+    iccs = _require_list(grid, "icc", float, "grid.")
     second_key = "cac" if kind == "EXC2" else "decay"
-    seconds = _require(grid, second_key, list, "grid.")
+    seconds = _require_list(grid, second_key, float, "grid.")
     out_dir.mkdir(parents=True, exist_ok=True)
     index_rows = []
     for icc in iccs:
         for second in seconds:
             try:
-                cov = (CovarianceSpec.from_icc(kind, icc, cac=second)
-                       if kind == "EXC2"
-                       else CovarianceSpec.from_icc(kind, icc, decay=second))
+                cov = CovarianceSpec.from_icc(kind, icc, **{second_key: second})
             except ValidationError as exc:
                 raise ConfigError(f"invalid field 'grid': {exc}") from exc
             cell_dir = out_dir / f"icc{icc}_{second_key}{second}"
@@ -449,18 +461,16 @@ def evaluate(config_path, design_path):
         model = parse_model(cfg)
         try:
             design_cfg = load_config(design_path)
+            if "counts" in design_cfg:
+                design = space.design_from_counts(
+                    _require_list(design_cfg, "counts", int, ""))
+            elif "selection" in design_cfg:
+                design = space.design_from_indices(
+                    _require_list(design_cfg, "selection", int, ""))
+            else:
+                raise ConfigError("needs 'counts' or 'selection'")
         except ConfigError as exc:
             raise ConfigError(f"design file: {exc}") from exc
-        if "counts" in design_cfg:
-            counts = design_cfg["counts"]
-            if (not isinstance(counts, list)
-                    or not all(isinstance(v, int) for v in counts)):
-                raise ConfigError("design field 'counts' must be a list of integers")
-            design = space.design_from_counts(counts)
-        elif "selection" in design_cfg:
-            design = space.design_from_indices(design_cfg["selection"])
-        else:
-            raise ConfigError("design file needs 'counts' or 'selection'")
 
         criterion = DesignCriterion(space, cov, model=model)
         info = criterion.information(np.asarray(design.counts))

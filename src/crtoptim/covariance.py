@@ -105,25 +105,26 @@ class CovarianceSpec:
 
     @classmethod
     def from_icc(cls, kind, icc, cac=None, decay=1.0, sigma2=1.0):
-        """Build a spec from ICC (and, for EXC2, CAC) at a given sigma2.
+        """Build a spec from ICC (and CAC for EXC2, decay for AR1) at a
+        given sigma2.
 
         The mapping round-trips with the ``icc``/``cac`` properties.
         """
         if not 0.0 <= icc < 1.0:
             raise ValidationError("icc must lie in [0, 1)")
-        total = sigma2 * icc / (1.0 - icc)
+        tau2 = sigma2 * icc / (1.0 - icc)
+        omega2 = 0.0
         if kind == "EXC2":
             if cac is None:
                 raise ValidationError("EXC2 requires a CAC value")
             if not 0.0 <= cac <= 1.0:
                 raise ValidationError("cac must lie in [0, 1]")
-            return cls(kind, tau2=cac * total, omega2=(1.0 - cac) * total,
-                       sigma2=sigma2)
-        if cac is not None:
+            tau2, omega2 = cac * tau2, (1.0 - cac) * tau2
+        elif cac is not None:
             raise ValidationError(f"CAC is not defined for {kind}")
-        if kind == "AR1":
-            return cls(kind, tau2=total, decay=decay, sigma2=sigma2)
-        return cls(kind, tau2=total, sigma2=sigma2)
+        # decay reaches the constructor for every kind, which rejects it
+        # outside AR1
+        return cls(kind, tau2=tau2, omega2=omega2, decay=decay, sigma2=sigma2)
 
 
 @dataclass(frozen=True)

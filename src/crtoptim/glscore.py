@@ -22,6 +22,7 @@ so a row's value is bit-identical whichever batch it is scored in.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,11 @@ def _contrast_kernel(m: np.ndarray, c: np.ndarray):
     keep = w > RANK_TOL * np.maximum(wmax, 0.0)
     coef = c @ vecs
     lam = np.where(keep, w, np.inf)
-    value = np.sum(coef ** 2 / lam, axis=-1)
+    # np.add.reduce is what np.sum calls, without its per-call wrapper
+    value = np.add.reduce(coef ** 2 / lam, axis=-1)
     # the part of c outside the range of M lies along the dropped
     # eigenvectors; written so that a NaN matrix also counts as bad
-    outside = np.sum(np.where(keep, 0.0, coef) ** 2, axis=-1)
+    outside = np.add.reduce(np.where(keep, 0.0, coef) ** 2, axis=-1)
     bad = ((wmax[..., 0] <= 0.0) | (w[..., 0] < -RANK_TOL * wmax[..., 0])
            | ~(outside <= RANGE_TOL ** 2 * (c @ c)))
     value[bad] = np.inf
@@ -215,6 +217,12 @@ class _ClusterBlocks:
     weight: np.ndarray       # (C, c) iterated weight of one observation per cell
     n_per: np.ndarray        # (C, c) observations added per unit replicate
 
+    def __post_init__(self):
+        # per-cell constants of every solve and gradient
+        self._eye = np.eye(self.unit_idx.shape[-1])
+        self._cell_unit = self.unit_idx.ravel()
+        self._cell_slope = -(self.n_per * self.weight).ravel()
+
     def solve(self, n_obs: np.ndarray):
         """``(s, t, info)`` for observation counts ``n_obs`` (``(..., C, c)``).
 
@@ -222,18 +230,28 @@ class _ClusterBlocks:
         cluster's cell means is ``B + S^-2``, so the cluster adds ``sx' t``
         to the information, with ``sx = S X`` and ``t = (I + S B S)^-1 S X``,
         and its GLS weights are ``Sigma^-1 X = S t``. Cells holding no
-        observations (or a negative count) get zero rows and drop out.
-        ``info`` sums the clusters in order: ``(..., P, P)``.
+        observations get zero rows and drop out. ``info`` sums the clusters
+        in order: ``(..., P, P)``.
         """
-        s = np.sqrt(self.weight * np.maximum(n_obs, 0))
+        s = np.sqrt(self.weight * n_obs)
         sx = s[..., None] * self.x
-        a = self.base * (s[..., :, None] * s[..., None, :]) + np.eye(s.shape[-1])
+        a = self.base * (s[..., :, None] * s[..., None, :]) + self._eye
         t = np.linalg.solve(a, sx)
         per_cluster = np.swapaxes(sx, -1, -2) @ t
-        info = per_cluster[..., 0, :, :].copy()
-        for k in range(1, per_cluster.shape[-3]):
-            info += per_cluster[..., k, :, :]
-        return s, t, info
+        # a reduction over an outer axis adds the clusters one after another;
+        # starting from -0.0 keeps every bit, signed zeros included, of
+        # summing them in a loop
+        return s, t, np.add.reduce(per_cluster, axis=-3, initial=-0.0)
+
+    def gradient(self, s: np.ndarray, t: np.ndarray, y: np.ndarray,
+                 n_units: int) -> np.ndarray:
+        """Cluster-granularity ``grad`` of :meth:`DesignCriterion.gradient`
+        from one design's ``(s, t)`` (``(C, c)``, ``(C, c, P)``) and
+        ``y = M^+ c``."""
+        a = s * (t @ y)
+        v = self.x @ y - (self.base @ a[..., None])[..., 0]
+        return np.bincount(self._cell_unit, weights=self._cell_slope * (v * v).ravel(),
+                           minlength=n_units)
 
 
 def _cluster_blocks(space: DesignSpace, cov: CovarianceSpec,
@@ -244,26 +262,20 @@ def _cluster_blocks(space: DesignSpace, cov: CovarianceSpec,
         by_cluster.setdefault(unit.cluster_id, []).append(j)
     cells = [[(j, cell) for j in by_cluster[cid] for cell in space.units[j].cells]
              for cid in sorted(by_cluster)]
-    n_cells = max(len(cl) for cl in cells)
-    p = space.n_periods + 1
-    blocks = _ClusterBlocks(
-        unit_idx=np.zeros((len(cells), n_cells), dtype=int),
-        x=np.zeros((len(cells), n_cells, p)),
-        base=np.zeros((len(cells), n_cells, n_cells)),
-        weight=np.ones((len(cells), n_cells)),
-        n_per=np.zeros((len(cells), n_cells), dtype=int))
+    shape = (len(cells), max(len(cl) for cl in cells))
+    unit_idx = np.zeros(shape, dtype=int)
+    x = np.zeros(shape + (space.n_periods + 1,))
+    base = np.zeros(shape + shape[-1:])
+    weight = np.ones(shape)
+    n_per = np.zeros(shape, dtype=int)
     for k, cl in enumerate(cells):
         n = len(cl)
-        x, base, w = _cell_block(model, cov,
-                                 np.array([cell.period for _, cell in cl]),
-                                 np.array([cell.treated for _, cell in cl]),
-                                 space.n_periods)
-        blocks.unit_idx[k, :n] = [j for j, _ in cl]
-        blocks.x[k, :n] = x
-        blocks.base[k, :n, :n] = base
-        blocks.weight[k, :n] = w
-        blocks.n_per[k, :n] = [cell.count for _, cell in cl]
-    return blocks
+        x[k, :n], base[k, :n, :n], weight[k, :n] = _cell_block(
+            model, cov, np.array([cell.period for _, cell in cl]),
+            np.array([cell.treated for _, cell in cl]), space.n_periods)
+        unit_idx[k, :n] = [j for j, _ in cl]
+        n_per[k, :n] = [cell.count for _, cell in cl]
+    return _ClusterBlocks(unit_idx, x, base, weight, n_per)
 
 
 class DesignCriterion:
@@ -272,10 +284,12 @@ class DesignCriterion:
     Instances are immutable after construction; ``value`` maps a vector
     of per-unit multiplicities to the criterion and ``values`` maps a
     ``(K, J)`` batch of them to ``K`` criteria in one call, which is how
-    the combinatorial searches score a whole neighbourhood. For
-    sequence-granularity spaces the per-unit information blocks are
-    precomputed once and summed; otherwise the padded cell blocks of all
-    clusters are solved in one stacked call for the whole batch.
+    the combinatorial searches score a whole neighbourhood; ``gradient``
+    adds the derivative in each multiplicity, which the weight solvers
+    follow. For sequence-granularity spaces the per-unit information
+    blocks are precomputed once and summed; otherwise the padded cell
+    blocks of all clusters are solved in one stacked call for the whole
+    batch.
     """
 
     def __init__(self, space: DesignSpace, covariance: CovarianceSpec,
@@ -309,6 +323,10 @@ class DesignCriterion:
             raise ValidationError(
                 f"counts must be a (K, {self.space.n_units}) batch of "
                 f"per-unit multiplicities, got shape {batch.shape}")
+        # one pass catches negative, NaN and infinite entries alike
+        if not ((batch >= 0) & (batch < np.inf)).all():
+            raise ValidationError(
+                "multiplicities must be finite and non-negative")
         return batch
 
     def _information(self, batch: np.ndarray) -> np.ndarray:
@@ -330,7 +348,13 @@ class DesignCriterion:
 
     def values(self, batch) -> np.ndarray:
         """Criterion values of a ``(K, J)`` batch of per-unit multiplicities,
-        one per row; row ``i`` equals ``value(batch[i])`` bit for bit."""
+        one per row; row ``i`` equals ``value(batch[i])`` bit for bit.
+
+        Multiplicities must be finite and non-negative; a fractional row is
+        legal and scores the weighted design it describes (the weight
+        solvers evaluate ``N * phi``). Raises :class:`ValidationError`
+        otherwise.
+        """
         batch = self._batch(batch)
         if len(batch) <= self._chunk_rows:
             return _contrast_kernel(self._information(batch), self.contrast)[0]
@@ -340,6 +364,33 @@ class DesignCriterion:
     def value(self, counts) -> float:
         """Criterion value (treatment variance; ``inf`` when unidentified)."""
         return float(self.values(np.asarray(counts)[None])[0])
+
+    def gradient(self, counts) -> tuple[float, np.ndarray]:
+        """``(value, grad)`` of one row of multiplicities, with ``grad[j]``
+        the derivative of the value in ``counts[j]``.
+
+        With ``y = M^+ c``, unit ``j`` gives ``-y' B_j y`` at sequence
+        granularity, ``B_j`` its information block. At cluster granularity,
+        from the same stacked solve as the value, a cell holding ``n``
+        observations adds ``-n_per w v^2`` to its unit, where
+        ``v = X y - B a = a / (w n)`` is the residual part of the GLS
+        weights ``a = S t y``; unlike ``a / (w n)`` it stays finite at
+        empty cells. ``grad`` is NaN where the value is infinite.
+        """
+        batch = self._batch(np.asarray(counts)[None])
+        cl = self._clusters
+        if cl is None:
+            m = self._information(batch)
+        else:
+            s, t, m = cl.solve(batch[:, cl.unit_idx] * cl.n_per)
+        value, h, vecs = _contrast_kernel(m, self.contrast)
+        value = float(value[0])
+        if value == math.inf:
+            return value, np.full(self.space.n_units, np.nan)
+        y = vecs[0] @ h[0]
+        if cl is None:
+            return value, -np.einsum("i,kij,j->k", y, self._unit_blocks, y)
+        return value, cl.gradient(s[0], t[0], y, self.space.n_units)
 
     def value_of(self, design: Design) -> float:
         design.validate(self.space)

@@ -1,20 +1,22 @@
 """Continuous design weights over experimental units.
 
-Two solvers are provided. :func:`mixed_model_weights` is a fixed-point
-iteration on the generalised-least-squares estimation weights: the
-current weights define the observation covariance, the covariance defines
-the estimation weights of the best linear unbiased estimator, and the
-Cauchy-Schwarz inequality turns those back into design weights. At
-cluster-period (or observation) granularity only the residual part of the
-covariance is weight-dependent and the update is ``phi ∝ |a| / sqrt(w)``,
-with ``a`` the estimation weight and ``w`` the iterated weight of one
-observation in each cell; at sequence granularity whole independent unit
-blocks scale with their weight and the update becomes
-``phi ∝ phi * sqrt(y' A_k y)``.
+A weighted design gives unit ``j`` the share ``phi_j`` of a total unit
+multiplicity ``N``, so ``N * phi_j`` are its (fractional) replicates and
+its criterion is ``DesignCriterion.value(N * phi)``. When every cell holds
+one observation, ``N`` is the number of observations.
 
-:func:`simplex_weight_descent` minimises the same criterion for mutually
-uncorrelated units by projected gradient descent over the probability
-simplex, serving as a generic cross-check on the fixed point.
+Two solvers minimise that criterion over the probability simplex, both
+on :meth:`DesignCriterion.gradient`. :func:`mixed_model_weights` is the
+multiplicative fixed point ``phi ∝ phi * sqrt(-grad(N * phi))``. At
+sequence granularity ``-grad_j = y' B_j y`` for the unit blocks ``B_j``
+and ``y = M^-1 c``; at cluster-period (or observation) granularity it is
+``n_per w v^2 = a^2 / (w n_per (N phi)^2)``, so the update is the
+Cauchy-Schwarz optimum ``phi ∝ |a| / sqrt(w n_per)`` of the residual part
+``sum a^2 / (N w n_per phi)`` of the criterion, with ``a`` the GLS
+estimation weight of a cell and ``w`` the iterated weight of one of its
+observations. :func:`simplex_weight_descent` minimises the same criterion
+for mutually uncorrelated units by projected gradient descent, serving as
+a generic cross-check on the fixed point.
 """
 from __future__ import annotations
 
@@ -26,10 +28,9 @@ import numpy as np
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import DesignSpace
 from .errors import ConvergenceError, InfeasibleError, ValidationError
-from .glscore import (_cluster_blocks, _contrast_kernel, treatment_contrast,
-                      unit_information_blocks)
+from .glscore import DesignCriterion
 
-# Cells whose weight falls below this bound are dropped for good.
+# Units whose weight falls below this bound are dropped for good.
 WEIGHT_FLOOR = 1e-7
 # A full update may not increase the criterion by more than this
 # (relative); larger increases indicate a broken fixed point.
@@ -51,12 +52,6 @@ class WeightedDesign:
             raise ValidationError("weights must form a probability vector")
 
 
-def _solve_one(m: np.ndarray, c: np.ndarray):
-    """``(c' M^+ c, M^+ c)`` for one information matrix (a stack of one)."""
-    f, h, vecs = _contrast_kernel(m[None], c)
-    return float(f[0]), vecs[0] @ h[0]
-
-
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex."""
     v = np.asarray(v, dtype=float)
@@ -75,48 +70,39 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
                         total_obs: float | None = None,
                         tolerance: float = 1e-6,
                         max_iter: int = 10000) -> WeightedDesign:
-    """Optimal design weights by fixed-point iteration.
+    """Optimal design weights by the multiplicative fixed point.
 
-    At cluster-period or observation granularity ``total_obs`` sets the
-    target number of observations ``N`` and the covariance of a cell mean
-    is its random-effect part plus ``1 / (N w phi)``, so each update sets
-    ``phi ∝ |a| / sqrt(w)`` from the estimation weights ``a``. Cells
-    dropping below ``1e-7`` weight are removed permanently; the rank-aware
-    solve ignores period columns left without cells. At sequence
-    granularity the weights are cluster proportions and ``total_obs`` only
-    annotates the result.
+    Each iteration sets ``phi ∝ phi * sqrt(-grad)`` from the criterion's
+    gradient at ``N * phi``. At cluster-period or observation granularity
+    ``total_obs`` is the total unit multiplicity ``N`` (the number of
+    observations when every cell holds one) and is required; at sequence
+    granularity the weights are cluster proportions, the criterion is
+    scored at ``phi`` itself and ``total_obs`` only annotates the result.
+    Units dropping below ``1e-7`` weight are removed permanently; the
+    rank-aware solve ignores period columns left without cells.
 
     Raises :class:`ConvergenceError` past ``max_iter`` iterations (the
     error carries the last iterate) or if an update increases the
     criterion beyond tolerance, and :class:`InfeasibleError` when the
     contrast is not identified by the full space.
     """
-    model = model or ModelSpec()
     if tolerance <= 0:
         raise ValidationError("tolerance must be positive")
-    p = space.n_periods + 1
-    c = (np.asarray(contrast, dtype=float) if contrast is not None
-         else treatment_contrast(p))
-    if c.shape != (p,):
-        raise ValidationError(f"contrast must have length {p}")
-    if space.granularity == "sequence":
-        return _block_fixed_point(space, cov, model, c, total_obs,
-                                  tolerance, max_iter)
-    if total_obs is None or total_obs <= 0:
-        raise ValidationError("cluster-period weights need a positive total_obs")
-    return _cell_fixed_point(space, cov, model, c, float(total_obs),
-                             tolerance, max_iter)
-
-
-def _block_fixed_point(space, cov, model, c, total_obs, tolerance, max_iter):
-    blocks = unit_information_blocks(space, cov, model)
-    j = space.n_units
-    phi = np.full(j, 1.0 / j)
-    active = np.ones(j, dtype=bool)
+    scale = 1.0
+    if space.granularity != "sequence":
+        if total_obs is None or total_obs <= 0:
+            raise ValidationError("cluster-period weights need a positive total_obs")
+        if any(len(unit.cells) != 1 for unit in space.units):
+            raise ValidationError(
+                "cluster-period weights need single-cell experimental units")
+        scale = float(total_obs)
+    crit = DesignCriterion(space, cov, model, contrast)
+    phi = np.full(space.n_units, 1.0 / space.n_units)
+    active = np.ones(space.n_units, dtype=bool)
     f_prev = math.inf
     converged = False
     for it in range(1, max_iter + 2):
-        f, y = _solve_one(np.tensordot(phi, blocks, axes=1), c)
+        f, grad = crit.gradient(scale * phi)
         if not math.isfinite(f):
             raise InfeasibleError("contrast is not identified by the design space")
         if converged:
@@ -129,9 +115,7 @@ def _block_fixed_point(space, cov, model, c, total_obs, tolerance, max_iter):
                 f"criterion increased at iteration {it}: {f_prev} -> {f}",
                 weights=phi.copy(), iterations=it)
         f_prev = f
-        gain = np.einsum("i,kij,j->k", y, blocks, y)
-        gain[~active] = 0.0
-        q = phi * np.sqrt(np.maximum(gain, 0.0))
+        q = phi * np.sqrt(np.maximum(-grad, 0.0))
         total = q.sum()
         if total <= 0:
             raise InfeasibleError("all units carry zero estimation weight")
@@ -141,61 +125,6 @@ def _block_fixed_point(space, cov, model, c, total_obs, tolerance, max_iter):
         dropped = active & (phi < WEIGHT_FLOOR)
         if dropped.any():
             active &= ~dropped
-            phi[dropped] = 0.0
-            phi /= phi.sum()
-            f_prev = math.inf  # dropping re-baselines the monitor
-        elif delta <= tolerance:
-            converged = True
-    raise ConvergenceError(f"no convergence in {max_iter} iterations",
-                           weights=phi, iterations=max_iter)
-
-
-def _cell_fixed_point(space, cov, model, c, total_obs, tolerance, max_iter):
-    for unit in space.units:
-        if len(unit.cells) != 1:
-            raise ValidationError(
-                "cluster-period weights need single-cell experimental units")
-    clusters = _cluster_blocks(space, cov, model)
-    sqrt_w = np.sqrt(clusters.weight)
-    j = space.n_units
-    phi = np.full(j, 1.0 / j)
-    active = np.ones(j, dtype=bool)
-    f_prev = math.inf
-    converged = False
-
-    for it in range(1, max_iter + 2):
-        s, t, m = clusters.solve(total_obs * phi[clusters.unit_idx])
-        f, y = _solve_one(m, c)
-        if not math.isfinite(f):
-            raise InfeasibleError("contrast is not identified by the design space")
-        if converged:
-            # one extra pass so the reported value belongs to the final weights
-            return WeightedDesign(phi, f, it - 1, total_budget=total_obs)
-        if it > max_iter:
-            break
-        if f > f_prev * (1.0 + MONOTONE_SLACK):
-            raise ConvergenceError(
-                f"criterion increased at iteration {it}: {f_prev} -> {f}",
-                weights=phi.copy(), iterations=it)
-        f_prev = f
-
-        # the residual part of the criterion is sum a^2 / (N w phi), which
-        # the simplex minimises at phi proportional to |a| / sqrt(w), with
-        # the estimation weights a = Sigma^-1 X y = S t y
-        q = np.bincount(clusters.unit_idx.ravel(), minlength=j,
-                        weights=(np.abs(s * (t @ y)) / sqrt_w).ravel())
-        total = q.sum()
-        if total <= 0:
-            raise InfeasibleError("all cells carry zero estimation weight")
-        phi_new = q / total
-        delta = np.abs(phi - phi_new).max()
-        phi = phi_new
-
-        dropped = active & (phi < WEIGHT_FLOOR)
-        if dropped.any():
-            active &= ~dropped
-            if not active.any():
-                raise InfeasibleError("all cells were dropped")
             phi[dropped] = 0.0
             phi /= phi.sum()
             f_prev = math.inf  # dropping re-baselines the monitor
@@ -218,24 +147,11 @@ def simplex_weight_descent(space: DesignSpace, cov: CovarianceSpec,
     step; convergence is declared when the unit-step projected-gradient
     residual falls below ``tolerance``.
     """
-    model = model or ModelSpec()
     if space.granularity != "sequence":
         raise ValidationError(
             "simplex descent requires mutually uncorrelated (sequence) units")
-    p = space.n_periods + 1
-    c = (np.asarray(contrast, dtype=float) if contrast is not None
-         else treatment_contrast(p))
-    if c.shape != (p,):
-        raise ValidationError(f"contrast must have length {p}")
-    blocks = unit_information_blocks(space, cov, model)
-    j = space.n_units
-    phi = np.full(j, 1.0 / j)
-
-    def f_grad(pvec):
-        f, y = _solve_one(np.tensordot(pvec, blocks, axes=1), c)
-        if not math.isfinite(f):
-            return math.inf, None
-        return f, -np.einsum("i,kij,j->k", y, blocks, y)
+    f_grad = DesignCriterion(space, cov, model, contrast).gradient
+    phi = np.full(space.n_units, 1.0 / space.n_units)
 
     fval, grad = f_grad(phi)
     if not math.isfinite(fval):

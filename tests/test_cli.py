@@ -199,6 +199,19 @@ class TestOptimize:
          ("model", "beta"), 3, "model.beta"),
         ({"model": {"family": "binomial-logit", "beta": [0, 0, 0, 0, 0]}},
          ("model", "beta"), ["a", 0, 0, 0, 0], "model.beta"),
+        ({"grid": {"kind": "EXC2", "icc": [0.05], "cac": [0.5]}},
+         ("grid", "icc"), ["a"], "grid.icc"),
+        ({"grid": {"kind": "EXC2", "icc": [0.05], "cac": [0.5]}},
+         ("grid", "cac"), [0.5, True], "grid.cac"),
+        ({"grid": {"kind": "AR1", "icc": [0.05], "decay": [0.8]}},
+         ("grid", "decay"), ["0.8"], "grid.decay"),
+        # decay is AR1-only; an EXC1 grid cannot sweep it
+        ({"grid": {"kind": "EXC1", "icc": [0.05], "decay": [1]}},
+         ("grid", "decay"), [0.3, 0.9], "grid"),
+        # the closed form holds for Gaussian outcomes only
+        ({"algorithm": "closed-form"}, ("model",),
+         {"family": "binomial-logit", "beta": [-1.0, -0.5, 0.0, 0.5, 0.5]},
+         "model"),
     ])
     def test_mistyped_optional_field_exits_two(self, tmp_path, runner,
                                                 overrides, keys, bad, field):
@@ -275,6 +288,20 @@ class TestEvaluate:
         assert "closed-form cross-check" in result.output
         rel = float(result.output.split("relative discrepancy")[1].strip())
         assert rel <= 1e-8
+
+    @pytest.mark.parametrize("design, field", [
+        ({"selection": "ab"}, "selection"),
+        ({"selection": [0, 1.5]}, "selection"),
+        ({"counts": [True, 1, 0, 1, 0]}, "counts"),
+    ])
+    def test_mistyped_design_field_exits_two(self, tmp_path, runner, design,
+                                             field):
+        cfg_path = write_json(tmp_path / "cfg.json", base_config(tmp_path))
+        design_path = write_json(tmp_path / "d.json", design)
+        result = runner.invoke(main, ["evaluate", "--config", cfg_path,
+                                      "--design", design_path])
+        assert result.exit_code == 2, result.output
+        assert f"'{field}'" in result.output
 
     def test_missing_design_fields(self, tmp_path, runner):
         cfg_path = write_json(tmp_path / "cfg.json", base_config(tmp_path))

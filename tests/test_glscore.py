@@ -375,3 +375,70 @@ class TestBatchedValues:
             crit.value([1, 1, 1])
         with pytest.raises(ValidationError):
             crit.information([1, 1, 1, 1, 1])
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_multiplicity_rejected(self, granularity, bad):
+        # unchecked, a negative count would subtract its block at sequence
+        # granularity but act as zero at cluster-period granularity
+        space = standard_space(3, max_replication=2, granularity=granularity)
+        crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+        counts = np.ones(space.n_units)
+        counts[1] = bad
+        for call in (crit.value, crit.information, crit.gradient,
+                     lambda row: crit.values(np.stack([np.ones_like(row), row]))):
+            with pytest.raises(ValidationError):
+                call(counts)
+
+    def test_fractional_row_scores_weighted_design(self):
+        # at sequence granularity M is linear in the counts
+        space = standard_space(4, cells_per_period=3)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7))
+        counts = np.arange(1, space.n_units + 1)
+        assert crit.value(0.5 * counts) == pytest.approx(2 * crit.value(counts),
+                                                         rel=1e-12)
+
+
+class TestGradient:
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    @pytest.mark.parametrize("kind", ["EXC2", "AR1"])
+    @pytest.mark.parametrize("family", ["gaussian-identity", "binomial-logit"])
+    def test_matches_central_differences(self, granularity, kind, family):
+        # two observations per cell, so the cluster form needs its n_per
+        space = standard_space(4, max_replication=3, cells_per_period=2,
+                               granularity=granularity)
+        cov = (CovarianceSpec.from_icc("EXC2", 0.1, cac=0.6) if kind == "EXC2"
+               else CovarianceSpec.from_icc("AR1", 0.1, decay=0.7))
+        model = (ModelSpec(family, beta=(-1.5, -1.0, -0.5, 0.0, 0.8))
+                 if family == "binomial-logit" else ModelSpec())
+        crit = DesignCriterion(space, cov, model)
+        counts = np.random.default_rng(4).uniform(0.5, 2.0, space.n_units)
+        value, grad = crit.gradient(counts)
+        assert value == crit.value(counts)
+        h = 1e-5
+        for j in range(space.n_units):
+            step = np.zeros(space.n_units)
+            step[j] = h
+            fd = (crit.value(counts + step) - crit.value(counts - step)) / (2 * h)
+            assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9 * value)
+
+    def test_finite_at_empty_cells(self):
+        space = standard_space(3, max_replication=3, granularity="cluster-period")
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.1, cac=0.5))
+        counts = np.ones(space.n_units)
+        counts[[0, 5]] = 0.0
+        value, grad = crit.gradient(counts)
+        assert np.all(np.isfinite(grad))
+        h = 1e-7
+        for j in (0, 5):
+            step = np.zeros(space.n_units)
+            step[j] = h
+            assert grad[j] == pytest.approx((crit.value(counts + step) - value) / h,
+                                            rel=1e-5)
+
+    def test_nan_where_value_is_infinite(self):
+        space = standard_space(3)
+        crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+        value, grad = crit.gradient([1, 0, 0, 0])   # all control
+        assert math.isinf(value)
+        assert np.all(np.isnan(grad))

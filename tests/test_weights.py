@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from crtoptim import (CovarianceSpec, InfeasibleError,
-                      ModelSpec, ValidationError, mixed_model_weights,
+from crtoptim import (CovarianceSpec, DesignCriterion, InfeasibleError,
+                      ModelSpec, ValidationError, best_rounding,
+                      mixed_model_weights,
                       project_to_simplex, sequence_patterns,
                       simplex_weight_descent, space_from_sequences,
                       standard_space, stepped_wedge_weights,
@@ -88,6 +89,18 @@ class TestMixedModelWeights:
         assert wd.value <= _cell_value(space, cov, uniform, 100.0, model)
         assert wd.value == pytest.approx(
             _cell_value(space, cov, wd.weights, 100.0, model), rel=1e-9)
+
+    def test_total_obs_counts_unit_replicates(self):
+        # five observations per cell: N * phi_j replicates of cell j hold
+        # 5 N phi_j observations, as the criterion and the rounding count them
+        space = standard_space(4, max_replication=10, cells_per_period=5,
+                               granularity="cluster-period")
+        cov = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5)
+        wd = mixed_model_weights(space, cov, total_obs=60)
+        crit = DesignCriterion(space, cov)
+        assert wd.value == pytest.approx(crit.value(60 * wd.weights), rel=1e-12)
+        rounded = best_rounding(space, cov, wd.weights, 60)
+        assert rounded.value >= wd.value * (1 - 1e-9)
 
     def test_drops_uninformative_cells_at_independence(self):
         # with no cluster effects, cells in never-treated periods carry no
