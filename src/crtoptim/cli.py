@@ -8,12 +8,14 @@ the criterion value, seed, wall time, and a digest of the canonicalised
 configuration. ``crtoptim evaluate`` scores an explicit design against a
 configuration and cross-checks the closed form where it applies.
 
-Exit codes: 2 for configuration problems, 3 for optimiser infeasibility.
+Exit codes: 2 for configuration problems, 3 for optimiser infeasibility
+or non-convergence.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -426,26 +428,28 @@ def _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed,
     if not isinstance(grid, dict):
         raise ConfigError("field 'grid' must be an object")
     kind = _require(grid, "kind", str, "grid.")
-    iccs = _require_list(grid, "icc", float, "grid.")
+    axes = {"icc": _require_list(grid, "icc", float, "grid.")}
     second_key = "cac" if kind == "EXC2" else "decay"
-    seconds = _require_list(grid, second_key, float, "grid.")
+    if kind != "EXC1" or second_key in grid:  # EXC1 has no second parameter
+        axes[second_key] = _require_list(grid, second_key, float, "grid.")
     out_dir.mkdir(parents=True, exist_ok=True)
     index_rows = []
-    for icc in iccs:
-        for second in seconds:
-            try:
-                cov = CovarianceSpec.from_icc(kind, icc, **{second_key: second})
-            except ValidationError as exc:
-                raise ConfigError(f"invalid field 'grid': {exc}") from exc
-            cell_dir = out_dir / f"icc{icc}_{second_key}{second}"
-            value = _run_single(cfg, space, cov, model, None, algorithm, m,
-                                restarts, seed, cell_dir)
-            index_rows.append([icc, second, value, str(cell_dir.name)])
-            label = "inf" if math.isinf(value) else f"{value:.10g}"
-            click.echo(f"icc={icc} {second_key}={second}: {label}")
+    for point in itertools.product(*axes.values()):
+        params = dict(zip(axes, point))
+        try:
+            cov = CovarianceSpec.from_icc(kind, **params)
+        except ValidationError as exc:
+            raise ConfigError(f"invalid field 'grid': {exc}") from exc
+        cell_dir = out_dir / "_".join(f"{key}{v}" for key, v in params.items())
+        value = _run_single(cfg, space, cov, model, None, algorithm, m,
+                            restarts, seed, cell_dir)
+        index_rows.append([*point, value, str(cell_dir.name)])
+        label = "inf" if math.isinf(value) else f"{value:.10g}"
+        click.echo(" ".join(f"{key}={v}" for key, v in params.items())
+                   + f": {label}")
     with open(out_dir / "grid_index.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["icc", second_key, "criterion_value", "directory"])
+        writer.writerow([*axes, "criterion_value", "directory"])
         writer.writerows(index_rows)
 
 

@@ -109,6 +109,29 @@ class TestOptimize:
         assert index[0] == "icc,cac,criterion_value,directory"
         assert len(index) == 1 + 4
 
+    def test_exc1_grid_sweeps_icc_alone(self, tmp_path, runner):
+        cfg = base_config(tmp_path, restarts=3)
+        cfg.pop("covariance")
+        cfg["grid"] = {"kind": "EXC1", "icc": [0.05, 0.1]}
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, ["optimize", "--config", cfg_path])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "out"
+        index = (out / "grid_index.csv").read_text().splitlines()
+        assert index[0] == "icc,criterion_value,directory"
+        assert [row.split(",")[-1] for row in index[1:]] == ["icc0.05", "icc0.1"]
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+            "icc0.05", "icc0.1"]
+
+    def test_simplex_descent_stall_exits_three(self, tmp_path, runner):
+        # no step can lower the residual to 1e-17 in double precision
+        cfg = base_config(tmp_path, algorithm="simplex-weights", tolerance=1e-17)
+        cfg.pop("m")
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, ["optimize", "--config", cfg_path])
+        assert result.exit_code == 3, result.output
+        assert "stalled" in result.output
+
     def test_observation_weights_bundle(self, tmp_path, runner):
         cfg = {
             "space": {"standard": {"T": 3, "maxReplication": 10,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from crtoptim import (CovarianceSpec, DesignCriterion, InfeasibleError,
-                      ModelSpec, ValidationError, best_rounding,
+from crtoptim import (ConvergenceError, CovarianceSpec, DesignCriterion,
+                      InfeasibleError, ModelSpec, ValidationError, best_rounding,
                       mixed_model_weights,
                       project_to_simplex, sequence_patterns,
                       simplex_weight_descent, space_from_sequences,
@@ -10,6 +10,7 @@ from crtoptim import (CovarianceSpec, DesignCriterion, InfeasibleError,
                       unidirectional_weights, unit_information_blocks)
 from crtoptim.covariance import iterated_weights
 from crtoptim.glscore import contrast_variance, treatment_contrast
+from crtoptim.weights import WEIGHT_FLOOR
 
 
 def exc1_from_icc(icc):
@@ -160,6 +161,14 @@ class TestMixedModelWeights:
 
 def _cell_value(space, cov, phi, total_obs, model=ModelSpec()):
     """Criterion of explicit cell weights (independent check path)."""
+    x, w, sigma, keep = _cell_system(space, cov, phi, total_obs, model)
+    m = x[keep].T @ np.linalg.solve(sigma, x[keep])
+    return contrast_variance(m, treatment_contrast(space.n_periods + 1))
+
+
+def _cell_system(space, cov, phi, total_obs, model):
+    """Cell rows, GLM weights, and the covariance of the cell means of the
+    cells that carry weight."""
     periods = np.array([u.cells[0].period for u in space.units])
     treated = np.array([u.cells[0].treated for u in space.units])
     clusters = np.array([u.cluster_id for u in space.units])
@@ -176,8 +185,62 @@ def _cell_value(space, cov, phi, total_obs, model=ModelSpec()):
     lags = np.abs(periods[keep, None] - periods[None, keep])
     sigma = np.where(same, cov.within(lags), 0.0)
     sigma[np.diag_indices_from(sigma)] += 1.0 / (total_obs * w[keep] * phi[keep])
-    m = x[keep].T @ np.linalg.solve(sigma, x[keep])
-    return contrast_variance(m, treatment_contrast(space.n_periods + 1))
+    return x, w, sigma, keep
+
+
+def _plain_cell_fixed_point(space, cov, total_obs, model, tolerance):
+    """The multiplicative map without acceleration (independent check path).
+
+    With ``a = Sigma^-1 X M^+ c`` the GLS estimation weights of the cells,
+    ``-grad_j = a_j^2 / (w_j (N phi_j)^2)``, so one step of
+    ``phi ∝ phi sqrt(-grad)`` is ``phi ∝ |a| / sqrt(w)``. Dropped cells can
+    empty a period column, hence the pseudo-inverse.
+    """
+    c = treatment_contrast(space.n_periods + 1)
+    phi = np.full(space.n_units, 1.0 / space.n_units)
+    while True:
+        x, w, sigma, keep = _cell_system(space, cov, phi, total_obs, model)
+        sx = np.linalg.solve(sigma, x[keep])
+        y = np.linalg.pinv(x[keep].T @ sx, hermitian=True) @ c
+        new = np.zeros_like(phi)
+        new[keep] = np.abs(sx @ y) / np.sqrt(w[keep])
+        new /= new.sum()
+        low = keep & (new < WEIGHT_FLOOR)
+        done = not low.any() and np.abs(new - phi).max() <= tolerance
+        new[low] = 0.0
+        phi = new / new.sum()
+        if done:
+            return phi
+
+
+class TestAcceleratedFixedPoint:
+    """SQUAREM cycles cut the criterion evaluations of the multiplicative
+    map; its fixed point and stop rule stay those of the plain map."""
+
+    def test_cluster_period_grid_cell(self):
+        space = standard_space(6, max_replication=10, cells_per_period=1,
+                               granularity="cluster-period")
+        cov = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5)
+        wd = mixed_model_weights(space, cov, total_obs=60)
+        assert wd.iterations <= 150  # the plain map takes 511 steps
+        assert wd.value == DesignCriterion(space, cov).value(60 * wd.weights)
+        assert wd.value <= 0.0744144719  # where the plain map stops
+        tight = mixed_model_weights(space, cov, total_obs=60, tolerance=1e-10)
+        assert wd.value == pytest.approx(tight.value, rel=1e-5)
+
+    @pytest.mark.parametrize("family", ["gaussian-identity", "binomial-logit"])
+    @pytest.mark.parametrize("kind,params", [("EXC1", {}), ("EXC2", {"cac": 0.5}),
+                                             ("AR1", {"decay": 0.8})])
+    def test_no_worse_than_plain_map(self, kind, params, family):
+        space = standard_space(4, max_replication=10,
+                               granularity="cluster-period")
+        cov = CovarianceSpec.from_icc(kind, 0.05, **params)
+        model = ModelSpec(family, beta=(-2, -1.5, -1, -0.5, 0.5))
+        wd = mixed_model_weights(space, cov, model=model, total_obs=100.0)
+        plain = _plain_cell_fixed_point(space, cov, 100.0, model, 1e-6)
+        plain_value = _cell_value(space, cov, plain, 100.0, model)
+        assert wd.value <= (1 + 1e-9) * plain_value
+        assert np.abs(wd.weights - plain).max() < 1e-3
 
 
 class TestSimplexDescent:
@@ -212,6 +275,27 @@ class TestSimplexDescent:
         space = space_from_sequences([(0, 0), (0, 0)])
         with pytest.raises(InfeasibleError):
             simplex_weight_descent(space, exc1_from_icc(0.1))
+
+    def test_meets_tolerance_below_criterion_rounding(self):
+        # the Armijo decrease sinks below the rounding of the criterion at a
+        # residual of about 2e-8, short of the tolerance
+        space = standard_space(3, max_replication=10)
+        cov = CovarianceSpec.from_icc("EXC1", 0.05)
+        model = ModelSpec("binomial-logit", beta=(-2, -1.25, -0.5, 0.5))
+        wd = simplex_weight_descent(space, cov, model=model, tolerance=1e-8)
+        _, grad = DesignCriterion(space, cov, model).gradient(wd.weights)
+        residual = np.abs(wd.weights - project_to_simplex(wd.weights - grad)).max()
+        assert residual <= 1e-8
+
+    def test_stall_raises_with_last_iterate(self):
+        # no step can lower the residual to 1e-17 in double precision
+        space = standard_space(3, max_replication=10)
+        cov = CovarianceSpec.from_icc("EXC1", 0.05)
+        model = ModelSpec("binomial-logit", beta=(-2, -1.25, -0.5, 0.5))
+        with pytest.raises(ConvergenceError, match="stalled.*residual") as err:
+            simplex_weight_descent(space, cov, model=model, tolerance=1e-17)
+        assert err.value.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert err.value.iterations > 0
 
     def test_rejects_correlated_units(self):
         space = cell_space([(0, 1)])
