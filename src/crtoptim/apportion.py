@@ -98,9 +98,9 @@ class RoundingResult:
 
 def _greedy_fill(criterion: DesignCriterion, weights: np.ndarray,
                  total: int, cap: int) -> np.ndarray:
-    """Floors, then add units one at a time choosing the smallest
-    resulting criterion. Caller screens cap violations."""
-    alloc = np.floor(total * weights).astype(int)
+    """Floors clipped at the cap, then add units one at a time choosing
+    the smallest resulting criterion among those below the cap."""
+    alloc = np.minimum(np.floor(total * weights), cap).astype(int)
     while alloc.sum() < total:
         best = _best_step(criterion.values, alloc, np.flatnonzero(alloc < cap), +1)
         if best is None:
@@ -115,9 +115,10 @@ def best_rounding(space: DesignSpace, cov: CovarianceSpec, weights, total: int,
     """Round weights with every scheme and keep the variance-minimising one.
 
     Candidates violating the replication cap are reported with an infinite
-    value; if no candidate is feasible (for instance one-hot weights whose
-    whole budget exceeds the cap of a single unit) the weights are
-    degenerate for this space and an error is raised.
+    value. The greedy fill clips its floors at the cap, so it stays within
+    the cap even when the weights ask more of a unit than the cap allows
+    (for instance one-hot weights whose whole budget exceeds it); an error
+    is raised only if every candidate leaves the contrast unidentified.
     """
     w = _check_weights(weights)
     if w.size != space.n_units:

@@ -12,13 +12,19 @@ block. :class:`DesignCriterion` caches those blocks so that optimisers can
 score thousands of candidate designs cheaply.
 
 Scoring is batched: :meth:`DesignCriterion.values` maps a ``(K, J)`` matrix
-of per-unit counts to ``K`` criteria through one stacked rank-aware
-eigen-solve over ``(K, P, P)`` information matrices, and every other
-criterion value (``value``, ``contrast_variance``, the weight solvers) is
-that kernel on a stack of one. Each row's information matrix is
-accumulated in a fixed order over units or clusters, never by one BLAS
-product across rows whose kernel (and rounding) could change with ``K``,
-so a row's value is bit-identical whichever batch it is scored in.
+of per-unit counts to ``K`` criteria through one stacked rank-aware solve
+over ``(K, P, P)`` information matrices, and every other criterion value
+(``value``, ``contrast_variance``, the weight solvers) is that kernel on a
+stack of one. The kernel inverts the Cholesky factors of the whole stack
+in one LAPACK call and keeps a row's answer only under a full-rank
+certificate, ``1 / tr M^-1 > CERTIFICATE_MARGIN * RANK_TOL * tr M``; rows
+that fail it (rank-deficient, indefinite or NaN) take a rank-revealing
+eigen-solve instead. A stack that LAPACK refuses because of one
+singular row is bisected until that row is alone. Each row's information
+matrix is accumulated in a fixed order over units or clusters, never by
+one BLAS product across rows whose kernel (and rounding) could change with
+``K``, and each row is decided on its own, so a row's value is
+bit-identical whichever batch it is scored in.
 """
 from __future__ import annotations
 
@@ -35,10 +41,17 @@ from .errors import NumericDomainError, ValidationError
 # residual of the contrast after projection onto the range of M.
 RANK_TOL = 1e-10
 RANGE_TOL = 1e-8
+# How far above RANK_TOL the full-rank certificate of the Cholesky path
+# must hold; it absorbs the rounding of the certificate itself.
+CERTIFICATE_MARGIN = 10.0
+# Relative rounding of a criterion value: two values closer than this say
+# nothing about which design or weighting is better.
+CRITERION_ROUNDING = 16 * np.finfo(float).eps
 # Working-array budget of one stacked evaluation; ``values`` scores larger
-# batches in chunks, so a big neighbourhood never builds a
-# ``(K, clusters, cells, cells)`` array beyond this size.
-CHUNK_BYTES = 1 << 24
+# batches in chunks, so a big neighbourhood never builds its
+# ``(K, clusters, cells, cells)`` arrays, or the kernel its copies of the
+# ``(K, P, P)`` stack, beyond this size.
+CHUNK_BYTES = 1 << 19
 
 
 def treatment_contrast(n_params: int) -> np.ndarray:
@@ -49,22 +62,72 @@ def treatment_contrast(n_params: int) -> np.ndarray:
 
 
 def _contrast_kernel(m: np.ndarray, c: np.ndarray):
-    """Rank-aware eigen-solve behind every criterion value.
+    """Rank-aware solve behind every criterion value.
 
-    ``m`` is a stack ``(..., P, P)`` of information matrices. Returns
-    ``(value, h, vecs)`` with ``value[...] = c' M^+ c``; callers that need
-    the estimation direction form ``M^+ c = vecs @ h``. ``value`` is ``inf``
-    where the contrast is outside the range of ``M`` or ``M`` is not
-    positive semi-definite to tolerance. Every matrix is decided and solved
+    ``m`` is a stack ``(K, P, P)`` of information matrices. Returns
+    ``(value, y)`` with ``value[k] = c' M^+ c`` and ``y[k] = M^+ c``, the
+    estimation direction the gradient needs. ``value`` is ``inf`` where the
+    contrast is outside the range of ``M`` or ``M`` is not positive
+    semi-definite to tolerance.
+
+    The stack is symmetrised and solved through its Cholesky factors
+    ``L``: one stacked ``inv(L)`` gives ``z = L^-1 c``, ``value = z'z``,
+    ``y = L^-T z`` and ``tr M^-1 = |L^-1|_F^2``. A row keeps that answer
+    only under a full-rank certificate, ``1 / tr M^-1 > CERTIFICATE_MARGIN *
+    RANK_TOL * tr M``: it bounds the smallest eigenvalue from below and the
+    largest from above, so a rank-revealing eigen-solve would keep every
+    eigenvalue and give the same value to rounding. A successful Cholesky
+    factorisation is what rules out an indefinite ``M``, which the trace
+    certificate alone cannot. Every other row (rank-deficient, indefinite,
+    NaN) is solved on its own by :func:`_eigen_solve`. Stacked LAPACK calls
+    raise ``LinAlgError`` for the whole stack when one row cannot be
+    factorised; the stack is then halved until the failure is pinned to
+    single rows, which take the eigen path. Every row is decided and solved
     on its own, so its results do not depend on the rest of the stack.
     """
-    m = 0.5 * (m + np.swapaxes(m, -1, -2))
+    m = m + np.swapaxes(m, -1, -2)
+    m *= 0.5
+    value, y = _certified_solve(m, c)
+    uncertified = np.isnan(value)
+    if uncertified.any():
+        value[uncertified], y[uncertified] = _eigen_solve(m[uncertified], c)
+    return value, y
+
+
+def _certified_solve(m: np.ndarray, c: np.ndarray):
+    """``(value, y)`` of the Cholesky path of :func:`_contrast_kernel`,
+    with ``value`` NaN on every row that it does not certify."""
+    try:
+        lower_inv = np.linalg.inv(np.linalg.cholesky(m))
+    except np.linalg.LinAlgError:
+        if len(m) == 1:
+            return np.full(1, np.nan), np.full(m.shape[:-1], np.nan)
+        half = len(m) // 2
+        (v1, y1), (v2, y2) = (_certified_solve(m[:half], c),
+                              _certified_solve(m[half:], c))
+        return np.concatenate([v1, v2]), np.concatenate([y1, y2])
+    z = lower_inv @ c
+    # np.add.reduce is what np.sum calls, without its per-call wrapper
+    value = np.add.reduce(z * z, axis=-1)
+    y = (z[:, None, :] @ lower_inv)[:, 0]
+    trace_inv = np.einsum("kij,kij->k", lower_inv, lower_inv)
+    # written so that a NaN row fails the certificate
+    certified = (trace_inv * np.trace(m, axis1=-2, axis2=-1)
+                 * (CERTIFICATE_MARGIN * RANK_TOL) < 1.0)
+    value[~certified] = np.nan
+    return value, y
+
+
+def _eigen_solve(m: np.ndarray, c: np.ndarray):
+    """``(value, y)`` of :func:`_contrast_kernel` through a rank-revealing
+    eigendecomposition of a symmetric stack: eigenvalues below ``RANK_TOL``
+    of the largest are dropped, and the row is ``inf`` if ``c`` has more
+    than ``RANGE_TOL`` of its length along the dropped eigenvectors."""
     w, vecs = np.linalg.eigh(m)
     wmax = w[..., -1:]
     keep = w > RANK_TOL * np.maximum(wmax, 0.0)
     coef = c @ vecs
     lam = np.where(keep, w, np.inf)
-    # np.add.reduce is what np.sum calls, without its per-call wrapper
     value = np.add.reduce(coef ** 2 / lam, axis=-1)
     # the part of c outside the range of M lies along the dropped
     # eigenvectors; written so that a NaN matrix also counts as bad
@@ -72,11 +135,12 @@ def _contrast_kernel(m: np.ndarray, c: np.ndarray):
     bad = ((wmax[..., 0] <= 0.0) | (w[..., 0] < -RANK_TOL * wmax[..., 0])
            | ~(outside <= RANGE_TOL ** 2 * (c @ c)))
     value[bad] = np.inf
-    return value, coef / lam, vecs
+    return value, (vecs @ (coef / lam)[..., None])[..., 0]
 
 
 def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
-    """``c' M^+ c`` through a rank-revealing eigendecomposition.
+    """``c' M^+ c`` of one information matrix, through the rank-aware
+    kernel every criterion value uses.
 
     Returns ``inf`` when the contrast is outside the range of ``M`` (the
     design carries no information on it) or when ``M`` is not positive
@@ -304,15 +368,16 @@ class DesignCriterion:
         if self.contrast.shape != (p,):
             raise ValidationError(f"contrast must have length {p}")
         self._n_params = p
+        # a row's information matrix and the kernel's copies of it
+        row_bytes = 6 * 8 * p * p
         if space.granularity == "sequence":
             self._unit_blocks = unit_information_blocks(space, covariance, self.model)
             self._clusters = None
-            row_bytes = 8 * p * p
         else:
             self._unit_blocks = None
             self._clusters = _cluster_blocks(space, covariance, self.model)
             n_clusters, n_cells = self._clusters.unit_idx.shape
-            row_bytes = 8 * n_clusters * n_cells * (n_cells + 2 * p)
+            row_bytes += 8 * n_clusters * n_cells * (n_cells + 2 * p)
         self._chunk_rows = max(1, CHUNK_BYTES // row_bytes)
 
     # -- evaluation ----------------------------------------------------
@@ -383,11 +448,10 @@ class DesignCriterion:
             m = self._information(batch)
         else:
             s, t, m = cl.solve(batch[:, cl.unit_idx] * cl.n_per)
-        value, h, vecs = _contrast_kernel(m, self.contrast)
-        value = float(value[0])
+        value, y = _contrast_kernel(m, self.contrast)
+        value, y = float(value[0]), y[0]
         if value == math.inf:
             return value, np.full(self.space.n_units, np.nan)
-        y = vecs[0] @ h[0]
         if cl is None:
             return value, -np.einsum("i,kij,j->k", y, self._unit_blocks, y)
         return value, cl.gradient(s[0], t[0], y, self.space.n_units)

@@ -8,9 +8,17 @@ reverse greedy strips the full space down to the target size, removing
 whichever unit costs the least variance. Each sweep builds its whole
 neighbourhood (every swap, or every single-unit removal) as one ``(K, J)``
 count matrix and scores it with one batched criterion call (``values``);
-a plain callable on one count vector is scored row by row instead. Ties
-always break toward the lowest unit index (the first minimum of the
-batch), which keeps runs with equal seeds identical.
+a plain callable on one count vector is scored row by row instead. Local
+search runs its restarts in lockstep, so one call scores the swaps of
+every restart that is still moving.
+
+Values within ``CRITERION_ROUNDING`` (relative) of each other are ties: the
+order of two such values is the rounding of the criterion kernel, not a
+property of the designs. A sweep takes the first row within that band of
+its minimum, so ties break toward the lowest unit index, and a swap (or a
+later restart) counts as better only when it improves by more than the
+band. That keeps runs with equal seeds identical, and the designs chosen
+independent of how the kernel rounds.
 """
 from __future__ import annotations
 
@@ -22,6 +30,7 @@ import numpy as np
 
 from .designspace import Design, DesignSpace
 from .errors import InfeasibleError, ValidationError
+from .glscore import CHUNK_BYTES, CRITERION_ROUNDING
 
 # How many random starts may come up infeasible before local search gives up.
 MAX_START_DRAWS = 1000
@@ -68,18 +77,33 @@ def swap_delta(space: DesignSpace, criterion, design: Design,
     return float(after - before)
 
 
-def _random_start(space: DesignSpace, crit, m: int, rng):
-    """A random size-``m`` design with a finite criterion, and its value."""
-    pool = np.repeat(np.arange(space.n_units), space.max_replication)
-    for _ in range(MAX_START_DRAWS):
-        counts = np.zeros(space.n_units, dtype=int)
-        picked = rng.choice(pool.size, size=m, replace=False)
-        np.add.at(counts, pool[picked], 1)
-        value = _score(crit, counts)
-        if math.isfinite(value):
-            return counts, value
-    raise InfeasibleError(
-        f"no finite-criterion start of size {m} found in {MAX_START_DRAWS} draws")
+def _tie_edge(low):
+    """Largest value that ties with ``low``: ``low + CRITERION_ROUNDING *
+    |low|``, written so that an infinite ``low`` is its own edge."""
+    return np.where(low > 0, low * (1.0 + CRITERION_ROUNDING),
+                    low * (1.0 - CRITERION_ROUNDING))
+
+
+def _first_minima(values: np.ndarray, starts) -> np.ndarray:
+    """For each segment ``values[starts[i]:starts[i + 1]]`` (the last runs
+    to the end), the index of its first value within
+    ``CRITERION_ROUNDING`` of the segment minimum.
+
+    Values that close are ties whose order is the kernel's rounding, so
+    they settle toward the first row, whatever the kernel rounds.
+    """
+    starts = np.asarray(starts)
+    # a NaN value ranks last, like an unidentified design
+    values = np.where(np.isnan(values), np.inf, values)
+    edge = _tie_edge(np.minimum.reduceat(values, starts))
+    sizes = np.diff(starts, append=len(values))
+    near = np.flatnonzero(values <= np.repeat(edge, sizes))
+    return near[np.searchsorted(near, starts)]
+
+
+def _first_min(values: np.ndarray) -> int:
+    """:func:`_first_minima` of one segment."""
+    return int(_first_minima(values, [0])[0])
 
 
 def _best_step(crit, counts, units, step):
@@ -91,41 +115,69 @@ def _best_step(crit, counts, units, step):
     batch = np.repeat(counts[None], len(units), axis=0)
     batch[np.arange(len(units)), units] += step
     values = crit(batch)
-    i = int(np.argmin(values))
+    i = _first_min(values)
     return float(values[i]), int(units[i])
 
 
-def _best_swap(space, crit, counts, current):
-    """Best strictly improving single swap ``(value, remove, add)``.
+def _random_starts(space: DesignSpace, crit, m: int, rngs):
+    """A random size-``m`` design with a finite criterion for each
+    generator, and its value: ``(R, J)`` counts and ``R`` values.
 
-    Every ``(remove, add)`` pair is scored in one batch in row-major
-    order, so the first minimum is the lowest ``(remove, add)``."""
-    removable = np.flatnonzero(counts > 0)
-    addable = np.flatnonzero(counts < space.max_replication)
-    r, a = np.nonzero(removable[:, None] != addable[None, :])
-    remove, add = removable[r], addable[a]
-    if remove.size == 0:
-        return None
-    batch = np.repeat(counts[None], remove.size, axis=0)
-    rows = np.arange(remove.size)
+    Draws run in rounds, each scored in one batch, and only the starts that
+    are still infinite are redrawn, so every generator makes the draws it
+    would make alone.
+    """
+    pool = np.repeat(np.arange(space.n_units), space.max_replication)
+    counts = np.zeros((len(rngs), space.n_units), dtype=int)
+    values = np.full(len(rngs), math.inf)
+    pending = np.arange(len(rngs))
+    for _ in range(MAX_START_DRAWS):
+        counts[pending] = 0
+        for i in pending:
+            np.add.at(counts[i], pool[rngs[i].choice(pool.size, size=m, replace=False)], 1)
+        values[pending] = crit(counts[pending])
+        pending = pending[~np.isfinite(values[pending])]
+        if pending.size == 0:
+            return counts, values
+    raise InfeasibleError(
+        f"no finite-criterion start of size {m} found in {MAX_START_DRAWS} draws")
+
+
+def _swap_sweep(space: DesignSpace, crit, counts, current, active):
+    """Move every restart in ``active`` to its best single swap, if that
+    improves on ``current`` by more than ``CRITERION_ROUNDING``; updates
+    ``counts`` and ``current`` in place and returns the restarts that moved.
+
+    The neighbourhoods of all of them are scored in one batch. Each
+    restart's rows are its ``(remove, add)`` pairs in row-major order, so
+    its first minimum is the lowest ``(remove, add)``.
+    """
+    own = counts[active]
+    pairs = ((own > 0)[:, :, None] & (own < space.max_replication)[:, None, :]
+             & ~np.eye(space.n_units, dtype=bool))
+    owner, remove, add = np.nonzero(pairs)
+    if owner.size == 0:
+        return active[:0]
+    batch = own[owner]
+    rows = np.arange(owner.size)
     batch[rows, remove] -= 1
     batch[rows, add] += 1
     values = crit(batch)
-    i = int(np.argmin(values))
-    if values[i] < current:
-        return float(values[i]), int(remove[i]), int(add[i])
-    return None
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    best = _first_minima(values, starts)
+    restart = active[owner[best]]
+    improved = current[restart] > _tie_edge(values[best])
+    best, restart = best[improved], restart[improved]
+    counts[restart, remove[best]] -= 1
+    counts[restart, add[best]] += 1
+    current[restart] = values[best]
+    return restart
 
 
-def _single_local_run(space, crit, m, rng):
-    counts, current = _random_start(space, crit, m, rng)
-    while True:
-        best = _best_swap(space, crit, counts, current)
-        if best is None:
-            return counts, current
-        current, r, a = best
-        counts[r] -= 1
-        counts[a] += 1
+def _check_count(name: str, value) -> None:
+    """Reject anything but an integer (a boolean is not one)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
@@ -135,26 +187,47 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     """Best design of size ``m`` over independent local-search restarts.
 
     Each restart walks from a random feasible start to a local optimum in
-    the single-swap neighbourhood. Identical seeds yield identical
-    results; restarts merge by smallest value with earlier restarts
-    winning ties, and ``progress(idx, best)`` follows each restart.
+    the single-swap neighbourhood, drawing from its own child of
+    ``SeedSequence(seed)``. The restarts run in lockstep: every sweep
+    scores the neighbourhoods of all restarts that still move in one
+    batch, and a restart stops when no swap improves it. Identical seeds
+    yield identical results; restarts merge by smallest value with earlier
+    restarts winning ties, and ``progress(idx, best)`` is called in
+    restart order with the best value over restarts ``0..idx``.
     """
+    _check_count("m", m)
+    _check_count("restarts", restarts)
+    if seed is not None:
+        _check_count("seed", seed)
+        if seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {seed}")
     if m < 1 or m > space.total_capacity:
         raise InfeasibleError(
             f"m={m} outside [1, {space.total_capacity}] for this space")
     if restarts < 1:
         raise ValidationError("restarts must be at least 1")
     crit = _as_batch(criterion)
-    best_counts, best_value = None, math.inf
-    for idx, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
-        counts, value = _single_local_run(space, crit, m,
-                                          np.random.default_rng(child))
-        if value < best_value:  # restarts end finite, so the first one wins
-            best_counts, best_value = counts, value
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(restarts)]
+    counts, current = _random_starts(space, crit, m, rngs)
+    # a restart adds at most J (J - 1) rows of J counts to a sweep batch;
+    # cap the restarts per batch so that it stays within one evaluation's
+    # working-array budget
+    row_bytes = counts.itemsize * space.n_units
+    group = max(1, CHUNK_BYTES // max(1, row_bytes * space.n_units * (space.n_units - 1)))
+    active = np.arange(restarts)
+    while active.size:
+        active = np.concatenate([
+            _swap_sweep(space, crit, counts, current, active[i:i + group])
+            for i in range(0, active.size, group)])
+    best = 0
+    for idx in range(restarts):
+        if current[best] > _tie_edge(current[idx]):
+            best = idx
         if progress is not None:
-            progress(idx, best_value)
-    return SearchResult(space.design_from_counts(best_counts), best_value,
-                        restarts=restarts)
+            progress(idx, float(current[best]))
+    return SearchResult(space.design_from_counts(counts[best]),
+                        float(current[best]), restarts=restarts)
 
 
 def reverse_greedy(space: DesignSpace, criterion, m: int,
@@ -162,6 +235,7 @@ def reverse_greedy(space: DesignSpace, criterion, m: int,
                    ) -> SearchResult:
     """Strip the full design space down to ``m`` units, each step removing
     the unit whose removal increases the criterion least. Deterministic."""
+    _check_count("m", m)
     if m < 1 or m > space.total_capacity:
         raise InfeasibleError(
             f"m={m} outside [1, {space.total_capacity}] for this space")

@@ -17,7 +17,7 @@ from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace, build_d, build_x, build_z
 from .errors import (EnumerationLimitError, InfeasibleError, ValidationError)
 from .glscore import treatment_contrast
-from .search import SearchResult, _as_batch, _score
+from .search import SearchResult, _as_batch, _first_min, _score, _tie_edge
 
 
 # Enumerated designs scored per batched criterion call.
@@ -41,7 +41,8 @@ def brute_force_optimum(space: DesignSpace, criterion, m: int,
     Refuses to run when the enumeration would exceed ``limit`` candidates;
     the error message carries the count so callers can shrink the problem.
     Candidates are scored in batches of ``BRUTE_FORCE_BATCH`` in enumeration
-    order, and the first minimum in that order wins.
+    order, and the first minimum in that order wins, where values within
+    ``CRITERION_ROUNDING`` of each other tie as in the searches.
     """
     if m < 1 or m > space.total_capacity:
         raise InfeasibleError(f"m={m} outside [1, {space.total_capacity}]")
@@ -56,11 +57,12 @@ def brute_force_optimum(space: DesignSpace, criterion, m: int,
     best_counts: tuple[int, ...] | None = None
 
     def score_pending():
-        # the first minimum of a batch is the first in enumeration order
+        # the first minimum of a batch is the first in enumeration order; a
+        # later batch wins only beyond the tie band
         nonlocal best_value, best_counts
         values = crit(np.array(pending))
-        i = int(np.argmin(values))
-        if values[i] < best_value or best_counts is None:
+        i = _first_min(values)
+        if best_counts is None or best_value > _tie_edge(values[i]):
             best_value = float(values[i])
             best_counts = tuple(int(v) for v in pending[i])
         pending.clear()

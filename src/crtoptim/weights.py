@@ -32,16 +32,13 @@ import numpy as np
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import DesignSpace
 from .errors import ConvergenceError, InfeasibleError, ValidationError
-from .glscore import DesignCriterion
+from .glscore import CRITERION_ROUNDING, DesignCriterion
 
 # Units whose weight falls below this bound are dropped for good.
 WEIGHT_FLOOR = 1e-7
 # A plain step of the map may not increase the criterion by more than this
 # (relative); larger increases indicate a broken fixed point.
 MONOTONE_SLACK = 1e-9
-# Relative rounding of a criterion value: two values closer than this say
-# nothing about which weighting is better.
-CRITERION_ROUNDING = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)

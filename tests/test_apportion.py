@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from crtoptim import (CovarianceSpec, InfeasibleError, ValidationError,
-                      adams_round, best_rounding, hamilton_round,
-                      standard_space, unidirectional_weights)
+from crtoptim import (CovarianceSpec, InfeasibleError, ModelSpec,
+                      ValidationError, adams_round, best_rounding,
+                      hamilton_round, mixed_model_weights,
+                      space_from_sequences, standard_space,
+                      unidirectional_weights)
 
 
 class TestHamilton:
@@ -89,11 +91,24 @@ class TestBestRounding:
         assert result.design.size == 10
 
     def test_one_hot_respects_cap_or_errors(self):
+        # the whole budget of 5 exceeds the cap of the one weighted unit:
+        # the divisor schemes break the cap, and the greedy fill tops its
+        # clipped floor up with other units
         space = standard_space(4, max_replication=3)
         weights = np.zeros(space.n_units)
         weights[-1] = 1.0
+        result = best_rounding(space, self.cov, weights, 5)
+        assert math.isinf(result.candidates["hamilton"][1])
+        assert math.isinf(result.candidates["adams"][1])
+        assert result.scheme == "floor-greedy"
+        assert result.design.size == 5
+        assert result.design.counts[-1] == 3
+        assert max(result.design.counts) <= 3
+
+    def test_uninformative_roundings_error(self):
+        space = space_from_sequences([(0, 0), (0, 0)], max_replication=3)
         with pytest.raises(InfeasibleError):
-            best_rounding(space, self.cov, weights, 5)
+            best_rounding(space, self.cov, [0.5, 0.5], 4)
 
     def test_best_never_worse_than_each_scheme(self):
         rng = np.random.default_rng(15)
@@ -112,6 +127,20 @@ class TestBestRounding:
         weights = unidirectional_weights(4, 5, 0.1)
         result = best_rounding(self.space, self.cov, weights, 10)
         assert set(result.candidates) == {"hamilton", "adams", "floor-greedy"}
+
+    def test_greedy_fill_clips_floors_at_the_cap(self):
+        # the weights put 23-28 replicates on units capped at 10, so every
+        # unclipped rounding breaks the cap although 20 units x 10 >= 100
+        space = standard_space(4, max_replication=10, granularity="cluster-period")
+        cov = CovarianceSpec.from_icc("AR1", 0.05, decay=0.8)
+        model = ModelSpec("binomial-logit", beta=(-2, -1.5, -1, -0.5, 0.5))
+        weights = mixed_model_weights(space, cov, model=model, total_obs=100).weights
+        assert (100 * weights).max() > space.max_replication
+        result = best_rounding(space, cov, weights, 100, model=model)
+        assert result.scheme == "floor-greedy"
+        assert result.design.size == 100
+        assert max(result.design.counts) <= space.max_replication
+        assert result.value == pytest.approx(0.26396, rel=1e-4)
 
     def test_budget_beyond_capacity_rejected(self):
         with pytest.raises(InfeasibleError):

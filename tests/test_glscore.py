@@ -10,6 +10,7 @@ from crtoptim import (CovarianceSpec, DesignCriterion, ModelClass, ModelSpec,
                       glm_weight_diagonal, information_matrix,
                       space_from_sequences, standard_space,
                       treatment_contrast)
+from crtoptim.glscore import RANGE_TOL, RANK_TOL
 
 
 def manual_space(sequences, count=1, max_replication=1, granularity="sequence"):
@@ -175,6 +176,12 @@ class TestCOptimality:
 
     def test_nan_matrix_is_infinite(self):
         assert math.isinf(c_optimality(np.full((2, 2), np.nan), np.array([0.0, 1.0])))
+
+    def test_indefinite_matrix_is_infinite(self):
+        # 1 / tr M^-1 = 1 / 0.51 clears any trace certificate; only the
+        # failed Cholesky factorisation shows that M is not semi-definite
+        m = np.diag([1.0, 100.0, -2.0])
+        assert math.isinf(c_optimality(m, np.array([0.0, 0.0, 1.0])))
 
 
 class TestAggregation:
@@ -397,6 +404,65 @@ class TestBatchedValues:
         counts = np.arange(1, space.n_units + 1)
         assert crit.value(0.5 * counts) == pytest.approx(2 * crit.value(counts),
                                                          rel=1e-12)
+
+
+def eigh_reference(m, c):
+    """``c' M^+ c`` of one matrix by a rank-revealing eigendecomposition."""
+    w, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    keep = w > RANK_TOL * max(w[-1], 0.0)
+    coef = c @ vecs
+    if (w[-1] <= 0.0 or w[0] < -RANK_TOL * w[-1]
+            or np.sum(coef[~keep] ** 2) > RANGE_TOL ** 2 * (c @ c)):
+        return math.inf
+    return float(np.sum(coef[keep] ** 2 / w[keep]))
+
+
+class TestContrastKernel:
+    """The stacked Cholesky kernel against a rank-revealing eigen-solve."""
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    @pytest.mark.parametrize("fractional", [False, True])
+    def test_agrees_with_eigen_reference(self, granularity, fractional):
+        rng = np.random.default_rng(41)
+        space = standard_space(5, max_replication=3, cells_per_period=2,
+                               granularity=granularity)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7))
+        for k in (1, 7, 60):
+            batch = (rng.uniform(0.0, 3.0, size=(k, space.n_units)) if fractional
+                     else rng.integers(0, 3, size=(k, space.n_units)))
+            for row, got in zip(batch, crit.values(batch)):
+                ref = eigh_reference(crit.information(row), crit.contrast)
+                if math.isinf(ref):
+                    assert math.isinf(got)
+                else:
+                    assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_rank_deficient_design_is_infinite_in_both(self):
+        space = standard_space(3)
+        crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+        only_unit_0 = np.array([1, 0, 0, 0])
+        assert math.isinf(crit.value(only_unit_0))
+        assert math.isinf(eigh_reference(crit.information(only_unit_0), crit.contrast))
+
+    def test_singular_row_leaves_the_batch_alone(self):
+        space = standard_space(4, max_replication=2, cells_per_period=2,
+                               granularity="cluster-period")
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("AR1", 0.05, decay=0.6))
+        batch = np.random.default_rng(42).integers(1, 3, size=(9, space.n_units))
+        period = np.array([cell.period for unit in space.units for cell in unit.cells])
+        batch[4, period == 2] = 0          # period 2 holds no observation
+        singular = crit.information(batch[4])
+        assert not singular[1].any()       # its fixed effect: an exact zero row
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.stack([crit.information(row) for row in batch]))
+        values = crit.values(batch)
+        # the period effect is lost, the treatment contrast is not
+        assert values[4] == pytest.approx(eigh_reference(singular, crit.contrast),
+                                          rel=1e-12)
+        for row, got in zip(batch, values):
+            assert float(got).hex() == crit.value(row).hex()
+        rest = crit.values(np.delete(batch, 4, axis=0))
+        assert [v.hex() for v in rest] == [float(v).hex() for v in np.delete(values, 4)]
 
 
 class TestGradient:

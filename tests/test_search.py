@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from crtoptim import (CovarianceSpec, DesignCriterion, InfeasibleError,
-                      ModelClass, RobustCriterion, best_rounding,
-                      brute_force_optimum, local_search, reverse_greedy,
-                      space_from_sequences, standard_space, swap_delta)
+                      ModelClass, RobustCriterion, ValidationError,
+                      best_rounding, brute_force_optimum, local_search,
+                      reverse_greedy, space_from_sequences, standard_space,
+                      swap_delta)
+from crtoptim.glscore import CRITERION_ROUNDING
 
 
 def small_instance(rng):
@@ -83,6 +85,103 @@ class TestLocalSearch:
             all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
 
+def ties(value, low):
+    """``value`` is within the rounding band above ``low``."""
+    return value <= low * (1.0 + CRITERION_ROUNDING)
+
+
+def serial_local_search(space, crit, m, restarts, seed):
+    """One restart after another, one ``value`` call per design: the
+    restarts' ``(counts, value)`` and the running best after each."""
+    cap, n = space.max_replication, space.n_units
+    pool = np.repeat(np.arange(n), cap)
+    runs = []
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        current = math.inf
+        while math.isinf(current):
+            counts = np.zeros(n, dtype=int)
+            np.add.at(counts, pool[rng.choice(pool.size, size=m, replace=False)], 1)
+            current = crit.value(counts)
+        while True:
+            moves = [(r, a) for r in range(n) if counts[r] > 0
+                     for a in range(n) if a != r and counts[a] < cap]
+            if not moves:
+                break
+            values = []
+            for r, a in moves:
+                trial = counts.copy()
+                trial[r] -= 1
+                trial[a] += 1
+                values.append(crit.value(trial))
+            i = next(i for i, v in enumerate(values) if ties(v, min(values)))
+            if ties(current, values[i]):
+                break
+            r, a = moves[i]
+            counts[r] -= 1
+            counts[a] += 1
+            current = values[i]
+        runs.append((tuple(int(v) for v in counts), current))
+    best, trail = 0, []
+    for idx, (_, value) in enumerate(runs):
+        if not ties(runs[best][1], value):
+            best = idx
+        trail.append((idx, runs[best][1]))
+    return runs[best], trail
+
+
+class TestLockstepRestarts:
+    """Restarts run side by side, scored together, yet each one walks as
+    it would alone and the merge keeps the earlier of two tied restarts."""
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_matches_serial_restarts(self, granularity, m):
+        # at m=2 many random starts are unidentified and are redrawn
+        space = standard_space(3, max_replication=2, cells_per_period=2,
+                               granularity=granularity)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7))
+        for seed in range(3):
+            seen = []
+            result = local_search(space, crit, m, restarts=6, seed=seed,
+                                  progress=lambda i, v: seen.append((i, v)))
+            (counts, value), trail = serial_local_search(space, crit, m, 6, seed)
+            assert result.design.counts == counts
+            assert result.value.hex() == value.hex()
+            assert [(i, v.hex()) for i, v in seen] == [(i, v.hex()) for i, v in trail]
+
+
+class TestInputChecks:
+    space = standard_space(3, max_replication=2)
+    crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+
+    @pytest.mark.parametrize("m", [3.5, True, "3"])
+    def test_reverse_greedy_needs_integer_m(self, m):
+        with pytest.raises(ValidationError):
+            reverse_greedy(self.space, self.crit, m)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"m": 3.5}, {"m": True}, {"restarts": 2.5}, {"restarts": True},
+        {"seed": -1}, {"seed": 1.5}, {"seed": True}])
+    def test_local_search_rejects(self, kwargs):
+        args = {"m": 3, "restarts": 2, "seed": 0, **kwargs}
+        with pytest.raises(ValidationError):
+            local_search(self.space, self.crit, **args)
+
+    def test_nan_values_rank_last(self):
+        def criterion(counts):
+            return math.nan if counts[0] == 2 else self.crit.value(counts)
+        result = local_search(self.space, criterion, 3, restarts=4, seed=0)
+        assert result.design.counts[0] < 2
+        assert math.isfinite(result.value)
+
+    def test_numpy_integers_accepted(self):
+        result = local_search(self.space, self.crit, np.int64(3),
+                              restarts=np.int64(2), seed=np.int64(4))
+        assert result.design.size == 3
+        assert reverse_greedy(self.space, self.crit, np.int64(3)).design.size == 3
+
+
 class TestReverseGreedy:
     def test_no_removals_returns_full_space(self):
         space = standard_space(3, max_replication=2)
@@ -116,28 +215,34 @@ class TestReverseGreedy:
 
 class TestTieRule:
     """Units 0/1 and 2/3 are duplicates, so every single-unit move has an
-    exact tie; each sweep must settle it toward the lowest unit index."""
+    exact tie; and the design is symmetric in treated and control units,
+    so mirror-image designs (two treated and one control unit, or one
+    treated and two control) tie in exact arithmetic, although the kernel
+    rounds them apart in the last bits. Each sweep must settle both kinds
+    toward the lowest unit index; the expected designs are the same
+    whether the criterion is solved by Cholesky or by eigendecomposition.
+    """
 
     space = space_from_sequences([(0, 1), (0, 1), (0, 0), (0, 0)],
                                  max_replication=2)
     cov = CovarianceSpec("EXC1", tau2=0.1)
 
     @pytest.mark.parametrize("m, expected", [
-        (2, (0, 1, 0, 1)), (3, (0, 1, 1, 1)), (5, (0, 2, 2, 1))])
+        (2, (0, 1, 0, 1)), (3, (0, 1, 0, 2)), (5, (0, 2, 1, 2))])
     def test_reverse_greedy_removes_lowest_index_first(self, m, expected):
         crit = DesignCriterion(self.space, self.cov)
         assert reverse_greedy(self.space, crit, m).design.counts == expected
 
     @pytest.mark.parametrize("m, expected", [
-        (2, (1, 0, 1, 0)), (3, (1, 0, 2, 0)), (5, (1, 1, 2, 1))])
+        (2, (1, 0, 1, 0)), (3, (2, 0, 1, 0)), (5, (2, 1, 1, 1))])
     def test_greedy_fill_adds_lowest_index_first(self, m, expected):
         result = best_rounding(self.space, self.cov, np.full(4, 0.25), m)
         assert result.candidates["floor-greedy"][0] == expected
 
     @pytest.mark.parametrize("m, expected", [
         (2, [(0, 1, 0, 1), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)]),
-        (3, [(1, 0, 1, 1), (1, 0, 1, 1), (0, 1, 1, 1), (0, 1, 1, 1)]),
-        (5, [(0, 2, 2, 1), (1, 1, 2, 1), (1, 1, 2, 1), (1, 1, 1, 2)])])
+        (3, [(1, 0, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 0, 1)]),
+        (5, [(1, 2, 1, 1), (2, 1, 1, 1), (2, 1, 2, 0), (1, 1, 1, 2)])])
     def test_local_search_never_swaps_between_tied_units(self, m, expected):
         crit = DesignCriterion(self.space, self.cov)
         found = [local_search(self.space, crit, m, restarts=3, seed=s).design.counts
