@@ -18,7 +18,7 @@ from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace
 from .errors import InfeasibleError, ValidationError
 from .glscore import DesignCriterion
-from .search import _best_step
+from .search import _best_step, _check_count
 
 
 def _check_weights(weights) -> np.ndarray:
@@ -34,6 +34,7 @@ def hamilton_round(weights, total: int) -> np.ndarray:
     """Largest-remainder rounding: floors first, then one unit to each of
     the largest remainders (ties to the lower index) until ``total``."""
     w = _check_weights(weights)
+    _check_count("total", total)
     if total < 1:
         raise ValidationError("total must be at least 1")
     quota = total * w
@@ -46,15 +47,14 @@ def hamilton_round(weights, total: int) -> np.ndarray:
 
 
 def adams_round(weights, total: int) -> np.ndarray:
-    """Ceiling-divisor rounding over the positive-weight units.
-
-    Searches for a divisor ``q`` with ``sum_j ceil(total * w_j / q) ==
-    total`` by bisection; allocations sitting exactly on a ceiling
-    boundary are bumped in index order until the total is met. Every unit
-    with positive weight receives at least one allocation, so ``total``
-    must reach the number of positive weights.
+    """Ceiling-divisor (Adams) rounding over the positive-weight units, as
+    a highest-averages method: every positive-weight unit starts with one
+    allocation, and each further one goes to the largest ``total * w_j /
+    allocation_j`` (ties to the lower index). So ``total`` must reach the
+    number of positive weights.
     """
     w = _check_weights(weights)
+    _check_count("total", total)
     if total < 1:
         raise ValidationError("total must be at least 1")
     positive = np.flatnonzero(w > 0)
@@ -63,28 +63,11 @@ def adams_round(weights, total: int) -> np.ndarray:
             f"total {total} cannot give every one of {positive.size} "
             "positive-weight units at least one allocation")
     votes = total * w[positive]
-
-    def seats(q):
-        return int(np.ceil(votes / q).sum())
-
-    lo = votes.min() / (total + 1.0)   # plenty of seats
-    hi = votes.max() + 1.0             # one seat each
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if seats(mid) > total:
-            lo = mid
-        else:
-            hi = mid
-    base = np.ceil(votes / hi).astype(int)
-    deficit = total - base.sum()
-    # award remaining seats by the divisor priority votes/allocation,
-    # which resolves boundary ties deterministically toward lower indices
-    while deficit > 0:
-        priority = votes / base
-        base[int(np.argmax(priority))] += 1
-        deficit -= 1
+    seats = np.ones(positive.size, dtype=int)
+    for _ in range(total - positive.size):
+        seats[int(np.argmax(votes / seats))] += 1
     alloc = np.zeros(w.size, dtype=int)
-    alloc[positive] = base
+    alloc[positive] = seats
     return alloc
 
 
@@ -124,6 +107,7 @@ def best_rounding(space: DesignSpace, cov: CovarianceSpec, weights, total: int,
     if w.size != space.n_units:
         raise ValidationError(
             f"{w.size} weights for a space of {space.n_units} units")
+    _check_count("total", total)
     if total > space.total_capacity:
         raise InfeasibleError(
             f"total {total} exceeds the space capacity {space.total_capacity}")
@@ -139,8 +123,7 @@ def best_rounding(space: DesignSpace, cov: CovarianceSpec, weights, total: int,
 
     report: dict[str, tuple[tuple[int, ...], float]] = {}
     best: tuple[float, str, np.ndarray] | None = None
-    order = {"hamilton": 0, "adams": 1, "floor-greedy": 2}
-    for name, alloc in sorted(candidates.items(), key=lambda kv: order[kv[0]]):
+    for name, alloc in candidates.items():
         if np.any(alloc > space.max_replication):
             report[name] = (tuple(int(v) for v in alloc), math.inf)
             continue

@@ -14,6 +14,7 @@ or non-convergence.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -27,7 +28,8 @@ import numpy as np
 
 from .apportion import best_rounding
 from .covariance import CovarianceSpec, ModelSpec
-from .designspace import Cell, Design, DesignSpace, ExperimentalUnit, standard_space
+from .designspace import (Cell, Design, DesignSpace, ExperimentalUnit, expand_design,
+                          standard_space)
 from .errors import (ConvergenceError, EnumerationLimitError, InfeasibleError,
                      NumericDomainError, ValidationError)
 from .exact import CellMeanParams, optimal_switch_ordering, treatment_precision
@@ -42,11 +44,6 @@ ALGORITHMS = ("local", "reverse-greedy", "mixed-model-weights",
 
 class ConfigError(Exception):
     """Configuration rejected; message names the offending field."""
-
-
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
 
 
 def _is_number(value, kind) -> bool:
@@ -198,32 +195,17 @@ def config_digest(cfg: dict) -> str:
 
 
 def _design_grid_rows(space: DesignSpace, design: Design) -> list[list[str]]:
-    """One row per realised cluster; cells formatted ``treated:count``."""
-    rows = []
-    if space.granularity == "sequence":
-        cluster = 0
-        for j, mult in enumerate(design.counts):
-            for _ in range(mult):
-                row = [""] * space.n_periods
-                for cell in space.units[j].cells:
-                    row[cell.period - 1] = f"{cell.treated}:{cell.count}"
-                rows.append([f"cluster_{cluster}", f"seq_{j}"] + row)
-                cluster += 1
-    else:
-        by_cluster: dict[int, dict[int, tuple[int, int]]] = {}
-        for j, mult in enumerate(design.counts):
-            if mult == 0:
-                continue
-            unit = space.units[j]
-            for cell in unit.cells:
-                slot = by_cluster.setdefault(unit.cluster_id, {})
-                slot[cell.period] = (cell.treated, mult * cell.count)
-        for cid in sorted(by_cluster):
-            row = [""] * space.n_periods
-            for period, (treated, count) in by_cluster[cid].items():
-                row[period - 1] = f"{treated}:{count}"
-            rows.append([f"cluster_{cid}", f"cluster_{cid}"] + row)
-    return rows
+    """One row per realised cluster of ``expand_design``, in cluster-id
+    order; cells formatted ``treated:count``."""
+    lay = expand_design(space, design)
+    rows: dict[int, list[str]] = {}
+    for cid, period, treated, n, j in zip(
+            lay.cell_cluster.tolist(), lay.cell_period.tolist(),
+            lay.cell_treated.tolist(), lay.cell_n.tolist(), lay.cell_unit.tolist()):
+        source = f"seq_{j}" if space.granularity == "sequence" else f"cluster_{cid}"
+        row = rows.setdefault(cid, [f"cluster_{cid}", source] + [""] * space.n_periods)
+        row[period + 1] = f"{treated}:{n}"
+    return [rows[cid] for cid in sorted(rows)]
 
 
 def write_design_grid(path, space: DesignSpace, design: Design) -> None:
@@ -249,27 +231,13 @@ def write_weights_csv(path, space: DesignSpace, weights: np.ndarray) -> None:
                                  repr(float(w))])
 
 
-def _summary(out_dir: Path, cfg: dict, algorithm: str, value: float,
-             seed, started: float, extra: dict | None = None) -> None:
-    payload = {
-        "algorithm": algorithm,
-        "criterion_value": None if math.isinf(value) else value,
-        "seed": seed,
-        "config_digest": config_digest(cfg),
-    }
-    if extra:
-        payload.update(extra)
-    payload["wall_time_s"] = round(time.perf_counter() - started, 6)
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
                 seed, out_dir: Path) -> float:
     started = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
-    extra: dict = {}
+    summary = {"algorithm": algorithm, "seed": seed,
+               "config_digest": config_digest(cfg)}
+    design = None
 
     if algorithm in ("local", "reverse-greedy"):
         if m is None:
@@ -278,15 +246,11 @@ def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
             space, cov, model=model)
         if algorithm == "local":
             result = local_search(space, criterion, m, restarts=restarts, seed=seed)
-            extra["restarts"] = restarts
+            summary["restarts"] = restarts
         else:
             result = reverse_greedy(space, criterion, m)
-        write_design_grid(out_dir / "design_grid.csv", space, result.design)
-        extra["design_counts"] = list(result.design.counts)
-        _summary(out_dir, cfg, algorithm, result.value, seed, started, extra)
-        return result.value
-
-    if algorithm in ("mixed-model-weights", "simplex-weights"):
+        value, design = result.value, result.design
+    elif algorithm in ("mixed-model-weights", "simplex-weights"):
         n_obs = _optional(cfg, "n_obs", int, "", None)
         tolerance = _optional(cfg, "tolerance", float, "",
                               1e-6 if algorithm == "mixed-model-weights" else 1e-8)
@@ -296,36 +260,56 @@ def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
         else:
             wd = simplex_weight_descent(space, cov, model=model, tolerance=tolerance)
         write_weights_csv(out_dir / "weights.csv", space, wd.weights)
-        extra["iterations"] = wd.iterations
+        summary["iterations"] = wd.iterations
         value = wd.value
         if m is not None or (space.granularity != "sequence" and n_obs):
             budget = m if space.granularity == "sequence" else n_obs
             rounded = best_rounding(space, cov, wd.weights, budget, model=model)
-            write_design_grid(out_dir / "design_grid.csv", space, rounded.design)
-            extra["rounding_scheme"] = rounded.scheme
-            extra["design_counts"] = list(rounded.design.counts)
-            value = rounded.value
-        _summary(out_dir, cfg, algorithm, value, seed, started, extra)
-        return value
+            summary["rounding_scheme"] = rounded.scheme
+            value, design = rounded.value, rounded.design
+    else:
+        value, design = _closed_form_design(
+            space, _closed_form_params(space, cov, model, m))
 
-    # closed-form: scan treated-cell budgets of the switch ordering
+    if design is not None:
+        write_design_grid(out_dir / "design_grid.csv", space, design)
+        summary["design_counts"] = list(design.counts)
+    summary["criterion_value"] = None if math.isinf(value) else value
+    summary["wall_time_s"] = round(time.perf_counter() - started, 6)
+    with open(out_dir / "summary.json", "w") as fh:
+        json.dump(summary, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    return value
+
+
+def _closed_form_params(space: DesignSpace, cov, model,
+                        n_clusters: int | None) -> CellMeanParams:
+    """The cluster-mean model of the closed form, which needs EXC2, a Gaussian
+    model, ``n_clusters`` and a sequence space of equal cells; else
+    :class:`ConfigError`."""
     if cov.kind != "EXC2":
         raise ConfigError("field 'algorithm': closed-form needs an EXC2 covariance")
     if not model.is_gaussian:
         raise ConfigError(
             "field 'model': closed-form needs a gaussian-identity model")
-    if m is None:
+    if n_clusters is None:
         raise ConfigError("missing field 'm'")
     counts = {c.count for u in space.units for c in u.cells}
     if space.granularity != "sequence" or len(counts) != 1:
         raise ConfigError(
             "field 'algorithm': closed-form needs a sequence space with "
             "equal cell counts")
-    params = CellMeanParams(m, space.n_periods, counts.pop(), cov.tau2,
-                            cov.omega2, cov.sigma2)
+    return CellMeanParams(n_clusters, space.n_periods, counts.pop(), cov.tau2,
+                          cov.omega2, cov.sigma2)
+
+
+def _closed_form_design(space: DesignSpace,
+                        params: CellMeanParams) -> tuple[float, Design]:
+    """Variance and design of the most precise switch ordering, over all
+    treated-cell budgets, whose rows are units of the space."""
     best = None
-    for budget in range(m * space.n_periods + 1):
-        treat = optimal_switch_ordering(m, space.n_periods,
+    for budget in range(params.n_clusters * space.n_periods + 1):
+        treat = optimal_switch_ordering(params.n_clusters, space.n_periods,
                                         params.cluster_mean_correlation, budget)
         prec = treatment_precision(params, treat)
         if prec > 0 and (best is None or prec > best[0]):
@@ -336,24 +320,25 @@ def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
         raise InfeasibleError(
             "no budget yields a finite-variance design within the design space")
     precision, counts = best
-    design = space.design_from_counts(counts)
-    write_design_grid(out_dir / "design_grid.csv", space, design)
-    extra["design_counts"] = list(design.counts)
-    _summary(out_dir, cfg, algorithm, 1.0 / precision, seed, started, extra)
-    return 1.0 / precision
+    return 1.0 / precision, space.design_from_counts(counts)
+
+
+def _unit_pattern(space: DesignSpace, unit: ExperimentalUnit) -> tuple[int, ...] | None:
+    """A unit's treatment indicators over the study periods; ``None`` unless
+    it has a cell in every period."""
+    pattern = [0] * space.n_periods
+    for cell in unit.cells:
+        pattern[cell.period - 1] = cell.treated
+    return tuple(pattern) if len(unit.cells) == space.n_periods else None
 
 
 def _sequence_counts(space: DesignSpace, treat: np.ndarray) -> list[int] | None:
     """Unit multiplicities realising each row of a treatment matrix as a
     complete unit of the space; ``None`` when a row has no such unit left
     within the replication cap."""
-    units: dict[tuple[int, ...], list[int]] = {}
-    for j, unit in enumerate(space.units):
-        if len(unit.cells) == space.n_periods:
-            pattern = [0] * space.n_periods
-            for cell in unit.cells:
-                pattern[cell.period - 1] = cell.treated
-            units.setdefault(tuple(pattern), []).append(j)
+    units: dict[tuple[int, ...] | None, list[int]] = {}
+    for j, unit in enumerate(space.units):  # incomplete units go under None
+        units.setdefault(_unit_pattern(space, unit), []).append(j)
     counts = [0] * space.n_units
     for row in treat:
         free = [j for j in units.get(tuple(int(v) for v in row), [])
@@ -362,6 +347,22 @@ def _sequence_counts(space: DesignSpace, treat: np.ndarray) -> list[int] | None:
             return None
         counts[free[0]] += 1
     return counts
+
+
+def _exit_codes(command):
+    """Run a command, exiting with code 2 on a configuration problem and 3
+    on an infeasible or non-converging optimisation."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (ConfigError, ValidationError, NumericDomainError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except (InfeasibleError, ConvergenceError, EnumerationLimitError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(3)
+    return run
 
 
 @click.group()
@@ -376,51 +377,44 @@ def main():
 @click.option("--restarts", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_override", type=click.Path(), default=None)
+@_exit_codes
 def optimize(config_path, algorithm, m_override, restarts, seed, out_override):
     """Run an optimiser described by a JSON configuration."""
-    try:
-        cfg = load_config(config_path)
-        algorithm = algorithm or cfg.get("algorithm")
-        if algorithm not in ALGORITHMS:
-            raise ConfigError(
-                f"field 'algorithm' must be one of {', '.join(ALGORITHMS)}")
-        space = parse_space(cfg)
-        model = parse_model(cfg)
-        robust = parse_robust(cfg, space)
-        m = m_override if m_override is not None else cfg.get("m")
-        if m is not None and (not isinstance(m, int) or m < 1):
-            raise ConfigError("field 'm' must be a positive integer")
-        if restarts is None:
-            restarts = _optional(cfg, "restarts", int, "", 100)
-        if seed is None:
-            seed = _optional(cfg, "seed", int, "", 0)
-        if seed < 0:
-            raise ConfigError("field 'seed' must be a non-negative integer")
-        out_dir = Path(out_override or cfg.get("out", "."))
+    cfg = load_config(config_path)
+    algorithm = algorithm or cfg.get("algorithm")
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(
+            f"field 'algorithm' must be one of {', '.join(ALGORITHMS)}")
+    space = parse_space(cfg)
+    model = parse_model(cfg)
+    robust = parse_robust(cfg, space)
+    m = m_override if m_override is not None else _optional(cfg, "m", int, "", None)
+    if m is not None and m < 1:
+        raise ConfigError("field 'm' must be a positive integer")
+    if restarts is None:
+        restarts = _optional(cfg, "restarts", int, "", 100)
+    if seed is None:
+        seed = _optional(cfg, "seed", int, "", 0)
+    if seed < 0:
+        raise ConfigError("field 'seed' must be a non-negative integer")
+    out_dir = Path(out_override or cfg.get("out", "."))
 
-        grid = cfg.get("grid")
-        if robust is not None:
-            if grid is not None:
-                raise ConfigError("field 'grid' cannot be combined with 'robust'")
-            if algorithm not in ("local", "reverse-greedy"):
-                raise ConfigError(
-                    "field 'robust' only applies to the combinatorial "
-                    "algorithms (local, reverse-greedy)")
+    grid = cfg.get("grid")
+    if robust is not None:
         if grid is not None:
-            _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed,
-                      out_dir)
-        else:
-            cov = parse_covariance(cfg) if robust is None else None
-            value = _run_single(cfg, space, cov, model, robust, algorithm, m,
-                                restarts, seed, out_dir)
-            label = "inf" if math.isinf(value) else f"{value:.10g}"
-            click.echo(f"{algorithm}: criterion value {label}")
-    except ConfigError as exc:
-        _fail(2, str(exc))
-    except (ValidationError, NumericDomainError) as exc:
-        _fail(2, str(exc))
-    except (InfeasibleError, ConvergenceError, EnumerationLimitError) as exc:
-        _fail(3, str(exc))
+            raise ConfigError("field 'grid' cannot be combined with 'robust'")
+        if algorithm not in ("local", "reverse-greedy"):
+            raise ConfigError(
+                "field 'robust' only applies to the combinatorial "
+                "algorithms (local, reverse-greedy)")
+    if grid is not None:
+        _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed, out_dir)
+    else:
+        cov = parse_covariance(cfg) if robust is None else None
+        value = _run_single(cfg, space, cov, model, robust, algorithm, m,
+                            restarts, seed, out_dir)
+        label = "inf" if math.isinf(value) else f"{value:.10g}"
+        click.echo(f"{algorithm}: criterion value {label}")
 
 
 def _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed,
@@ -456,66 +450,52 @@ def _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed,
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--design", "design_path", required=True, type=click.Path())
+@_exit_codes
 def evaluate(config_path, design_path):
     """Report the criterion value of an explicit design."""
+    cfg = load_config(config_path)
+    space = parse_space(cfg)
+    cov = parse_covariance(cfg)
+    model = parse_model(cfg)
     try:
-        cfg = load_config(config_path)
-        space = parse_space(cfg)
-        cov = parse_covariance(cfg)
-        model = parse_model(cfg)
-        try:
-            design_cfg = load_config(design_path)
-            if "counts" in design_cfg:
-                design = space.design_from_counts(
-                    _require_list(design_cfg, "counts", int, ""))
-            elif "selection" in design_cfg:
-                design = space.design_from_indices(
-                    _require_list(design_cfg, "selection", int, ""))
-            else:
-                raise ConfigError("needs 'counts' or 'selection'")
-        except ConfigError as exc:
-            raise ConfigError(f"design file: {exc}") from exc
-
-        criterion = DesignCriterion(space, cov, model=model)
-        info = criterion.information(np.asarray(design.counts))
-        value = criterion.value(np.asarray(design.counts))
-        if math.isinf(value):
-            click.echo("criterion value: infinite (design does not identify "
-                       "the treatment effect)")
+        design_cfg = load_config(design_path)
+        if "counts" in design_cfg:
+            design = space.design_from_counts(
+                _require_list(design_cfg, "counts", int, ""))
+        elif "selection" in design_cfg:
+            design = space.design_from_indices(
+                _require_list(design_cfg, "selection", int, ""))
         else:
-            click.echo(f"criterion value: {value:.12g}")
-        eigs = np.linalg.eigvalsh(info)
-        cond = eigs[-1] / eigs[0] if eigs[0] > 0 else math.inf
-        click.echo(f"information matrix eigenvalues: min {eigs[0]:.6g} "
-                   f"max {eigs[-1]:.6g} condition {cond:.6g}")
-        _closed_form_check(space, cov, model, design, value)
+            raise ConfigError("needs 'counts' or 'selection'")
     except ConfigError as exc:
-        _fail(2, str(exc))
-    except (ValidationError, NumericDomainError) as exc:
-        _fail(2, str(exc))
-    except (InfeasibleError, ConvergenceError) as exc:
-        _fail(3, str(exc))
+        raise ConfigError(f"design file: {exc}") from exc
+
+    criterion = DesignCriterion(space, cov, model=model)
+    info = criterion.information(np.asarray(design.counts))
+    value = criterion.value(np.asarray(design.counts))
+    if math.isinf(value):
+        click.echo("criterion value: infinite (design does not identify "
+                   "the treatment effect)")
+    else:
+        click.echo(f"criterion value: {value:.12g}")
+    eigs = np.linalg.eigvalsh(info)
+    cond = eigs[-1] / eigs[0] if eigs[0] > 0 else math.inf
+    click.echo(f"information matrix eigenvalues: min {eigs[0]:.6g} "
+               f"max {eigs[-1]:.6g} condition {cond:.6g}")
+    _closed_form_check(space, cov, model, design, value)
 
 
 def _closed_form_check(space, cov, model, design, value):
     """Cross-check against the cluster-mean precision formula when the
     design is an equal-cell complete EXC2 layout."""
-    if cov.kind != "EXC2" or not model.is_gaussian:
+    try:
+        params = _closed_form_params(space, cov, model, design.size)
+    except ConfigError:
         return
-    if space.granularity != "sequence":
+    patterns = [_unit_pattern(space, unit) for unit in space.units]
+    if None in patterns:
         return
-    counts = {c.count for u in space.units for c in u.cells}
-    full = all(len(u.cells) == space.n_periods for u in space.units)
-    if len(counts) != 1 or not full:
-        return
-    rows = []
-    for j, mult in enumerate(design.counts):
-        seq = [0] * space.n_periods
-        for cell in space.units[j].cells:
-            seq[cell.period - 1] = cell.treated
-        rows.extend([seq] * mult)
-    params = CellMeanParams(len(rows), space.n_periods, counts.pop(),
-                            cov.tau2, cov.omega2, cov.sigma2)
+    rows = [patterns[j] for j, mult in enumerate(design.counts) for _ in range(mult)]
     precision = treatment_precision(params, np.array(rows))
     if precision <= 0 or math.isinf(value):
         agree = precision <= 0 and math.isinf(value)

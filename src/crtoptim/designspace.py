@@ -102,9 +102,6 @@ class DesignSpace:
             counts[idx] += 1
         return self.design_from_counts(counts)
 
-    def full_design(self) -> "Design":
-        return self.design_from_counts([self.max_replication] * self.n_units)
-
 
 @dataclass(frozen=True)
 class Design:

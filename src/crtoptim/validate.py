@@ -17,7 +17,8 @@ from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace, build_d, build_x, build_z
 from .errors import (EnumerationLimitError, InfeasibleError, ValidationError)
 from .glscore import treatment_contrast
-from .search import SearchResult, _as_batch, _first_min, _score, _tie_edge
+from .search import (SearchResult, _as_batch, _check_count, _first_min, _score,
+                     _tie_edge)
 
 
 # Enumerated designs scored per batched criterion call.
@@ -44,6 +45,7 @@ def brute_force_optimum(space: DesignSpace, criterion, m: int,
     order, and the first minimum in that order wins, where values within
     ``CRITERION_ROUNDING`` of each other tie as in the searches.
     """
+    _check_count("m", m)
     if m < 1 or m > space.total_capacity:
         raise InfeasibleError(f"m={m} outside [1, {space.total_capacity}]")
     n_designs = _count_multisets(space.n_units, space.max_replication, m)
@@ -215,6 +217,7 @@ def supermodularity_probe(space: DesignSpace, criterion, n_triples: int,
     largest on the bigger design. Triples are redrawn until the subset
     has a finite criterion, which makes all four evaluations finite.
     """
+    _check_count("n_triples", n_triples)
     if n_triples < 1:
         raise ValidationError("need at least one probe triple")
     crit = _as_batch(criterion)

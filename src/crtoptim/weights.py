@@ -19,8 +19,8 @@ J. Statist. 35, 2008), which extrapolate between two plain steps and fall
 back to them; the fixed point, its stop rule and the monotone descent of
 every plain step are those of the plain map, and only the number of
 criterion evaluations drops. :func:`simplex_weight_descent` minimises the
-same criterion for mutually uncorrelated units by projected gradient
-descent, serving as a generic cross-check on the fixed point.
+same criterion at sequence granularity by projected gradient descent,
+serving as a generic cross-check on the fixed point.
 """
 from __future__ import annotations
 
@@ -110,7 +110,7 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
     increases the criterion beyond tolerance, and :class:`InfeasibleError`
     when the contrast is not identified by the full space.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
     scale = 1.0
     if space.granularity != "sequence":
@@ -192,16 +192,20 @@ def simplex_weight_descent(space: DesignSpace, cov: CovarianceSpec,
                            max_iter: int = 100000) -> WeightedDesign:
     """Minimise the weighted-design criterion by projected gradient descent.
 
-    Requires mutually uncorrelated units (sequence granularity), for which
-    the information matrix is the weight-combination of per-unit blocks.
-    Barzilai-Borwein steps are backtracked until they pass the Armijo
-    test, or, once the decrease is below the rounding of the criterion,
-    until they keep its value within that rounding and lower the residual.
+    Requires sequence granularity: at cluster-period or observation
+    granularity ``DesignCriterion.gradient`` is not the one-sided
+    derivative for units whose period holds (almost) no observations, and
+    descent stalls there far from the optimum. Barzilai-Borwein steps are
+    backtracked until they pass the Armijo test, or, once the decrease is
+    below the rounding of the criterion, until they keep its value within
+    that rounding and lower the residual.
     Convergence is declared when the unit-step projected-gradient residual
     falls below ``tolerance``. Raises :class:`ConvergenceError`, carrying
     the last iterate, past ``max_iter`` iterations or when no step passes
     while the residual still exceeds ``tolerance`` (the message gives it).
     """
+    if not tolerance > 0:
+        raise ValidationError("tolerance must be positive")
     if space.granularity != "sequence":
         raise ValidationError(
             "simplex descent requires mutually uncorrelated (sequence) units")

@@ -77,6 +77,36 @@ class TestAdams:
                 seats[int(np.argmax(votes / seats))] += 1
             assert adams_round(w, m).tolist() == seats.tolist()
 
+    def test_divisor_method_property_on_random_vectors(self):
+        # a divisor q with ceil(votes / q) == alloc exists exactly when no
+        # votes/alloc exceeds any votes/(alloc - 1)
+        rng = np.random.default_rng(15)
+        for _ in range(500):
+            k = int(rng.integers(2, 10))
+            w = rng.dirichlet(np.ones(k) * rng.uniform(0.2, 3.0))
+            m = int(rng.integers(k, 80))
+            alloc = adams_round(w, m)
+            votes = (m * w)[alloc > 0]
+            seats = alloc[alloc > 0]
+            more = seats > 1
+            assert (votes / seats).max() <= (votes[more] / (seats[more] - 1)).min(
+                initial=np.inf)
+
+    def test_exact_priority_tie_goes_to_lower_index(self):
+        # votes 19.25 and 57.75 tie at 19 and 57 allocations
+        assert adams_round([0.25, 0.75], 77).tolist() == [20, 57]
+
+
+@pytest.mark.parametrize("total", [2.5, 6.5, True])
+@pytest.mark.parametrize("round_", [
+    hamilton_round, adams_round,
+    lambda w, total: best_rounding(standard_space(2, max_replication=8),
+                                   CovarianceSpec("EXC1", tau2=0.05), w, total),
+], ids=["hamilton", "adams", "best"])
+def test_total_must_be_an_integer(round_, total):
+    with pytest.raises(ValidationError, match="integer"):
+        round_([0.25, 0.25, 0.5], total)
+
 
 class TestBestRounding:
     def setup_method(self):

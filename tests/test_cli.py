@@ -3,7 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from crtoptim.cli import config_digest, main
+from crtoptim import Cell, DesignSpace, ExperimentalUnit, standard_space
+from crtoptim.cli import config_digest, main, write_design_grid
 
 
 @pytest.fixture
@@ -235,6 +236,9 @@ class TestOptimize:
         ({"algorithm": "closed-form"}, ("model",),
          {"family": "binomial-logit", "beta": [-1.0, -0.5, 0.0, 0.5, 0.5]},
          "model"),
+        # a boolean is not an integer budget
+        ({"algorithm": "closed-form"}, ("m",), True, "m"),
+        ({"algorithm": "mixed-model-weights"}, ("m",), True, "m"),
     ])
     def test_mistyped_optional_field_exits_two(self, tmp_path, runner,
                                                 overrides, keys, bad, field):
@@ -269,11 +273,49 @@ class TestOptimize:
         assert result.exit_code == 2, result.output
         assert field in result.output
 
+    @pytest.mark.parametrize("algorithm", ["mixed-model-weights", "simplex-weights"])
+    def test_non_positive_tolerance_exits_two(self, tmp_path, runner, algorithm):
+        cfg = base_config(tmp_path, algorithm=algorithm, tolerance=0)
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, ["optimize", "--config", cfg_path])
+        assert result.exit_code == 2, result.output
+        assert "tolerance must be positive" in result.output
+
     def test_infeasible_budget_exits_three(self, tmp_path, runner):
         cfg = base_config(tmp_path, m=1000)
         cfg_path = write_json(tmp_path / "cfg.json", cfg)
         result = runner.invoke(main, ["optimize", "--config", cfg_path])
         assert result.exit_code == 3
+
+
+class TestDesignGrid:
+    def test_sequence_replicates_get_their_own_rows(self, tmp_path):
+        space = standard_space(3, max_replication=3, cells_per_period=2)
+        write_design_grid(tmp_path / "grid.csv", space,
+                          space.design_from_counts([2, 0, 1, 1]))
+        assert (tmp_path / "grid.csv").read_text().splitlines() == [
+            "cluster,source,period_1,period_2,period_3",
+            "cluster_0,seq_0,0:2,0:2,0:2",
+            "cluster_1,seq_0,0:2,0:2,0:2",
+            "cluster_2,seq_2,0:2,0:2,1:2",
+            "cluster_3,seq_3,1:2,1:2,1:2",
+        ]
+
+    def test_cluster_period_cells_merge_per_cluster(self, tmp_path):
+        units = [ExperimentalUnit(5, (Cell(1, 0, 2),)),
+                 ExperimentalUnit(2, (Cell(1, 0, 2),)),
+                 ExperimentalUnit(5, (Cell(2, 1, 2),)),
+                 ExperimentalUnit(2, (Cell(3, 1, 2),)),
+                 ExperimentalUnit(7, (Cell(1, 1, 1),))]
+        space = DesignSpace(3, tuple(units), max_replication=4,
+                            granularity="cluster-period")
+        write_design_grid(tmp_path / "grid.csv", space,
+                          space.design_from_counts([3, 1, 2, 4, 0]))
+        assert (tmp_path / "grid.csv").read_text().splitlines() == [
+            "cluster,source,period_1,period_2,period_3",
+            "cluster_2,cluster_2,0:2,,1:8",
+            "cluster_5,cluster_5,0:6,1:4,",
+        ]
 
 
 class TestEvaluate:

@@ -209,3 +209,17 @@ class TestSupermodularityProbe:
         crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
         with pytest.raises(ValidationError):
             supermodularity_probe(space, crit, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda space, crit: brute_force_optimum(space, crit, 2.5),
+    lambda space, crit: brute_force_optimum(space, crit, True),
+    lambda space, crit: supermodularity_probe(space, crit, 2.5, seed=1),
+    lambda space, crit: supermodularity_probe(space, crit, True, seed=1),
+], ids=["brute-force-m-2.5", "brute-force-m-True", "probe-n_triples-2.5",
+        "probe-n_triples-True"])
+def test_sizes_must_be_integers(call):
+    space = standard_space(3, max_replication=2)
+    crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+    with pytest.raises(ValidationError, match="integer"):
+        call(space, crit)

@@ -303,6 +303,16 @@ class TestSimplexDescent:
             simplex_weight_descent(space, exc1_from_icc(0.1))
 
 
+@pytest.mark.parametrize("solver", [mixed_model_weights, simplex_weight_descent])
+@pytest.mark.parametrize("tolerance", [0.0, -1e-6, float("nan")])
+def test_tolerance_must_be_positive(solver, tolerance):
+    # zero or NaN would stall the descent, and NaN would run the fixed
+    # point to max_iter, before either reports a non-convergence
+    space = standard_space(3, max_replication=10)
+    with pytest.raises(ValidationError, match="tolerance"):
+        solver(space, exc1_from_icc(0.1), tolerance=tolerance)
+
+
 class TestFixedPointAgainstDescent:
     def test_sequence_fixed_point_agrees_with_descent(self):
         rng = np.random.default_rng(5)
