@@ -16,17 +16,16 @@ import numpy as np
 
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace
-from .errors import InfeasibleError, ValidationError
+from .errors import (InfeasibleError, ValidationError, check_count,
+                     check_probabilities)
 from .glscore import DesignCriterion
-from .search import _best_step, _check_count
+from .search import _greedy_walk
 
 
 def _check_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
+    w = check_probabilities("weights", weights, 1e-8)
     if w.ndim != 1 or w.size == 0:
         raise ValidationError("weights must be a non-empty vector")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-8:
-        raise ValidationError("weights must be a probability vector")
     return w
 
 
@@ -34,7 +33,7 @@ def hamilton_round(weights, total: int) -> np.ndarray:
     """Largest-remainder rounding: floors first, then one unit to each of
     the largest remainders (ties to the lower index) until ``total``."""
     w = _check_weights(weights)
-    _check_count("total", total)
+    check_count("total", total)
     if total < 1:
         raise ValidationError("total must be at least 1")
     quota = total * w
@@ -54,7 +53,7 @@ def adams_round(weights, total: int) -> np.ndarray:
     number of positive weights.
     """
     w = _check_weights(weights)
-    _check_count("total", total)
+    check_count("total", total)
     if total < 1:
         raise ValidationError("total must be at least 1")
     positive = np.flatnonzero(w > 0)
@@ -84,17 +83,12 @@ def _greedy_fill(criterion: DesignCriterion, weights: np.ndarray,
     """Floors clipped at the cap, then add units one at a time choosing
     the smallest resulting criterion among those below the cap."""
     alloc = np.minimum(np.floor(total * weights), cap).astype(int)
-    while alloc.sum() < total:
-        best = _best_step(criterion.values, alloc, np.flatnonzero(alloc < cap), +1)
-        if best is None:
-            raise InfeasibleError("replication caps leave the total unreachable")
-        alloc[best[1]] += 1
+    _greedy_walk(criterion, alloc, total, cap)
     return alloc
 
 
 def best_rounding(space: DesignSpace, cov: CovarianceSpec, weights, total: int,
-                  model: ModelSpec | None = None,
-                  contrast: np.ndarray | None = None) -> RoundingResult:
+                  model: ModelSpec | None = None) -> RoundingResult:
     """Round weights with every scheme and keep the variance-minimising one.
 
     Candidates violating the replication cap are reported with an infinite
@@ -107,11 +101,11 @@ def best_rounding(space: DesignSpace, cov: CovarianceSpec, weights, total: int,
     if w.size != space.n_units:
         raise ValidationError(
             f"{w.size} weights for a space of {space.n_units} units")
-    _check_count("total", total)
+    check_count("total", total)
     if total > space.total_capacity:
         raise InfeasibleError(
             f"total {total} exceeds the space capacity {space.total_capacity}")
-    criterion = DesignCriterion(space, cov, model=model, contrast=contrast)
+    criterion = DesignCriterion(space, cov, model=model)
 
     candidates: dict[str, np.ndarray] = {"hamilton": hamilton_round(w, total)}
     try:
@@ -121,20 +115,15 @@ def best_rounding(space: DesignSpace, cov: CovarianceSpec, weights, total: int,
     candidates["floor-greedy"] = _greedy_fill(criterion, w, total,
                                               space.max_replication)
 
-    report: dict[str, tuple[tuple[int, ...], float]] = {}
-    best: tuple[float, str, np.ndarray] | None = None
-    for name, alloc in candidates.items():
-        if np.any(alloc > space.max_replication):
-            report[name] = (tuple(int(v) for v in alloc), math.inf)
-            continue
-        value = criterion.value(alloc)
-        report[name] = (tuple(int(v) for v in alloc), value)
-        if best is None or value < best[0]:
-            best = (value, name, alloc)
-    if best is None or not math.isfinite(best[0]):
+    report = {name: (tuple(int(v) for v in alloc),
+                     math.inf if (alloc > space.max_replication).any()
+                     else criterion.value(alloc))
+              for name, alloc in candidates.items()}
+    # min keeps the first of tied candidates
+    scheme = min(report, key=lambda name: report[name][1])
+    counts, value = report[scheme]
+    if not math.isfinite(value):
         raise InfeasibleError(
             "every rounding of these weights is infeasible or uninformative")
-    value, name, alloc = best
-    design = space.design_from_counts(alloc)
-    return RoundingResult(design=design, value=value, scheme=name,
-                          candidates=report)
+    return RoundingResult(design=space.design_from_counts(counts), value=value,
+                          scheme=scheme, candidates=report)

@@ -252,13 +252,14 @@ def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
         value, design = result.value, result.design
     elif algorithm in ("mixed-model-weights", "simplex-weights"):
         n_obs = _optional(cfg, "n_obs", int, "", None)
-        tolerance = _optional(cfg, "tolerance", float, "",
-                              1e-6 if algorithm == "mixed-model-weights" else 1e-8)
+        # the solvers' own default tolerances apply unless the config sets one
+        tolerance = ({"tolerance": _require(cfg, "tolerance", float, "")}
+                     if "tolerance" in cfg else {})
         if algorithm == "mixed-model-weights":
             wd = mixed_model_weights(space, cov, model=model, total_obs=n_obs,
-                                     tolerance=tolerance)
+                                     **tolerance)
         else:
-            wd = simplex_weight_descent(space, cov, model=model, tolerance=tolerance)
+            wd = simplex_weight_descent(space, cov, model=model, **tolerance)
         write_weights_csv(out_dir / "weights.csv", space, wd.weights)
         summary["iterations"] = wd.iterations
         value = wd.value

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .covariance import CovarianceSpec
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 GRANULARITIES = ("sequence", "cluster-period", "observation")
 STYLES = ("no-reversibility", "reversible")
@@ -48,6 +48,8 @@ class DesignSpace:
     granularity: str = "sequence"
 
     def __post_init__(self):
+        check_count("n_periods", self.n_periods)
+        check_count("max_replication", self.max_replication)
         if self.n_periods < 1:
             raise ValidationError("n_periods must be at least 1")
         if self.granularity not in GRANULARITIES:
@@ -63,6 +65,8 @@ class DesignSpace:
                 raise ValidationError(f"unit {u.cluster_id} has no cells")
             periods = set()
             for cell in u.cells:
+                check_count("cell period", cell.period)
+                check_count("cell count", cell.count)
                 if not 1 <= cell.period <= self.n_periods:
                     raise ValidationError(
                         f"cell period {cell.period} outside [1, {self.n_periods}]")
@@ -90,6 +94,9 @@ class DesignSpace:
         return self.n_units * self.max_replication
 
     def design_from_counts(self, counts: Sequence[int]) -> "Design":
+        counts = list(counts)
+        for c in counts:
+            check_count("multiplicity", c)
         design = Design(tuple(int(c) for c in counts))
         design.validate(self)
         return design
@@ -97,6 +104,7 @@ class DesignSpace:
     def design_from_indices(self, indices: Iterable[int]) -> "Design":
         counts = [0] * self.n_units
         for idx in indices:
+            check_count("unit index", idx)
             if not 0 <= idx < self.n_units:
                 raise ValidationError(f"unit index {idx} out of range")
             counts[idx] += 1
@@ -135,6 +143,7 @@ def sequence_patterns(n_periods: int, style: str = "no-reversibility") -> list[t
     single treated block that ends before the final period, i.e. the
     intervention can also be removed.
     """
+    check_count("n_periods", n_periods)
     if n_periods < 2:
         raise ValidationError("standard spaces need at least 2 periods")
     if style not in STYLES:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that
+raise them from more than one module."""
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -27,3 +29,19 @@ class InfeasibleError(RuntimeError):
 
 class EnumerationLimitError(RuntimeError):
     """Exhaustive enumeration would exceed the configured guard."""
+
+
+def check_count(name: str, value) -> None:
+    """Reject anything but an integer (a boolean is not one)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_probabilities(name: str, values, tol: float) -> np.ndarray:
+    """``values`` as a float vector of finite non-negative entries that sum
+    to one within ``tol``."""
+    p = np.asarray(values, dtype=float)
+    # written so that a NaN entry or sum fails
+    if not ((p >= 0) & (p < np.inf)).all() or not abs(p.sum() - 1.0) <= tol:
+        raise ValidationError(f"{name} must form a probability vector")
+    return p

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,13 @@ class CellMeanParams:
     sigma2: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_clusters", "n_periods", "obs_per_cell"):
+            check_count(name, getattr(self, name))
         if self.n_clusters < 1 or self.n_periods < 1 or self.obs_per_cell < 1:
             raise ValidationError("cluster, period, and cell counts must be positive")
-        if self.tau2 < 0 or self.omega2 < 0 or self.sigma2 <= 0:
+        # written so that a NaN component fails
+        if not (0 <= self.tau2 < np.inf and 0 <= self.omega2 < np.inf
+                and 0 < self.sigma2 < np.inf):
             raise ValidationError("variance components out of range")
 
     @property

@@ -357,17 +357,12 @@ class DesignCriterion:
     """
 
     def __init__(self, space: DesignSpace, covariance: CovarianceSpec,
-                 model: ModelSpec | None = None,
-                 contrast: np.ndarray | None = None):
+                 model: ModelSpec | None = None):
         self.space = space
         self.covariance = covariance
         self.model = model or ModelSpec()
         p = space.n_periods + 1
-        self.contrast = (np.asarray(contrast, dtype=float)
-                         if contrast is not None else treatment_contrast(p))
-        if self.contrast.shape != (p,):
-            raise ValidationError(f"contrast must have length {p}")
-        self._n_params = p
+        self.contrast = treatment_contrast(p)
         # a row's information matrix and the kernel's copies of it
         row_bytes = 6 * 8 * p * p
         if space.granularity == "sequence":

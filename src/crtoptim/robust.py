@@ -16,7 +16,7 @@ import numpy as np
 
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace
-from .errors import ValidationError
+from .errors import ValidationError, check_probabilities
 from .glscore import DesignCriterion
 
 CRITERION_FORMS = ("linear-average", "log-average")
@@ -24,12 +24,11 @@ CRITERION_FORMS = ("linear-average", "log-average")
 
 @dataclass(frozen=True)
 class ModelEntry:
-    """One candidate model: covariance, outcome model, contrast, prior."""
+    """One candidate model: covariance, outcome model, prior."""
 
     covariance: CovarianceSpec
     prior: float
     model: ModelSpec = field(default_factory=ModelSpec)
-    contrast: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -42,26 +41,15 @@ class ModelClass:
             raise ValidationError("model class needs at least one entry")
         if self.form not in CRITERION_FORMS:
             raise ValidationError(f"unknown criterion form {self.form!r}")
-        priors = np.array([e.prior for e in self.entries], dtype=float)
-        if np.any(priors < 0):
-            raise ValidationError("priors must be non-negative")
-        if abs(priors.sum() - 1.0) > 1e-12:
-            raise ValidationError("priors must sum to one")
+        check_probabilities("priors", [e.prior for e in self.entries], 1e-12)
         object.__setattr__(self, "entries", tuple(self.entries))
 
     @classmethod
-    def equal_priors(cls, specs, form="linear-average"):
-        """Equal-prior class from (covariance, model) pairs or covariances."""
-        specs = list(specs)
-        p = 1.0 / len(specs)
-        entries = []
-        for s in specs:
-            if isinstance(s, CovarianceSpec):
-                entries.append(ModelEntry(covariance=s, prior=p))
-            else:
-                cov, model = s
-                entries.append(ModelEntry(covariance=cov, prior=p, model=model))
-        return cls(tuple(entries), form=form)
+    def equal_priors(cls, covariances, form="linear-average"):
+        """Equal-prior class over covariances, each with the default model."""
+        covariances = list(covariances)
+        return cls(tuple(ModelEntry(covariance=cov, prior=1.0 / len(covariances))
+                         for cov in covariances), form=form)
 
 
 class RobustCriterion:
@@ -72,10 +60,7 @@ class RobustCriterion:
         self.space = space
         self.model_class = model_class
         self._parts = [
-            (entry.prior,
-             DesignCriterion(space, entry.covariance, model=entry.model,
-                             contrast=(np.asarray(entry.contrast, dtype=float)
-                                       if entry.contrast is not None else None)))
+            (entry.prior, DesignCriterion(space, entry.covariance, model=entry.model))
             for entry in model_class.entries
         ]
 

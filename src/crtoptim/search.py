@@ -2,15 +2,16 @@
 
 Both optimisers treat the criterion as a black-box set function over unit
 multisets, so they work unchanged for plain and robust criteria (any
-monotone supermodular function of the design). Local search repeatedly
-applies the best value-improving single swap from random feasible starts;
-reverse greedy strips the full space down to the target size, removing
-whichever unit costs the least variance. Each sweep builds its whole
-neighbourhood (every swap, or every single-unit removal) as one ``(K, J)``
-count matrix and scores it with one batched criterion call (``values``);
-a plain callable on one count vector is scored row by row instead. Local
-search runs its restarts in lockstep, so one call scores the swaps of
-every restart that is still moving.
+monotone supermodular function of the design): a criterion is any object
+whose ``values`` maps a ``(K, J)`` count matrix to ``K`` values. Local
+search repeatedly applies the best value-improving single swap from
+random feasible starts; reverse greedy strips the full space down to the
+target size, removing whichever unit costs the least variance. Every
+sweep is one call of :func:`_best_moves`, which builds the whole
+neighbourhood (every swap, every single-unit removal or addition) as one
+count matrix and scores it with one ``values`` call. Local search runs its
+restarts in lockstep, so one call scores the swaps of every restart that
+is still moving.
 
 Values within ``CRITERION_ROUNDING`` (relative) of each other are ties: the
 order of two such values is the rounding of the criterion kernel, not a
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .designspace import Design, DesignSpace
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, check_count
 from .glscore import CHUNK_BYTES, CRITERION_ROUNDING
 
 # How many random starts may come up infeasible before local search gives up.
@@ -41,20 +42,6 @@ class SearchResult:
     design: Design
     value: float
     restarts: int = 1
-
-
-def _as_batch(criterion) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch form of a criterion: a ``(K, J)`` count matrix in, ``K``
-    values out. A criterion object contributes its ``values``; a plain
-    callable on one count vector is scored row by row."""
-    if callable(criterion):
-        return lambda batch: np.array([criterion(row) for row in batch], dtype=float)
-    return criterion.values
-
-
-def _score(crit, counts) -> float:
-    """Value of one design under a batch criterion."""
-    return float(crit(counts[None])[0])
 
 
 def swap_delta(space: DesignSpace, criterion, design: Design,
@@ -71,10 +58,18 @@ def swap_delta(space: DesignSpace, criterion, design: Design,
     swapped = counts.copy()
     swapped[remove] -= 1
     swapped[add] += 1
-    before, after = _as_batch(criterion)(np.stack([counts, swapped]))
+    before, after = criterion.values(np.stack([counts, swapped]))
     if math.isinf(after) and math.isinf(before):
         return 0.0
     return float(after - before)
+
+
+def _check_size(space: DesignSpace, m) -> None:
+    """Reject a design size that is not an integer in ``[1, capacity]``."""
+    check_count("m", m)
+    if m < 1 or m > space.total_capacity:
+        raise InfeasibleError(
+            f"m={m} outside [1, {space.total_capacity}] for this space")
 
 
 def _tie_edge(low):
@@ -101,25 +96,39 @@ def _first_minima(values: np.ndarray, starts) -> np.ndarray:
     return near[np.searchsorted(near, starts)]
 
 
-def _first_min(values: np.ndarray) -> int:
-    """:func:`_first_minima` of one segment."""
-    return int(_first_minima(values, [0])[0])
+def _best_moves(criterion, counts, owner, remove=None, add=None):
+    """Row ``i`` is ``counts[owner[i]]`` with one replicate taken from unit
+    ``remove[i]`` and one given to unit ``add[i]`` (either side may be
+    absent); all rows are scored in one ``values`` call. ``owner`` is
+    sorted. Returns each owner's first row within ``CRITERION_ROUNDING`` of
+    its minimum, and that row's value."""
+    batch = counts[owner]
+    rows = np.arange(owner.size)
+    if remove is not None:
+        batch[rows, remove] -= 1
+    if add is not None:
+        batch[rows, add] += 1
+    values = criterion.values(batch)
+    best = _first_minima(values, np.flatnonzero(np.diff(owner, prepend=-1)))
+    return best, values[best]
 
 
-def _best_step(crit, counts, units, step):
-    """Lowest ``(value, u)`` over ``counts + step * e_u`` for ``u`` in
-    ``units``, scored in one batch, ties to the first ``u``; ``None`` when
-    ``units`` is empty."""
-    if len(units) == 0:
-        return None
-    batch = np.repeat(counts[None], len(units), axis=0)
-    batch[np.arange(len(units)), units] += step
-    values = crit(batch)
-    i = _first_min(values)
-    return float(values[i]), int(units[i])
+def _greedy_walk(criterion, counts, target: int, cap: int, progress=None):
+    """Walk ``counts`` in place to size ``target`` (reachable under ``cap``),
+    one unit at a time: each step removes (above the target) or adds (below
+    it) the unit whose move gives the lowest criterion, ties to the lowest
+    unit, and is reported as ``progress(step, value)``."""
+    down = counts.sum() > target
+    for step in range(1, abs(int(counts.sum()) - target) + 1):
+        units = np.flatnonzero(counts > 0 if down else counts < cap)
+        best, value = _best_moves(criterion, counts[None], np.zeros_like(units),
+                                  *((units, None) if down else (None, units)))
+        counts[units[best[0]]] += -1 if down else 1
+        if progress is not None:
+            progress(step, float(value[0]))
 
 
-def _random_starts(space: DesignSpace, crit, m: int, rngs):
+def _random_starts(space: DesignSpace, criterion, m: int, rngs):
     """A random size-``m`` design with a finite criterion for each
     generator, and its value: ``(R, J)`` counts and ``R`` values.
 
@@ -135,7 +144,7 @@ def _random_starts(space: DesignSpace, crit, m: int, rngs):
         counts[pending] = 0
         for i in pending:
             np.add.at(counts[i], pool[rngs[i].choice(pool.size, size=m, replace=False)], 1)
-        values[pending] = crit(counts[pending])
+        values[pending] = criterion.values(counts[pending])
         pending = pending[~np.isfinite(values[pending])]
         if pending.size == 0:
             return counts, values
@@ -143,7 +152,7 @@ def _random_starts(space: DesignSpace, crit, m: int, rngs):
         f"no finite-criterion start of size {m} found in {MAX_START_DRAWS} draws")
 
 
-def _swap_sweep(space: DesignSpace, crit, counts, current, active):
+def _swap_sweep(space: DesignSpace, criterion, counts, current, active):
     """Move every restart in ``active`` to its best single swap, if that
     improves on ``current`` by more than ``CRITERION_ROUNDING``; updates
     ``counts`` and ``current`` in place and returns the restarts that moved.
@@ -158,26 +167,14 @@ def _swap_sweep(space: DesignSpace, crit, counts, current, active):
     owner, remove, add = np.nonzero(pairs)
     if owner.size == 0:
         return active[:0]
-    batch = own[owner]
-    rows = np.arange(owner.size)
-    batch[rows, remove] -= 1
-    batch[rows, add] += 1
-    values = crit(batch)
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    best = _first_minima(values, starts)
+    best, values = _best_moves(criterion, own, owner, remove, add)
     restart = active[owner[best]]
-    improved = current[restart] > _tie_edge(values[best])
+    improved = current[restart] > _tie_edge(values)
     best, restart = best[improved], restart[improved]
     counts[restart, remove[best]] -= 1
     counts[restart, add[best]] += 1
-    current[restart] = values[best]
+    current[restart] = values[improved]
     return restart
-
-
-def _check_count(name: str, value) -> None:
-    """Reject anything but an integer (a boolean is not one)."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
@@ -195,21 +192,17 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     restarts winning ties, and ``progress(idx, best)`` is called in
     restart order with the best value over restarts ``0..idx``.
     """
-    _check_count("m", m)
-    _check_count("restarts", restarts)
+    _check_size(space, m)
+    check_count("restarts", restarts)
     if seed is not None:
-        _check_count("seed", seed)
+        check_count("seed", seed)
         if seed < 0:
             raise ValidationError(f"seed must be non-negative, got {seed}")
-    if m < 1 or m > space.total_capacity:
-        raise InfeasibleError(
-            f"m={m} outside [1, {space.total_capacity}] for this space")
     if restarts < 1:
         raise ValidationError("restarts must be at least 1")
-    crit = _as_batch(criterion)
     rngs = [np.random.default_rng(child)
             for child in np.random.SeedSequence(seed).spawn(restarts)]
-    counts, current = _random_starts(space, crit, m, rngs)
+    counts, current = _random_starts(space, criterion, m, rngs)
     # a restart adds at most J (J - 1) rows of J counts to a sweep batch;
     # cap the restarts per batch so that it stays within one evaluation's
     # working-array budget
@@ -218,7 +211,7 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     active = np.arange(restarts)
     while active.size:
         active = np.concatenate([
-            _swap_sweep(space, crit, counts, current, active[i:i + group])
+            _swap_sweep(space, criterion, counts, current, active[i:i + group])
             for i in range(0, active.size, group)])
     best = 0
     for idx in range(restarts):
@@ -235,22 +228,10 @@ def reverse_greedy(space: DesignSpace, criterion, m: int,
                    ) -> SearchResult:
     """Strip the full design space down to ``m`` units, each step removing
     the unit whose removal increases the criterion least. Deterministic."""
-    _check_count("m", m)
-    if m < 1 or m > space.total_capacity:
-        raise InfeasibleError(
-            f"m={m} outside [1, {space.total_capacity}] for this space")
-    crit = _as_batch(criterion)
+    _check_size(space, m)
     counts = np.full(space.n_units, space.max_replication, dtype=int)
-    size = int(counts.sum())
-    step = 0
-    while size > m:
-        best = _best_step(crit, counts, np.flatnonzero(counts > 0), -1)
-        counts[best[1]] -= 1
-        size -= 1
-        step += 1
-        if progress is not None:
-            progress(step, best[0])
-    value = _score(crit, counts)
+    _greedy_walk(criterion, counts, m, space.max_replication, progress)
+    value = float(criterion.values(counts[None])[0])
     if not math.isfinite(value):
         raise InfeasibleError(
             f"reverse greedy reached size {m} with an infinite criterion")

@@ -2,12 +2,13 @@
 and structural probes of the criterion.
 
 Nothing here shares a computational path with the optimisers beyond the
-criterion interface itself, so agreement between an optimiser and these
+criterion's ``values``, so agreement between an optimiser and these
 oracles is meaningful evidence of correctness.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,10 +16,10 @@ import numpy as np
 
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace, build_d, build_x, build_z
-from .errors import (EnumerationLimitError, InfeasibleError, ValidationError)
+from .errors import (EnumerationLimitError, InfeasibleError, ValidationError,
+                     check_count)
 from .glscore import treatment_contrast
-from .search import (SearchResult, _as_batch, _check_count, _first_min, _score,
-                     _tie_edge)
+from .search import SearchResult, _check_size, _first_minima, _tie_edge
 
 
 # Enumerated designs scored per batched criterion call.
@@ -35,6 +36,17 @@ def _count_multisets(n_units: int, cap: int, m: int) -> int:
     return int(coeffs[m])
 
 
+def _multisets(n_units: int, cap: int, m: int):
+    """Every size-m count vector over n_units types with entries in
+    ``[0, cap]``, in lexicographic order (``m <= n_units * cap``)."""
+    if n_units == 1:
+        yield (m,)
+        return
+    for k in range(max(0, m - (n_units - 1) * cap), min(cap, m) + 1):
+        for rest in _multisets(n_units - 1, cap, m - k):
+            yield (k,) + rest
+
+
 def brute_force_optimum(space: DesignSpace, criterion, m: int,
                         limit: int = 1_000_000) -> SearchResult:
     """Exact minimiser over all size-m multisets respecting the cap.
@@ -45,50 +57,20 @@ def brute_force_optimum(space: DesignSpace, criterion, m: int,
     order, and the first minimum in that order wins, where values within
     ``CRITERION_ROUNDING`` of each other tie as in the searches.
     """
-    _check_count("m", m)
-    if m < 1 or m > space.total_capacity:
-        raise InfeasibleError(f"m={m} outside [1, {space.total_capacity}]")
+    _check_size(space, m)
     n_designs = _count_multisets(space.n_units, space.max_replication, m)
     if n_designs > limit:
         raise EnumerationLimitError(
             f"enumeration of {n_designs} designs exceeds the limit {limit}")
-    crit = _as_batch(criterion)
-    counts = np.zeros(space.n_units, dtype=int)
-    pending: list[np.ndarray] = []
-    best_value = math.inf
-    best_counts: tuple[int, ...] | None = None
-
-    def score_pending():
-        # the first minimum of a batch is the first in enumeration order; a
-        # later batch wins only beyond the tie band
-        nonlocal best_value, best_counts
-        values = crit(np.array(pending))
-        i = _first_min(values)
+    best_value, best_counts = math.inf, None
+    designs = _multisets(space.n_units, space.max_replication, m)
+    # the first minimum of a batch is the first in enumeration order; a
+    # later batch wins only beyond the tie band
+    while batch := list(itertools.islice(designs, BRUTE_FORCE_BATCH)):
+        values = criterion.values(np.array(batch))
+        i = _first_minima(values, [0])[0]
         if best_counts is None or best_value > _tie_edge(values[i]):
-            best_value = float(values[i])
-            best_counts = tuple(int(v) for v in pending[i])
-        pending.clear()
-
-    def recurse(j: int, remaining: int):
-        if j == space.n_units - 1:
-            if remaining <= space.max_replication:
-                counts[j] = remaining
-                pending.append(counts.copy())
-                if len(pending) == BRUTE_FORCE_BATCH:
-                    score_pending()
-                counts[j] = 0
-            return
-        tail_cap = (space.n_units - 1 - j) * space.max_replication
-        low = max(0, remaining - tail_cap)
-        high = min(space.max_replication, remaining)
-        for k in range(low, high + 1):
-            counts[j] = k
-            recurse(j + 1, remaining - k)
-        counts[j] = 0
-
-    recurse(0, m)
-    if pending:
-        score_pending()
+            best_value, best_counts = float(values[i]), batch[i]
     if best_counts is None or not math.isfinite(best_value):
         raise InfeasibleError(f"every design of size {m} has infinite criterion")
     return SearchResult(space.design_from_counts(best_counts), best_value)
@@ -131,8 +113,12 @@ def monte_carlo_variance(space: DesignSpace, design: Design,
     model = model or ModelSpec()
     if not model.is_gaussian:
         raise ValidationError("simulation validation requires gaussian-identity")
+    check_count("n_sims", n_sims)
+    check_count("block_size", block_size)
     if n_sims < 1000:
         raise ValidationError("need at least 1000 simulations")
+    if block_size < 1:
+        raise ValidationError("block_size must be at least 1")
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (space.n_periods + 1,):
         raise ValidationError(f"beta must have length {space.n_periods + 1}")
@@ -217,10 +203,9 @@ def supermodularity_probe(space: DesignSpace, criterion, n_triples: int,
     largest on the bigger design. Triples are redrawn until the subset
     has a finite criterion, which makes all four evaluations finite.
     """
-    _check_count("n_triples", n_triples)
+    check_count("n_triples", n_triples)
     if n_triples < 1:
         raise ValidationError("need at least one probe triple")
-    crit = _as_batch(criterion)
     rng = np.random.default_rng(seed)
     cap = space.max_replication
     violations = []
@@ -241,13 +226,13 @@ def supermodularity_probe(space: DesignSpace, criterion, n_triples: int,
         if addable.size == 0:
             continue
         unit = int(rng.choice(addable))
-        f_subset = _score(crit, subset)
+        f_subset = float(criterion.values(subset[None])[0])
         if not math.isfinite(f_subset):
             continue
         drawn += 1
         plus = np.zeros(space.n_units, dtype=int)
         plus[unit] = 1
-        f_base, f_subset_plus, f_base_plus = map(float, crit(
+        f_base, f_subset_plus, f_base_plus = map(float, criterion.values(
             np.stack([base, subset + plus, base + plus])))
 
         if f_base > f_subset + slack:

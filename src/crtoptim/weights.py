@@ -31,7 +31,8 @@ import numpy as np
 
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import DesignSpace
-from .errors import ConvergenceError, InfeasibleError, ValidationError
+from .errors import (ConvergenceError, InfeasibleError, ValidationError,
+                     check_probabilities)
 from .glscore import CRITERION_ROUNDING, DesignCriterion
 
 # Units whose weight falls below this bound are dropped for good.
@@ -48,12 +49,9 @@ class WeightedDesign:
     weights: np.ndarray
     value: float
     iterations: int
-    total_budget: float | None = None
 
     def __post_init__(self):
-        s = float(np.sum(self.weights))
-        if abs(s - 1.0) > 1e-10 or np.any(np.asarray(self.weights) < 0):
-            raise ValidationError("weights must form a probability vector")
+        check_probabilities("weights", self.weights, 1e-10)
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -75,7 +73,6 @@ def _residual(phi: np.ndarray, grad: np.ndarray) -> float:
 
 def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
                         model: ModelSpec | None = None,
-                        contrast: np.ndarray | None = None,
                         total_obs: float | None = None,
                         tolerance: float = 1e-6,
                         max_iter: int = 10000) -> WeightedDesign:
@@ -86,7 +83,7 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
     ``total_obs`` is the total unit multiplicity ``N`` (the number of
     observations when every cell holds one) and is required; at sequence
     granularity the weights are cluster proportions, the criterion is
-    scored at ``phi`` itself and ``total_obs`` only annotates the result.
+    scored at ``phi`` itself and ``total_obs`` is ignored.
 
     The map runs in SQUAREM cycles (Varadhan & Roland, Scand. J. Statist.
     35, 2008): from two plain steps ``p1 = F(phi)`` and ``p2 = F(p1)`` the
@@ -120,7 +117,7 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
             raise ValidationError(
                 "cluster-period weights need single-cell experimental units")
         scale = float(total_obs)
-    crit = DesignCriterion(space, cov, model, contrast)
+    crit = DesignCriterion(space, cov, model)
     phi = np.full(space.n_units, 1.0 / space.n_units)
     active = np.ones(space.n_units, dtype=bool)
     calls = 0
@@ -154,8 +151,7 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
             start = None  # dropping restarts the cycle and re-baselines the monitor
         elif delta <= tolerance:
             # one extra evaluation so the reported value belongs to the weights
-            return WeightedDesign(mapped, evaluate(mapped)[0], calls,
-                                  total_budget=total_obs)
+            return WeightedDesign(mapped, evaluate(mapped)[0], calls)
         elif start is not None:
             # phi = F(start) and mapped = F(phi): try the SQUAREM extrapolation
             r = phi - start
@@ -187,7 +183,6 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
 
 def simplex_weight_descent(space: DesignSpace, cov: CovarianceSpec,
                            model: ModelSpec | None = None,
-                           contrast: np.ndarray | None = None,
                            tolerance: float = 1e-8,
                            max_iter: int = 100000) -> WeightedDesign:
     """Minimise the weighted-design criterion by projected gradient descent.
@@ -209,7 +204,7 @@ def simplex_weight_descent(space: DesignSpace, cov: CovarianceSpec,
     if space.granularity != "sequence":
         raise ValidationError(
             "simplex descent requires mutually uncorrelated (sequence) units")
-    f_grad = DesignCriterion(space, cov, model, contrast).gradient
+    f_grad = DesignCriterion(space, cov, model).gradient
     phi = np.full(space.n_units, 1.0 / space.n_units)
 
     fval, grad = f_grad(phi)

@@ -38,6 +38,9 @@ class TestHamilton:
     def test_rejects_non_probability(self):
         with pytest.raises(ValidationError):
             hamilton_round([0.7, 0.7], 3)
+        for round_ in (hamilton_round, adams_round):
+            with pytest.raises(ValidationError):
+                round_([math.nan, 0.5, 0.5], 10)
 
 
 class TestAdams:

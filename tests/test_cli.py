@@ -179,6 +179,16 @@ class TestOptimize:
         assert result.exit_code == 2
         assert "robust" in result.output
 
+    def test_nan_robust_prior_exits_two(self, tmp_path, runner):
+        cfg = base_config(tmp_path)
+        cfg["robust"] = {"form": "log-average", "entries": [
+            {"covariance": {"kind": "EXC1", "icc": 0.05}, "prior": float("nan")},
+            {"covariance": {"kind": "EXC1", "icc": 0.2}, "prior": 1.0}]}
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, ["optimize", "--config", cfg_path])
+        assert result.exit_code == 2, result.output
+        assert "priors" in result.output
+
     def test_malformed_json_names_location(self, tmp_path, runner):
         bad = tmp_path / "bad.json"
         bad.write_text('{"space": }')

@@ -73,6 +73,21 @@ class TestValidation:
         with pytest.raises(ValidationError):
             space.design_from_counts([0, 0, 0])
 
+    @pytest.mark.parametrize("build", [
+        lambda: standard_space(2.5),
+        lambda: standard_space(3, max_replication=1.5),
+        lambda: standard_space(3, max_replication=True),
+        lambda: standard_space(3, cells_per_period=1.5),
+        lambda: DesignSpace(2, (ExperimentalUnit(0, (Cell(1.5, 0, 1),)),)),
+        lambda: standard_space(3).design_from_counts([1.5, 0, 0, 0]),
+        lambda: standard_space(3).design_from_counts([float("nan"), 1, 0, 0]),
+        lambda: standard_space(3).design_from_indices([True]),
+        lambda: standard_space(3).design_from_indices([1.5]),
+    ])
+    def test_sizes_must_be_integers(self, build):
+        with pytest.raises(ValidationError, match="integer"):
+            build()
+
 
 class TestBuildX:
     def test_parallel_two_cluster(self):

@@ -94,6 +94,14 @@ class TestParams:
         assert CellMeanParams(5, 4, 10, tau2=0.0).cluster_mean_correlation == 0.0
         assert CellMeanParams(5, 4, 10, tau2=0.3).cluster_mean_correlation > 0.0
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tau2": math.nan}, {"tau2": math.inf}, {"omega2": math.nan},
+        {"sigma2": math.nan}, {"n_clusters": 2.5}, {"obs_per_cell": True}])
+    def test_rejects_non_finite_components_and_fractional_sizes(self, kwargs):
+        with pytest.raises(ValidationError):
+            CellMeanParams(**{"n_clusters": 5, "n_periods": 4, "obs_per_cell": 10,
+                              "tau2": 0.1, **kwargs})
+
 
 class TestSwitchOrdering:
     def test_zero_correlation_switches_in_cluster_order(self):

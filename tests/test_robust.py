@@ -28,10 +28,14 @@ class TestModelClass:
         cov = CovarianceSpec("EXC1", tau2=0.1)
         with pytest.raises(ValidationError):
             ModelClass((ModelEntry(cov, 1.5), ModelEntry(cov, -0.5)))
+        with pytest.raises(ValidationError):
+            ModelClass((ModelEntry(cov, math.nan), ModelEntry(cov, 1.0)))
 
     def test_needs_entries(self):
         with pytest.raises(ValidationError):
             ModelClass(())
+        with pytest.raises(ValidationError):
+            ModelClass.equal_priors([])
 
     def test_unknown_form_rejected(self):
         cov = CovarianceSpec("EXC1", tau2=0.1)

@@ -169,9 +169,13 @@ class TestInputChecks:
             local_search(self.space, self.crit, **args)
 
     def test_nan_values_rank_last(self):
-        def criterion(counts):
-            return math.nan if counts[0] == 2 else self.crit.value(counts)
-        result = local_search(self.space, criterion, 3, restarts=4, seed=0)
+        crit = self.crit
+
+        class NanAtTwo:
+            def values(self, batch):
+                return np.where(batch[:, 0] == 2, math.nan, crit.values(batch))
+
+        result = local_search(self.space, NanAtTwo(), 3, restarts=4, seed=0)
         assert result.design.counts[0] < 2
         assert math.isfinite(result.value)
 
@@ -248,6 +252,27 @@ class TestTieRule:
         found = [local_search(self.space, crit, m, restarts=3, seed=s).design.counts
                  for s in range(4)]
         assert found == expected
+
+    @pytest.mark.parametrize("m, removed, filled, searched", [
+        (5, (0, 1, 0, 1, 0, 1, 0, 2), (2, 1, 0, 1, 0, 1, 0, 0),
+         [(0, 1, 0, 1, 0, 2, 0, 1)] + 3 * [(0, 2, 0, 1, 0, 1, 0, 1)]),
+        (9, (0, 2, 0, 2, 0, 2, 1, 2), (1, 2, 1, 1, 1, 1, 1, 1),
+         2 * [(0, 2, 0, 2, 0, 2, 1, 2)] + 2 * [(0, 2, 0, 2, 1, 2, 0, 2)]),
+        (13, (1, 2, 1, 2, 1, 2, 2, 2), (2, 2, 1, 2, 1, 2, 1, 2),
+         [(1, 2, 1, 2, 2, 2, 1, 2), (1, 2, 1, 2, 1, 2, 2, 2)]
+         + 2 * [(1, 2, 2, 2, 1, 2, 1, 2)])])
+    def test_cluster_period_moves(self, m, removed, filled, searched):
+        # the cells of clusters 0/1 (units 0-3) and 2/3 (units 4-7) are
+        # duplicates, and these designs hold under noise within the band
+        space = space_from_sequences(
+            [(0, 1), (0, 1), (0, 0), (0, 0)], max_replication=2,
+            granularity="cluster-period")
+        crit = DesignCriterion(space, self.cov)
+        assert reverse_greedy(space, crit, m).design.counts == removed
+        fill = best_rounding(space, self.cov, np.full(8, 0.125), m)
+        assert fill.candidates["floor-greedy"][0] == filled
+        assert [local_search(space, crit, m, restarts=3, seed=s).design.counts
+                for s in range(4)] == searched
 
 
 class TestReportedValue:

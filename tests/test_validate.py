@@ -74,12 +74,6 @@ class TestBruteForce:
         assert brute_force_optimum(space, crit, 2).design.counts == (0, 1, 0, 1)
         assert brute_force_optimum(space, crit, 3).design.counts == (0, 1, 0, 2)
 
-    def test_plain_callable_criterion(self):
-        space = space_from_sequences([(0, 1), (0, 0), (1, 1)], max_replication=2)
-        crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
-        via_callable = brute_force_optimum(space, lambda counts: crit.value(counts), 3)
-        assert via_callable == brute_force_optimum(space, crit, 3)
-
     def test_enumeration_guard(self):
         space = standard_space(6, max_replication=10, cells_per_period=1)
         crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
@@ -168,6 +162,9 @@ class TestMonteCarlo:
                                  n_sims=2000)
         with pytest.raises(ValidationError):
             monte_carlo_variance(space, design, cov, beta=[0, 1], n_sims=10)
+        with pytest.raises(ValidationError):
+            monte_carlo_variance(space, design, cov, beta=[0, 1], n_sims=1000,
+                                 block_size=0)
 
     def test_csv_summary(self, tmp_path):
         space = space_from_sequences([(0,), (1,)], cells_per_period=5)
@@ -197,11 +194,12 @@ class TestSupermodularityProbe:
         space = standard_space(3, max_replication=2, cells_per_period=2)
         crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
 
-        def negated(counts):
-            v = crit.value(counts)
-            return -v if math.isfinite(v) else v
+        class Negated:
+            def values(self, batch):
+                v = crit.values(batch)
+                return np.where(np.isfinite(v), -v, v)
 
-        report = supermodularity_probe(space, negated, 100, seed=5)
+        report = supermodularity_probe(space, Negated(), 100, seed=5)
         assert not report.passed
 
     def test_needs_at_least_one_triple(self):
@@ -216,8 +214,11 @@ class TestSupermodularityProbe:
     lambda space, crit: brute_force_optimum(space, crit, True),
     lambda space, crit: supermodularity_probe(space, crit, 2.5, seed=1),
     lambda space, crit: supermodularity_probe(space, crit, True, seed=1),
+    lambda space, crit: monte_carlo_variance(
+        space, space.design_from_counts([1, 1, 1, 1]), crit.covariance,
+        np.zeros(4), n_sims=1000.5),
 ], ids=["brute-force-m-2.5", "brute-force-m-True", "probe-n_triples-2.5",
-        "probe-n_triples-True"])
+        "probe-n_triples-True", "monte-carlo-n_sims-1000.5"])
 def test_sizes_must_be_integers(call):
     space = standard_space(3, max_replication=2)
     crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))

@@ -7,7 +7,8 @@ from crtoptim import (ConvergenceError, CovarianceSpec, DesignCriterion,
                       project_to_simplex, sequence_patterns,
                       simplex_weight_descent, space_from_sequences,
                       standard_space, stepped_wedge_weights,
-                      unidirectional_weights, unit_information_blocks)
+                      unidirectional_weights, unit_information_blocks,
+                      WeightedDesign)
 from crtoptim.covariance import iterated_weights
 from crtoptim.glscore import contrast_variance, treatment_contrast
 from crtoptim.weights import WEIGHT_FLOOR
@@ -51,6 +52,10 @@ class TestMixedModelWeights:
         wd = mixed_model_weights(space, exc1_from_icc(0.1), total_obs=60.0)
         assert wd.weights.min() >= 0
         assert wd.weights.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_nan_weights_rejected(self):
+        with pytest.raises(ValidationError):
+            WeightedDesign(np.array([np.nan, 0.5, 0.5]), 1.0, 1)
 
     def test_sequence_weights_match_stepped_wedge_formula(self):
         # small slice of the cross-check grid; the full grid runs in acceptance
