@@ -37,6 +37,14 @@ def check_count(name: str, value) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def check_seed(seed) -> None:
+    """Reject a seed that is neither ``None`` nor a non-negative integer."""
+    if seed is not None:
+        check_count("seed", seed)
+        if seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {seed}")
+
+
 def check_probabilities(name: str, values, tol: float) -> np.ndarray:
     """``values`` as a float vector of finite non-negative entries that sum
     to one within ``tol``."""

@@ -67,7 +67,8 @@ class RobustCriterion:
     def values(self, batch) -> np.ndarray:
         """Robust criteria of a ``(K, J)`` batch of per-unit multiplicities:
         each part scores the whole batch once, and a row that any part
-        cannot identify is ``inf``."""
+        cannot identify is ``inf``. Each row is scored on its own: row ``i``
+        equals ``value(batch[i])`` bit for bit."""
         log_form = self.model_class.form == "log-average"
         total = 0.0
         for prior, crit in self._parts:

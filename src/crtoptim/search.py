@@ -13,6 +13,16 @@ count matrix and scores it with one ``values`` call. Local search runs its
 restarts in lockstep, so one call scores the swaps of every restart that
 is still moving.
 
+The restarts of one local search keep landing on the same designs, so it
+scores each distinct design once per call: a memo in front of the
+criterion sends only rows it has not seen to ``values`` and reuses the
+stored values of the rest. That relies on one more part of the protocol:
+``values`` scores each row on its own, so row ``i`` of a batch equals the
+value of that row alone, bit for bit, as :class:`DesignCriterion` and
+:class:`RobustCriterion` guarantee. The memo lives for one call and holds
+at most ``MEMO_BYTES`` (128 KiB) of keys and values; it is cleared when
+full.
+
 Values within ``CRITERION_ROUNDING`` (relative) of each other are ties: the
 order of two such values is the rounding of the criterion kernel, not a
 property of the designs. A sweep takes the first row within that band of
@@ -30,11 +40,73 @@ from typing import Callable
 import numpy as np
 
 from .designspace import Design, DesignSpace
-from .errors import InfeasibleError, ValidationError, check_count
+from .errors import InfeasibleError, ValidationError, check_count, check_seed
 from .glscore import CHUNK_BYTES, CRITERION_ROUNDING
 
 # How many random starts may come up infeasible before local search gives up.
 MAX_START_DRAWS = 1000
+# Budget of the score memo of one local search: the bytes of row keys and
+# values it holds. On large spaces rows seldom repeat, so the memo is
+# cleared when full rather than grow with every sweep; the sort that merges
+# a batch in briefly needs about four times this much.
+MEMO_BYTES = 1 << 17
+
+
+class _ScoreMemo:
+    """``criterion`` with each distinct row of counts scored once.
+
+    ``values`` finds the distinct rows of a batch and those not scored
+    before, sends only the latter to ``criterion.values`` in one call, and
+    gives every row its value. That is exact because a criterion's
+    ``values`` scores each row on its own, bit for bit. The memo holds at
+    most ``MEMO_BYTES`` of keys and values and is cleared when full, which
+    changes only how often a row is scored.
+
+    A row's key is its mixed-radix code in base ``cap + 1`` when that fits
+    in an ``int64``, else its bytes in the narrowest unsigned dtype that
+    holds ``cap``. The keys are kept sorted, beside their values.
+    """
+
+    def __init__(self, criterion, n_units: int, cap: int):
+        self.criterion = criterion
+        if (cap + 1) ** n_units <= np.iinfo(np.int64).max:
+            self._radix = (cap + 1) ** np.arange(n_units, dtype=np.int64)
+            self._keys = np.empty(0, dtype=np.int64)
+        else:
+            self._radix = None
+            self._dtype = np.min_scalar_type(cap)
+            self._keys = np.empty(0, dtype=(np.void, n_units * self._dtype.itemsize))
+        self._values = np.empty(0)
+        self._capacity = MEMO_BYTES // (self._keys.itemsize + self._values.itemsize)
+
+    def _key(self, batch):
+        if self._radix is not None:
+            return batch @ self._radix
+        rows = np.ascontiguousarray(batch, dtype=self._dtype)
+        return rows.view(self._keys.dtype).ravel()
+
+    def values(self, batch) -> np.ndarray:
+        # one sort over the stored keys and the batch's finds both the
+        # batch's distinct rows and those already scored
+        known = self._keys.size
+        keys, inverse = np.unique(np.concatenate([self._keys, self._key(batch)]),
+                                  return_inverse=True)
+        old, new = inverse[:known], inverse[known:]
+        values = np.empty(keys.size)
+        values[old] = self._values
+        row = np.empty(keys.size, dtype=np.intp)
+        row[new] = np.arange(new.size)
+        fresh = np.ones(keys.size, dtype=bool)
+        fresh[old] = False
+        fresh = np.flatnonzero(fresh)
+        if fresh.size:
+            values[fresh] = self.criterion.values(batch[row[fresh]])
+        scored = values[new]
+        if keys.size > self._capacity:
+            # full: start over (a view would keep the full arrays alive)
+            keys, values = keys[:0].copy(), values[:0].copy()
+        self._keys, self._values = keys, values
+        return scored
 
 
 @dataclass(frozen=True)
@@ -191,17 +263,21 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     yield identical results; restarts merge by smallest value with earlier
     restarts winning ties, and ``progress(idx, best)`` is called in
     restart order with the best value over restarts ``0..idx``.
+
+    Each distinct design is scored once per call: the starts and sweeps go
+    through a memo of the values scored so far, which holds at most
+    ``MEMO_BYTES`` and is cleared when full. That needs ``criterion.values``
+    to score each row on its own, as :class:`DesignCriterion` and
+    :class:`RobustCriterion` do; no state outlives the call.
     """
     _check_size(space, m)
     check_count("restarts", restarts)
-    if seed is not None:
-        check_count("seed", seed)
-        if seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     if restarts < 1:
         raise ValidationError("restarts must be at least 1")
     rngs = [np.random.default_rng(child)
             for child in np.random.SeedSequence(seed).spawn(restarts)]
+    criterion = _ScoreMemo(criterion, space.n_units, space.max_replication)
     counts, current = _random_starts(space, criterion, m, rngs)
     # a restart adds at most J (J - 1) rows of J counts to a sweep batch;
     # cap the restarts per batch so that it stays within one evaluation's

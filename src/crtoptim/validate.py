@@ -17,7 +17,7 @@ import numpy as np
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace, build_d, build_x, build_z
 from .errors import (EnumerationLimitError, InfeasibleError, ValidationError,
-                     check_count)
+                     check_count, check_seed)
 from .glscore import treatment_contrast
 from .search import SearchResult, _check_size, _first_minima, _tie_edge
 
@@ -115,6 +115,7 @@ def monte_carlo_variance(space: DesignSpace, design: Design,
         raise ValidationError("simulation validation requires gaussian-identity")
     check_count("n_sims", n_sims)
     check_count("block_size", block_size)
+    check_seed(seed)
     if n_sims < 1000:
         raise ValidationError("need at least 1000 simulations")
     if block_size < 1:
@@ -206,6 +207,7 @@ def supermodularity_probe(space: DesignSpace, criterion, n_triples: int,
     check_count("n_triples", n_triples)
     if n_triples < 1:
         raise ValidationError("need at least one probe triple")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     cap = space.max_replication
     violations = []

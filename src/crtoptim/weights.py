@@ -25,6 +25,7 @@ serving as a generic cross-check on the fixed point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,8 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
     ``total_obs`` is the total unit multiplicity ``N`` (the number of
     observations when every cell holds one) and is required; at sequence
     granularity the weights are cluster proportions, the criterion is
-    scored at ``phi`` itself and ``total_obs`` is ignored.
+    scored at ``phi`` itself and ``total_obs`` is unused. When given, at
+    any granularity, it must be a finite positive number.
 
     The map runs in SQUAREM cycles (Varadhan & Roland, Scand. J. Statist.
     35, 2008): from two plain steps ``p1 = F(phi)`` and ``p2 = F(p1)`` the
@@ -109,9 +111,14 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
     """
     if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
+    if total_obs is not None and (
+            isinstance(total_obs, bool) or not isinstance(total_obs, numbers.Real)
+            or not 0 < total_obs < math.inf):
+        raise ValidationError(
+            f"total_obs must be a finite positive number, got {total_obs!r}")
     scale = 1.0
     if space.granularity != "sequence":
-        if total_obs is None or total_obs <= 0:
+        if total_obs is None:
             raise ValidationError("cluster-period weights need a positive total_obs")
         if any(len(unit.cells) != 1 for unit in space.units):
             raise ValidationError(

@@ -8,6 +8,7 @@ from crtoptim import (CovarianceSpec, DesignCriterion, InfeasibleError,
                       best_rounding, brute_force_optimum, local_search,
                       reverse_greedy, space_from_sequences, standard_space,
                       swap_delta)
+from crtoptim import search
 from crtoptim.glscore import CRITERION_ROUNDING
 
 
@@ -149,6 +150,67 @@ class TestLockstepRestarts:
             assert result.design.counts == counts
             assert result.value.hex() == value.hex()
             assert [(i, v.hex()) for i, v in seen] == [(i, v.hex()) for i, v in trail]
+
+
+class Recording:
+    """A criterion that keeps every row it scores."""
+
+    def __init__(self, criterion):
+        self.criterion = criterion
+        self.rows = []
+
+    def values(self, batch):
+        self.rows.extend(tuple(int(c) for c in row) for row in batch)
+        return self.criterion.values(batch)
+
+
+def memo_cases():
+    """A sequence space keyed by mixed-radix codes and a cluster-period one
+    whose codes overflow ``int64``, so its rows are keyed by their bytes."""
+    cov = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7)
+    seq = standard_space(4, max_replication=3, cells_per_period=2)
+    wide = standard_space(4, max_replication=8, granularity="cluster-period")
+    assert 9 ** wide.n_units > np.iinfo(np.int64).max
+    return [pytest.param(seq, DesignCriterion(seq, cov), 6, 8, id="sequence"),
+            pytest.param(wide, DesignCriterion(wide, cov), 12, 3, id="cluster-period")]
+
+
+class TestScoreMemo:
+    """Local search scores each distinct design once per call, and only
+    once per call: reusing stored values changes no result."""
+
+    @pytest.mark.parametrize("space, crit, m, restarts", memo_cases())
+    def test_no_row_is_scored_twice_in_one_call(self, space, crit, m, restarts):
+        recording = Recording(crit)
+        local_search(space, recording, m, restarts=restarts, seed=4)
+        assert len(recording.rows) == len(set(recording.rows))
+
+    @pytest.mark.parametrize("space, crit, m, restarts", memo_cases())
+    def test_nothing_is_kept_across_calls(self, space, crit, m, restarts):
+        recording = Recording(crit)
+        local_search(space, recording, m, restarts=restarts, seed=4)
+        first = list(recording.rows)
+        local_search(space, recording, m, restarts=restarts, seed=4)
+        assert recording.rows[len(first):] == first
+
+    @pytest.mark.parametrize("space, crit, m, restarts", memo_cases())
+    def test_clearing_a_full_memo_changes_no_result(self, monkeypatch, space, crit, m,
+                                                     restarts):
+        def run():
+            recording = Recording(crit)
+            trail = []
+            result = local_search(space, recording, m, restarts=restarts, seed=4,
+                                  progress=lambda i, v: trail.append((i, v.hex())))
+            return (result.design.counts, result.value.hex(), trail), recording.rows
+
+        monkeypatch.setattr(search, "MEMO_BYTES", 1 << 40)
+        unbounded, rows = run()
+        # room for a few rows: the memo is cleared on almost every call
+        monkeypatch.setattr(search, "MEMO_BYTES", 4 * (space.n_units + 8))
+        bounded, bounded_rows = run()
+        assert bounded == unbounded
+        assert len(bounded_rows) > len(rows)
+        assert set(bounded_rows) == set(rows)
 
 
 class TestInputChecks:

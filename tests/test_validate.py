@@ -224,3 +224,17 @@ def test_sizes_must_be_integers(call):
     crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
     with pytest.raises(ValidationError, match="integer"):
         call(space, crit)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+@pytest.mark.parametrize("call", [
+    lambda space, crit, seed: supermodularity_probe(space, crit, 5, seed=seed),
+    lambda space, crit, seed: monte_carlo_variance(
+        space, space.design_from_counts([1, 1, 1, 1]), crit.covariance,
+        np.zeros(4), n_sims=1000, seed=seed),
+], ids=["probe", "monte-carlo"])
+def test_seed_must_be_a_non_negative_integer(call, seed):
+    space = standard_space(3, max_replication=2)
+    crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+    with pytest.raises(ValidationError, match="seed"):
+        call(space, crit, seed)

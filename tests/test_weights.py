@@ -125,6 +125,14 @@ class TestMixedModelWeights:
         with pytest.raises(ValidationError):
             mixed_model_weights(space, exc1_from_icc(0.1))
 
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    @pytest.mark.parametrize("total_obs", [float("nan"), float("inf"), -5.0, 0,
+                                           True, "60"])
+    def test_rejects_bad_total_obs(self, granularity, total_obs):
+        space = standard_space(3, max_replication=2, granularity=granularity)
+        with pytest.raises(ValidationError, match="total_obs"):
+            mixed_model_weights(space, exc1_from_icc(0.1), total_obs=total_obs)
+
     def test_infeasible_space_raises(self):
         space = cell_space([(0, 0)])
         with pytest.raises(InfeasibleError):
