@@ -62,34 +62,23 @@ class _ScoreMemo:
     most ``MEMO_BYTES`` of keys and values and is cleared when full, which
     changes only how often a row is scored.
 
-    A row's key is its mixed-radix code in base ``cap + 1`` when that fits
-    in an ``int64``, else its bytes in the narrowest unsigned dtype that
-    holds ``cap``. The keys are kept sorted, beside their values.
+    A row's key is its bytes in the narrowest unsigned dtype that holds
+    ``cap``. The keys are kept sorted, beside their values.
     """
 
     def __init__(self, criterion, n_units: int, cap: int):
         self.criterion = criterion
-        if (cap + 1) ** n_units <= np.iinfo(np.int64).max:
-            self._radix = (cap + 1) ** np.arange(n_units, dtype=np.int64)
-            self._keys = np.empty(0, dtype=np.int64)
-        else:
-            self._radix = None
-            self._dtype = np.min_scalar_type(cap)
-            self._keys = np.empty(0, dtype=(np.void, n_units * self._dtype.itemsize))
+        self._dtype = np.min_scalar_type(cap)
+        self._keys = np.empty(0, dtype=(np.void, n_units * self._dtype.itemsize))
         self._values = np.empty(0)
         self._capacity = MEMO_BYTES // (self._keys.itemsize + self._values.itemsize)
-
-    def _key(self, batch):
-        if self._radix is not None:
-            return batch @ self._radix
-        rows = np.ascontiguousarray(batch, dtype=self._dtype)
-        return rows.view(self._keys.dtype).ravel()
 
     def values(self, batch) -> np.ndarray:
         # one sort over the stored keys and the batch's finds both the
         # batch's distinct rows and those already scored
         known = self._keys.size
-        keys, inverse = np.unique(np.concatenate([self._keys, self._key(batch)]),
+        rows = np.ascontiguousarray(batch, dtype=self._dtype).view(self._keys.dtype)
+        keys, inverse = np.unique(np.concatenate([self._keys, rows.ravel()]),
                                   return_inverse=True)
         old, new = inverse[:known], inverse[known:]
         values = np.empty(keys.size)

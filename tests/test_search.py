@@ -165,12 +165,10 @@ class Recording:
 
 
 def memo_cases():
-    """A sequence space keyed by mixed-radix codes and a cluster-period one
-    whose codes overflow ``int64``, so its rows are keyed by their bytes."""
+    """A small sequence space and a wide cluster-period one."""
     cov = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7)
     seq = standard_space(4, max_replication=3, cells_per_period=2)
     wide = standard_space(4, max_replication=8, granularity="cluster-period")
-    assert 9 ** wide.n_units > np.iinfo(np.int64).max
     return [pytest.param(seq, DesignCriterion(seq, cov), 6, 8, id="sequence"),
             pytest.param(wide, DesignCriterion(wide, cov), 12, 3, id="cluster-period")]
 
