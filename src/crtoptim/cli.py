@@ -53,8 +53,16 @@ def _is_number(value, kind) -> bool:
             and not isinstance(value, bool))
 
 
+def _object(cfg, where: str) -> dict:
+    """``cfg``, the JSON object at path ``where`` (written with a trailing
+    dot), or :class:`ConfigError` when it is some other value."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"field '{where[:-1]}' must be an object")
+    return cfg
+
+
 def _require(cfg: dict, field: str, kind, where: str):
-    if field not in cfg:
+    if field not in _object(cfg, where):
         raise ConfigError(f"missing field '{where}{field}'")
     value = cfg[field]
     if kind in (float, int):
@@ -78,7 +86,7 @@ def _require_list(cfg: dict, field: str, kind, where: str) -> list:
 
 def _optional(cfg: dict, field: str, kind, where: str, default):
     """``_require`` for a field that may be left out."""
-    return _require(cfg, field, kind, where) if field in cfg else default
+    return _require(cfg, field, kind, where) if field in _object(cfg, where) else default
 
 
 def load_config(path: str) -> dict:
@@ -120,7 +128,8 @@ def parse_space(cfg: dict) -> DesignSpace:
                 parsed.append(Cell(_require(cell, "period", int, where),
                                    _require(cell, "treated", int, where),
                                    _optional(cell, "count", int, where, 1)))
-            units.append(ExperimentalUnit(u.get("clusterId", i), tuple(parsed)))
+            units.append(ExperimentalUnit(
+                _optional(u, "clusterId", int, f"space.units[{i}].", i), tuple(parsed)))
         return DesignSpace(n_periods, tuple(units),
                            max_replication=_optional(spec, "maxReplication", int,
                                                      "space.", 1),
@@ -159,7 +168,7 @@ def parse_model(cfg: dict, key: str = "model") -> ModelSpec:
     try:
         return ModelSpec(family=spec.get("family", "gaussian-identity"),
                          beta=beta,
-                         attenuate=spec.get("attenuate", False))
+                         attenuate=_optional(spec, "attenuate", bool, f"{key}.", False))
     except ValidationError as exc:
         raise ConfigError(f"invalid field '{key}': {exc}") from exc
 
@@ -398,7 +407,7 @@ def optimize(config_path, algorithm, m_override, restarts, seed, out_override):
         seed = _optional(cfg, "seed", int, "", 0)
     if seed < 0:
         raise ConfigError("field 'seed' must be a non-negative integer")
-    out_dir = Path(out_override or cfg.get("out", "."))
+    out_dir = Path(out_override or _optional(cfg, "out", str, "", "."))
 
     grid = cfg.get("grid")
     if robust is not None:
@@ -427,6 +436,9 @@ def _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed,
     second_key = "cac" if kind == "EXC2" else "decay"
     if kind != "EXC1" or second_key in grid:  # EXC1 has no second parameter
         axes[second_key] = _require_list(grid, second_key, float, "grid.")
+    for key, values in axes.items():
+        if not values:
+            raise ConfigError(f"field 'grid.{key}' must not be empty")
     out_dir.mkdir(parents=True, exist_ok=True)
     index_rows = []
     for point in itertools.product(*axes.values()):

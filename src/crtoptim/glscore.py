@@ -143,20 +143,28 @@ def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
     kernel every criterion value uses.
 
     Returns ``inf`` when the contrast is outside the range of ``M`` (the
-    design carries no information on it) or when ``M`` is not positive
-    semi-definite to tolerance.
+    design carries no information on it), when ``M`` is not positive
+    semi-definite to tolerance, or when ``M`` has a non-finite entry.
+    Raises :class:`ValidationError` unless ``M`` is a real square matrix
+    and ``c`` a finite real vector of matching length.
     """
-    return float(_contrast_kernel(np.asarray(m, dtype=float)[None], c)[0][0])
-
-
-def c_optimality(m: np.ndarray, c: np.ndarray) -> float:
-    """Design criterion value for an information matrix and contrast."""
-    m = np.asarray(m, dtype=float)
-    c = np.asarray(c, dtype=float)
+    m, c = np.asarray(m), np.asarray(c)
+    if m.dtype.kind not in "iuf" or c.dtype.kind not in "iuf":
+        raise ValidationError("information matrix and contrast must be real")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("information matrix must be square")
     if c.shape != (m.shape[0],):
         raise ValidationError("contrast length does not match the information matrix")
+    if not np.isfinite(c).all():
+        raise ValidationError("contrast must be finite")
+    if not np.isfinite(m).all():
+        return math.inf
+    return float(_contrast_kernel(m.astype(float)[None], c.astype(float))[0][0])
+
+
+def c_optimality(m: np.ndarray, c: np.ndarray) -> float:
+    """Design criterion value for an information matrix and contrast; see
+    :func:`contrast_variance`."""
     return contrast_variance(m, c)
 
 
@@ -379,6 +387,9 @@ class DesignCriterion:
 
     def _batch(self, batch) -> np.ndarray:
         batch = np.asarray(batch)
+        if batch.dtype.kind not in "iuf":
+            raise ValidationError(
+                f"multiplicities must be integers or floats, got {batch.dtype}")
         if batch.ndim != 2 or batch.shape[1] != self.space.n_units:
             raise ValidationError(
                 f"counts must be a (K, {self.space.n_units}) batch of "

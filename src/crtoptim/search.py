@@ -15,13 +15,13 @@ is still moving.
 
 The restarts of one local search keep landing on the same designs, so it
 scores each distinct design once per call: a memo in front of the
-criterion sends only rows it has not seen to ``values`` and reuses the
-stored values of the rest. That relies on one more part of the protocol:
-``values`` scores each row on its own, so row ``i`` of a batch equals the
-value of that row alone, bit for bit, as :class:`DesignCriterion` and
-:class:`RobustCriterion` guarantee. The memo lives for one call and holds
-at most ``MEMO_BYTES`` (128 KiB) of keys and values; it is cleared when
-full.
+criterion, a dict from a row's bytes to its value, sends only rows it has
+not seen to ``values`` and reuses the stored values of the rest. That
+relies on one more part of the protocol: ``values`` scores each row on its
+own, so row ``i`` of a batch equals the value of that row alone, bit for
+bit, as :class:`DesignCriterion` and :class:`RobustCriterion` guarantee.
+The memo lives for one call and is cleared when it holds more than
+``MEMO_BYTES`` (128 KiB) of raw keys and values.
 
 Values within ``CRITERION_ROUNDING`` (relative) of each other are ties: the
 order of two such values is the rounding of the criterion kernel, not a
@@ -45,57 +45,44 @@ from .glscore import CHUNK_BYTES, CRITERION_ROUNDING
 
 # How many random starts may come up infeasible before local search gives up.
 MAX_START_DRAWS = 1000
-# Budget of the score memo of one local search: the bytes of row keys and
-# values it holds. On large spaces rows seldom repeat, so the memo is
-# cleared when full rather than grow with every sweep; the sort that merges
-# a batch in briefly needs about four times this much.
+# Budget of the score memo of one local search, counted as the raw bytes
+# of its row keys and 8-byte values; the dict's own overhead comes on top.
+# On large spaces rows seldom repeat, so the memo is cleared when full
+# rather than grow with every sweep.
 MEMO_BYTES = 1 << 17
 
 
 class _ScoreMemo:
     """``criterion`` with each distinct row of counts scored once.
 
-    ``values`` finds the distinct rows of a batch and those not scored
-    before, sends only the latter to ``criterion.values`` in one call, and
-    gives every row its value. That is exact because a criterion's
-    ``values`` scores each row on its own, bit for bit. The memo holds at
-    most ``MEMO_BYTES`` of keys and values and is cleared when full, which
-    changes only how often a row is scored.
-
-    A row's key is its bytes in the narrowest unsigned dtype that holds
-    ``cap``. The keys are kept sorted, beside their values.
+    ``values`` sends the distinct rows of a batch not scored before to
+    ``criterion.values`` in one call and gives every row its value. That is
+    exact because a criterion's ``values`` scores each row on its own, bit
+    for bit. The scores sit in a dict keyed by a row's bytes in the
+    narrowest unsigned dtype that holds ``cap``. It is cleared once it
+    holds more than ``MEMO_BYTES`` of those keys and their 8-byte values,
+    which changes only how often a row is scored.
     """
 
     def __init__(self, criterion, n_units: int, cap: int):
         self.criterion = criterion
         self._dtype = np.min_scalar_type(cap)
-        self._keys = np.empty(0, dtype=(np.void, n_units * self._dtype.itemsize))
-        self._values = np.empty(0)
-        self._capacity = MEMO_BYTES // (self._keys.itemsize + self._values.itemsize)
+        self._key = np.dtype((np.void, n_units * self._dtype.itemsize))
+        self._scores: dict[bytes, float] = {}
+        self._capacity = MEMO_BYTES // (self._key.itemsize + 8)
 
     def values(self, batch) -> np.ndarray:
-        # one sort over the stored keys and the batch's finds both the
-        # batch's distinct rows and those already scored
-        known = self._keys.size
-        rows = np.ascontiguousarray(batch, dtype=self._dtype).view(self._keys.dtype)
-        keys, inverse = np.unique(np.concatenate([self._keys, rows.ravel()]),
-                                  return_inverse=True)
-        old, new = inverse[:known], inverse[known:]
-        values = np.empty(keys.size)
-        values[old] = self._values
-        row = np.empty(keys.size, dtype=np.intp)
-        row[new] = np.arange(new.size)
-        fresh = np.ones(keys.size, dtype=bool)
-        fresh[old] = False
-        fresh = np.flatnonzero(fresh)
-        if fresh.size:
-            values[fresh] = self.criterion.values(batch[row[fresh]])
-        scored = values[new]
-        if keys.size > self._capacity:
-            # full: start over (a view would keep the full arrays alive)
-            keys, values = keys[:0].copy(), values[:0].copy()
-        self._keys, self._values = keys, values
-        return scored
+        rows = np.ascontiguousarray(batch, dtype=self._dtype)
+        keys = rows.view(self._key).ravel().tolist()
+        scores = self._scores
+        fresh = {key: i for i, key in enumerate(keys) if key not in scores}
+        if fresh:
+            scored = self.criterion.values(batch[list(fresh.values())])
+            scores.update(zip(fresh, scored.tolist()))
+        values = np.fromiter(map(scores.__getitem__, keys), float, len(keys))
+        if len(scores) > self._capacity:
+            scores.clear()
+        return values
 
 
 @dataclass(frozen=True)
@@ -254,10 +241,11 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     restart order with the best value over restarts ``0..idx``.
 
     Each distinct design is scored once per call: the starts and sweeps go
-    through a memo of the values scored so far, which holds at most
-    ``MEMO_BYTES`` and is cleared when full. That needs ``criterion.values``
-    to score each row on its own, as :class:`DesignCriterion` and
-    :class:`RobustCriterion` do; no state outlives the call.
+    through a dict of the values scored so far, keyed by the design's
+    bytes, which is cleared when it holds more than ``MEMO_BYTES`` of raw
+    keys and values. That needs ``criterion.values`` to score each row on
+    its own, as :class:`DesignCriterion` and :class:`RobustCriterion` do;
+    no state outlives the call.
     """
     _check_size(space, m)
     check_count("restarts", restarts)

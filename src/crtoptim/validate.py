@@ -24,6 +24,8 @@ from .search import SearchResult, _check_size, _first_minima, _tie_edge
 
 # Enumerated designs scored per batched criterion call.
 BRUTE_FORCE_BATCH = 4096
+# Replicates simulated per independently seeded Monte Carlo block.
+MONTE_CARLO_BLOCK = 1000
 
 
 def _count_multisets(n_units: int, cap: int, m: int) -> int:
@@ -99,27 +101,24 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
 def monte_carlo_variance(space: DesignSpace, design: Design,
                          cov: CovarianceSpec, beta,
                          model: ModelSpec | None = None,
-                         n_sims: int = 10000, seed: int | None = None,
-                         block_size: int = 1000) -> MonteCarloResult:
+                         n_sims: int = 10000, seed: int | None = None
+                         ) -> MonteCarloResult:
     """Empirical variance of the GLS treatment-effect estimator.
 
     Simulates Gaussian outcomes from the mixed model with the given fixed
     effects, fits each replicate by generalised least squares at the true
     covariance parameters, and returns the sample variance of the
-    estimates with its standard error. Simulation happens in independent
-    blocks with seeds derived from ``seed``, so results are reproducible
-    and blocks could be farmed out in parallel.
+    estimates with its standard error. Simulation happens in blocks of
+    ``MONTE_CARLO_BLOCK`` replicates, each seeded from its own child of
+    ``SeedSequence(seed)``, so results are reproducible.
     """
     model = model or ModelSpec()
     if not model.is_gaussian:
         raise ValidationError("simulation validation requires gaussian-identity")
     check_count("n_sims", n_sims)
-    check_count("block_size", block_size)
     check_seed(seed)
     if n_sims < 1000:
         raise ValidationError("need at least 1000 simulations")
-    if block_size < 1:
-        raise ValidationError("block_size must be at least 1")
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (space.n_periods + 1,):
         raise ValidationError(f"beta must have length {space.n_periods + 1}")
@@ -143,11 +142,11 @@ def monte_carlo_variance(space: DesignSpace, design: Design,
     sd_obs = math.sqrt(cov.sigma2)
 
     estimates = []
-    seeds = np.random.SeedSequence(seed).spawn(math.ceil(n_sims / block_size))
+    seeds = np.random.SeedSequence(seed).spawn(math.ceil(n_sims / MONTE_CARLO_BLOCK))
     done = 0
     for ss in seeds:
         rng = np.random.default_rng(ss)
-        nb = min(block_size, n_sims - done)
+        nb = min(MONTE_CARLO_BLOCK, n_sims - done)
         u = root_d @ rng.standard_normal((d.shape[0], nb))
         eps = sd_obs * rng.standard_normal((x.shape[0], nb))
         y = mean_vec[:, None] + z @ u + eps

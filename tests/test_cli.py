@@ -249,6 +249,27 @@ class TestOptimize:
         # a boolean is not an integer budget
         ({"algorithm": "closed-form"}, ("m",), True, "m"),
         ({"algorithm": "mixed-model-weights"}, ("m",), True, "m"),
+        # a container that is not a JSON object
+        ({}, ("space", "standard"), 5, "space.standard"),
+        ({"space": EXPLICIT_SPACE}, ("space", "units"), [5], "space.units[0]"),
+        ({"space": EXPLICIT_SPACE}, ("space", "units", 0, "cells"), [5],
+         "space.units[0].cells[0]"),
+        # cluster ids are hashed and ordered at cluster-period granularity
+        ({"space": dict(EXPLICIT_SPACE, granularity="cluster-period")},
+         ("space", "units", 0, "clusterId"), [1], "space.units[0].clusterId"),
+        ({"space": dict(EXPLICIT_SPACE, granularity="cluster-period")},
+         ("space", "units", 1, "clusterId"), "a", "space.units[1].clusterId"),
+        # a string or a number is truthy, but not a JSON boolean
+        ({"model": {"family": "binomial-logit", "beta": [0, 0, 0, 0, 0]}},
+         ("model", "attenuate"), "false", "model.attenuate"),
+        ({"model": {"family": "binomial-logit", "beta": [0, 0, 0, 0, 0]}},
+         ("model", "attenuate"), 1, "model.attenuate"),
+        # an empty axis leaves nothing to run
+        ({"grid": {"kind": "EXC2", "icc": [0.05], "cac": [0.5]}},
+         ("grid", "icc"), [], "grid.icc"),
+        ({"grid": {"kind": "EXC2", "icc": [0.05], "cac": [0.5]}},
+         ("grid", "cac"), [], "grid.cac"),
+        ({}, ("out",), 5, "out"),
     ])
     def test_mistyped_optional_field_exits_two(self, tmp_path, runner,
                                                 overrides, keys, bad, field):

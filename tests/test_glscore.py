@@ -10,7 +10,7 @@ from crtoptim import (CovarianceSpec, DesignCriterion, ModelClass, ModelSpec,
                       glm_weight_diagonal, information_matrix,
                       space_from_sequences, standard_space,
                       treatment_contrast)
-from crtoptim.glscore import RANGE_TOL, RANK_TOL
+from crtoptim.glscore import RANGE_TOL, RANK_TOL, contrast_variance
 
 
 def manual_space(sequences, count=1, max_replication=1, granularity="sequence"):
@@ -176,6 +176,23 @@ class TestCOptimality:
 
     def test_nan_matrix_is_infinite(self):
         assert math.isinf(c_optimality(np.full((2, 2), np.nan), np.array([0.0, 1.0])))
+
+    def test_matrix_with_a_nan_entry_is_infinite(self):
+        m = np.eye(3)
+        m[0, 0] = np.nan
+        assert math.isinf(c_optimality(m, np.array([0.0, 0.0, 1.0])))
+        assert math.isinf(c_optimality(np.full((3, 3), np.nan),
+                                       np.array([0.0, 0.0, 1.0])))
+
+    @pytest.mark.parametrize("m, c", [
+        (np.ones((2, 3)), np.array([0.0, 1.0])),
+        (np.eye(2), np.array([np.nan, 1.0])),
+        (np.eye(2).astype(complex), np.array([0.0, 1.0])),
+        ([["a", "b"], ["c", "d"]], np.array([0.0, 1.0])),
+    ])
+    def test_contrast_variance_rejects_bad_input(self, m, c):
+        with pytest.raises(ValidationError):
+            contrast_variance(m, c)
 
     def test_indefinite_matrix_is_infinite(self):
         # 1 / tr M^-1 = 1 / 0.51 clears any trace certificate; only the
@@ -396,6 +413,13 @@ class TestBatchedValues:
                      lambda row: crit.values(np.stack([np.ones_like(row), row]))):
             with pytest.raises(ValidationError):
                 call(counts)
+
+    @pytest.mark.parametrize("dtype", [complex, str, object, bool])
+    def test_non_numeric_batch_rejected(self, dtype):
+        space = standard_space(3, max_replication=2)
+        crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+        with pytest.raises(ValidationError):
+            crit.values(np.ones((1, space.n_units)).astype(dtype))
 
     def test_fractional_row_scores_weighted_design(self):
         # at sequence granularity M is linear in the counts

@@ -162,9 +162,6 @@ class TestMonteCarlo:
                                  n_sims=2000)
         with pytest.raises(ValidationError):
             monte_carlo_variance(space, design, cov, beta=[0, 1], n_sims=10)
-        with pytest.raises(ValidationError):
-            monte_carlo_variance(space, design, cov, beta=[0, 1], n_sims=1000,
-                                 block_size=0)
 
     def test_csv_summary(self, tmp_path):
         space = space_from_sequences([(0,), (1,)], cells_per_period=5)
