@@ -138,39 +138,45 @@ def parse_space(cfg: dict) -> DesignSpace:
         raise ConfigError(f"invalid field 'space': {exc}") from exc
 
 
-def parse_covariance(cfg: dict, key: str = "covariance") -> CovarianceSpec:
-    spec = _require(cfg, key, dict, "")
-    where = f"{key}."
-    kind = _require(spec, "kind", str, where)
-    decay = _optional(spec, "decay", float, where, 1.0)
-    sigma2 = _optional(spec, "sigma2", float, where, 1.0)
+def parse_covariance(cfg: dict, where: str = "") -> CovarianceSpec:
+    """The ``covariance`` object of ``cfg``, the JSON object at path
+    ``where`` (empty at the top level, else written with a trailing dot)."""
+    spec = _require(cfg, "covariance", dict, where)
+    field = f"{where}covariance"
+    inner = f"{field}."
+    kind = _require(spec, "kind", str, inner)
+    decay = _optional(spec, "decay", float, inner, 1.0)
+    sigma2 = _optional(spec, "sigma2", float, inner, 1.0)
     try:
         if "icc" in spec:
             return CovarianceSpec.from_icc(
-                kind, _require(spec, "icc", float, where),
-                cac=_optional(spec, "cac", float, where, None), decay=decay,
+                kind, _require(spec, "icc", float, inner),
+                cac=_optional(spec, "cac", float, inner, None), decay=decay,
                 sigma2=sigma2)
-        return CovarianceSpec(kind, tau2=_require(spec, "tau2", float, where),
-                              omega2=_optional(spec, "omega2", float, where, 0.0),
+        return CovarianceSpec(kind, tau2=_require(spec, "tau2", float, inner),
+                              omega2=_optional(spec, "omega2", float, inner, 0.0),
                               decay=decay, sigma2=sigma2)
     except ValidationError as exc:
-        raise ConfigError(f"invalid field '{key}': {exc}") from exc
+        raise ConfigError(f"invalid field '{field}': {exc}") from exc
 
 
-def parse_model(cfg: dict, key: str = "model") -> ModelSpec:
-    if key not in cfg:
+def parse_model(cfg: dict, where: str = "") -> ModelSpec:
+    """The optional ``model`` object of ``cfg``, the JSON object at path
+    ``where`` (as in :func:`parse_covariance`)."""
+    if "model" not in cfg:
         return ModelSpec()
-    spec = cfg[key]
+    spec = cfg["model"]
+    field = f"{where}model"
     if not isinstance(spec, dict):
-        raise ConfigError(f"field '{key}' must be an object")
-    beta = (_require_list(spec, "beta", float, f"{key}.")
+        raise ConfigError(f"field '{field}' must be an object")
+    beta = (_require_list(spec, "beta", float, f"{field}.")
             if spec.get("beta") is not None else None)
     try:
         return ModelSpec(family=spec.get("family", "gaussian-identity"),
                          beta=beta,
-                         attenuate=_optional(spec, "attenuate", bool, f"{key}.", False))
+                         attenuate=_optional(spec, "attenuate", bool, f"{field}.", False))
     except ValidationError as exc:
-        raise ConfigError(f"invalid field '{key}': {exc}") from exc
+        raise ConfigError(f"invalid field '{field}': {exc}") from exc
 
 
 def parse_robust(cfg: dict, space: DesignSpace) -> RobustCriterion | None:
@@ -182,12 +188,10 @@ def parse_robust(cfg: dict, space: DesignSpace) -> RobustCriterion | None:
     entries_cfg = _require(spec, "entries", list, "robust.")
     entries = []
     for i, entry in enumerate(entries_cfg):
-        where = f"robust.entries[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"field '{where}' must be an object")
-        cov = parse_covariance(entry, "covariance")
-        model = parse_model(entry, "model")
-        prior = _require(entry, "prior", float, f"{where}.")
+        where = f"robust.entries[{i}]."
+        cov = parse_covariance(_object(entry, where), where)
+        model = parse_model(entry, where)
+        prior = _require(entry, "prior", float, where)
         entries.append(ModelEntry(covariance=cov, prior=prior, model=model))
     try:
         model_class = ModelClass(tuple(entries),

@@ -52,6 +52,14 @@ CRITERION_ROUNDING = 16 * np.finfo(float).eps
 # ``(K, clusters, cells, cells)`` arrays, or the kernel its copies of the
 # ``(K, P, P)`` stack, beyond this size.
 CHUNK_BYTES = 1 << 19
+# :meth:`DesignCriterion.single_moves` screens only designs whose
+# information matrix has ``tr M tr M^-1`` (at least the condition number)
+# up to SCREEN_CONDITION, and vouches only for rows whose two rank-one
+# denominators exceed SCREEN_DENOMINATOR: rounding in a denominator near
+# zero is amplified without bound, as where a removal leaves a direction of
+# ``M`` (almost) unidentified.
+SCREEN_CONDITION = 1e5
+SCREEN_DENOMINATOR = 1e-3
 
 
 def treatment_contrast(n_params: int) -> np.ndarray:
@@ -293,7 +301,8 @@ class _ClusterBlocks:
         # per-cell constants of every solve and gradient
         self._eye = np.eye(self.unit_idx.shape[-1])
         self._cell_unit = self.unit_idx.ravel()
-        self._cell_slope = -(self.n_per * self.weight).ravel()
+        # precision one unit replicate adds to each cell; zero at padding
+        self.cell_precision = (self.n_per * self.weight).ravel()
 
     def solve(self, n_obs: np.ndarray):
         """``(s, t, info)`` for observation counts ``n_obs`` (``(..., C, c)``).
@@ -322,8 +331,41 @@ class _ClusterBlocks:
         ``y = M^+ c``."""
         a = s * (t @ y)
         v = self.x @ y - (self.base @ a[..., None])[..., 0]
-        return np.bincount(self._cell_unit, weights=self._cell_slope * (v * v).ravel(),
+        return np.bincount(self._cell_unit, weights=-self.cell_precision * (v * v).ravel(),
                            minlength=n_units)
+
+    def rank_one_terms(self, n_obs: np.ndarray):
+        """``(info, u, var)`` of one design's counts ``n_obs`` (``(C, c)``):
+        its information matrix, and per cell (flattened over clusters) the
+        row ``u = X - B S t`` and the conditional variance ``var = (B - B S
+        A^-1 S B)_ii`` of the cell's random effect given the observed
+        cells, with ``A = I + S B S`` as in :meth:`solve`.
+
+        Adding precision ``delta`` to cell ``i`` adds ``delta / (1 + delta
+        var_i) u_i u_i'`` to the information. One stacked solve of ``A``
+        against ``[S X, S B]`` gives both. With ``H = A^-1 S B``, both are
+        ``(I + B S^2)^-1 [X, B] = S^-1 [t, H]``, so an observed cell takes
+        ``u = t / s`` and ``var = H_ii / s``, free of the cancellation in the
+        differences. An empty cell (``s = 0``) takes the differences, which
+        stay finite there.
+        """
+        s = np.sqrt(self.weight * n_obs)
+        sx = s[..., None] * self.x
+        sb = s[..., :, None] * self.base
+        p = sx.shape[-1]
+        solved = np.linalg.solve(sb * s[..., None, :] + self._eye,
+                                 np.concatenate([sx, sb], axis=-1))
+        t, h = solved[..., :p], solved[..., p:]
+        info = np.add.reduce(np.swapaxes(sx, -1, -2) @ t, axis=-3)
+        observed = s > 0
+        scale = 1.0 / np.where(observed, s, 1.0)
+        u = np.where(observed[..., None], t * scale[..., None],
+                     self.x - self.base @ (s[..., None] * t))
+        # (B S A^-1 S B)_ii = sum_j (S B)_ji H_ji, B being symmetric
+        var = np.where(observed, np.diagonal(h, axis1=-2, axis2=-1) * scale,
+                       np.diagonal(self.base, axis1=-2, axis2=-1)
+                       - np.einsum("kji,kji->ki", sb, h))
+        return info, u.reshape(-1, p), var.ravel()
 
 
 def _cluster_blocks(space: DesignSpace, cov: CovarianceSpec,
@@ -361,7 +403,9 @@ class DesignCriterion:
     follow. For sequence-granularity spaces the per-unit information
     blocks are precomputed once and summed; otherwise the padded cell
     blocks of all clusters are solved in one stacked call for the whole
-    batch.
+    batch. Where every unit is one cell, ``single_moves`` screens all the
+    single-unit moves from one design by rank-one updates, which the greedy
+    walks of :mod:`crtoptim.search` use to pick the moves worth scoring.
     """
 
     def __init__(self, space: DesignSpace, covariance: CovarianceSpec,
@@ -378,8 +422,15 @@ class DesignCriterion:
             self._clusters = None
         else:
             self._unit_blocks = None
-            self._clusters = _cluster_blocks(space, covariance, self.model)
-            n_clusters, n_cells = self._clusters.unit_idx.shape
+            self._clusters = cl = _cluster_blocks(space, covariance, self.model)
+            n_clusters, n_cells = cl.unit_idx.shape
+            # each unit's cell among the flattened cells, -1 for a unit of
+            # several cells (padding cells hold no observations)
+            real = np.flatnonzero(cl.n_per.ravel() > 0)
+            owner = cl.unit_idx.ravel()[real]
+            self._unit_cell = np.full(space.n_units, -1)
+            self._unit_cell[owner] = real
+            self._unit_cell[np.bincount(owner, minlength=space.n_units) != 1] = -1
             row_bytes += 8 * n_clusters * n_cells * (n_cells + 2 * p)
         self._chunk_rows = max(1, CHUNK_BYTES // row_bytes)
 
@@ -461,6 +512,66 @@ class DesignCriterion:
         if cl is None:
             return value, -np.einsum("i,kij,j->k", y, self._unit_blocks, y)
         return value, cl.gradient(s[0], t[0], y, self.space.n_units)
+
+    def single_moves(self, counts, units, step: int):
+        """Screened criterion values of the design ``counts`` with one
+        replicate of each unit in ``units`` added (``step`` 1) or removed
+        (``step`` -1), one per unit, from one solve of ``counts`` alone; or
+        ``None`` where the screen does not apply.
+
+        Adding precision ``delta = step w n_per`` to a cell changes ``M``
+        by ``rho u u'`` with ``rho = delta / (1 + delta var)`` and ``(u,
+        var)`` from :meth:`_ClusterBlocks.rank_one_terms`, so with ``f = c'
+        M^-1 c``, ``y = M^-1 c`` and ``M = L L'`` the moved design scores
+        ``f - rho (y'u)^2 / (1 + rho |L^-1 u|^2)``. That agrees with
+        :meth:`values` to rounding, which grows with the conditioning of
+        ``M`` and as the denominators approach zero. A row is NaN where
+        either denominator is at most ``SCREEN_DENOMINATOR``: the screen
+        cannot vouch for it. ``None`` at sequence granularity, for a unit
+        of more than one cell, and for a design whose ``M`` is not
+        certified full-rank by a Cholesky factorisation with ``tr M tr
+        M^-1`` up to ``SCREEN_CONDITION``. Except at sequence granularity,
+        raises :class:`ValidationError` for counts that ``values`` rejects, for
+        ``units`` that are not unit indices, for a ``step`` other than 1 or
+        -1, and for a removal from a unit the design does not hold.
+        """
+        cl = self._clusters
+        if cl is None:
+            return None
+        batch = self._batch(np.asarray(counts)[None])
+        units = np.asarray(units)
+        if (units.dtype.kind not in "iu" or units.ndim != 1
+                or not ((units >= 0) & (units < self.space.n_units)).all()):
+            raise ValidationError("units must be a vector of unit indices")
+        if step not in (1, -1) or isinstance(step, bool):
+            raise ValidationError("step must be 1 or -1")
+        if step == -1 and (batch[0, units] < 1).any():
+            raise ValidationError("a removal from a unit the design does not hold")
+        cells = self._unit_cell[units]
+        if (cells < 0).any():
+            return None
+        info, u, var = cl.rank_one_terms(batch[0][cl.unit_idx] * cl.n_per)
+        info = 0.5 * (info + info.T)
+        try:
+            lower_inv = np.linalg.inv(np.linalg.cholesky(info))
+        except np.linalg.LinAlgError:
+            return None
+        # written so that a NaN matrix fails too
+        if not np.einsum("ij,ij->", lower_inv, lower_inv) * np.trace(info) <= SCREEN_CONDITION:
+            return None
+        z = lower_inv @ self.contrast
+        y = z @ lower_inv
+        delta = step * cl.cell_precision[cells]
+        u = u[cells]
+        shrink = 1.0 + delta * var[cells]
+        trusted = shrink > SCREEN_DENOMINATOR
+        # rho = delta / shrink, without dividing by a denominator near zero
+        rho = np.where(trusted, delta, 0.0) / np.where(trusted, shrink, 1.0)
+        denominator = 1.0 + rho * np.add.reduce((u @ lower_inv.T) ** 2, axis=-1)
+        trusted &= denominator > SCREEN_DENOMINATOR
+        screened = z @ z - rho * (u @ y) ** 2 / np.where(trusted, denominator, 1.0)
+        screened[~trusted] = np.nan
+        return screened
 
     def value_of(self, design: Design) -> float:
         design.validate(self.space)

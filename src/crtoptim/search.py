@@ -7,11 +7,11 @@ whose ``values`` maps a ``(K, J)`` count matrix to ``K`` values. Local
 search repeatedly applies the best value-improving single swap from
 random feasible starts; reverse greedy strips the full space down to the
 target size, removing whichever unit costs the least variance. Every
-sweep is one call of :func:`_best_moves`, which builds the whole
-neighbourhood (every swap, every single-unit removal or addition) as one
-count matrix and scores it with one ``values`` call. Local search runs its
-restarts in lockstep, so one call scores the swaps of every restart that
-is still moving.
+sweep is one call of :func:`_best_moves`, which builds the neighbourhood
+(every swap, every single-unit removal or addition, or a greedy step's
+front-runners, below) as one count matrix and scores it with one
+``values`` call. Local search runs its restarts in lockstep, so one call
+scores the swaps of every restart that is still moving.
 
 The restarts of one local search keep landing on the same designs, so it
 scores each distinct design once per call: a memo in front of the
@@ -22,6 +22,20 @@ own, so row ``i`` of a batch equals the value of that row alone, bit for
 bit, as :class:`DesignCriterion` and :class:`RobustCriterion` guarantee.
 The memo lives for one call and is cleared when it holds more than
 ``MEMO_BYTES`` (128 KiB) of raw keys and values.
+
+Greedy walks (reverse greedy and the rounding fill) move one unit at a
+time. A criterion may also offer ``single_moves(counts, units, step)``,
+approximate values of all of a step's moves from one solve of the current
+design, NaN for a move it cannot vouch for, or ``None`` where it does not
+apply; :class:`DesignCriterion` does so by a rank-one update wherever every
+unit is one cell (cluster-period and observation granularity) and the
+design's information matrix is well conditioned. A walk then scores through
+``values`` only the moves within ``SCREEN_RTOL`` of the best screened value
+and the moves screened NaN. ``values`` alone picks the move and gives every
+reported value, so while the screen errs by less than ``SCREEN_RTOL / 2``
+(it errs by about 1e-13) a walk takes the moves and reports the values of
+scoring every move in full. Sequence spaces, robust criteria and the swaps
+of local search score every row.
 
 Values within ``CRITERION_ROUNDING`` (relative) of each other are ties: the
 order of two such values is the rounding of the criterion kernel, not a
@@ -50,6 +64,10 @@ MAX_START_DRAWS = 1000
 # On large spaces rows seldom repeat, so the memo is cleared when full
 # rather than grow with every sweep.
 MEMO_BYTES = 1 << 17
+# Relative band above the smallest screened move value within which a
+# greedy step still scores a move through ``values``: far above the
+# criterion's rounding (``CRITERION_ROUNDING``) and the screen's own error.
+SCREEN_RTOL = 1e-9
 
 
 class _ScoreMemo:
@@ -161,17 +179,40 @@ def _best_moves(criterion, counts, owner, remove=None, add=None):
     return best, values[best]
 
 
+def _front_runners(screened, units):
+    """The units whose screened move values (NaN where the screen cannot
+    vouch) lie within ``SCREEN_RTOL`` of the smallest, or cannot be
+    vouched for; all of ``units`` when nothing was screened."""
+    if screened is None:
+        return units
+    finite = screened[np.isfinite(screened)]
+    if finite.size == 0:
+        return units
+    low = finite.min()
+    edge = low + SCREEN_RTOL * abs(low)
+    # a NaN row fails the comparison and is kept
+    return units[~(screened > edge)]
+
+
 def _greedy_walk(criterion, counts, target: int, cap: int, progress=None):
     """Walk ``counts`` in place to size ``target`` (reachable under ``cap``),
     one unit at a time: each step removes (above the target) or adds (below
     it) the unit whose move gives the lowest criterion, ties to the lowest
-    unit, and is reported as ``progress(step, value)``."""
+    unit, and is reported as ``progress(step, value)``.
+
+    A criterion with a ``single_moves`` screen has every move screened
+    first, and only the front-runners (see :func:`_front_runners`) are
+    scored by ``values``, which alone decides the move and the value."""
     down = counts.sum() > target
+    move = -1 if down else 1
+    screen = getattr(criterion, "single_moves", None)
     for step in range(1, abs(int(counts.sum()) - target) + 1):
         units = np.flatnonzero(counts > 0 if down else counts < cap)
+        if screen is not None:
+            units = _front_runners(screen(counts, units, move), units)
         best, value = _best_moves(criterion, counts[None], np.zeros_like(units),
                                   *((units, None) if down else (None, units)))
-        counts[units[best[0]]] += -1 if down else 1
+        counts[units[best[0]]] += move
         if progress is not None:
             progress(step, float(value[0]))
 

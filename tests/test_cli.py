@@ -36,6 +36,12 @@ EXPLICIT_SPACE = {"T": 2, "units": [
     {"cells": [{"period": 1, "treated": 0}, {"period": 2, "treated": 0}]}]}
 
 
+ROBUST = {"entries": [
+    {"covariance": {"kind": "EXC1", "icc": 0.05}, "prior": 0.5,
+     "model": {"family": "binomial-logit", "beta": [0, 0, 0, 0, 0]}},
+    {"covariance": {"kind": "EXC2", "icc": 0.05, "cac": 0.5}, "prior": 0.5}]}
+
+
 class TestOptimize:
     def test_local_search_bundle(self, tmp_path, runner):
         cfg_path = write_json(tmp_path / "cfg.json", base_config(tmp_path))
@@ -270,6 +276,21 @@ class TestOptimize:
         ({"grid": {"kind": "EXC2", "icc": [0.05], "cac": [0.5]}},
          ("grid", "cac"), [], "grid.cac"),
         ({}, ("out",), 5, "out"),
+        # errors inside a robust entry name the entry
+        ({"robust": ROBUST}, ("robust", "entries", 1, "covariance", "icc"), "x",
+         "robust.entries[1].covariance.icc"),
+        ({"robust": ROBUST}, ("robust", "entries", 1, "covariance", "icc"), 2.0,
+         "robust.entries[1].covariance"),
+        ({"robust": ROBUST}, ("robust", "entries", 0, "covariance"), 5,
+         "robust.entries[0].covariance"),
+        ({"robust": ROBUST}, ("robust", "entries", 0, "model", "attenuate"), "false",
+         "robust.entries[0].model.attenuate"),
+        ({"robust": ROBUST}, ("robust", "entries", 0, "model", "beta"), ["a"],
+         "robust.entries[0].model.beta"),
+        ({"robust": ROBUST}, ("robust", "entries", 0, "model", "family"), "probit",
+         "robust.entries[0].model"),
+        ({"robust": ROBUST}, ("robust", "entries", 1, "model"), 5,
+         "robust.entries[1].model"),
     ])
     def test_mistyped_optional_field_exits_two(self, tmp_path, runner,
                                                 overrides, keys, bad, field):

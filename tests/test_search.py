@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from crtoptim import (CovarianceSpec, DesignCriterion, InfeasibleError,
-                      ModelClass, RobustCriterion, ValidationError,
-                      best_rounding, brute_force_optimum, local_search,
-                      reverse_greedy, space_from_sequences, standard_space,
-                      swap_delta)
-from crtoptim import search
+from crtoptim import (Cell, CovarianceSpec, DesignCriterion, DesignSpace,
+                      ExperimentalUnit, InfeasibleError, ModelClass, ModelSpec,
+                      RobustCriterion, ValidationError, best_rounding,
+                      brute_force_optimum, local_search, reverse_greedy,
+                      space_from_sequences, standard_space, swap_delta)
+from crtoptim import apportion, glscore, search
 from crtoptim.glscore import CRITERION_ROUNDING
 
 
@@ -416,3 +416,179 @@ class TestAgainstBruteForce:
             if result.value == pytest.approx(brute.value, rel=1e-10):
                 matched += 1
         assert matched >= 10
+
+
+class ValuesOnly:
+    """A criterion seen through ``values`` alone (and ``value``, which
+    ``best_rounding`` reports): every greedy move is scored in full."""
+
+    def __init__(self, criterion):
+        self.criterion = criterion
+
+    def values(self, batch):
+        return self.criterion.values(batch)
+
+    def value(self, counts):
+        return self.criterion.value(counts)
+
+
+def screen_cases():
+    """{cluster-period, observation} x {EXC1, EXC2, AR1} x {Gaussian,
+    binomial-logit}, on the 20 single-cell units of the T=4 standard space."""
+    covs = [CovarianceSpec.from_icc("EXC1", 0.1),
+            CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7),
+            CovarianceSpec.from_icc("AR1", 0.2, decay=0.6)]
+    models = [ModelSpec(), ModelSpec("binomial-logit", beta=(-2, -1.5, -1, -0.5, 0.5))]
+    for granularity, cap, count in (("cluster-period", 4, 3), ("observation", 3, 1)):
+        space = standard_space(4, max_replication=cap, cells_per_period=count,
+                               granularity=granularity)
+        for cov in covs:
+            for model in models:
+                yield pytest.param(space, DesignCriterion(space, cov, model),
+                                   id=f"{granularity}-{cov.kind}-{model.family}")
+
+
+def walk(criterion, counts, target, cap):
+    """``_greedy_walk`` from a copy of ``counts``: the end design and the
+    progress trail, values as hex."""
+    counts = np.array(counts)
+    trail = []
+    search._greedy_walk(criterion, counts, target, cap,
+                        lambda i, v: trail.append((i, v.hex())))
+    return counts.tolist(), trail
+
+
+def neighbours(counts, units, step):
+    batch = np.repeat(np.asarray(counts)[None], len(units), axis=0)
+    batch[np.arange(len(units)), units] += step
+    return batch
+
+
+class TestSingleMoveScreen:
+    """Greedy walks screen their single-unit moves by a rank-one update and
+    score only the front-runners through ``values``: the designs, values
+    and progress trails are those of scoring every move in full."""
+
+    @pytest.mark.parametrize("space, crit", screen_cases())
+    def test_reverse_greedy_matches_full_scoring(self, space, crit):
+        runs = []
+        for criterion in (crit, ValuesOnly(crit)):
+            trail = []
+            result = reverse_greedy(space, criterion, 12,
+                                    progress=lambda i, v: trail.append((i, v.hex())))
+            runs.append((result.design.counts, result.value.hex(), trail))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("space, crit", screen_cases())
+    def test_walks_both_ways_match_full_scoring(self, space, crit):
+        cap = space.max_replication
+        start = np.random.default_rng(7).integers(1, cap + 1, space.n_units)
+        for target in (8, 50):
+            assert walk(crit, start, target, cap) == walk(ValuesOnly(crit), start,
+                                                          target, cap)
+
+    @pytest.mark.parametrize("space, crit", screen_cases())
+    def test_best_rounding_matches_full_scoring(self, monkeypatch, space, crit):
+        weights = np.random.default_rng(3).dirichlet(np.ones(space.n_units))
+        args = (space, crit.covariance, weights, 30, crit.model)
+        screened = best_rounding(*args)
+        monkeypatch.setattr(apportion, "DesignCriterion",
+                            lambda *a, **k: ValuesOnly(DesignCriterion(*a, **k)))
+        assert best_rounding(*args) == screened
+
+    @pytest.mark.parametrize("space, crit", screen_cases())
+    def test_screen_agrees_with_values(self, space, crit):
+        rng = np.random.default_rng(11)
+        cap = space.max_replication
+        screened = 0
+        for _ in range(20):
+            counts = rng.integers(0, cap + 1, space.n_units)
+            for step, movable in ((1, counts < cap), (-1, counts > 0)):
+                units = np.flatnonzero(movable)
+                approx = crit.single_moves(counts, units, step)
+                if approx is None:
+                    continue
+                screened += 1
+                full = crit.values(neighbours(counts, units, step))
+                # a row the screen gives a number is one values scores finite
+                assert np.isfinite(full[np.isfinite(approx)]).all()
+                both = np.isfinite(approx) & np.isfinite(full)
+                assert np.abs(approx[both] - full[both]).max() <= 1e-12 * full[both].min()
+        assert screened >= 30
+
+    def test_screen_scores_few_rows(self):
+        space = standard_space(6, max_replication=10, granularity="cluster-period")
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5))
+
+        class Screened(Recording):
+            def single_moves(self, counts, units, step):
+                return self.criterion.single_moves(counts, units, step)
+
+        screened, full = Screened(crit), Recording(crit)
+        assert (reverse_greedy(space, screened, 60)
+                == reverse_greedy(space, full, 60))
+        # 360 removals: every move scored in full against the front-runners
+        assert len(screened.rows) < len(full.rows) / 10
+
+    def test_rank_deficient_start_falls_back(self):
+        # no observation in period 4: its effect is unidentified, the
+        # treatment effect is not
+        space = standard_space(4, max_replication=4, cells_per_period=3,
+                               granularity="cluster-period")
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC1", 0.1))
+        counts = [0 if unit.cells[0].period == 4 else 1 for unit in space.units]
+        assert math.isfinite(crit.value(counts))
+        assert crit.single_moves(counts, np.arange(space.n_units), 1) is None
+        assert walk(crit, counts, 30, 4) == walk(ValuesOnly(crit), counts, 30, 4)
+
+    def test_unidentifying_removal_is_never_vouched_for(self):
+        # unit 5 holds the only treated observations
+        space = standard_space(4, max_replication=4, cells_per_period=3,
+                               granularity="cluster-period")
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.1, cac=0.6))
+        counts = np.zeros(space.n_units, dtype=int)
+        counts[:4] = 2
+        counts[4:6] = 1
+        units = np.flatnonzero(counts)
+        approx = crit.single_moves(counts, units, -1)
+        full = crit.values(neighbours(counts, units, -1))
+        assert full[units == 5] == math.inf
+        assert np.isnan(approx[units == 5]).all()
+        assert np.isfinite(approx[units != 5]).all()
+        assert walk(crit, counts, 3, 4) == walk(ValuesOnly(crit), counts, 3, 4)
+
+    def test_screen_does_not_apply(self, monkeypatch):
+        cov = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7)
+        seq = standard_space(3, max_replication=2)
+        assert DesignCriterion(seq, cov).single_moves([1] * 4, [0, 1], 1) is None
+        # a unit of two cells
+        two = DesignSpace(2, (ExperimentalUnit(0, (Cell(1, 0), Cell(2, 1))),
+                              ExperimentalUnit(1, (Cell(1, 0),)),
+                              ExperimentalUnit(1, (Cell(2, 0),))),
+                          max_replication=3, granularity="cluster-period")
+        crit = DesignCriterion(two, cov)
+        assert crit.single_moves([1, 1, 1], [0, 1], 1) is None
+        assert crit.single_moves([1, 1, 1], [1, 2], 1) is not None
+        # a design past the conditioning bound
+        space = standard_space(3, max_replication=2, granularity="cluster-period")
+        crit = DesignCriterion(space, cov)
+        counts = [1] * space.n_units
+        assert crit.single_moves(counts, [0], 1) is not None
+        monkeypatch.setattr(glscore, "SCREEN_CONDITION", 1.0)
+        assert crit.single_moves(counts, [0], 1) is None
+
+    @pytest.mark.parametrize("counts, units, step", [
+        ([1] * 12, [0, 12], 1), ([1] * 12, [-1], 1), ([1] * 12, [0.5], 1),
+        ([1] * 12, [[0]], 1), ([1] * 12, [0], 2), ([1] * 12, [0], True),
+        ([0] + [1] * 11, [0], -1), ([1] * 11, [0], 1), ([-1] + [1] * 11, [1], 1)])
+    def test_screen_rejects(self, counts, units, step):
+        space = standard_space(3, max_replication=2, granularity="cluster-period")
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC1", 0.1))
+        with pytest.raises(ValidationError):
+            crit.single_moves(counts, units, step)
+
+    def test_robust_criterion_has_no_screen(self):
+        space = standard_space(3, max_replication=2, granularity="cluster-period")
+        crit = RobustCriterion(space, ModelClass.equal_priors(
+            [CovarianceSpec.from_icc("EXC1", 0.1)]))
+        assert not hasattr(crit, "single_moves")
