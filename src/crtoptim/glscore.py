@@ -15,16 +15,19 @@ Scoring is batched: :meth:`DesignCriterion.values` maps a ``(K, J)`` matrix
 of per-unit counts to ``K`` criteria through one stacked rank-aware solve
 over ``(K, P, P)`` information matrices, and every other criterion value
 (``value``, ``contrast_variance``, the weight solvers) is that kernel on a
-stack of one. The kernel inverts the Cholesky factors of the whole stack
-in one LAPACK call and keeps a row's answer only under a full-rank
-certificate, ``1 / tr M^-1 > CERTIFICATE_MARGIN * RANK_TOL * tr M``; rows
-that fail it (rank-deficient, indefinite or NaN) take a rank-revealing
-eigen-solve instead. A stack that LAPACK refuses because of one
-singular row is bisected until that row is alone. Each row's information
-matrix is accumulated in a fixed order over units or clusters, never by
-one BLAS product across rows whose kernel (and rounding) could change with
-``K``, and each row is decided on its own, so a row's value is
-bit-identical whichever batch it is scored in.
+stack of one. The kernel factorises the whole stack twice by Cholesky,
+``M`` and ``M - delta I`` with ``delta = CERTIFICATE_MARGIN * RANK_TOL *
+tr M``, in one LAPACK call, and no matrix is inverted. When both succeed
+the smallest eigenvalue exceeds ``delta``, which certifies the row
+full-rank, and the treatment contrast ``e_P`` scores ``1 / L_PP^2`` from
+the factor of ``M``. Rows that fail the certificate (rank-deficient,
+indefinite, NaN or infinite) take a rank-revealing eigen-solve instead; a
+contrast other than ``e_P`` is first rotated onto it. A stack that LAPACK
+refuses because of one singular row is bisected until that row is alone.
+Each row's information matrix is accumulated in a fixed order over units
+or clusters, never by one BLAS product across rows whose kernel (and
+rounding) could change with ``K``, and each row is decided on its own, so
+a row's value is bit-identical whichever batch it is scored in.
 """
 from __future__ import annotations
 
@@ -41,9 +44,12 @@ from .errors import NumericDomainError, ValidationError
 # residual of the contrast after projection onto the range of M.
 RANK_TOL = 1e-10
 RANGE_TOL = 1e-8
-# How far above RANK_TOL the full-rank certificate of the Cholesky path
-# must hold; it absorbs the rounding of the certificate itself.
+# The Cholesky path certifies a row full-rank when ``M - delta I`` with
+# ``delta = CERTIFICATE_MARGIN * RANK_TOL * tr M`` still factorises; the
+# margin above RANK_TOL absorbs the backward error of that factorisation.
 CERTIFICATE_MARGIN = 10.0
+# Cap on ``|tr M|`` in that shift, so that it stays finite.
+_LARGEST = np.finfo(float).max
 # Relative rounding of a criterion value: two values closer than this say
 # nothing about which design or weighting is better.
 CRITERION_ROUNDING = 16 * np.finfo(float).eps
@@ -69,68 +75,87 @@ def treatment_contrast(n_params: int) -> np.ndarray:
     return c
 
 
-def _contrast_kernel(m: np.ndarray, c: np.ndarray):
-    """Rank-aware solve behind every criterion value.
-
-    ``m`` is a stack ``(K, P, P)`` of information matrices. Returns
-    ``(value, y)`` with ``value[k] = c' M^+ c`` and ``y[k] = M^+ c``, the
-    estimation direction the gradient needs. ``value`` is ``inf`` where the
-    contrast is outside the range of ``M`` or ``M`` is not positive
-    semi-definite to tolerance.
-
-    The stack is symmetrised and solved through its Cholesky factors
-    ``L``: one stacked ``inv(L)`` gives ``z = L^-1 c``, ``value = z'z``,
-    ``y = L^-T z`` and ``tr M^-1 = |L^-1|_F^2``. A row keeps that answer
-    only under a full-rank certificate, ``1 / tr M^-1 > CERTIFICATE_MARGIN *
-    RANK_TOL * tr M``: it bounds the smallest eigenvalue from below and the
-    largest from above, so a rank-revealing eigen-solve would keep every
-    eigenvalue and give the same value to rounding. A successful Cholesky
-    factorisation is what rules out an indefinite ``M``, which the trace
-    certificate alone cannot. Every other row (rank-deficient, indefinite,
-    NaN) is solved on its own by :func:`_eigen_solve`. Stacked LAPACK calls
-    raise ``LinAlgError`` for the whole stack when one row cannot be
-    factorised; the stack is then halved until the failure is pinned to
-    single rows, which take the eigen path. Every row is decided and solved
-    on its own, so its results do not depend on the rest of the stack.
-    """
+def _symmetrised(m: np.ndarray) -> np.ndarray:
+    """``(M + M') / 2`` of a ``(..., P, P)`` stack, as a new array."""
     m = m + np.swapaxes(m, -1, -2)
     m *= 0.5
-    value, y = _certified_solve(m, c)
-    uncertified = np.isnan(value)
-    if uncertified.any():
-        value[uncertified], y[uncertified] = _eigen_solve(m[uncertified], c)
-    return value, y
+    return m
 
 
-def _certified_solve(m: np.ndarray, c: np.ndarray):
-    """``(value, y)`` of the Cholesky path of :func:`_contrast_kernel`,
-    with ``value`` NaN on every row that it does not certify."""
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """Stacked Cholesky factors, NaN on every row that LAPACK refuses.
+
+    A stacked call raises ``LinAlgError`` for the whole stack when one row
+    cannot be factorised; the stack is then halved until the failure is
+    pinned to single rows. A row LAPACK does factorise may still hold NaN
+    (numpy 2 factorises a NaN matrix without raising), which reaches the
+    last diagonal entry of its factor.
+    """
     try:
-        lower_inv = np.linalg.inv(np.linalg.cholesky(m))
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         if len(m) == 1:
-            return np.full(1, np.nan), np.full(m.shape[:-1], np.nan)
+            return np.full(m.shape, np.nan)
         half = len(m) // 2
-        (v1, y1), (v2, y2) = (_certified_solve(m[:half], c),
-                              _certified_solve(m[half:], c))
-        return np.concatenate([v1, v2]), np.concatenate([y1, y2])
-    z = lower_inv @ c
-    # np.add.reduce is what np.sum calls, without its per-call wrapper
-    value = np.add.reduce(z * z, axis=-1)
-    y = (z[:, None, :] @ lower_inv)[:, 0]
-    trace_inv = np.einsum("kij,kij->k", lower_inv, lower_inv)
-    # written so that a NaN row fails the certificate
-    certified = (trace_inv * np.trace(m, axis1=-2, axis2=-1)
-                 * (CERTIFICATE_MARGIN * RANK_TOL) < 1.0)
-    value[~certified] = np.nan
-    return value, y
+        return np.concatenate([_cholesky(m[:half]), _cholesky(m[half:])])
+
+
+def _contrast_kernel(m: np.ndarray):
+    """Rank-aware solve behind every criterion value.
+
+    ``m`` is a stack ``(K, P, P)`` of information matrices and the contrast
+    is ``e_P``, the treatment coefficient. Returns ``(value, lower)`` with
+    ``value[k] = e_P' M^+ e_P``, ``inf`` where the contrast is outside the
+    range of ``M`` or ``M`` is not positive semi-definite to tolerance, and
+    ``lower[k]`` the Cholesky factor of the symmetrised ``M`` on a row the
+    certificate below passes, NaN on every other row.
+
+    The stack is symmetrised and factorised twice in one stacked call,
+    ``M = L L'`` and, with ``delta = CERTIFICATE_MARGIN * RANK_TOL * tr M``,
+    ``M - delta I``. A row is certified full-rank when both factors have a
+    finite, positive last diagonal entry: a Cholesky factorisation succeeds
+    only on a matrix that is positive definite up to its backward error, so
+    ``lambda_min > delta >= CERTIFICATE_MARGIN * RANK_TOL * lambda_max`` and
+    a rank-revealing eigen-solve would keep every eigenvalue. A certified
+    row scores ``1 / L_PP^2``: ``L^-1 e_P = e_P / L_PP`` since ``L`` is
+    lower triangular. Every other row (rank-deficient, indefinite, NaN or
+    infinite) is solved on its own by :func:`_eigen_solve`. Each row is
+    decided and solved on its own, so its results do not depend on the rest
+    of the stack.
+    """
+    m = _symmetrised(m)
+    k, p = m.shape[:2]
+    # M and M - delta I, stacked so that one LAPACK call factorises both
+    both = np.concatenate((m, m))
+    diagonal = both[k:].reshape(k, p * p)[:, ::p + 1]
+    # |tr M| capped at the largest float: an infinite entry on the diagonal
+    # then never meets an infinite shift (inf - inf)
+    trace = np.minimum(np.abs(np.add.reduce(diagonal, axis=-1)), _LARGEST)
+    diagonal -= (CERTIFICATE_MARGIN * RANK_TOL * trace)[:, None]
+    factors = _cholesky(both)
+    pivots = factors[:, -1, -1]
+    # written so that a NaN pivot fails
+    factorised = (pivots > 0.0) & (pivots < math.inf)
+    certified = factorised[:k] & factorised[k:]
+    lower, pivot = factors[:k], pivots[:k]
+    value = 1.0 / (pivot * pivot)
+    if not certified.all():
+        uncertified = ~certified
+        lower[uncertified] = np.nan
+        value[uncertified] = _eigen_solve(m[uncertified], treatment_contrast(p))[0]
+    return value, lower
 
 
 def _eigen_solve(m: np.ndarray, c: np.ndarray):
     """``(value, y)`` of :func:`_contrast_kernel` through a rank-revealing
     eigendecomposition of a symmetric stack: eigenvalues below ``RANK_TOL``
     of the largest are dropped, and the row is ``inf`` if ``c`` has more
-    than ``RANGE_TOL`` of its length along the dropped eigenvectors."""
+    than ``RANGE_TOL`` of its length along the dropped eigenvectors. A row
+    with a non-finite entry, which LAPACK would refuse, is solved as the
+    zero matrix and so is ``inf``."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        m = np.where(finite[:, None, None], m, 0.0)
     w, vecs = np.linalg.eigh(m)
     wmax = w[..., -1:]
     keep = w > RANK_TOL * np.maximum(wmax, 0.0)
@@ -150,11 +175,17 @@ def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
     """``c' M^+ c`` of one information matrix, through the rank-aware
     kernel every criterion value uses.
 
+    The kernel scores the contrast ``e_P``, so ``c`` is first mapped onto
+    it by an orthogonal similarity, which leaves ``c' M^+ c`` and the rank
+    decisions unchanged: ``Q M Q'`` with ``Q c = +-|c| e_P``, ``Q`` a
+    symmetric permutation when ``c`` is a multiple of a unit vector and a
+    Householder reflection otherwise.
+
     Returns ``inf`` when the contrast is outside the range of ``M`` (the
     design carries no information on it), when ``M`` is not positive
     semi-definite to tolerance, or when ``M`` has a non-finite entry.
     Raises :class:`ValidationError` unless ``M`` is a real square matrix
-    and ``c`` a finite real vector of matching length.
+    and ``c`` a finite, non-zero real vector of matching length.
     """
     m, c = np.asarray(m), np.asarray(c)
     if m.dtype.kind not in "iuf" or c.dtype.kind not in "iuf":
@@ -165,9 +196,27 @@ def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
         raise ValidationError("contrast length does not match the information matrix")
     if not np.isfinite(c).all():
         raise ValidationError("contrast must be finite")
+    nonzero = np.flatnonzero(c)
+    if nonzero.size == 0:
+        raise ValidationError("contrast must be non-zero")
     if not np.isfinite(m).all():
         return math.inf
-    return float(_contrast_kernel(m.astype(float)[None], c.astype(float))[0][0])
+    m, c = m.astype(float), c.astype(float)
+    if nonzero.size == 1:
+        # swap the contrast's coefficient with the last one
+        order = np.arange(c.size)
+        order[[nonzero[0], -1]] = order[[-1, nonzero[0]]]
+        m = m[np.ix_(order, order)]
+        scale = abs(c[nonzero[0]])
+    else:
+        # H = I - 2 v v' / v'v maps c onto -sign(c_P) |c| e_P; adding to
+        # c_P a term of its own sign avoids cancellation in v
+        scale = float(np.linalg.norm(c))
+        v = c.copy()
+        v[-1] += math.copysign(scale, c[-1])
+        h = np.eye(c.size) - (2.0 / (v @ v)) * np.outer(v, v)
+        m = h @ m @ h
+    return float(_contrast_kernel(m[None])[0][0]) * scale * scale
 
 
 def c_optimality(m: np.ndarray, c: np.ndarray) -> float:
@@ -472,6 +521,11 @@ class DesignCriterion:
         """Criterion values of a ``(K, J)`` batch of per-unit multiplicities,
         one per row; row ``i`` equals ``value(batch[i])`` bit for bit.
 
+        Each row is ``1 / L_PP^2`` from the Cholesky factor of its
+        information matrix where the shifted-Cholesky certificate of
+        :func:`_contrast_kernel` holds, and a rank-revealing eigen-solve
+        elsewhere; no matrix is inverted.
+
         Multiplicities must be finite and non-negative; a fractional row is
         legal and scores the weighted design it describes (the weight
         solvers evaluate ``N * phi``). Raises :class:`ValidationError`
@@ -479,7 +533,7 @@ class DesignCriterion:
         """
         batch = self._batch(batch)
         if len(batch) <= self._chunk_rows:
-            return _contrast_kernel(self._information(batch), self.contrast)[0]
+            return _contrast_kernel(self._information(batch))[0]
         return np.concatenate([self.values(batch[i:i + self._chunk_rows])
                                for i in range(0, len(batch), self._chunk_rows)])
 
@@ -491,7 +545,8 @@ class DesignCriterion:
         """``(value, grad)`` of one row of multiplicities, with ``grad[j]``
         the derivative of the value in ``counts[j]``.
 
-        With ``y = M^+ c``, unit ``j`` gives ``-y' B_j y`` at sequence
+        With ``y = M^+ c``, from the kernel's Cholesky factor of ``M`` where
+        it certifies the row and an eigen-solve elsewhere, unit ``j`` gives ``-y' B_j y`` at sequence
         granularity, ``B_j`` its information block. At cluster granularity,
         from the same stacked solve as the value, a cell holding ``n``
         observations adds ``-n_per w v^2`` to its unit, where
@@ -505,10 +560,16 @@ class DesignCriterion:
             m = self._information(batch)
         else:
             s, t, m = cl.solve(batch[:, cl.unit_idx] * cl.n_per)
-        value, y = _contrast_kernel(m, self.contrast)
-        value, y = float(value[0]), y[0]
+        value, lower = _contrast_kernel(m)
+        value = float(value[0])
         if value == math.inf:
             return value, np.full(self.space.n_units, np.nan)
+        if lower[0, -1, -1] == lower[0, -1, -1]:
+            # a certified row, NaN-free: y = L^-T L^-1 c
+            lower_inv = np.linalg.inv(lower)
+            y = ((lower_inv @ self.contrast)[:, None, :] @ lower_inv)[0, 0]
+        else:
+            y = _eigen_solve(_symmetrised(m), self.contrast)[1][0]
         if cl is None:
             return value, -np.einsum("i,kij,j->k", y, self._unit_blocks, y)
         return value, cl.gradient(s[0], t[0], y, self.space.n_units)

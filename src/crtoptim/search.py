@@ -31,11 +31,12 @@ apply; :class:`DesignCriterion` does so by a rank-one update wherever every
 unit is one cell (cluster-period and observation granularity) and the
 design's information matrix is well conditioned. A walk then scores through
 ``values`` only the moves within ``SCREEN_RTOL`` of the best screened value
-and the moves screened NaN. ``values`` alone picks the move and gives every
-reported value, so while the screen errs by less than ``SCREEN_RTOL / 2``
-(it errs by about 1e-13) a walk takes the moves and reports the values of
-scoring every move in full. Sequence spaces, robust criteria and the swaps
-of local search score every row.
+and the moves screened NaN; a lone candidate is taken unscored unless its
+value is to be reported. ``values`` alone picks between candidates and
+gives every reported value, so while the screen errs by less than
+``SCREEN_RTOL / 2`` (it errs by about 1e-13) a walk takes the moves and
+reports the values of scoring every move in full. Sequence spaces, robust
+criteria and the swaps of local search score every row.
 
 Values within ``CRITERION_ROUNDING`` (relative) of each other are ties: the
 order of two such values is the rounding of the criterion kernel, not a
@@ -202,7 +203,9 @@ def _greedy_walk(criterion, counts, target: int, cap: int, progress=None):
 
     A criterion with a ``single_moves`` screen has every move screened
     first, and only the front-runners (see :func:`_front_runners`) are
-    scored by ``values``, which alone decides the move and the value."""
+    scored by ``values``, which alone decides the move and the value. A
+    step left with one candidate and no ``progress`` to report takes it
+    without scoring it."""
     down = counts.sum() > target
     move = -1 if down else 1
     screen = getattr(criterion, "single_moves", None)
@@ -210,6 +213,10 @@ def _greedy_walk(criterion, counts, target: int, cap: int, progress=None):
         units = np.flatnonzero(counts > 0 if down else counts < cap)
         if screen is not None:
             units = _front_runners(screen(counts, units, move), units)
+        if units.size == 1 and progress is None:
+            # one candidate: values could not change the move
+            counts[units[0]] += move
+            continue
         best, value = _best_moves(criterion, counts[None], np.zeros_like(units),
                                   *((units, None) if down else (None, units)))
         counts[units[best[0]]] += move

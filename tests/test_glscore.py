@@ -10,7 +10,9 @@ from crtoptim import (CovarianceSpec, DesignCriterion, ModelClass, ModelSpec,
                       glm_weight_diagonal, information_matrix,
                       space_from_sequences, standard_space,
                       treatment_contrast)
-from crtoptim.glscore import RANGE_TOL, RANK_TOL, contrast_variance
+from crtoptim import glscore
+from crtoptim.glscore import (CERTIFICATE_MARGIN, RANGE_TOL, RANK_TOL,
+                              _contrast_kernel, _eigen_solve, contrast_variance)
 
 
 def manual_space(sequences, count=1, max_replication=1, granularity="sequence"):
@@ -195,8 +197,8 @@ class TestCOptimality:
             contrast_variance(m, c)
 
     def test_indefinite_matrix_is_infinite(self):
-        # 1 / tr M^-1 = 1 / 0.51 clears any trace certificate; only the
-        # failed Cholesky factorisation shows that M is not semi-definite
+        # e_P' M^-1 e_P = -0.5 is finite; only the failed Cholesky
+        # factorisations show that M is not semi-definite
         m = np.diag([1.0, 100.0, -2.0])
         assert math.isinf(c_optimality(m, np.array([0.0, 0.0, 1.0])))
 
@@ -489,6 +491,131 @@ class TestContrastKernel:
         assert [v.hex() for v in rest] == [float(v).hex() for v in np.delete(values, 4)]
 
 
+def spectrum_matrix(rng, eigenvalues):
+    """A symmetric matrix with the given eigenvalues whose first
+    eigenvector is orthogonal to the treatment contrast ``e_P``."""
+    p = len(eigenvalues)
+    first = np.append(rng.normal(size=p - 1), 0.0)
+    q = np.linalg.qr(np.column_stack([first, rng.normal(size=(p, p - 1))]))[0]
+    return (q * eigenvalues) @ q.T
+
+
+def bad_rows(crit):
+    """Rows the kernel must score ``inf``: all NaN, one NaN pair, all
+    ``+inf``, one infinite diagonal entry, and the singular information
+    of a design with no treated cluster."""
+    p = crit.contrast.size
+    good = crit.information(np.ones(crit.space.n_units))
+    partial = good.copy()
+    partial[1, p - 1] = partial[p - 1, 1] = np.nan
+    infinite_entry = good.copy()
+    infinite_entry[0, 0] = np.inf
+    untreated = [all(not cell.treated for cell in unit.cells) for unit in crit.space.units]
+    return np.stack([np.full((p, p), np.nan), partial, np.full((p, p), np.inf),
+                     infinite_entry, crit.information(np.array(untreated, dtype=float))])
+
+
+class TestCertificate:
+    """The shifted-Cholesky certificate of the kernel: a row factorised at
+    ``M - delta I`` is solved by Cholesky, any other by an eigen-solve."""
+
+    @pytest.mark.parametrize("factor", [1.001, 0.999])
+    def test_rows_at_the_shift_take_the_named_path(self, factor):
+        rng = np.random.default_rng(51)
+        rest = np.array([1.0, 2.0, 3.0, 4.0])
+        # lambda_min = factor * delta, delta = margin * RANK_TOL * tr M
+        k = CERTIFICATE_MARGIN * RANK_TOL
+        smallest = factor * k * rest.sum() / (1.0 - factor * k)
+        m = spectrum_matrix(rng, np.append(smallest, rest))
+        value, lower = _contrast_kernel(m[None])
+        certified = bool(np.isfinite(lower).all())
+        assert certified == (factor > 1.0)
+        # the contrast is orthogonal to the small eigenvector, so the value
+        # is well conditioned and both paths give it to rounding
+        cholesky = 1.0 / np.linalg.cholesky(0.5 * (m + m.T))[-1, -1] ** 2
+        eigen = _eigen_solve(0.5 * (m + m.T)[None], treatment_contrast(5))[0][0]
+        assert value[0] == (cholesky if certified else eigen)
+        assert abs(cholesky - eigen) <= 1e-14 * eigen
+
+    @pytest.mark.parametrize("k", [1, 7, 223])
+    def test_bad_rows_leave_the_stack_alone(self, k):
+        # 222 rows is one chunk of values on this space
+        space = standard_space(6, max_replication=5, cells_per_period=10)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7))
+        batch = np.random.default_rng(52).integers(1, 4, size=(k, space.n_units))
+        bad = bad_rows(crit)
+        info = np.stack([crit.information(row) for row in batch])
+        value = _contrast_kernel(np.insert(info, k // 2, bad, axis=0))[0]
+        middle = np.arange(k // 2, k // 2 + len(bad))
+        assert np.isinf(value[middle]).all() and (value[middle] > 0).all()
+        alone = [crit.value(row).hex() for row in batch]
+        assert [float(v).hex() for v in np.delete(value, middle)] == alone
+        assert [float(v).hex() for v in crit.values(batch)] == alone
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    def test_values_invert_no_matrix(self, monkeypatch, granularity):
+        space = standard_space(4, max_replication=2, cells_per_period=2,
+                               granularity=granularity)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("AR1", 0.05, decay=0.6))
+        batch = _batch_with_infinite_rows(np.random.default_rng(55), space, 20)
+        expected = [float(v).hex() for v in crit.values(batch)]
+
+        def inverse(*args, **kwargs):
+            raise AssertionError("values inverted a matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", inverse)
+        assert [float(v).hex() for v in crit.values(batch)] == expected
+
+    def test_bad_rows_alone_are_infinite(self):
+        crit = DesignCriterion(standard_space(4, cells_per_period=2),
+                               CovarianceSpec.from_icc("AR1", 0.05, decay=0.6))
+        for row in bad_rows(crit):
+            assert _contrast_kernel(row[None])[0][0] == math.inf
+
+
+class TestContrastVariance:
+    """Any contrast is rotated onto ``e_P`` before the kernel."""
+
+    @staticmethod
+    def random_information(rng, p):
+        a = rng.normal(size=(p, p))
+        return a @ a.T + 0.1 * np.eye(p)
+
+    def test_random_contrasts(self):
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            p = int(rng.integers(2, 9))
+            m, c = self.random_information(rng, p), rng.normal(size=p)
+            assert contrast_variance(m, c) == pytest.approx(
+                c @ np.linalg.solve(m, c), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 5, 8])
+    def test_unit_and_scaled_contrasts(self, p):
+        rng = np.random.default_rng(54)
+        m = self.random_information(rng, p)
+        contrasts = list(np.eye(p)) + [-2.5 * np.eye(p)[-1], 3 * np.eye(p)[0]]
+        for c in contrasts:
+            assert contrast_variance(m, c) == pytest.approx(
+                c @ np.linalg.solve(m, c), rel=1e-12)
+
+    def test_treatment_contrast_is_the_kernel(self):
+        space = standard_space(4, cells_per_period=2)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7))
+        counts = np.arange(1, space.n_units + 1)
+        assert (contrast_variance(crit.information(counts), crit.contrast)
+                == crit.value(counts))
+
+    def test_contrast_outside_the_range_is_infinite(self):
+        m = np.diag([2.0, 3.0, 0.0])
+        assert math.isinf(contrast_variance(m, np.array([0.0, 1.0, 1.0])))
+        assert contrast_variance(m, np.array([1.0, 1.0, 0.0])) == pytest.approx(
+            1 / 2 + 1 / 3, rel=1e-12)
+
+    def test_zero_contrast_rejected(self):
+        with pytest.raises(ValidationError):
+            contrast_variance(np.eye(3), np.zeros(3))
+
+
 class TestGradient:
     @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
     @pytest.mark.parametrize("kind", ["EXC2", "AR1"])
@@ -511,6 +638,36 @@ class TestGradient:
             step[j] = h
             fd = (crit.value(counts + step) - crit.value(counts - step)) / (2 * h)
             assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9 * value)
+
+    def test_certified_and_uncertified_rows(self, monkeypatch):
+        # period 2 holds no observation in the second design: its fixed
+        # effect is unidentified and the kernel takes the eigen path
+        space = standard_space(4, max_replication=3, granularity="cluster-period")
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("AR1", 0.1, decay=0.7))
+        counts = np.random.default_rng(5).uniform(0.5, 2.0, space.n_units)
+        period = np.array([unit.cells[0].period for unit in space.units])
+        empty = np.where(period == 2, 0.0, counts)
+        eigen_rows = []
+
+        def counted(m, c):
+            eigen_rows.append(len(m))
+            return _eigen_solve(m, c)
+
+        monkeypatch.setattr(glscore, "_eigen_solve", counted)
+        for row, certified in ((counts, True), (empty, False)):
+            lower = _contrast_kernel(crit.information(row)[None])[1]
+            assert bool(np.isfinite(lower).all()) == certified
+            eigen_rows.clear()
+            value, grad = crit.gradient(row)
+            # the kernel's row, then the gradient's direction
+            assert eigen_rows == ([] if certified else [1, 1])
+            assert value.hex() == crit.value(row).hex()
+            h = 1e-5
+            for j in np.flatnonzero(row):
+                step = np.zeros(space.n_units)
+                step[j] = h
+                fd = (crit.value(row + step) - crit.value(row - step)) / (2 * h)
+                assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9 * value)
 
     def test_finite_at_empty_cells(self):
         space = standard_space(3, max_replication=3, granularity="cluster-period")

@@ -7,7 +7,8 @@ from crtoptim import (Cell, CovarianceSpec, DesignCriterion, DesignSpace,
                       ExperimentalUnit, InfeasibleError, ModelClass, ModelSpec,
                       RobustCriterion, ValidationError, best_rounding,
                       brute_force_optimum, local_search, reverse_greedy,
-                      space_from_sequences, standard_space, swap_delta)
+                      mixed_model_weights, space_from_sequences,
+                      standard_space, swap_delta)
 from crtoptim import apportion, glscore, search
 from crtoptim.glscore import CRITERION_ROUNDING
 
@@ -464,6 +465,17 @@ def neighbours(counts, units, step):
     return batch
 
 
+class Screened(Recording):
+    """A recording criterion that keeps the rank-one screen, and scores
+    ``value`` through ``values``."""
+
+    def single_moves(self, counts, units, step):
+        return self.criterion.single_moves(counts, units, step)
+
+    def value(self, counts):
+        return float(self.values(np.asarray(counts)[None])[0])
+
+
 class TestSingleMoveScreen:
     """Greedy walks screen their single-unit moves by a rank-one update and
     score only the front-runners through ``values``: the designs, values
@@ -519,16 +531,25 @@ class TestSingleMoveScreen:
     def test_screen_scores_few_rows(self):
         space = standard_space(6, max_replication=10, granularity="cluster-period")
         crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5))
-
-        class Screened(Recording):
-            def single_moves(self, counts, units, step):
-                return self.criterion.single_moves(counts, units, step)
-
         screened, full = Screened(crit), Recording(crit)
         assert (reverse_greedy(space, screened, 60)
                 == reverse_greedy(space, full, 60))
         # 360 removals: every move scored in full against the front-runners
         assert len(screened.rows) < len(full.rows) / 10
+
+    def test_lone_front_runner_is_taken_unscored(self, monkeypatch):
+        space = standard_space(6, max_replication=10, granularity="cluster-period")
+        cov = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5)
+        weights = mixed_model_weights(space, cov, total_obs=60).weights
+        expected = best_rounding(space, cov, weights, 60)
+        made = []
+        monkeypatch.setattr(apportion, "DesignCriterion",
+                            lambda *a, **k: made.append(Screened(DesignCriterion(*a, **k)))
+                            or made[-1])
+        assert best_rounding(space, cov, weights, 60) == expected
+        # the fill's 14 additions: 3 steps send 6 front-runners, the 11 with
+        # one front-runner send none; then the 3 candidates are scored
+        assert len(made[0].rows) == 9
 
     def test_rank_deficient_start_falls_back(self):
         # no observation in period 4: its effect is unidentified, the
