@@ -13,16 +13,18 @@ score thousands of candidate designs cheaply.
 
 Scoring is batched: :meth:`DesignCriterion.values` maps a ``(K, J)`` matrix
 of per-unit counts to ``K`` criteria through one stacked rank-aware solve
-over ``(K, P, P)`` information matrices, and every other criterion value
-(``value``, ``contrast_variance``, the weight solvers) is that kernel on a
-stack of one. The kernel factorises the whole stack twice by Cholesky,
-``M`` and ``M - delta I`` with ``delta = CERTIFICATE_MARGIN * RANK_TOL *
-tr M``, in one LAPACK call, and no matrix is inverted. When both succeed
-the smallest eigenvalue exceeds ``delta``, which certifies the row
-full-rank, and the treatment contrast ``e_P`` scores ``1 / L_PP^2`` from
-the factor of ``M``. Rows that fail the certificate (rank-deficient,
+over ``(K, P, P)`` information matrices, and every other criterion
+quantity (``value``, ``contrast_variance``, the gradient the weight solvers
+follow, the rank-one screen of the greedy walks) is that kernel on a stack
+of one. The kernel factorises the whole stack twice by Cholesky, ``M`` and
+``M - delta I`` with ``delta = CERTIFICATE_MARGIN * RANK_TOL * tr M``, in
+one LAPACK call. When both succeed the smallest eigenvalue exceeds
+``delta``, which certifies the row full-rank, and the treatment contrast
+``e_P`` scores ``1 / L_PP^2`` from the factor of ``M``; ``values`` inverts
+no matrix, and the gradient and the screen invert that same factor
+(:func:`_factor_solve`). Rows that fail the certificate (rank-deficient,
 indefinite, NaN or infinite) take a rank-revealing eigen-solve instead; a
-contrast other than ``e_P`` is first rotated onto it. A stack that LAPACK
+contrast other than ``e_P`` is first reflected onto it. A stack that LAPACK
 refuses because of one singular row is bisected until that row is alone.
 Each row's information matrix is accumulated in a fixed order over units
 or clusters, never by one BLAS product across rows whose kernel (and
@@ -38,7 +40,7 @@ import numpy as np
 
 from .covariance import CovarianceSpec, ModelSpec, iterated_weights
 from .designspace import Design, DesignSpace, build_x, expand_design, _random_effects
-from .errors import NumericDomainError, ValidationError
+from .errors import NumericDomainError, ValidationError, check_count
 
 # Relative eigenvalue cutoff for rank decisions, and the tolerance on the
 # residual of the contrast after projection onto the range of M.
@@ -70,6 +72,9 @@ SCREEN_DENOMINATOR = 1e-3
 
 def treatment_contrast(n_params: int) -> np.ndarray:
     """Contrast selecting the treatment coefficient (the last column)."""
+    check_count("n_params", n_params)
+    if n_params < 1:
+        raise ValidationError("n_params must be at least 1")
     c = np.zeros(n_params)
     c[-1] = 1.0
     return c
@@ -142,14 +147,14 @@ def _contrast_kernel(m: np.ndarray):
     if not certified.all():
         uncertified = ~certified
         lower[uncertified] = np.nan
-        value[uncertified] = _eigen_solve(m[uncertified], treatment_contrast(p))[0]
+        value[uncertified] = _eigen_solve(m[uncertified])[0]
     return value, lower
 
 
-def _eigen_solve(m: np.ndarray, c: np.ndarray):
+def _eigen_solve(m: np.ndarray):
     """``(value, y)`` of :func:`_contrast_kernel` through a rank-revealing
     eigendecomposition of a symmetric stack: eigenvalues below ``RANK_TOL``
-    of the largest are dropped, and the row is ``inf`` if ``c`` has more
+    of the largest are dropped, and the row is ``inf`` if ``e_P`` has more
     than ``RANGE_TOL`` of its length along the dropped eigenvectors. A row
     with a non-finite entry, which LAPACK would refuse, is solved as the
     zero matrix and so is ``inf``."""
@@ -159,16 +164,32 @@ def _eigen_solve(m: np.ndarray, c: np.ndarray):
     w, vecs = np.linalg.eigh(m)
     wmax = w[..., -1:]
     keep = w > RANK_TOL * np.maximum(wmax, 0.0)
-    coef = c @ vecs
+    coef = vecs[..., -1, :]  # e_P' vecs
     lam = np.where(keep, w, np.inf)
     value = np.add.reduce(coef ** 2 / lam, axis=-1)
-    # the part of c outside the range of M lies along the dropped
+    # the part of e_P outside the range of M lies along the dropped
     # eigenvectors; written so that a NaN matrix also counts as bad
     outside = np.add.reduce(np.where(keep, 0.0, coef) ** 2, axis=-1)
     bad = ((wmax[..., 0] <= 0.0) | (w[..., 0] < -RANK_TOL * wmax[..., 0])
-           | ~(outside <= RANGE_TOL ** 2 * (c @ c)))
+           | ~(outside <= RANGE_TOL ** 2))
     value[bad] = np.inf
     return value, (vecs @ (coef / lam)[..., None])[..., 0]
+
+
+def _factor_solve(m: np.ndarray):
+    """``(value, y, L^-1)`` of a stack of one information matrix: the
+    kernel's value, ``y = M^+ e_P = L^-T L^-1 e_P`` from its Cholesky factor
+    ``L`` where it certifies the row, else from :func:`_eigen_solve` with
+    ``L^-1`` None; ``y`` is None too where the value is infinite."""
+    value, lower = _contrast_kernel(m)
+    value = float(value[0])
+    if value == math.inf:
+        return value, None, None
+    if lower[0, -1, -1] != lower[0, -1, -1]:  # NaN: an uncertified row
+        return value, _eigen_solve(_symmetrised(m))[1][0], None
+    lower_inv = np.linalg.inv(lower)
+    y = ((lower_inv @ treatment_contrast(m.shape[-1]))[:, None, :] @ lower_inv)[0, 0]
+    return value, y, lower_inv[0]
 
 
 def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
@@ -176,10 +197,9 @@ def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
     kernel every criterion value uses.
 
     The kernel scores the contrast ``e_P``, so ``c`` is first mapped onto
-    it by an orthogonal similarity, which leaves ``c' M^+ c`` and the rank
-    decisions unchanged: ``Q M Q'`` with ``Q c = +-|c| e_P``, ``Q`` a
-    symmetric permutation when ``c`` is a multiple of a unit vector and a
-    Householder reflection otherwise.
+    it by the Householder reflection ``H`` taking ``c`` to ``+-|c| e_P``:
+    ``H M H`` has the same ``c' M^+ c`` and, under the kernel's
+    shifted-Cholesky certificate, the same rank decisions.
 
     Returns ``inf`` when the contrast is outside the range of ``M`` (the
     design carries no information on it), when ``M`` is not positive
@@ -196,27 +216,17 @@ def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
         raise ValidationError("contrast length does not match the information matrix")
     if not np.isfinite(c).all():
         raise ValidationError("contrast must be finite")
-    nonzero = np.flatnonzero(c)
-    if nonzero.size == 0:
+    if not c.any():
         raise ValidationError("contrast must be non-zero")
     if not np.isfinite(m).all():
         return math.inf
-    m, c = m.astype(float), c.astype(float)
-    if nonzero.size == 1:
-        # swap the contrast's coefficient with the last one
-        order = np.arange(c.size)
-        order[[nonzero[0], -1]] = order[[-1, nonzero[0]]]
-        m = m[np.ix_(order, order)]
-        scale = abs(c[nonzero[0]])
-    else:
-        # H = I - 2 v v' / v'v maps c onto -sign(c_P) |c| e_P; adding to
-        # c_P a term of its own sign avoids cancellation in v
-        scale = float(np.linalg.norm(c))
-        v = c.copy()
-        v[-1] += math.copysign(scale, c[-1])
-        h = np.eye(c.size) - (2.0 / (v @ v)) * np.outer(v, v)
-        m = h @ m @ h
-    return float(_contrast_kernel(m[None])[0][0]) * scale * scale
+    # H = I - 2 v v' / v'v maps c onto -sign(c_P) |c| e_P; adding to c_P a
+    # term of its own sign avoids cancellation in v
+    v = c.astype(float)
+    scale = float(np.linalg.norm(v))
+    v[-1] += math.copysign(scale, v[-1])
+    h = np.eye(c.size) - (2.0 / (v @ v)) * np.outer(v, v)
+    return float(_contrast_kernel((h @ m @ h)[None])[0][0]) * scale * scale
 
 
 def c_optimality(m: np.ndarray, c: np.ndarray) -> float:
@@ -545,8 +555,8 @@ class DesignCriterion:
         """``(value, grad)`` of one row of multiplicities, with ``grad[j]``
         the derivative of the value in ``counts[j]``.
 
-        With ``y = M^+ c``, from the kernel's Cholesky factor of ``M`` where
-        it certifies the row and an eigen-solve elsewhere, unit ``j`` gives ``-y' B_j y`` at sequence
+        With ``y = M^+ c`` from the kernel's factorisation
+        (:func:`_factor_solve`), unit ``j`` gives ``-y' B_j y`` at sequence
         granularity, ``B_j`` its information block. At cluster granularity,
         from the same stacked solve as the value, a cell holding ``n``
         observations adds ``-n_per w v^2`` to its unit, where
@@ -560,16 +570,9 @@ class DesignCriterion:
             m = self._information(batch)
         else:
             s, t, m = cl.solve(batch[:, cl.unit_idx] * cl.n_per)
-        value, lower = _contrast_kernel(m)
-        value = float(value[0])
-        if value == math.inf:
+        value, y, _ = _factor_solve(m)
+        if y is None:
             return value, np.full(self.space.n_units, np.nan)
-        if lower[0, -1, -1] == lower[0, -1, -1]:
-            # a certified row, NaN-free: y = L^-T L^-1 c
-            lower_inv = np.linalg.inv(lower)
-            y = ((lower_inv @ self.contrast)[:, None, :] @ lower_inv)[0, 0]
-        else:
-            y = _eigen_solve(_symmetrised(m), self.contrast)[1][0]
         if cl is None:
             return value, -np.einsum("i,kij,j->k", y, self._unit_blocks, y)
         return value, cl.gradient(s[0], t[0], y, self.space.n_units)
@@ -582,16 +585,16 @@ class DesignCriterion:
 
         Adding precision ``delta = step w n_per`` to a cell changes ``M``
         by ``rho u u'`` with ``rho = delta / (1 + delta var)`` and ``(u,
-        var)`` from :meth:`_ClusterBlocks.rank_one_terms`, so with ``f = c'
-        M^-1 c``, ``y = M^-1 c`` and ``M = L L'`` the moved design scores
-        ``f - rho (y'u)^2 / (1 + rho |L^-1 u|^2)``. That agrees with
-        :meth:`values` to rounding, which grows with the conditioning of
-        ``M`` and as the denominators approach zero. A row is NaN where
+        var)`` from :meth:`_ClusterBlocks.rank_one_terms`, so with the
+        kernel's ``f = c' M^-1 c``, ``y = M^-1 c`` and ``M = L L'`` the moved
+        design scores ``f - rho (y'u)^2 / (1 + rho |L^-1 u|^2)``. That agrees
+        with :meth:`values` to rounding, which grows with the conditioning
+        of ``M`` and as the denominators approach zero. A row is NaN where
         either denominator is at most ``SCREEN_DENOMINATOR``: the screen
         cannot vouch for it. ``None`` at sequence granularity, for a unit
-        of more than one cell, and for a design whose ``M`` is not
-        certified full-rank by a Cholesky factorisation with ``tr M tr
-        M^-1`` up to ``SCREEN_CONDITION``. Except at sequence granularity,
+        of more than one cell, and for a design whose ``M`` the kernel's
+        shifted Cholesky does not certify full-rank or whose ``tr M tr
+        M^-1`` exceeds ``SCREEN_CONDITION``. Except at sequence granularity,
         raises :class:`ValidationError` for counts that ``values`` rejects, for
         ``units`` that are not unit indices, for a ``step`` other than 1 or
         -1, and for a removal from a unit the design does not hold.
@@ -612,16 +615,11 @@ class DesignCriterion:
         if (cells < 0).any():
             return None
         info, u, var = cl.rank_one_terms(batch[0][cl.unit_idx] * cl.n_per)
-        info = 0.5 * (info + info.T)
-        try:
-            lower_inv = np.linalg.inv(np.linalg.cholesky(info))
-        except np.linalg.LinAlgError:
+        value, y, lower_inv = _factor_solve(info[None])
+        # tr M^-1 = |L^-1|_F^2
+        if (lower_inv is None or np.einsum("ij,ij->", lower_inv, lower_inv)
+                * np.trace(info) > SCREEN_CONDITION):
             return None
-        # written so that a NaN matrix fails too
-        if not np.einsum("ij,ij->", lower_inv, lower_inv) * np.trace(info) <= SCREEN_CONDITION:
-            return None
-        z = lower_inv @ self.contrast
-        y = z @ lower_inv
         delta = step * cl.cell_precision[cells]
         u = u[cells]
         shrink = 1.0 + delta * var[cells]
@@ -630,7 +628,7 @@ class DesignCriterion:
         rho = np.where(trusted, delta, 0.0) / np.where(trusted, shrink, 1.0)
         denominator = 1.0 + rho * np.add.reduce((u @ lower_inv.T) ** 2, axis=-1)
         trusted &= denominator > SCREEN_DENOMINATOR
-        screened = z @ z - rho * (u @ y) ** 2 / np.where(trusted, denominator, 1.0)
+        screened = value - rho * (u @ y) ** 2 / np.where(trusted, denominator, 1.0)
         screened[~trusted] = np.nan
         return screened
 

@@ -114,7 +114,13 @@ class SearchResult:
 def swap_delta(space: DesignSpace, criterion, design: Design,
                remove: int, add: int) -> float:
     """Criterion change from swapping one replicate of ``remove`` for one
-    of ``add``; consistent with full re-evaluation."""
+    of ``add``; consistent with full re-evaluation. Raises
+    :class:`ValidationError` unless both are integer unit indices."""
+    for name, unit in (("remove", remove), ("add", add)):
+        check_count(name, unit)
+        if not 0 <= unit < space.n_units:
+            raise ValidationError(
+                f"{name} must be a unit index in [0, {space.n_units}), got {unit}")
     counts = np.asarray(design.counts, dtype=int)
     if remove == add:
         return 0.0

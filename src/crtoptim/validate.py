@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +54,15 @@ def brute_force_optimum(space: DesignSpace, criterion, m: int,
                         limit: int = 1_000_000) -> SearchResult:
     """Exact minimiser over all size-m multisets respecting the cap.
 
-    Refuses to run when the enumeration would exceed ``limit`` candidates;
-    the error message carries the count so callers can shrink the problem.
+    Refuses to run when the enumeration would exceed ``limit`` (an
+    integer) candidates; the error message carries the count so callers
+    can shrink the problem.
     Candidates are scored in batches of ``BRUTE_FORCE_BATCH`` in enumeration
     order, and the first minimum in that order wins, where values within
     ``CRITERION_ROUNDING`` of each other tie as in the searches.
     """
     _check_size(space, m)
+    check_count("limit", limit)
     n_designs = _count_multisets(space.n_units, space.max_replication, m)
     if n_designs > limit:
         raise EnumerationLimitError(
@@ -202,10 +205,16 @@ def supermodularity_probe(space: DesignSpace, criterion, n_triples: int,
     the criterion and that the marginal change from adding the unit is
     largest on the bigger design. Triples are redrawn until the subset
     has a finite criterion, which makes all four evaluations finite.
+    ``slack`` must be a finite non-negative number.
     """
     check_count("n_triples", n_triples)
     if n_triples < 1:
         raise ValidationError("need at least one probe triple")
+    # a NaN slack would make every comparison below false
+    if (isinstance(slack, bool) or not isinstance(slack, numbers.Real)
+            or not 0 <= slack < math.inf):
+        raise ValidationError(
+            f"slack must be a finite non-negative number, got {slack!r}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     cap = space.max_replication

@@ -33,7 +33,7 @@ import numpy as np
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import DesignSpace
 from .errors import (ConvergenceError, InfeasibleError, ValidationError,
-                     check_probabilities)
+                     check_count, check_probabilities)
 from .glscore import CRITERION_ROUNDING, DesignCriterion
 
 # Units whose weight falls below this bound are dropped for good.
@@ -56,8 +56,11 @@ class WeightedDesign:
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
+    """Euclidean projection onto the probability simplex. Raises
+    :class:`ValidationError` unless ``v`` is a non-empty finite vector."""
     v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size == 0 or not np.isfinite(v).all():
+        raise ValidationError("projection needs a non-empty finite vector")
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     idx = np.arange(1, v.size + 1)
@@ -102,7 +105,8 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
     cells.
 
     ``iterations`` counts criterion evaluations, the final one at the
-    returned weights included, and ``max_iter`` bounds them.
+    returned weights included, and ``max_iter``, a positive integer,
+    bounds them.
 
     Raises :class:`ConvergenceError` when ``max_iter`` evaluations do not
     suffice (the error carries the last iterate) or if a plain step
@@ -111,6 +115,9 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
     """
     if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
+    check_count("max_iter", max_iter)
+    if max_iter < 1:
+        raise ValidationError("max_iter must be at least 1")
     if total_obs is not None and (
             isinstance(total_obs, bool) or not isinstance(total_obs, numbers.Real)
             or not 0 < total_obs < math.inf):
@@ -203,11 +210,15 @@ def simplex_weight_descent(space: DesignSpace, cov: CovarianceSpec,
     that rounding and lower the residual.
     Convergence is declared when the unit-step projected-gradient residual
     falls below ``tolerance``. Raises :class:`ConvergenceError`, carrying
-    the last iterate, past ``max_iter`` iterations or when no step passes
-    while the residual still exceeds ``tolerance`` (the message gives it).
+    the last iterate, past ``max_iter`` (a positive integer) iterations or
+    when no step passes while the residual still exceeds ``tolerance`` (the
+    message gives it).
     """
     if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
+    check_count("max_iter", max_iter)
+    if max_iter < 1:
+        raise ValidationError("max_iter must be at least 1")
     if space.granularity != "sequence":
         raise ValidationError(
             "simplex descent requires mutually uncorrelated (sequence) units")

@@ -3,7 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from crtoptim import Cell, DesignSpace, ExperimentalUnit, standard_space
+from crtoptim import (Cell, CovarianceSpec, DesignCriterion, DesignSpace,
+                      ExperimentalUnit, reverse_greedy, standard_space)
 from crtoptim.cli import config_digest, main, write_design_grid
 
 
@@ -85,6 +86,22 @@ class TestOptimize:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["rounding_scheme"] in {"hamilton", "adams", "floor-greedy"}
         assert sum(summary["design_counts"]) == 8
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    def test_reverse_greedy_bundle(self, tmp_path, runner, granularity):
+        cfg = base_config(tmp_path, algorithm="reverse-greedy", m=12)
+        cfg["space"]["standard"]["granularity"] = granularity
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, ["optimize", "--config", cfg_path])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        space = standard_space(4, max_replication=4, cells_per_period=5,
+                               granularity=granularity)
+        expected = reverse_greedy(space, DesignCriterion(
+            space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5)), 12)
+        assert summary["algorithm"] == "reverse-greedy"
+        assert summary["criterion_value"] == expected.value
+        assert summary["design_counts"] == list(expected.design.counts)
 
     def test_closed_form_algorithm(self, tmp_path, runner):
         cfg = base_config(tmp_path, algorithm="closed-form", m=6)

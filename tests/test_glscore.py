@@ -533,7 +533,7 @@ class TestCertificate:
         # the contrast is orthogonal to the small eigenvector, so the value
         # is well conditioned and both paths give it to rounding
         cholesky = 1.0 / np.linalg.cholesky(0.5 * (m + m.T))[-1, -1] ** 2
-        eigen = _eigen_solve(0.5 * (m + m.T)[None], treatment_contrast(5))[0][0]
+        eigen = _eigen_solve(0.5 * (m + m.T)[None])[0][0]
         assert value[0] == (cholesky if certified else eigen)
         assert abs(cholesky - eigen) <= 1e-14 * eigen
 
@@ -598,6 +598,11 @@ class TestContrastVariance:
             assert contrast_variance(m, c) == pytest.approx(
                 c @ np.linalg.solve(m, c), rel=1e-12)
 
+    @pytest.mark.parametrize("n_params", [0, -1, 2.0, True])
+    def test_treatment_contrast_needs_a_positive_integer(self, n_params):
+        with pytest.raises(ValidationError):
+            treatment_contrast(n_params)
+
     def test_treatment_contrast_is_the_kernel(self):
         space = standard_space(4, cells_per_period=2)
         crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7))
@@ -649,9 +654,9 @@ class TestGradient:
         empty = np.where(period == 2, 0.0, counts)
         eigen_rows = []
 
-        def counted(m, c):
+        def counted(m):
             eigen_rows.append(len(m))
-            return _eigen_solve(m, c)
+            return _eigen_solve(m)
 
         monkeypatch.setattr(glscore, "_eigen_solve", counted)
         for row, certified in ((counts, True), (empty, False)):

@@ -400,6 +400,19 @@ class TestSwapDelta:
         design = space.design_from_counts([1, 1])
         assert swap_delta(space, crit, design, 1, 0) == math.inf
 
+    @pytest.mark.parametrize("remove, add", [
+        (-1, 0), (0, -1), (99, 0), (0, 4), (1.0, 0), (0, 1.0), (True, 0),
+        (np.int64(-1), 0)])
+    def test_units_must_be_unit_indices(self, remove, add):
+        # a negative index would wrap around to the last unit
+        space = standard_space(3, max_replication=2)
+        crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+        design = space.design_from_counts([1, 1, 1, 1])
+        with pytest.raises(ValidationError):
+            swap_delta(space, crit, design, remove, add)
+        assert swap_delta(space, crit, design, np.int64(3), 0) == pytest.approx(
+            crit.value([2, 1, 1, 0]) - crit.value([1, 1, 1, 1]), rel=1e-12)
+
 
 class TestAgainstBruteForce:
     def test_local_search_matches_small_optima(self):
@@ -607,6 +620,25 @@ class TestSingleMoveScreen:
         crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC1", 0.1))
         with pytest.raises(ValidationError):
             crit.single_moves(counts, units, step)
+
+    def test_unvouched_screen_keeps_every_unit(self):
+        units = np.array([2, 5, 7])
+        kept = search._front_runners(np.full(3, np.nan), units)
+        assert kept.tolist() == [2, 5, 7]
+
+    def test_walk_scores_every_move_the_screen_cannot_vouch_for(self):
+        space = standard_space(4, max_replication=3, granularity="cluster-period")
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7))
+
+        class Unvouched(Recording):
+            def single_moves(self, counts, units, step):
+                return np.full(len(units), np.nan)
+
+        # a criterion without a screen scores every move of every step
+        plain, unvouched = Recording(crit), Unvouched(crit)
+        counts = [3] * space.n_units
+        assert walk(unvouched, counts, 30, 3) == walk(plain, counts, 30, 3)
+        assert unvouched.rows == plain.rows
 
     def test_robust_criterion_has_no_screen(self):
         space = standard_space(3, max_replication=2, granularity="cluster-period")

@@ -199,6 +199,14 @@ class TestSupermodularityProbe:
         report = supermodularity_probe(space, Negated(), 100, seed=5)
         assert not report.passed
 
+    @pytest.mark.parametrize("slack", [math.nan, -1e-12, math.inf, "0", True])
+    def test_slack_must_be_finite_and_non_negative(self, slack):
+        # a NaN slack fails every comparison, so no violation could be found
+        space = standard_space(3, max_replication=2)
+        crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+        with pytest.raises(ValidationError, match="slack"):
+            supermodularity_probe(space, crit, 5, seed=1, slack=slack)
+
     def test_needs_at_least_one_triple(self):
         space = standard_space(3)
         crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
@@ -209,12 +217,15 @@ class TestSupermodularityProbe:
 @pytest.mark.parametrize("call", [
     lambda space, crit: brute_force_optimum(space, crit, 2.5),
     lambda space, crit: brute_force_optimum(space, crit, True),
+    lambda space, crit: brute_force_optimum(space, crit, 2, limit="x"),
+    lambda space, crit: brute_force_optimum(space, crit, 2, limit=1e6),
     lambda space, crit: supermodularity_probe(space, crit, 2.5, seed=1),
     lambda space, crit: supermodularity_probe(space, crit, True, seed=1),
     lambda space, crit: monte_carlo_variance(
         space, space.design_from_counts([1, 1, 1, 1]), crit.covariance,
         np.zeros(4), n_sims=1000.5),
-], ids=["brute-force-m-2.5", "brute-force-m-True", "probe-n_triples-2.5",
+], ids=["brute-force-m-2.5", "brute-force-m-True", "brute-force-limit-x",
+        "brute-force-limit-1e6", "probe-n_triples-2.5",
         "probe-n_triples-True", "monte-carlo-n_sims-1000.5"])
 def test_sizes_must_be_integers(call):
     space = standard_space(3, max_replication=2)

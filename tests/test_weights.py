@@ -39,6 +39,13 @@ class TestProjection:
             q = rng.dirichlet(np.ones(v.size))
             assert np.sum((p - v) ** 2) <= np.sum((q - v) ** 2) + 1e-12
 
+    @pytest.mark.parametrize("v", [[], [np.nan, 1.0], [np.inf, 0.0], [[0.5, 0.5]],
+                                   np.full((2, 2), 0.25), 0.5],
+                             ids=["empty", "nan", "inf", "row", "matrix", "scalar"])
+    def test_rejects_non_vectors_and_non_finite_entries(self, v):
+        with pytest.raises(ValidationError):
+            project_to_simplex(v)
+
 
 class TestMixedModelWeights:
     def test_two_arm_single_period_symmetry(self):
@@ -170,6 +177,15 @@ class TestMixedModelWeights:
         assert err.value.weights is not None
         assert err.value.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert err.value.iterations == 2
+
+    @pytest.mark.parametrize("max_iter", [2.5, -1, 0, True, "10"])
+    @pytest.mark.parametrize("solver", ["mixed", "simplex"])
+    def test_max_iter_must_be_a_positive_integer(self, solver, max_iter):
+        # the fixed point would never reach a fractional or negative cap
+        space = standard_space(3, max_replication=2)
+        run = mixed_model_weights if solver == "mixed" else simplex_weight_descent
+        with pytest.raises(ValidationError, match="max_iter"):
+            run(space, exc1_from_icc(0.1), max_iter=max_iter)
 
 
 def _cell_value(space, cov, phi, total_obs, model=ModelSpec()):
