@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericDomainError, ValidationError
+from .errors import NumericDomainError, ValidationError, check_real
 
 COVARIANCE_KINDS = ("EXC1", "EXC2", "AR1")
 FAMILIES = ("gaussian-identity", "binomial-logit", "poisson-log")
@@ -53,6 +53,7 @@ class CovarianceSpec:
         if self.kind not in COVARIANCE_KINDS:
             raise ValidationError(f"unknown covariance kind {self.kind!r}")
         for name in ("sigma2", "tau2", "omega2", "decay"):
+            check_real(name, getattr(self, name))
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
         if self.tau2 < 0:
@@ -110,6 +111,8 @@ class CovarianceSpec:
 
         The mapping round-trips with the ``icc``/``cac`` properties.
         """
+        check_real("icc", icc)
+        check_real("sigma2", sigma2)
         if not 0.0 <= icc < 1.0:
             raise ValidationError("icc must lie in [0, 1)")
         tau2 = sigma2 * icc / (1.0 - icc)
@@ -117,6 +120,7 @@ class CovarianceSpec:
         if kind == "EXC2":
             if cac is None:
                 raise ValidationError("EXC2 requires a CAC value")
+            check_real("cac", cac)
             if not 0.0 <= cac <= 1.0:
                 raise ValidationError("cac must lie in [0, 1]")
             tau2, omega2 = cac * tau2, (1.0 - cac) * tau2
@@ -145,10 +149,17 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}")
+        if not isinstance(self.attenuate, bool):
+            raise ValidationError(f"attenuate must be a bool, got {self.attenuate!r}")
         if self.family == "gaussian-identity" and self.attenuate:
             raise ValidationError("attenuation only applies to non-Gaussian families")
         if self.beta is not None:
-            object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+            beta = np.asarray(self.beta, dtype=object)
+            if beta.ndim != 1:
+                raise ValidationError(f"beta must be a vector, got {self.beta!r}")
+            for value in beta:
+                check_real("beta", value)
+            object.__setattr__(self, "beta", tuple(float(b) for b in beta))
 
     @property
     def is_gaussian(self) -> bool:

@@ -172,6 +172,13 @@ def space_from_sequences(sequences, n_periods=None, cells_per_period=1,
     sequence becomes its own unit (``observation`` forces one observation
     per unit so the replication cap bounds the per-cell count).
     """
+    try:
+        sequences = [tuple(s) for s in sequences]
+    except TypeError as exc:
+        raise ValidationError(
+            "sequences must be sequences of treatment indicators") from exc
+    for value in (v for s in sequences for v in s):
+        check_count("treatment indicator", value)
     sequences = [tuple(int(v) for v in s) for s in sequences]
     if not sequences:
         raise ValidationError("no sequences supplied")

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the input checks that
 raise them from more than one module."""
+import numbers
+
 import numpy as np
 
 
@@ -35,6 +37,12 @@ def check_count(name: str, value) -> None:
     """Reject anything but an integer (a boolean is not one)."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Reject anything but a real number (a boolean is not one)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
 def check_seed(seed) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_count
+from .errors import ValidationError, check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,8 @@ class CellMeanParams:
     def __post_init__(self):
         for name in ("n_clusters", "n_periods", "obs_per_cell"):
             check_count(name, getattr(self, name))
+        for name in ("tau2", "omega2", "sigma2"):
+            check_real(name, getattr(self, name))
         if self.n_clusters < 1 or self.n_periods < 1 or self.obs_per_cell < 1:
             raise ValidationError("cluster, period, and cell counts must be positive")
         # written so that a NaN component fails
@@ -57,6 +59,19 @@ class CellMeanParams:
         return self.n_periods * rb / (1.0 + (self.n_periods - 1.0) * rb)
 
 
+def _treatment_matrix(treat_matrix) -> np.ndarray:
+    """``treat_matrix`` as a 2-dimensional float array of 0/1 entries."""
+    try:
+        treat = np.asarray(treat_matrix, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("treatment matrix must be a numeric array") from exc
+    if treat.ndim != 2:
+        raise ValidationError("treatment matrix must be 2-dimensional")
+    if not np.isin(treat, (0.0, 1.0)).all():
+        raise ValidationError("treatment matrix entries must be 0 or 1")
+    return treat
+
+
 def design_coefficients(treat_matrix: np.ndarray) -> tuple[float, float]:
     """Design-dependent coefficients of the precision formula.
 
@@ -64,11 +79,7 @@ def design_coefficients(treat_matrix: np.ndarray) -> tuple[float, float]:
     their period means; ``b`` is the variance of the per-cluster mean
     treatment exposure. Both are invariant to permuting cluster rows.
     """
-    treat = np.asarray(treat_matrix, dtype=float)
-    if treat.ndim != 2:
-        raise ValidationError("treatment matrix must be 2-dimensional")
-    if not np.isin(treat, (0.0, 1.0)).all():
-        raise ValidationError("treatment matrix entries must be 0 or 1")
+    treat = _treatment_matrix(treat_matrix)
     period_means = treat.mean(axis=0)
     a = float(((treat - period_means) ** 2).mean())
     cluster_means = treat.mean(axis=1)
@@ -87,7 +98,7 @@ def treatment_precision(params: CellMeanParams, treat_matrix: np.ndarray) -> flo
     A non-positive value signals a degenerate design whose treatment
     variance is infinite.
     """
-    treat = np.asarray(treat_matrix, dtype=float)
+    treat = _treatment_matrix(treat_matrix)
     m, t = treat.shape
     if (m, t) != (params.n_clusters, params.n_periods):
         raise ValidationError(
@@ -109,9 +120,20 @@ def optimal_switch_ordering(n_clusters: int, n_periods: int,
     treated in decreasing order of ``R * x_period - x_cluster`` until the
     budget is met. Ties break towards the lower cluster index, then the
     later period, so the output is deterministic; each cluster row is
-    non-decreasing over time.
+    non-decreasing over time. Raises :class:`ValidationError` unless the
+    sizes are positive integers, the correlation a real number in [0, 1]
+    and the budget an integer in [0, ``n_clusters * n_periods``].
     """
     m, t = n_clusters, n_periods
+    for name, value in (("n_clusters", m), ("n_periods", t),
+                        ("treated_cells", treated_cells)):
+        check_count(name, value)
+    if m < 1 or t < 1:
+        raise ValidationError("n_clusters and n_periods must be at least 1")
+    check_real("cluster_mean_correlation", cluster_mean_correlation)
+    # written so that a NaN correlation fails
+    if not 0.0 <= cluster_mean_correlation <= 1.0:
+        raise ValidationError("cluster_mean_correlation must lie in [0, 1]")
     if not 0 <= treated_cells <= m * t:
         raise ValidationError(f"treated cell budget must lie in [0, {m * t}]")
     x_cluster = (2.0 * np.arange(1, m + 1) - 1.0 - m) / (2.0 * m)
@@ -126,6 +148,9 @@ def optimal_switch_ordering(n_clusters: int, n_periods: int,
 
 
 def _weight_domain(n_periods, obs_per_cell, icc, min_periods):
+    check_count("n_periods", n_periods)
+    check_count("obs_per_cell", obs_per_cell)
+    check_real("icc", icc)
     if n_periods < min_periods:
         raise ValidationError(f"needs at least {min_periods} periods")
     if obs_per_cell < 1:

@@ -8,8 +8,10 @@ matrix cannot identify the contrast are assigned an infinite criterion.
 Evaluation never forms a dense ``Sigma^-1``: observations are aggregated
 to cluster-period means (an exact reduction, since fixed effects are
 constant within a cell) and each cluster contributes an independent small
-block. :class:`DesignCriterion` caches those blocks so that optimisers can
-score thousands of candidate designs cheaply.
+block, all of them from one stacked solve over the clusters' padded cells.
+At sequence granularity each replicate of a unit is a cluster of its own:
+:class:`DesignCriterion` runs that solve once, at one replicate per unit,
+and sums the cached unit blocks.
 
 Scoring is batched: :meth:`DesignCriterion.values` maps a ``(K, J)`` matrix
 of per-unit counts to ``K`` criteria through one stacked rank-aware solve
@@ -317,31 +319,12 @@ def aggregate_cluster_periods(space: DesignSpace, design: Design,
     """
     model = model or ModelSpec()
     lay = expand_design(space, design)
-    if lay.n_cells == 0:
-        raise ValidationError("design has no observations to aggregate")
     xbar, base, w = _cell_block(model, cov, lay.cell_period, lay.cell_treated,
                                 space.n_periods)
     same_cluster = lay.cell_cluster[:, None] == lay.cell_cluster[None, :]
     sigbar = np.where(same_cluster, base, 0.0)
     sigbar[np.diag_indices_from(sigbar)] += 1.0 / (w * lay.cell_n)
     return xbar, sigbar
-
-
-def unit_information_blocks(space: DesignSpace, cov: CovarianceSpec,
-                            model: ModelSpec | None = None) -> np.ndarray:
-    """Information contribution of one replicate of each unit, stacked
-    (J, P, P). Valid whenever units occupy distinct clusters, so a
-    design's information is the multiplicity-weighted sum of blocks."""
-    model = model or ModelSpec()
-    p = space.n_periods + 1
-    blocks = np.zeros((space.n_units, p, p))
-    for j, unit in enumerate(space.units):
-        periods = np.array([c.period for c in unit.cells])
-        treated = np.array([c.treated for c in unit.cells])
-        counts = np.array([c.count for c in unit.cells])
-        x, base, w = _cell_block(model, cov, periods, treated, space.n_periods)
-        blocks[j] = x.T @ np.linalg.solve(base + np.diag(1.0 / (w * counts)), x)
-    return blocks
 
 
 @dataclass
@@ -363,17 +346,22 @@ class _ClusterBlocks:
         # precision one unit replicate adds to each cell; zero at padding
         self.cell_precision = (self.n_per * self.weight).ravel()
 
-    def solve(self, n_obs: np.ndarray):
-        """``(s, t, info)`` for observation counts ``n_obs`` (``(..., C, c)``).
+    def _scale(self, counts: np.ndarray) -> np.ndarray:
+        """``s = sqrt(w n_obs)`` (``(..., C, c)``) of per-unit multiplicities
+        ``counts`` (``(..., J)``), with ``n_obs = n_per counts[unit_idx]``."""
+        return np.sqrt(self.weight * (counts[..., self.unit_idx] * self.n_per))
 
-        With ``S = diag(s)``, ``s = sqrt(w n_obs)``, the covariance of a
+    def solve(self, counts: np.ndarray):
+        """``(s, t, info)`` for per-unit multiplicities ``counts`` (``(..., J)``).
+
+        With ``S = diag(s)`` from :meth:`_scale`, the covariance of a
         cluster's cell means is ``B + S^-2``, so the cluster adds ``sx' t``
         to the information, with ``sx = S X`` and ``t = (I + S B S)^-1 S X``,
         and its GLS weights are ``Sigma^-1 X = S t``. Cells holding no
         observations get zero rows and drop out. ``info`` sums the clusters
         in order: ``(..., P, P)``.
         """
-        s = np.sqrt(self.weight * n_obs)
+        s = self._scale(counts)
         sx = s[..., None] * self.x
         a = self.base * (s[..., :, None] * s[..., None, :]) + self._eye
         t = np.linalg.solve(a, sx)
@@ -393,8 +381,8 @@ class _ClusterBlocks:
         return np.bincount(self._cell_unit, weights=-self.cell_precision * (v * v).ravel(),
                            minlength=n_units)
 
-    def rank_one_terms(self, n_obs: np.ndarray):
-        """``(info, u, var)`` of one design's counts ``n_obs`` (``(C, c)``):
+    def rank_one_terms(self, counts: np.ndarray):
+        """``(info, u, var)`` of one design's multiplicities ``counts`` (``(J,)``):
         its information matrix, and per cell (flattened over clusters) the
         row ``u = X - B S t`` and the conditional variance ``var = (B - B S
         A^-1 S B)_ii`` of the cell's random effect given the observed
@@ -408,7 +396,7 @@ class _ClusterBlocks:
         differences. An empty cell (``s = 0``) takes the differences, which
         stay finite there.
         """
-        s = np.sqrt(self.weight * n_obs)
+        s = self._scale(counts)
         sx = s[..., None] * self.x
         sb = s[..., :, None] * self.base
         p = sx.shape[-1]
@@ -428,11 +416,12 @@ class _ClusterBlocks:
 
 
 def _cluster_blocks(space: DesignSpace, cov: CovarianceSpec,
-                    model: ModelSpec) -> _ClusterBlocks:
-    """One block per cluster, over the cells of all units in it."""
+                    model: ModelSpec, per_unit: bool = False) -> _ClusterBlocks:
+    """One block per cluster, over the cells of all units in it; with
+    ``per_unit``, one block per unit, each unit a cluster of its own."""
     by_cluster: dict[int, list[int]] = {}
     for j, unit in enumerate(space.units):
-        by_cluster.setdefault(unit.cluster_id, []).append(j)
+        by_cluster.setdefault(j if per_unit else unit.cluster_id, []).append(j)
     cells = [[(j, cell) for j in by_cluster[cid] for cell in space.units[j].cells]
              for cid in sorted(by_cluster)]
     shape = (len(cells), max(len(cl) for cl in cells))
@@ -451,6 +440,18 @@ def _cluster_blocks(space: DesignSpace, cov: CovarianceSpec,
     return _ClusterBlocks(unit_idx, x, base, weight, n_per)
 
 
+def unit_information_blocks(space: DesignSpace, cov: CovarianceSpec,
+                            model: ModelSpec | None = None) -> np.ndarray:
+    """Information contribution of one replicate of each unit, stacked
+    (J, P, P). Valid whenever units occupy distinct clusters, so a
+    design's information is the multiplicity-weighted sum of blocks. Each
+    unit is a cluster of its own, whose block is its term ``(S X)' t`` of
+    one stacked :meth:`_ClusterBlocks.solve` at one replicate per unit."""
+    cl = _cluster_blocks(space, cov, model or ModelSpec(), per_unit=True)
+    s, t, _ = cl.solve(np.ones(space.n_units))
+    return np.swapaxes(s[..., None] * cl.x, -1, -2) @ t
+
+
 class DesignCriterion:
     """Treatment-variance criterion for one covariance/model setting.
 
@@ -459,10 +460,10 @@ class DesignCriterion:
     ``(K, J)`` batch of them to ``K`` criteria in one call, which is how
     the combinatorial searches score a whole neighbourhood; ``gradient``
     adds the derivative in each multiplicity, which the weight solvers
-    follow. For sequence-granularity spaces the per-unit information
-    blocks are precomputed once and summed; otherwise the padded cell
-    blocks of all clusters are solved in one stacked call for the whole
-    batch. Where every unit is one cell, ``single_moves`` screens all the
+    follow. Every block comes from one stacked cluster solve: for
+    sequence-granularity spaces it runs once, at one replicate per unit
+    (:func:`unit_information_blocks`), and the unit blocks are summed;
+    otherwise it runs on the whole batch. Where every unit is one cell, ``single_moves`` screens all the
     single-unit moves from one design by rank-one updates, which the greedy
     walks of :mod:`crtoptim.search` use to pick the moves worth scoring.
     """
@@ -476,11 +477,10 @@ class DesignCriterion:
         self.contrast = treatment_contrast(p)
         # a row's information matrix and the kernel's copies of it
         row_bytes = 6 * 8 * p * p
+        self._unit_blocks = self._clusters = None
         if space.granularity == "sequence":
             self._unit_blocks = unit_information_blocks(space, covariance, self.model)
-            self._clusters = None
         else:
-            self._unit_blocks = None
             self._clusters = cl = _cluster_blocks(space, covariance, self.model)
             n_clusters, n_cells = cl.unit_idx.shape
             # each unit's cell among the flattened cells, -1 for a unit of
@@ -520,8 +520,7 @@ class DesignCriterion:
             # einsum accumulates over units in order for every row; a BLAS
             # product would switch kernels (and rounding) with K
             return np.einsum("kj,jab->kab", batch, self._unit_blocks)
-        cl = self._clusters
-        return cl.solve(batch[:, cl.unit_idx] * cl.n_per)[2]
+        return self._clusters.solve(batch)[2]
 
     def information(self, counts) -> np.ndarray:
         """Information matrix of the design given per-unit multiplicities."""
@@ -569,7 +568,7 @@ class DesignCriterion:
         if cl is None:
             m = self._information(batch)
         else:
-            s, t, m = cl.solve(batch[:, cl.unit_idx] * cl.n_per)
+            s, t, m = cl.solve(batch)
         value, y, _ = _factor_solve(m)
         if y is None:
             return value, np.full(self.space.n_units, np.nan)
@@ -594,14 +593,11 @@ class DesignCriterion:
         cannot vouch for it. ``None`` at sequence granularity, for a unit
         of more than one cell, and for a design whose ``M`` the kernel's
         shifted Cholesky does not certify full-rank or whose ``tr M tr
-        M^-1`` exceeds ``SCREEN_CONDITION``. Except at sequence granularity,
-        raises :class:`ValidationError` for counts that ``values`` rejects, for
+        M^-1`` exceeds ``SCREEN_CONDITION``. At every granularity, raises
+        :class:`ValidationError` for counts that ``values`` rejects, for
         ``units`` that are not unit indices, for a ``step`` other than 1 or
         -1, and for a removal from a unit the design does not hold.
         """
-        cl = self._clusters
-        if cl is None:
-            return None
         batch = self._batch(np.asarray(counts)[None])
         units = np.asarray(units)
         if (units.dtype.kind not in "iu" or units.ndim != 1
@@ -611,10 +607,13 @@ class DesignCriterion:
             raise ValidationError("step must be 1 or -1")
         if step == -1 and (batch[0, units] < 1).any():
             raise ValidationError("a removal from a unit the design does not hold")
+        cl = self._clusters
+        if cl is None:
+            return None
         cells = self._unit_cell[units]
         if (cells < 0).any():
             return None
-        info, u, var = cl.rank_one_terms(batch[0][cl.unit_idx] * cl.n_per)
+        info, u, var = cl.rank_one_terms(batch[0])
         value, y, lower_inv = _factor_solve(info[None])
         # tr M^-1 = |L^-1|_F^2
         if (lower_inv is None or np.einsum("ij,ij->", lower_inv, lower_inv)

@@ -25,7 +25,6 @@ serving as a generic cross-check on the fixed point.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import DesignSpace
 from .errors import (ConvergenceError, InfeasibleError, ValidationError,
-                     check_count, check_probabilities)
+                     check_count, check_probabilities, check_real)
 from .glscore import CRITERION_ROUNDING, DesignCriterion
 
 # Units whose weight falls below this bound are dropped for good.
@@ -70,6 +69,13 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + lam, 0.0)
 
 
+def _check_positive(name: str, value) -> None:
+    """Reject anything but a finite positive real number."""
+    check_real(name, value)
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _residual(phi: np.ndarray, grad: np.ndarray) -> float:
     """Unit-step projected-gradient residual: zero exactly at a minimiser."""
     return float(np.abs(phi - project_to_simplex(phi - grad)).max())
@@ -96,8 +102,8 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
     ``r = p1 - phi``, ``v = p2 - 2 p1 + phi`` and
     ``alpha = min(-|r|/|v|, -1)``. It accepts the point only if every
     active weight stays positive and its criterion does not exceed that of
-    ``p1``; otherwise ``alpha`` is halved until it reaches -1, which is the
-    plain double step ``p2``. The fixed point is that of the plain map, and
+    ``p1``; otherwise the cycle ends at the plain double step ``p2``
+    (``alpha = -1``). The fixed point is that of the plain map, and
     the run stops once a plain step moves no weight by more than
     ``tolerance``, returning that step's weights and their criterion.
     Units dropping below ``1e-7`` weight on a plain step are removed
@@ -106,23 +112,19 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
 
     ``iterations`` counts criterion evaluations, the final one at the
     returned weights included, and ``max_iter``, a positive integer,
-    bounds them.
+    bounds them. ``tolerance`` must be a finite positive number.
 
     Raises :class:`ConvergenceError` when ``max_iter`` evaluations do not
     suffice (the error carries the last iterate) or if a plain step
     increases the criterion beyond tolerance, and :class:`InfeasibleError`
     when the contrast is not identified by the full space.
     """
-    if not tolerance > 0:
-        raise ValidationError("tolerance must be positive")
+    _check_positive("tolerance", tolerance)
     check_count("max_iter", max_iter)
     if max_iter < 1:
         raise ValidationError("max_iter must be at least 1")
-    if total_obs is not None and (
-            isinstance(total_obs, bool) or not isinstance(total_obs, numbers.Real)
-            or not 0 < total_obs < math.inf):
-        raise ValidationError(
-            f"total_obs must be a finite positive number, got {total_obs!r}")
+    if total_obs is not None:
+        _check_positive("total_obs", total_obs)
     scale = 1.0
     if space.granularity != "sequence":
         if total_obs is None:
@@ -172,17 +174,13 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
             v = mapped - 2.0 * phi + start
             v_norm = np.linalg.norm(v)
             alpha = min(-np.linalg.norm(r) / v_norm, -1.0) if v_norm > 0 else -1.0
-            while alpha < -1.0:
-                trial = start - 2.0 * alpha * r + alpha * alpha * v
-                if (trial[active] > 0).all():
-                    trial /= trial.sum()
-                    f_trial, grad_trial = evaluate(trial)
-                    if f_trial <= f:
-                        break
-                alpha = max(0.5 * alpha, -1.0)
-            if alpha < -1.0:
-                phi, f, grad, start = trial, f_trial, grad_trial, None
-                continue
+            trial = start - 2.0 * alpha * r + alpha * alpha * v
+            if alpha < -1.0 and (trial[active] > 0).all():
+                trial /= trial.sum()
+                f_trial, grad_trial = evaluate(trial)
+                if f_trial <= f:
+                    phi, f, grad, start = trial, f_trial, grad_trial, None
+                    continue
         # a plain step of the map: alpha = -1 ends the cycle at F(F(start))
         f_mapped, grad_mapped = evaluate(mapped)
         if not math.isfinite(f_mapped):
@@ -209,13 +207,12 @@ def simplex_weight_descent(space: DesignSpace, cov: CovarianceSpec,
     below the rounding of the criterion, until they keep its value within
     that rounding and lower the residual.
     Convergence is declared when the unit-step projected-gradient residual
-    falls below ``tolerance``. Raises :class:`ConvergenceError`, carrying
-    the last iterate, past ``max_iter`` (a positive integer) iterations or
-    when no step passes while the residual still exceeds ``tolerance`` (the
-    message gives it).
+    falls below ``tolerance``, a finite positive number. Raises
+    :class:`ConvergenceError`, carrying the last iterate, past ``max_iter``
+    (a positive integer) iterations or when no step passes while the
+    residual still exceeds ``tolerance`` (the message gives it).
     """
-    if not tolerance > 0:
-        raise ValidationError("tolerance must be positive")
+    _check_positive("tolerance", tolerance)
     check_count("max_iter", max_iter)
     if max_iter < 1:
         raise ValidationError("max_iter must be at least 1")

@@ -111,6 +111,24 @@ def test_total_must_be_an_integer(round_, total):
         round_([0.25, 0.25, 0.5], total)
 
 
+@pytest.mark.parametrize("round_", [hamilton_round, adams_round])
+def test_total_must_be_positive(round_):
+    with pytest.raises(ValidationError, match="at least 1"):
+        round_([0.25, 0.25, 0.5], 0)
+
+
+@pytest.mark.parametrize("round_", [hamilton_round, adams_round])
+def test_weights_must_be_a_vector(round_):
+    with pytest.raises(ValidationError, match="vector"):
+        round_([[0.25, 0.25], [0.25, 0.25]], 4)
+
+
+def test_best_rounding_needs_one_weight_per_unit():
+    space = standard_space(2, max_replication=8)
+    with pytest.raises(ValidationError, match="2 weights for a space of 3 units"):
+        best_rounding(space, CovarianceSpec("EXC1", tau2=0.05), [0.5, 0.5], 4)
+
+
 class TestBestRounding:
     def setup_method(self):
         self.space = standard_space(4, max_replication=8, cells_per_period=5)

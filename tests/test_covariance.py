@@ -89,6 +89,29 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ModelSpec(family="gamma-inverse")
 
+    @pytest.mark.parametrize("attenuate", ["no", 1, None])
+    def test_attenuate_must_be_a_bool(self, attenuate):
+        # a truthy string used to switch attenuation on
+        with pytest.raises(ValidationError, match="attenuate"):
+            ModelSpec(family="binomial-logit", beta=(0.0, 0.5), attenuate=attenuate)
+
+    @pytest.mark.parametrize("beta", ["ab", 5, [0.5, "1"], [[0.0, 0.5]], [True, 0.5]])
+    def test_beta_must_be_a_vector_of_reals(self, beta):
+        with pytest.raises(ValidationError, match="beta"):
+            ModelSpec(family="binomial-logit", beta=beta)
+
+    @pytest.mark.parametrize("field", ["tau2", "omega2", "decay", "sigma2"])
+    def test_components_must_be_real_numbers(self, field):
+        with pytest.raises(ValidationError, match=field):
+            CovarianceSpec("EXC1", **{"tau2": 0.1, field: "0.1"})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"kind": "EXC1", "icc": "0.1"}, {"kind": "EXC2", "icc": 0.1, "cac": "0.5"},
+        {"kind": "EXC1", "icc": 0.1, "sigma2": "1"}])
+    def test_from_icc_needs_real_numbers(self, kwargs):
+        with pytest.raises(ValidationError):
+            CovarianceSpec.from_icc(**kwargs)
+
 
 class TestIteratedWeights:
     def test_gaussian_is_reciprocal_variance(self):

@@ -88,6 +88,12 @@ class TestValidation:
         with pytest.raises(ValidationError, match="integer"):
             build()
 
+    @pytest.mark.parametrize("sequences", [
+        ["ab"], ["01"], [(0, 1.0)], [(0, True)], 5, [5]])
+    def test_sequences_must_hold_integer_indicators(self, sequences):
+        with pytest.raises(ValidationError):
+            space_from_sequences(sequences)
+
 
 class TestBuildX:
     def test_parallel_two_cluster(self):

@@ -44,6 +44,14 @@ class TestDesignCoefficients:
         with pytest.raises(ValidationError):
             design_coefficients(np.array([[0.5, 1.0]]))
 
+    def test_rejects_ragged_matrix(self):
+        with pytest.raises(ValidationError):
+            design_coefficients([[0, 1], [1]])
+
+    def test_precision_rejects_one_dimensional_matrix(self):
+        with pytest.raises(ValidationError):
+            treatment_precision(CellMeanParams(2, 2, 1, 0.1), [0, 1])
+
 
 class TestPrecision:
     def test_no_cluster_variance_reduces_to_a_term(self):
@@ -96,7 +104,8 @@ class TestParams:
 
     @pytest.mark.parametrize("kwargs", [
         {"tau2": math.nan}, {"tau2": math.inf}, {"omega2": math.nan},
-        {"sigma2": math.nan}, {"n_clusters": 2.5}, {"obs_per_cell": True}])
+        {"sigma2": math.nan}, {"n_clusters": 2.5}, {"obs_per_cell": True},
+        {"tau2": "x"}, {"omega2": None}, {"sigma2": "1"}])
     def test_rejects_non_finite_components_and_fractional_sizes(self, kwargs):
         with pytest.raises(ValidationError):
             CellMeanParams(**{"n_clusters": 5, "n_periods": 4, "obs_per_cell": 10,
@@ -129,6 +138,14 @@ class TestSwitchOrdering:
     def test_budget_range_checked(self):
         with pytest.raises(ValidationError):
             optimal_switch_ordering(2, 2, 0.5, 5)
+
+    @pytest.mark.parametrize("args", [
+        (2.5, 3, 0.5, 1), (2, 3.0, 0.5, 1), (2, 3, 0.5, 1.5), (2, 3, 0.5, True),
+        (0, 3, 0.5, 0), (2, 0, 0.5, 0), (2, 3, math.nan, 1), (2, 3, "0.5", 1),
+        (2, 3, -0.1, 1), (2, 3, 1.5, 1)])
+    def test_rejects_bad_sizes_and_correlations(self, args):
+        with pytest.raises(ValidationError):
+            optimal_switch_ordering(*args)
 
 
 class TestClosedFormWeights:
@@ -166,3 +183,10 @@ class TestClosedFormWeights:
             stepped_wedge_weights(2, 5, 0.1)
         with pytest.raises(ValidationError):
             unidirectional_weights(4, 5, 1.0)
+
+    @pytest.mark.parametrize("solver", [stepped_wedge_weights, unidirectional_weights])
+    @pytest.mark.parametrize("args", [
+        (3.5, 1, 0.1), (4, 1.5, 0.1), (4, True, 0.1), (4, 1, "0.1")])
+    def test_sizes_must_be_integers_and_icc_real(self, solver, args):
+        with pytest.raises(ValidationError):
+            solver(*args)

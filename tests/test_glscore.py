@@ -9,7 +9,7 @@ from crtoptim import (CovarianceSpec, DesignCriterion, ModelClass, ModelSpec,
                       build_sigma, build_x, build_z, c_optimality,
                       glm_weight_diagonal, information_matrix,
                       space_from_sequences, standard_space,
-                      treatment_contrast)
+                      treatment_contrast, unit_information_blocks)
 from crtoptim import glscore
 from crtoptim.glscore import (CERTIFICATE_MARGIN, RANGE_TOL, RANK_TOL,
                               _contrast_kernel, _eigen_solve, contrast_variance)
@@ -271,6 +271,27 @@ class TestAggregation:
         with pytest.raises(ValidationError):
             aggregate_cluster_periods(space, design,
                                       CovarianceSpec("EXC1", tau2=0.1))
+
+
+class TestUnitBlocks:
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    @pytest.mark.parametrize("family", ["gaussian-identity", "binomial-logit",
+                                        "poisson-log"])
+    def test_each_block_is_its_unit_alone(self, granularity, family):
+        # the stacked cluster solve against the dense cluster-period model
+        rng = np.random.default_rng(len(granularity) + len(family))
+        for _ in range(10):
+            space, cov, _ = random_instance(rng, granularity=granularity)
+            model = ModelSpec()
+            if family != "gaussian-identity":
+                model = ModelSpec(family, beta=rng.uniform(-1.5, 0.5, space.n_periods + 1))
+            blocks = unit_information_blocks(space, cov, model)
+            assert blocks.shape == (space.n_units,) + (space.n_periods + 1,) * 2
+            for j in range(space.n_units):
+                alone = space.design_from_indices([j])
+                dense = information_matrix(
+                    *aggregate_cluster_periods(space, alone, cov, model))
+                assert np.abs(blocks[j] - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 class TestCriterionEvaluator:

@@ -223,11 +223,18 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("kwargs", [
         {"m": 3.5}, {"m": True}, {"restarts": 2.5}, {"restarts": True},
-        {"seed": -1}, {"seed": 1.5}, {"seed": True}])
+        {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"restarts": 0}])
     def test_local_search_rejects(self, kwargs):
         args = {"m": 3, "restarts": 2, "seed": 0, **kwargs}
         with pytest.raises(ValidationError):
             local_search(self.space, self.crit, **args)
+
+    def test_reverse_greedy_ending_unidentified_is_infeasible(self):
+        # no single sequence identifies the treatment effect
+        space = standard_space(4, max_replication=3)
+        crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+        with pytest.raises(InfeasibleError, match="infinite"):
+            reverse_greedy(space, crit, 1)
 
     def test_nan_values_rank_last(self):
         crit = self.crit
@@ -399,6 +406,15 @@ class TestSwapDelta:
         crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
         design = space.design_from_counts([1, 1])
         assert swap_delta(space, crit, design, 1, 0) == math.inf
+
+    def test_swap_needs_a_held_unit_and_room_below_the_cap(self):
+        space = standard_space(3, max_replication=2)
+        crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+        design = space.design_from_counts([0, 2, 1, 1])
+        with pytest.raises(ValidationError, match="not in the design"):
+            swap_delta(space, crit, design, 0, 2)
+        with pytest.raises(ValidationError, match="cap"):
+            swap_delta(space, crit, design, 2, 1)
 
     @pytest.mark.parametrize("remove, add", [
         (-1, 0), (0, -1), (99, 0), (0, 4), (1.0, 0), (0, 1.0), (True, 0),
@@ -617,6 +633,16 @@ class TestSingleMoveScreen:
         ([0] + [1] * 11, [0], -1), ([1] * 11, [0], 1), ([-1] + [1] * 11, [1], 1)])
     def test_screen_rejects(self, counts, units, step):
         space = standard_space(3, max_replication=2, granularity="cluster-period")
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC1", 0.1))
+        with pytest.raises(ValidationError):
+            crit.single_moves(counts, units, step)
+
+    @pytest.mark.parametrize("counts, units, step", [
+        ([-1, 1, 1, 1], [1], 1), ([1] * 4, [0], 7), ([1] * 4, [4], 1),
+        ([0, 1, 1, 1], [0], -1), ([1] * 3, [0], 1)])
+    def test_sequence_screen_checks_its_input(self, counts, units, step):
+        # a sequence space has no screen, but bad input is still an error
+        space = standard_space(3, max_replication=2)
         crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC1", 0.1))
         with pytest.raises(ValidationError):
             crit.single_moves(counts, units, step)

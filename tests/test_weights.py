@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -333,10 +335,11 @@ class TestSimplexDescent:
 
 
 @pytest.mark.parametrize("solver", [mixed_model_weights, simplex_weight_descent])
-@pytest.mark.parametrize("tolerance", [0.0, -1e-6, float("nan")])
+@pytest.mark.parametrize("tolerance", [0.0, -1e-6, float("nan"), math.inf, "1e-6", True])
 def test_tolerance_must_be_positive(solver, tolerance):
     # zero or NaN would stall the descent, and NaN would run the fixed
-    # point to max_iter, before either reports a non-convergence
+    # point to max_iter, before either reports a non-convergence; an
+    # infinite tolerance would return after one or two evaluations
     space = standard_space(3, max_replication=10)
     with pytest.raises(ValidationError, match="tolerance"):
         solver(space, exc1_from_icc(0.1), tolerance=tolerance)
