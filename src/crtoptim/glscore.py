@@ -18,16 +18,19 @@ of per-unit counts to ``K`` criteria through one stacked rank-aware solve
 over ``(K, P, P)`` information matrices, and every other criterion
 quantity (``value``, ``contrast_variance``, the gradient the weight solvers
 follow, the rank-one screen of the greedy walks) is that kernel on a stack
-of one. The kernel factorises the whole stack twice by Cholesky, ``M`` and
-``M - delta I`` with ``delta = CERTIFICATE_MARGIN * RANK_TOL * tr M``, in
-one LAPACK call. When both succeed the smallest eigenvalue exceeds
-``delta``, which certifies the row full-rank, and the treatment contrast
-``e_P`` scores ``1 / L_PP^2`` from the factor of ``M``; ``values`` inverts
-no matrix, and the gradient and the screen invert that same factor
-(:func:`_factor_solve`). Rows that fail the certificate (rank-deficient,
-indefinite, NaN or infinite) take a rank-revealing eigen-solve instead; a
-contrast other than ``e_P`` is first reflected onto it. A stack that LAPACK
-refuses because of one singular row is bisected until that row is alone.
+of one. The kernel factorises the whole stack once by Cholesky, ``M = L
+L'``, in one LAPACK call. A row is certified full-rank when its smallest
+eigenvalue exceeds ``delta = CERTIFICATE_MARGIN * RANK_TOL * tr M``: a
+determinant bound read off the diagonal of ``L`` vouches for that on
+well-conditioned rows, and only the rows it cannot vouch for are factorised
+again, at ``M - delta I``. A certified row scores the treatment contrast
+``e_P`` as ``1 / L_PP^2``; ``values`` inverts no matrix, and the gradient
+and the screen invert that same factor (:func:`_factor_solve`). Rows that
+fail the certificate (rank-deficient, indefinite, NaN or infinite) take a
+rank-revealing eigen-solve instead. A contrast other than ``e_P`` is first
+mapped onto it, by a permutation for a scaled unit contrast and a
+reflection otherwise. A stack that LAPACK refuses because of one singular
+row is bisected until that row is alone.
 Each row's information matrix is accumulated in a fixed order over units
 or clusters, never by one BLAS product across rows whose kernel (and
 rounding) could change with ``K``, and each row is decided on its own, so
@@ -48,9 +51,11 @@ from .errors import NumericDomainError, ValidationError, check_count
 # residual of the contrast after projection onto the range of M.
 RANK_TOL = 1e-10
 RANGE_TOL = 1e-8
-# The Cholesky path certifies a row full-rank when ``M - delta I`` with
-# ``delta = CERTIFICATE_MARGIN * RANK_TOL * tr M`` still factorises; the
-# margin above RANK_TOL absorbs the backward error of that factorisation.
+# The Cholesky path certifies a row full-rank when ``lambda_min > delta``
+# with ``delta = CERTIFICATE_MARGIN * RANK_TOL * tr M``: either a
+# determinant bound from the factor of ``M`` exceeds ``2 delta``, or ``M -
+# delta I`` still factorises. The margin above RANK_TOL absorbs the
+# backward error of either factorisation.
 CERTIFICATE_MARGIN = 10.0
 # Cap on ``|tr M|`` in that shift, so that it stays finite.
 _LARGEST = np.finfo(float).max
@@ -107,6 +112,13 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
         return np.concatenate([_cholesky(m[:half]), _cholesky(m[half:])])
 
 
+def _factorised(lower: np.ndarray) -> np.ndarray:
+    """Rows of a stack of Cholesky factors with a finite, positive last
+    diagonal entry; written so that a NaN pivot fails."""
+    pivots = lower[:, -1, -1]
+    return (pivots > 0.0) & (pivots < math.inf)
+
+
 def _contrast_kernel(m: np.ndarray):
     """Rank-aware solve behind every criterion value.
 
@@ -117,39 +129,68 @@ def _contrast_kernel(m: np.ndarray):
     ``lower[k]`` the Cholesky factor of the symmetrised ``M`` on a row the
     certificate below passes, NaN on every other row.
 
-    The stack is symmetrised and factorised twice in one stacked call,
-    ``M = L L'`` and, with ``delta = CERTIFICATE_MARGIN * RANK_TOL * tr M``,
-    ``M - delta I``. A row is certified full-rank when both factors have a
-    finite, positive last diagonal entry: a Cholesky factorisation succeeds
-    only on a matrix that is positive definite up to its backward error, so
-    ``lambda_min > delta >= CERTIFICATE_MARGIN * RANK_TOL * lambda_max`` and
-    a rank-revealing eigen-solve would keep every eigenvalue. A certified
-    row scores ``1 / L_PP^2``: ``L^-1 e_P = e_P / L_PP`` since ``L`` is
-    lower triangular. Every other row (rank-deficient, indefinite, NaN or
-    infinite) is solved on its own by :func:`_eigen_solve`. Each row is
-    decided and solved on its own, so its results do not depend on the rest
-    of the stack.
+    The stack is symmetrised and factorised in one stacked call, ``M = L
+    L'``. A row is certified full-rank when its factor has a finite,
+    positive last diagonal entry and ``lambda_min > delta`` with ``delta =
+    CERTIFICATE_MARGIN * RANK_TOL * tr M``: then ``lambda_min >=
+    CERTIFICATE_MARGIN * RANK_TOL * lambda_max`` and a rank-revealing
+    eigen-solve would keep every eigenvalue. A certified row scores ``1 /
+    L_PP^2``: ``L^-1 e_P = e_P / L_PP`` since ``L`` is lower triangular.
+
+    The factor itself bounds ``lambda_min``. For a positive semi-definite
+    ``M`` with ``P > 1``, the other ``P - 1`` eigenvalues have a product of
+    at most ``(tr M / (P - 1))^(P - 1)`` by the AM-GM inequality, and ``det
+    M = prod_i L_ii^2``, so ``lambda_min >= det M ((P - 1) / tr M)^(P -
+    1)``. A row is vouched for when that bound exceeds ``2 delta``, that
+    is, when ``prod_i ((P - 1) L_ii^2 / tr M) / (P - 1) > 2
+    CERTIFICATE_MARGIN * RANK_TOL`` holds and is finite. The product is
+    taken factor by factor: its first ``j`` factors multiply to at most
+    ``((P - 1) / j)^j <= exp((P - 1) / e)``, so it overflows only beyond
+    ``P`` of about 1,900, and a row whose bound overflows is merely not
+    vouched for. The factor 2 absorbs the backward error of the
+    factorisation, about ``P eps tr M`` against ``delta = 1e-9 tr M``, so
+    ``M - delta I`` would factorise on every row the bound vouches for.
+    Every other factorised row is factorised again at ``M - delta I``, in
+    one stacked call over those rows alone, and is certified if that
+    succeeds; so the certified rows are exactly those on which both ``M``
+    and ``M - delta I`` factorise. A ``1 x 1`` ``M`` that factorises is
+    certified. Every row left (rank-deficient, indefinite, NaN or infinite)
+    is solved on its own by :func:`_eigen_solve`. Each row is decided and
+    solved on its own, so its results do not depend on the rest of the
+    stack.
     """
     m = _symmetrised(m)
     k, p = m.shape[:2]
-    # M and M - delta I, stacked so that one LAPACK call factorises both
-    both = np.concatenate((m, m))
-    diagonal = both[k:].reshape(k, p * p)[:, ::p + 1]
+    lower = _cholesky(m)
+    pivots = lower.reshape(k, p * p)[:, ::p + 1]
+    factors = pivots * pivots
+    value = 1.0 / factors[:, -1]
     # |tr M| capped at the largest float: an infinite entry on the diagonal
     # then never meets an infinite shift (inf - inf)
-    trace = np.minimum(np.abs(np.add.reduce(diagonal, axis=-1)), _LARGEST)
-    diagonal -= (CERTIFICATE_MARGIN * RANK_TOL * trace)[:, None]
-    factors = _cholesky(both)
-    pivots = factors[:, -1, -1]
-    # written so that a NaN pivot fails
-    factorised = (pivots > 0.0) & (pivots < math.inf)
-    certified = factorised[:k] & factorised[k:]
-    lower, pivot = factors[:k], pivots[:k]
-    value = 1.0 / (pivot * pivot)
+    trace = np.minimum(np.abs(np.add.reduce(m.reshape(k, p * p)[:, ::p + 1], axis=-1)),
+                       _LARGEST)
+    if p == 1:
+        certified = _factorised(lower)
+    else:
+        # a row whose trace is zero has a NaN factor: NaN / 0 does not warn
+        factors /= trace[:, None]
+        factors *= p - 1
+        bound = np.multiply.reduce(factors, axis=-1)
+        # a finite bound above the threshold also vouches that every pivot
+        # is finite and positive
+        certified = ((bound > 2.0 * (p - 1) * CERTIFICATE_MARGIN * RANK_TOL)
+                     & (bound < math.inf))
     if not certified.all():
+        doubtful = np.flatnonzero(~certified & _factorised(lower))
+        if doubtful.size:
+            shifted = m[doubtful]
+            shifted.reshape(-1, p * p)[:, ::p + 1] -= (
+                CERTIFICATE_MARGIN * RANK_TOL * trace[doubtful])[:, None]
+            certified[doubtful] = _factorised(_cholesky(shifted))
         uncertified = ~certified
-        lower[uncertified] = np.nan
-        value[uncertified] = _eigen_solve(m[uncertified])[0]
+        if uncertified.any():
+            lower[uncertified] = np.nan
+            value[uncertified] = _eigen_solve(m[uncertified])[0]
     return value, lower
 
 
@@ -180,9 +221,10 @@ def _eigen_solve(m: np.ndarray):
 
 def _factor_solve(m: np.ndarray):
     """``(value, y, L^-1)`` of a stack of one information matrix: the
-    kernel's value, ``y = M^+ e_P = L^-T L^-1 e_P`` from its Cholesky factor
-    ``L`` where it certifies the row, else from :func:`_eigen_solve` with
-    ``L^-1`` None; ``y`` is None too where the value is infinite."""
+    kernel's value, ``y = M^+ e_P = L^-T L^-1 e_P`` from the Cholesky factor
+    ``L`` of ``M`` that the kernel returns where it certifies the row (no
+    second factorisation), else from :func:`_eigen_solve` with ``L^-1``
+    None; ``y`` is None too where the value is infinite."""
     value, lower = _contrast_kernel(m)
     value = float(value[0])
     if value == math.inf:
@@ -199,9 +241,12 @@ def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
     kernel every criterion value uses.
 
     The kernel scores the contrast ``e_P``, so ``c`` is first mapped onto
-    it by the Householder reflection ``H`` taking ``c`` to ``+-|c| e_P``:
-    ``H M H`` has the same ``c' M^+ c`` and, under the kernel's
-    shifted-Cholesky certificate, the same rank decisions.
+    ``+-|c| e_P`` by an orthogonal ``H``: ``H M H'`` has the same ``c' M^+
+    c``, eigenvalues and trace, and so the same rank decisions under the
+    kernel's certificate. A scaled unit contrast ``c = a e_k`` takes the
+    symmetric permutation ``k <-> P``, which is exact, so its value is that
+    of ``e_k`` times ``|a| |a|`` bit for bit; any other contrast takes the
+    Householder reflection taking ``c`` to ``-sign(c_P) |c| e_P``.
 
     Returns ``inf`` when the contrast is outside the range of ``M`` (the
     design carries no information on it), when ``M`` is not positive
@@ -222,13 +267,22 @@ def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
         raise ValidationError("contrast must be non-zero")
     if not np.isfinite(m).all():
         return math.inf
-    # H = I - 2 v v' / v'v maps c onto -sign(c_P) |c| e_P; adding to c_P a
-    # term of its own sign avoids cancellation in v
-    v = c.astype(float)
-    scale = float(np.linalg.norm(v))
-    v[-1] += math.copysign(scale, v[-1])
-    h = np.eye(c.size) - (2.0 / (v @ v)) * np.outer(v, v)
-    return float(_contrast_kernel((h @ m @ h)[None])[0][0]) * scale * scale
+    nonzero = np.flatnonzero(c)
+    if nonzero.size == 1:
+        k = nonzero[0]
+        scale = abs(float(c[k]))
+        order = np.arange(c.size)
+        order[[k, -1]] = order[[-1, k]]
+        mapped = m[np.ix_(order, order)].astype(float)
+    else:
+        # H = I - 2 v v' / v'v maps c onto -sign(c_P) |c| e_P; adding to c_P
+        # a term of its own sign avoids cancellation in v
+        v = c.astype(float)
+        scale = float(np.linalg.norm(v))
+        v[-1] += math.copysign(scale, v[-1])
+        h = np.eye(c.size) - (2.0 / (v @ v)) * np.outer(v, v)
+        mapped = h @ m @ h
+    return float(_contrast_kernel(mapped[None])[0][0]) * scale * scale
 
 
 def c_optimality(m: np.ndarray, c: np.ndarray) -> float:
@@ -531,9 +585,12 @@ class DesignCriterion:
         one per row; row ``i`` equals ``value(batch[i])`` bit for bit.
 
         Each row is ``1 / L_PP^2`` from the Cholesky factor of its
-        information matrix where the shifted-Cholesky certificate of
+        information matrix where the full-rank certificate of
         :func:`_contrast_kernel` holds, and a rank-revealing eigen-solve
-        elsewhere; no matrix is inverted.
+        elsewhere; no matrix is inverted. A chunk of rows that the
+        kernel's determinant bound all vouch for costs one stacked Cholesky
+        call; only rows the bound cannot vouch for are factorised again, at
+        ``M - delta I``.
 
         Multiplicities must be finite and non-negative; a fractional row is
         legal and scores the weighted design it describes (the weight
@@ -591,9 +648,9 @@ class DesignCriterion:
         of ``M`` and as the denominators approach zero. A row is NaN where
         either denominator is at most ``SCREEN_DENOMINATOR``: the screen
         cannot vouch for it. ``None`` at sequence granularity, for a unit
-        of more than one cell, and for a design whose ``M`` the kernel's
-        shifted Cholesky does not certify full-rank or whose ``tr M tr
-        M^-1`` exceeds ``SCREEN_CONDITION``. At every granularity, raises
+        of more than one cell, and for a design whose ``M`` the kernel
+        does not certify full-rank or whose ``tr M tr M^-1`` exceeds
+        ``SCREEN_CONDITION``. At every granularity, raises
         :class:`ValidationError` for counts that ``values`` rejects, for
         ``units`` that are not unit indices, for a ``step`` other than 1 or
         -1, and for a removal from a unit the design does not hold.

@@ -16,7 +16,7 @@ import numpy as np
 
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace
-from .errors import ValidationError, check_probabilities
+from .errors import ValidationError, check_probabilities, check_real
 from .glscore import DesignCriterion
 
 CRITERION_FORMS = ("linear-average", "log-average")
@@ -24,11 +24,22 @@ CRITERION_FORMS = ("linear-average", "log-average")
 
 @dataclass(frozen=True)
 class ModelEntry:
-    """One candidate model: covariance, outcome model, prior."""
+    """One candidate model: covariance, outcome model, prior. Raises
+    :class:`ValidationError` unless ``covariance`` is a
+    :class:`CovarianceSpec`, ``prior`` a real number and ``model`` a
+    :class:`ModelSpec`; :class:`ModelClass` checks the priors together."""
 
     covariance: CovarianceSpec
     prior: float
     model: ModelSpec = field(default_factory=ModelSpec)
+
+    def __post_init__(self):
+        if not isinstance(self.covariance, CovarianceSpec):
+            raise ValidationError(
+                f"covariance must be a CovarianceSpec, got {self.covariance!r}")
+        check_real("prior", self.prior)
+        if not isinstance(self.model, ModelSpec):
+            raise ValidationError(f"model must be a ModelSpec, got {self.model!r}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +48,9 @@ class ModelClass:
     form: str = "linear-average"
 
     def __post_init__(self):
+        if (not isinstance(self.entries, (tuple, list))
+                or not all(isinstance(e, ModelEntry) for e in self.entries)):
+            raise ValidationError("model class entries must be a sequence of ModelEntry")
         if not self.entries:
             raise ValidationError("model class needs at least one entry")
         if self.form not in CRITERION_FORMS:
@@ -57,6 +71,8 @@ class RobustCriterion:
     interface as :class:`DesignCriterion`."""
 
     def __init__(self, space: DesignSpace, model_class: ModelClass):
+        if not isinstance(model_class, ModelClass):
+            raise ValidationError(f"model_class must be a ModelClass, got {model_class!r}")
         self.space = space
         self.model_class = model_class
         self._parts = [

@@ -594,6 +594,108 @@ class TestCertificate:
             assert _contrast_kernel(row[None])[0][0] == math.inf
 
 
+def two_factorisation_reference(m):
+    """``(value, lower)`` of the kernel computed row by row the long way:
+    a row is certified when both ``M`` and ``M - delta I`` factorise."""
+    m = 0.5 * (m + np.swapaxes(m, -1, -2))
+    values, lowers = [], []
+    for row in m:
+        delta = CERTIFICATE_MARGIN * RANK_TOL * min(abs(np.trace(row)),
+                                                   np.finfo(float).max)
+        factors = []
+        for a in (row, row - delta * np.eye(len(row))):
+            try:
+                factors.append(np.linalg.cholesky(a))
+            except np.linalg.LinAlgError:
+                factors.append(np.full(a.shape, np.nan))
+        if all(0.0 < f[-1, -1] < math.inf for f in factors):
+            values.append(1.0 / (factors[0][-1, -1] * factors[0][-1, -1]))
+            lowers.append(factors[0])
+        else:
+            values.append(_eigen_solve(row[None])[0][0])
+            lowers.append(np.full(row.shape, np.nan))
+    return np.array(values), np.stack(lowers)
+
+
+def cholesky_calls(monkeypatch):
+    """Patch ``np.linalg.cholesky`` to record the size of every stack it
+    factorises; returns the list it appends to."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(len(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+class TestDeterminantBound:
+    """The kernel factorises ``M`` once and factorises ``M - delta I`` only
+    on rows its determinant bound cannot vouch for, with the results of
+    factorising both on every row."""
+
+    RATIOS = (0.5, 0.999, 1.001, 2.0, 4.0, 1e3)   # lambda_min / delta
+
+    @pytest.mark.parametrize("p", [2, 7, 12, 60])
+    def test_equals_two_factorisations(self, p):
+        rng = np.random.default_rng(56)
+        k = CERTIFICATE_MARGIN * RANK_TOL
+        rows = []
+        # an even spectrum, where the bound is nearly tight, and a spread one
+        for rest in (np.ones(p - 1), rng.uniform(1.0, 4.0, size=p - 1)):
+            for ratio in self.RATIOS:
+                smallest = ratio * k * rest.sum() / (1.0 - ratio * k)
+                rows.append(spectrum_matrix(rng, np.append(smallest, rest)))
+        rows.append(spectrum_matrix(rng, np.append(-1e-3, np.ones(p - 1))))
+        m = np.stack(rows)
+        value, lower = _contrast_kernel(m)
+        ref_value, ref_lower = two_factorisation_reference(m)
+        assert value.tobytes() == ref_value.tobytes()
+        assert lower.tobytes() == ref_lower.tobytes()
+        certified = np.isfinite(lower).all(axis=(-2, -1))
+        assert certified.tolist() == 2 * [False, False, True, True, True, True] + [False]
+        for row, v in zip(m, value):
+            assert _contrast_kernel(row[None])[0][0].tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("p", [2, 7, 12, 60])
+    def test_shift_only_where_the_bound_cannot_vouch(self, monkeypatch, p):
+        rng = np.random.default_rng(58)
+        k = CERTIFICATE_MARGIN * RANK_TOL
+        # on an even spectrum the bound is about lambda_min: it vouches at
+        # 4 delta, not at 1.001 delta
+        rows = [spectrum_matrix(rng, np.append(ratio * k * (p - 1) / (1.0 - ratio * k),
+                                               np.ones(p - 1)))
+                for ratio in (4.0, 1.001, 1e3, 1.001, 4.0)]
+        calls = cholesky_calls(monkeypatch)
+        lower = _contrast_kernel(np.stack(rows))[1]
+        assert np.isfinite(lower).all()
+        assert calls == [5, 2]
+
+    def test_one_parameter_rows(self):
+        m = np.array([1e-300, 0.3, 1.0, 1e300, 0.0, -1.0, np.nan, np.inf])[:, None, None]
+        value, lower = _contrast_kernel(m)
+        ref_value, ref_lower = two_factorisation_reference(m)
+        assert value.tobytes() == ref_value.tobytes()
+        assert lower.tobytes() == ref_lower.tobytes()
+        assert np.isfinite(value[:4]).all() and np.isinf(value[4:]).all()
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    def test_well_conditioned_chunks_factorise_once(self, monkeypatch, granularity):
+        # the README space, and at cluster-period granularity a smaller one
+        space = (standard_space(6, max_replication=5, cells_per_period=10)
+                 if granularity == "sequence" else
+                 standard_space(4, max_replication=4, granularity=granularity))
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.8))
+        rows = int(2.5 * crit._chunk_rows)
+        batch = np.random.default_rng(57).integers(1, 4, size=(rows, space.n_units))
+        expected = crit.values(batch)
+        calls = cholesky_calls(monkeypatch)
+        assert crit.values(batch).tobytes() == expected.tobytes()
+        assert calls == [crit._chunk_rows, crit._chunk_rows, rows - 2 * crit._chunk_rows]
+
+
 class TestContrastVariance:
     """Any contrast is rotated onto ``e_P`` before the kernel."""
 
@@ -618,6 +720,31 @@ class TestContrastVariance:
         for c in contrasts:
             assert contrast_variance(m, c) == pytest.approx(
                 c @ np.linalg.solve(m, c), rel=1e-12)
+
+    def test_scaled_unit_contrasts_are_exact(self):
+        # a = 7 put the reflection one ulp off a permutation
+        rng = np.random.default_rng(59)
+        for _ in range(60):
+            m = self.random_information(rng, 5)
+            for k in range(5):
+                unit = contrast_variance(m, np.eye(5)[k])
+                for a in (7.0, -7.0, 0.1, 3, -2.5e-3):
+                    c = np.zeros(5)
+                    c[k] = a
+                    assert contrast_variance(m, c) == unit * abs(a) * abs(a)
+
+    def test_general_contrasts_take_the_reflection(self):
+        rng = np.random.default_rng(60)
+        for _ in range(60):
+            p = int(rng.integers(3, 9))
+            m, c = self.random_information(rng, p), rng.normal(size=p)
+            c[rng.integers(p)] = 0.0           # two or more entries stay
+            v = c.copy()
+            scale = float(np.linalg.norm(v))
+            v[-1] += math.copysign(scale, v[-1])
+            h = np.eye(p) - (2.0 / (v @ v)) * np.outer(v, v)
+            reflected = float(_contrast_kernel((h @ m @ h)[None])[0][0]) * scale * scale
+            assert contrast_variance(m, c) == reflected
 
     @pytest.mark.parametrize("n_params", [0, -1, 2.0, True])
     def test_treatment_contrast_needs_a_positive_integer(self, n_params):

@@ -42,6 +42,33 @@ class TestModelClass:
         with pytest.raises(ValidationError):
             ModelClass((ModelEntry(cov, 1.0),), form="maximin")
 
+    @pytest.mark.parametrize("entries", [
+        lambda cov: (cov,), lambda cov: (ModelEntry(cov, 1.0), "x"),
+        lambda cov: ModelEntry(cov, 1.0), lambda cov: 5],
+        ids=["covariance", "string", "bare-entry", "integer"])
+    def test_entries_must_be_model_entries(self, entries):
+        with pytest.raises(ValidationError):
+            ModelClass(entries(CovarianceSpec("EXC1", tau2=0.1)))
+
+    @pytest.mark.parametrize("args", [
+        lambda cov: ("x", 1.0), lambda cov: (cov, "x"), lambda cov: (cov, True),
+        lambda cov: (cov, 1.0, "x"), lambda cov: (cov, 1.0, cov)],
+        ids=["covariance", "prior", "boolean-prior", "model", "model-covariance"])
+    def test_entry_fields_checked(self, args):
+        with pytest.raises(ValidationError):
+            ModelEntry(*args(CovarianceSpec("EXC1", tau2=0.1)))
+
+    def test_equal_priors_needs_covariances(self):
+        with pytest.raises(ValidationError):
+            ModelClass.equal_priors(["a"])
+
+    def test_criterion_needs_a_model_class(self):
+        space = standard_space(3, max_replication=2)
+        cov = CovarianceSpec("EXC1", tau2=0.1)
+        for bad in ("x", (ModelEntry(cov, 1.0),), None):
+            with pytest.raises(ValidationError):
+                RobustCriterion(space, bad)
+
 
 class TestRobustCriterion:
     def test_single_entry_linear_equals_plain(self):
