@@ -520,10 +520,20 @@ class DesignCriterion:
     otherwise it runs on the whole batch. Where every unit is one cell, ``single_moves`` screens all the
     single-unit moves from one design by rank-one updates, which the greedy
     walks of :mod:`crtoptim.search` use to pick the moves worth scoring.
+    Raises :class:`ValidationError` unless ``space`` is a
+    :class:`DesignSpace`, ``covariance`` a :class:`CovarianceSpec` and
+    ``model`` a :class:`ModelSpec` or None.
     """
 
     def __init__(self, space: DesignSpace, covariance: CovarianceSpec,
                  model: ModelSpec | None = None):
+        if not isinstance(space, DesignSpace):
+            raise ValidationError(f"space must be a DesignSpace, got {space!r}")
+        if not isinstance(covariance, CovarianceSpec):
+            raise ValidationError(
+                f"covariance must be a CovarianceSpec, got {covariance!r}")
+        if model is not None and not isinstance(model, ModelSpec):
+            raise ValidationError(f"model must be a ModelSpec, got {model!r}")
         self.space = space
         self.covariance = covariance
         self.model = model or ModelSpec()
@@ -572,8 +582,11 @@ class DesignCriterion:
         """
         if self._unit_blocks is not None:
             # einsum accumulates over units in order for every row; a BLAS
-            # product would switch kernels (and rounding) with K
-            return np.einsum("kj,jab->kab", batch, self._unit_blocks)
+            # product would switch kernels (and rounding) with K. An integer
+            # batch is cast first: einsum's own casting of it runs about 3x
+            # slower, with the same sums
+            return np.einsum("kj,jab->kab", batch.astype(float, copy=False),
+                             self._unit_blocks)
         return self._clusters.solve(batch)[2]
 
     def information(self, counts) -> np.ndarray:

@@ -295,6 +295,16 @@ class TestUnitBlocks:
 
 
 class TestCriterionEvaluator:
+    @pytest.mark.parametrize("args", [
+        lambda space, cov: ("x", cov), lambda space, cov: (space, "x"),
+        lambda space, cov: (space, cov, "x"), lambda space, cov: (cov, space),
+        lambda space, cov: (space, cov, cov)],
+        ids=["space", "covariance", "model", "swapped", "model-covariance"])
+    def test_constructor_arguments_checked(self, args):
+        space = standard_space(3, max_replication=2)
+        with pytest.raises(ValidationError):
+            DesignCriterion(*args(space, CovarianceSpec("EXC1", tau2=0.1)))
+
     def test_matches_explicit_matrices_sequence(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -406,6 +416,20 @@ class TestBatchedValues:
         assert math.isinf(values[0]) and math.isinf(values[1])
         for row, got in zip(batch, values):
             assert float(got).hex() == crit.value(row).hex()
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    def test_integer_and_float_batches_agree(self, granularity):
+        # an integer batch is cast to float before the block sum; the sums
+        # and so the values keep every bit
+        space = standard_space(4, max_replication=3, cells_per_period=5,
+                               granularity=granularity)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.6))
+        batch = _batch_with_infinite_rows(np.random.default_rng(33), space, 300)
+        for dtype in (np.int32, np.uint8, np.float32):
+            assert (crit.values(batch.astype(dtype)).tobytes()
+                    == crit.values(batch.astype(float)).tobytes())
+        assert (crit.information(batch[5]).tobytes()
+                == crit.information(batch[5].astype(float)).tobytes())
 
     @pytest.mark.parametrize("bad", [np.ones(3), np.ones((2, 3)),
                                      np.ones((2, 5, 1)), np.ones(())])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from crtoptim import (CovarianceSpec, DesignCriterion, ModelClass, ModelEntry,
-                      RobustCriterion, ValidationError, robust_criterion,
-                      standard_space, supermodularity_probe)
+                      ModelSpec, RobustCriterion, ValidationError,
+                      robust_criterion, standard_space, supermodularity_probe)
 
 
 def grid_class(form="linear-average"):
@@ -62,12 +62,23 @@ class TestModelClass:
         with pytest.raises(ValidationError):
             ModelClass.equal_priors(["a"])
 
+    @pytest.mark.parametrize("covariances", [5, None, CovarianceSpec("EXC1", tau2=0.1)],
+                             ids=["integer", "none", "bare-covariance"])
+    def test_equal_priors_needs_an_iterable(self, covariances):
+        with pytest.raises(ValidationError):
+            ModelClass.equal_priors(covariances)
+
     def test_criterion_needs_a_model_class(self):
         space = standard_space(3, max_replication=2)
         cov = CovarianceSpec("EXC1", tau2=0.1)
         for bad in ("x", (ModelEntry(cov, 1.0),), None):
             with pytest.raises(ValidationError):
                 RobustCriterion(space, bad)
+
+    def test_criterion_needs_a_space(self):
+        for bad in ("x", None, CovarianceSpec("EXC1", tau2=0.1)):
+            with pytest.raises(ValidationError):
+                RobustCriterion(bad, grid_class())
 
 
 class TestRobustCriterion:
@@ -140,3 +151,104 @@ class TestRobustStructure:
         robust = RobustCriterion(space, grid_class("log-average"))
         report = supermodularity_probe(space, robust, 60, seed=3)
         assert not [v for v in report.violations if v.kind == "monotonicity"]
+
+
+def mixed_class(form):
+    """Four entries: a zero prior, a binomial outcome model and two
+    Gaussian ones, none of them alike."""
+    binomial = ModelSpec("binomial-logit", beta=(-1.0, -1.2, -0.8, -1.0, 0.5))
+    return ModelClass((
+        ModelEntry(CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5), 0.5),
+        ModelEntry(CovarianceSpec.from_icc("AR1", 0.1, decay=0.6), 0.0),
+        ModelEntry(CovarianceSpec.from_icc("EXC1", 0.1), 0.3, binomial),
+        ModelEntry(CovarianceSpec.from_icc("AR1", 0.2, decay=0.3), 0.2)), form=form)
+
+
+def per_model_reference(space, model_class, batch):
+    """The prior-weighted sum, in model order, of each positive-prior
+    model's own ``DesignCriterion.values``."""
+    total = 0.0
+    for entry in model_class.entries:
+        if entry.prior > 0.0:
+            v = DesignCriterion(space, entry.covariance, model=entry.model).values(batch)
+            total = total + entry.prior * (
+                np.log(v) if model_class.form == "log-average" else v)
+    return total
+
+
+def chunk_rows(crit):
+    """Rows per chunk: the robust criterion's own at sequence granularity,
+    else its first part's, which scores the whole batch."""
+    return getattr(crit, "_chunk_rows", None) or crit._parts[0][1]._chunk_rows
+
+
+class TestStackedValues:
+    """At sequence granularity one block sum and one kernel call score a
+    chunk under every model, with the values of scoring model by model."""
+
+    SPACES = {"sequence": dict(max_replication=3, cells_per_period=2),
+              "cluster-period": dict(max_replication=3, granularity="cluster-period")}
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    @pytest.mark.parametrize("form", ["linear-average", "log-average"])
+    @pytest.mark.parametrize("classes", ["mixed", "grid"])
+    def test_equals_per_model_loop(self, granularity, form, classes):
+        space = standard_space(4, **self.SPACES[granularity])
+        model_class = mixed_class(form) if classes == "mixed" else grid_class(form)
+        crit = RobustCriterion(space, model_class)
+        chunk = chunk_rows(crit)
+        rng = np.random.default_rng(71)
+        for k in sorted({0, 1, chunk - 1, chunk, chunk + 1, int(2.5 * chunk)}):
+            batch = rng.integers(0, 4, size=(k, space.n_units))
+            if k > 2:
+                batch[:2] = 0            # the empty design, which is inf
+                batch[1, 0] = 1
+            got = crit.values(batch)
+            assert got.shape == (k,) and got.dtype == np.float64
+            assert got.tobytes() == per_model_reference(space, model_class, batch).tobytes()
+            fractional = rng.uniform(0.0, 3.0, size=(k, space.n_units))
+            assert (crit.values(fractional).tobytes()
+                    == per_model_reference(space, model_class, fractional).tobytes())
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    @pytest.mark.parametrize("form", ["linear-average", "log-average"])
+    def test_rows_equal_value_and_integer_equals_float(self, granularity, form):
+        space = standard_space(4, **self.SPACES[granularity])
+        crit = RobustCriterion(space, mixed_class(form))
+        batch = np.random.default_rng(72).integers(
+            0, 4, size=(int(1.5 * chunk_rows(crit)), space.n_units))
+        got = crit.values(batch)
+        assert got.tobytes() == crit.values(batch.astype(float)).tobytes()
+        for row, v in zip(batch, got):
+            assert float(v).hex() == crit.value(row).hex()
+
+    def test_bad_batch_rejected(self):
+        space = standard_space(3, max_replication=2)
+        crit = RobustCriterion(space, grid_class())
+        for bad in (np.ones(space.n_units), np.ones((2, space.n_units + 1)),
+                    -np.ones((2, space.n_units)), np.full((1, space.n_units), np.nan),
+                    np.ones((1, space.n_units), dtype=complex)):
+            with pytest.raises(ValidationError):
+                crit.values(bad)
+
+    def test_one_factorisation_per_chunk(self, monkeypatch):
+        # the README space under the 18-model class: every row is well
+        # conditioned, so each chunk takes one stacked Cholesky call
+        space = standard_space(6, max_replication=5, cells_per_period=10)
+        crit = RobustCriterion(space, grid_class())
+        n_models, chunk = len(crit.model_class.entries), crit._chunk_rows
+        assert chunk == 12
+        rows = int(2.5 * chunk)
+        batch = np.random.default_rng(73).integers(1, 4, size=(rows, space.n_units))
+        expected = crit.values(batch)
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(len(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        assert crit.values(batch).tobytes() == expected.tobytes()
+        assert calls == [n_models * chunk, n_models * chunk,
+                         n_models * (rows - 2 * chunk)]
