@@ -17,7 +17,7 @@ import numpy as np
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace
 from .errors import (InfeasibleError, ValidationError, check_count,
-                     check_probabilities)
+                     check_instance, check_probabilities)
 from .glscore import DesignCriterion
 from .search import _greedy_walk
 
@@ -97,6 +97,7 @@ def best_rounding(space: DesignSpace, cov: CovarianceSpec, weights, total: int,
     (for instance one-hot weights whose whole budget exceeds it); an error
     is raised only if every candidate leaves the contrast unidentified.
     """
+    check_instance("space", space, DesignSpace)
     w = _check_weights(weights)
     if w.size != space.n_units:
         raise ValidationError(

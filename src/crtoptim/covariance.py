@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericDomainError, ValidationError, check_real
+from .errors import NumericDomainError, ValidationError, check_instance, check_real
 
 COVARIANCE_KINDS = ("EXC1", "EXC2", "AR1")
 FAMILIES = ("gaussian-identity", "binomial-logit", "poisson-log")
@@ -149,8 +149,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}")
-        if not isinstance(self.attenuate, bool):
-            raise ValidationError(f"attenuate must be a bool, got {self.attenuate!r}")
+        check_instance("attenuate", self.attenuate, bool)
         if self.family == "gaussian-identity" and self.attenuate:
             raise ValidationError("attenuation only applies to non-Gaussian families")
         if self.beta is not None:

@@ -39,6 +39,12 @@ def check_count(name: str, value) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def check_instance(name: str, value, kind) -> None:
+    """Reject anything but an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def check_real(name: str, value) -> None:
     """Reject anything but a real number (a boolean is not one)."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):

@@ -13,12 +13,14 @@ At sequence granularity each replicate of a unit is a cluster of its own:
 :class:`DesignCriterion` runs that solve once, at one replicate per unit,
 and sums the cached unit blocks.
 
-Scoring is batched: :meth:`DesignCriterion.values` maps a ``(K, J)`` matrix
-of per-unit counts to ``K`` criteria through one stacked rank-aware solve
-over ``(K, P, P)`` information matrices, and every other criterion
-quantity (``value``, ``contrast_variance``, the gradient the weight solvers
-follow, the rank-one screen of the greedy walks) is that kernel on a stack
-of one. The kernel factorises the whole stack once by Cholesky, ``M = L
+Scoring is batched, in one loop (:func:`_model_values`) behind every
+criterion value, plain or robust: it checks a ``(K, J)`` matrix of
+per-unit counts once and scores it chunk by chunk, each chunk in one block
+sum (or cluster solve) and one stacked rank-aware solve over the
+information matrices of its rows under ``L`` models. Every other criterion
+quantity (``contrast_variance``, the gradient the weight solvers follow,
+the rank-one screen of the greedy walks) is that kernel on a stack of one.
+The kernel factorises the whole stack once by Cholesky, ``M = L
 L'``, in one LAPACK call. A row is certified full-rank when its smallest
 eigenvalue exceeds ``delta = CERTIFICATE_MARGIN * RANK_TOL * tr M``: a
 determinant bound read off the diagonal of ``L`` vouches for that on
@@ -45,7 +47,7 @@ import numpy as np
 
 from .covariance import CovarianceSpec, ModelSpec, iterated_weights
 from .designspace import Design, DesignSpace, build_x, expand_design, _random_effects
-from .errors import NumericDomainError, ValidationError, check_count
+from .errors import NumericDomainError, ValidationError, check_count, check_instance
 
 # Relative eigenvalue cutoff for rank decisions, and the tolerance on the
 # residual of the contrast after projection onto the range of M.
@@ -527,13 +529,10 @@ class DesignCriterion:
 
     def __init__(self, space: DesignSpace, covariance: CovarianceSpec,
                  model: ModelSpec | None = None):
-        if not isinstance(space, DesignSpace):
-            raise ValidationError(f"space must be a DesignSpace, got {space!r}")
-        if not isinstance(covariance, CovarianceSpec):
-            raise ValidationError(
-                f"covariance must be a CovarianceSpec, got {covariance!r}")
-        if model is not None and not isinstance(model, ModelSpec):
-            raise ValidationError(f"model must be a ModelSpec, got {model!r}")
+        check_instance("space", space, DesignSpace)
+        check_instance("covariance", covariance, CovarianceSpec)
+        if model is not None:
+            check_instance("model", model, ModelSpec)
         self.space = space
         self.covariance = covariance
         self.model = model or ModelSpec()
@@ -543,7 +542,9 @@ class DesignCriterion:
         row_bytes = 6 * 8 * p * p
         self._unit_blocks = self._clusters = None
         if space.granularity == "sequence":
-            self._unit_blocks = unit_information_blocks(space, covariance, self.model)
+            # flat, (J, P P), so that several models' blocks stack side by side
+            blocks = unit_information_blocks(space, covariance, self.model)
+            self._unit_blocks = blocks.reshape(space.n_units, -1)
         else:
             self._clusters = cl = _cluster_blocks(space, covariance, self.model)
             n_clusters, n_cells = cl.unit_idx.shape
@@ -572,22 +573,18 @@ class DesignCriterion:
         if not ((batch >= 0) & (batch < np.inf)).all():
             raise ValidationError(
                 "multiplicities must be finite and non-negative")
-        return batch
+        # as floats: einsum casts an integer batch 3x slower, to the same sums
+        return batch.astype(float, copy=False)
 
     def _information(self, batch: np.ndarray) -> np.ndarray:
-        """Information matrices ``(K, P, P)`` of a checked ``(K, J)`` batch.
-
-        Sums run in a fixed order over units (or clusters) whatever ``K``
-        is, so a row's matrix does not depend on the rest of the batch.
-        """
-        if self._unit_blocks is not None:
-            # einsum accumulates over units in order for every row; a BLAS
-            # product would switch kernels (and rounding) with K. An integer
-            # batch is cast first: einsum's own casting of it runs about 3x
-            # slower, with the same sums
-            return np.einsum("kj,jab->kab", batch.astype(float, copy=False),
-                             self._unit_blocks)
-        return self._clusters.solve(batch)[2]
+        """Information matrices ``(K, P, P)`` of a checked ``(K, J)`` batch,
+        summed in a fixed order over units (einsum; a BLAS product would
+        switch kernels, and rounding, with ``K``) or clusters, so a row's
+        matrix does not depend on the rest of the batch."""
+        if self._unit_blocks is None:
+            return self._clusters.solve(batch)[2]
+        p = self.space.n_periods + 1
+        return np.einsum("kj,jx->kx", batch, self._unit_blocks).reshape(-1, p, p)
 
     def information(self, counts) -> np.ndarray:
         """Information matrix of the design given per-unit multiplicities."""
@@ -595,29 +592,19 @@ class DesignCriterion:
 
     def values(self, batch) -> np.ndarray:
         """Criterion values of a ``(K, J)`` batch of per-unit multiplicities,
-        one per row; row ``i`` equals ``value(batch[i])`` bit for bit.
-
-        Each row is ``1 / L_PP^2`` from the Cholesky factor of its
-        information matrix where the full-rank certificate of
-        :func:`_contrast_kernel` holds, and a rank-revealing eigen-solve
-        elsewhere; no matrix is inverted. A chunk of rows that the
-        kernel's determinant bound all vouch for costs one stacked Cholesky
-        call; only rows the bound cannot vouch for are factorised again, at
-        ``M - delta I``.
+        one per row, from :func:`_contrast_kernel` in the chunks of
+        :func:`_model_values`; row ``i`` equals ``value(batch[i])`` bit for
+        bit.
 
         Multiplicities must be finite and non-negative; a fractional row is
         legal and scores the weighted design it describes (the weight
         solvers evaluate ``N * phi``). Raises :class:`ValidationError`
         otherwise.
         """
-        batch = self._batch(batch)
-        if len(batch) <= self._chunk_rows:
-            return _contrast_kernel(self._information(batch))[0]
-        return np.concatenate([self.values(batch[i:i + self._chunk_rows])
-                               for i in range(0, len(batch), self._chunk_rows)])
+        return _model_values((self,), batch, self._unit_blocks)[:, 0]
 
     def value(self, counts) -> float:
-        """Criterion value (treatment variance; ``inf`` when unidentified)."""
+        """Criterion value of one row of counts (``inf`` when unidentified)."""
         return float(self.values(np.asarray(counts)[None])[0])
 
     def gradient(self, counts) -> tuple[float, np.ndarray]:
@@ -643,7 +630,8 @@ class DesignCriterion:
         if y is None:
             return value, np.full(self.space.n_units, np.nan)
         if cl is None:
-            return value, -np.einsum("i,kij,j->k", y, self._unit_blocks, y)
+            blocks = self._unit_blocks.reshape(-1, y.size, y.size)
+            return value, -np.einsum("i,kij,j->k", y, blocks, y)
         return value, cl.gradient(s[0], t[0], y, self.space.n_units)
 
     def single_moves(self, counts, units, step: int):
@@ -704,3 +692,25 @@ class DesignCriterion:
     def value_of(self, design: Design) -> float:
         design.validate(self.space)
         return self.value(np.asarray(design.counts))
+
+
+def _model_values(parts, batch, blocks) -> np.ndarray:
+    """``(K, L)`` kernel values of a ``(K, J)`` batch under the ``L``
+    criteria ``parts`` of one space, checked once and scored in chunks. At
+    sequence granularity ``blocks`` lays their flat unit blocks side by
+    side, ``(J, L P P)``, so a chunk of ``1 / L`` of a plain chunk's rows
+    takes one block sum and one kernel call; elsewhere each part solves the
+    chunk's clusters and calls the kernel in turn."""
+    first = parts[0]
+    batch, p = first._batch(batch), first.space.n_periods + 1
+    rows = max(1, first._chunk_rows // (1 if blocks is None else len(parts)))
+    out = np.empty((len(batch), len(parts)))
+    for i in range(0, len(batch), rows):
+        chunk = batch[i:i + rows]
+        if blocks is None:
+            v = [_contrast_kernel(part._information(chunk))[0] for part in parts]
+            out[i:i + rows] = np.stack(v, axis=1)
+        else:
+            m = np.einsum("kj,jx->kx", chunk, blocks).reshape(-1, p, p)
+            out[i:i + rows] = _contrast_kernel(m)[0].reshape(len(chunk), -1)
+    return out

@@ -8,16 +8,13 @@ their logarithms. Both preserve the monotone supermodularity that the
 combinatorial optimisers rely on, so a :class:`RobustCriterion` plugs in
 wherever a plain criterion does.
 
-At sequence granularity a design's information under each model is a
-count-weighted sum of that model's unit blocks, so the blocks of every
-model with a positive prior are laid side by side once, per unit. A batch
-is then scored chunk by chunk, each chunk in one block sum over the units
-and one call of the criterion kernel on the ``(K L, P, P)`` stack of its
-``K`` rows under the ``L`` models. Chunks hold ``1 / L`` of a plain
-criterion's rows, so the kernel's stack stays within the same working-array
-budget. At cluster-period and observation granularity each model scores
-the batch on its own: there the block sum is a cluster solve per row, and
-stacking those solves over the models measured slower.
+Every value goes through the one batch pipeline of :mod:`crtoptim.glscore`:
+a batch is checked once and scored chunk by chunk, each chunk giving the
+kernel values of its rows under every model with a positive prior, which
+are then summed with the priors, in model order, once per batch. At
+sequence granularity the models' unit blocks lie side by side, so a chunk
+takes one block sum and one kernel call; at cluster-period and observation
+granularity each model solves the chunk's clusters in turn.
 """
 from __future__ import annotations
 
@@ -28,8 +25,8 @@ import numpy as np
 
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace
-from .errors import ValidationError, check_probabilities, check_real
-from .glscore import DesignCriterion, _contrast_kernel
+from .errors import ValidationError, check_instance, check_probabilities, check_real
+from .glscore import DesignCriterion, _model_values
 
 CRITERION_FORMS = ("linear-average", "log-average")
 
@@ -46,12 +43,9 @@ class ModelEntry:
     model: ModelSpec = field(default_factory=ModelSpec)
 
     def __post_init__(self):
-        if not isinstance(self.covariance, CovarianceSpec):
-            raise ValidationError(
-                f"covariance must be a CovarianceSpec, got {self.covariance!r}")
+        check_instance("covariance", self.covariance, CovarianceSpec)
         check_real("prior", self.prior)
-        if not isinstance(self.model, ModelSpec):
-            raise ValidationError(f"model must be a ModelSpec, got {self.model!r}")
+        check_instance("model", self.model, ModelSpec)
 
 
 @dataclass(frozen=True)
@@ -90,8 +84,7 @@ class RobustCriterion:
     entry make a :class:`DesignCriterion`."""
 
     def __init__(self, space: DesignSpace, model_class: ModelClass):
-        if not isinstance(model_class, ModelClass):
-            raise ValidationError(f"model_class must be a ModelClass, got {model_class!r}")
+        check_instance("model_class", model_class, ModelClass)
         self.space = space
         self.model_class = model_class
         self._log_form = model_class.form == "log-average"
@@ -99,22 +92,12 @@ class RobustCriterion:
         # prior are scored
         parts = [(entry.prior, DesignCriterion(space, entry.covariance, model=entry.model))
                  for entry in model_class.entries]
-        self._parts = [(prior, crit) for prior, crit in parts if prior > 0.0]
-        first = self._parts[0][1]
-        self._blocks = None
-        if first._unit_blocks is not None:
-            # (J, L P P): each unit's blocks under the L models, in order
-            self._blocks = np.stack([crit._unit_blocks for _, crit in self._parts],
-                                    axis=1).reshape(space.n_units, -1)
-            # a chunk of K rows puts K L matrices into the kernel
-            self._chunk_rows = max(1, first._chunk_rows // len(self._parts))
-
-    def _combine(self, per_model) -> np.ndarray:
-        """Prior-weighted sum, in model order, of one value array per model."""
-        total = 0.0
-        for (prior, _), v in zip(self._parts, per_model):
-            total = total + prior * (np.log(v) if self._log_form else v)
-        return total
+        self._priors, self._parts = zip(*[(prior, crit) for prior, crit in parts
+                                          if prior > 0.0])
+        # (J, L P P): each unit's blocks under the L models, in order; none
+        # at cluster granularity, where each model solves its own clusters
+        self._blocks = (np.concatenate([crit._unit_blocks for crit in self._parts], axis=1)
+                        if space.granularity == "sequence" else None)
 
     def values(self, batch) -> np.ndarray:
         """Robust criteria of a ``(K, J)`` batch of per-unit multiplicities;
@@ -123,32 +106,19 @@ class RobustCriterion:
         the prior-weighted sum, in model order, of each model's
         :meth:`DesignCriterion.values`.
 
-        At sequence granularity the batch is checked and cast to float once,
-        then scored a chunk at a time: one block sum gives the chunk's
-        information matrices under every model, and one kernel call scores
-        them all. Elsewhere each model scores the whole batch. Raises
+        The batch is checked once and scored in the one chunk loop of
+        :mod:`crtoptim.glscore`, which gives each row's value under every
+        model; the priors then weigh those, once per batch. Raises
         :class:`ValidationError` for a batch that
         :meth:`DesignCriterion.values` rejects.
         """
-        if self._blocks is None:
-            return self._combine(crit.values(batch) for _, crit in self._parts)
-        batch = self._parts[0][1]._batch(batch).astype(float, copy=False)
-        p = self.space.n_periods + 1
-        out = np.empty(len(batch))
-        for i in range(0, len(batch), self._chunk_rows):
-            chunk = batch[i:i + self._chunk_rows]
-            # the same sums, unit by unit, as each model's own block sum
-            info = np.einsum("kj,jx->kx", chunk, self._blocks)
-            v = _contrast_kernel(info.reshape(-1, p, p))[0]
-            out[i:i + len(chunk)] = self._combine(v.reshape(len(chunk), -1).T)
-        return out
+        total = 0.0
+        for prior, v in zip(self._priors, _model_values(self._parts, batch, self._blocks).T):
+            total = total + prior * (np.log(v) if self._log_form else v)
+        return total
 
-    def value(self, counts) -> float:
-        return float(self.values(np.asarray(counts)[None])[0])
-
-    def value_of(self, design: Design) -> float:
-        design.validate(self.space)
-        return self.value(np.asarray(design.counts))
+    value = DesignCriterion.value
+    value_of = DesignCriterion.value_of
 
 
 def robust_criterion(space: DesignSpace, design: Design,

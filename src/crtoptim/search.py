@@ -55,7 +55,8 @@ from typing import Callable
 import numpy as np
 
 from .designspace import Design, DesignSpace
-from .errors import InfeasibleError, ValidationError, check_count, check_seed
+from .errors import (InfeasibleError, ValidationError, check_count, check_instance,
+                     check_seed)
 from .glscore import CHUNK_BYTES, CRITERION_ROUNDING
 
 # How many random starts may come up infeasible before local search gives up.
@@ -137,8 +138,15 @@ def swap_delta(space: DesignSpace, criterion, design: Design,
     return float(after - before)
 
 
+def _check_criterion(criterion) -> None:
+    """Reject a criterion without a ``values`` method."""
+    if not callable(getattr(criterion, "values", None)):
+        raise ValidationError(f"criterion must have a values method, got {criterion!r}")
+
+
 def _check_size(space: DesignSpace, m) -> None:
-    """Reject a design size that is not an integer in ``[1, capacity]``."""
+    """Reject a space that is not a DesignSpace, and a size not in ``[1, capacity]``."""
+    check_instance("space", space, DesignSpace)
     check_count("m", m)
     if m < 1 or m > space.total_capacity:
         raise InfeasibleError(
@@ -302,6 +310,7 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     no state outlives the call.
     """
     _check_size(space, m)
+    _check_criterion(criterion)
     check_count("restarts", restarts)
     check_seed(seed)
     if restarts < 1:
@@ -336,6 +345,7 @@ def reverse_greedy(space: DesignSpace, criterion, m: int,
     """Strip the full design space down to ``m`` units, each step removing
     the unit whose removal increases the criterion least. Deterministic."""
     _check_size(space, m)
+    _check_criterion(criterion)
     counts = np.full(space.n_units, space.max_replication, dtype=int)
     _greedy_walk(criterion, counts, m, space.max_replication, progress)
     value = float(criterion.values(counts[None])[0])

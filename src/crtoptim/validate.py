@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +17,9 @@ import numpy as np
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace, build_d, build_x, build_z
 from .errors import (EnumerationLimitError, InfeasibleError, ValidationError,
-                     check_count, check_seed)
+                     check_count, check_instance, check_real, check_seed)
 from .glscore import treatment_contrast
-from .search import SearchResult, _check_size, _first_minima, _tie_edge
+from .search import SearchResult, _check_criterion, _check_size, _first_minima, _tie_edge
 
 
 # Enumerated designs scored per batched criterion call.
@@ -62,6 +61,7 @@ def brute_force_optimum(space: DesignSpace, criterion, m: int,
     ``CRITERION_ROUNDING`` of each other tie as in the searches.
     """
     _check_size(space, m)
+    _check_criterion(criterion)
     check_count("limit", limit)
     n_designs = _count_multisets(space.n_units, space.max_replication, m)
     if n_designs > limit:
@@ -207,14 +207,15 @@ def supermodularity_probe(space: DesignSpace, criterion, n_triples: int,
     has a finite criterion, which makes all four evaluations finite.
     ``slack`` must be a finite non-negative number.
     """
+    check_instance("space", space, DesignSpace)
+    _check_criterion(criterion)
     check_count("n_triples", n_triples)
     if n_triples < 1:
         raise ValidationError("need at least one probe triple")
     # a NaN slack would make every comparison below false
-    if (isinstance(slack, bool) or not isinstance(slack, numbers.Real)
-            or not 0 <= slack < math.inf):
-        raise ValidationError(
-            f"slack must be a finite non-negative number, got {slack!r}")
+    check_real("slack", slack)
+    if not 0 <= slack < math.inf:
+        raise ValidationError(f"slack must be a finite non-negative number, got {slack!r}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     cap = space.max_replication

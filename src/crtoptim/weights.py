@@ -32,7 +32,7 @@ import numpy as np
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import DesignSpace
 from .errors import (ConvergenceError, InfeasibleError, ValidationError,
-                     check_count, check_probabilities, check_real)
+                     check_count, check_instance, check_probabilities, check_real)
 from .glscore import CRITERION_ROUNDING, DesignCriterion
 
 # Units whose weight falls below this bound are dropped for good.
@@ -119,6 +119,7 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
     increases the criterion beyond tolerance, and :class:`InfeasibleError`
     when the contrast is not identified by the full space.
     """
+    check_instance("space", space, DesignSpace)
     _check_positive("tolerance", tolerance)
     check_count("max_iter", max_iter)
     if max_iter < 1:
@@ -212,6 +213,7 @@ def simplex_weight_descent(space: DesignSpace, cov: CovarianceSpec,
     (a positive integer) iterations or when no step passes while the
     residual still exceeds ``tolerance`` (the message gives it).
     """
+    check_instance("space", space, DesignSpace)
     _check_positive("tolerance", tolerance)
     check_count("max_iter", max_iter)
     if max_iter < 1:

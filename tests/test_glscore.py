@@ -404,6 +404,22 @@ class TestBatchedValues:
             for row, got in zip(batch, values):
                 assert float(got).hex() == crit.value(row).hex()
 
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    def test_rows_bit_identical_across_chunks(self, granularity):
+        # batches around and across the chunk boundaries of the one loop
+        space = standard_space(4, max_replication=2, cells_per_period=2,
+                               granularity=granularity)
+        crit = DesignCriterion(space, CovarianceSpec("EXC2", tau2=0.05, omega2=0.02))
+        chunk = crit._chunk_rows
+        rng = np.random.default_rng(34)
+        for k in (0, chunk - 1, chunk, chunk + 1, int(2.5 * chunk)):
+            batch = (_batch_with_infinite_rows(rng, space, k) if k
+                     else np.zeros((0, space.n_units), dtype=int))
+            values = crit.values(batch)
+            assert values.shape == (k,) and values.dtype == np.float64
+            for row, got in zip(batch, values):
+                assert float(got).hex() == crit.value(row).hex()
+
     @pytest.mark.parametrize("form", ["linear-average", "log-average"])
     def test_robust_rows_bit_identical_to_value(self, form):
         rng = np.random.default_rng(32)

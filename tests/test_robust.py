@@ -176,10 +176,14 @@ def per_model_reference(space, model_class, batch):
     return total
 
 
-def chunk_rows(crit):
-    """Rows per chunk: the robust criterion's own at sequence granularity,
-    else its first part's, which scores the whole batch."""
-    return getattr(crit, "_chunk_rows", None) or crit._parts[0][1]._chunk_rows
+def chunk_rows(space, model_class):
+    """Rows per chunk of a robust criterion: a plain criterion's, and at
+    sequence granularity, where one kernel call scores a chunk under each
+    of the ``L`` positive-prior models, ``1 / L`` of them."""
+    rows = DesignCriterion(space, model_class.entries[0].covariance)._chunk_rows
+    if space.granularity != "sequence":
+        return rows
+    return max(1, rows // sum(entry.prior > 0.0 for entry in model_class.entries))
 
 
 class TestStackedValues:
@@ -196,7 +200,7 @@ class TestStackedValues:
         space = standard_space(4, **self.SPACES[granularity])
         model_class = mixed_class(form) if classes == "mixed" else grid_class(form)
         crit = RobustCriterion(space, model_class)
-        chunk = chunk_rows(crit)
+        chunk = chunk_rows(space, model_class)
         rng = np.random.default_rng(71)
         for k in sorted({0, 1, chunk - 1, chunk, chunk + 1, int(2.5 * chunk)}):
             batch = rng.integers(0, 4, size=(k, space.n_units))
@@ -216,7 +220,7 @@ class TestStackedValues:
         space = standard_space(4, **self.SPACES[granularity])
         crit = RobustCriterion(space, mixed_class(form))
         batch = np.random.default_rng(72).integers(
-            0, 4, size=(int(1.5 * chunk_rows(crit)), space.n_units))
+            0, 4, size=(int(1.5 * chunk_rows(space, crit.model_class)), space.n_units))
         got = crit.values(batch)
         assert got.tobytes() == crit.values(batch.astype(float)).tobytes()
         for row, v in zip(batch, got):
@@ -236,8 +240,8 @@ class TestStackedValues:
         # conditioned, so each chunk takes one stacked Cholesky call
         space = standard_space(6, max_replication=5, cells_per_period=10)
         crit = RobustCriterion(space, grid_class())
-        n_models, chunk = len(crit.model_class.entries), crit._chunk_rows
-        assert chunk == 12
+        n_models, chunk = len(crit.model_class.entries), chunk_rows(space, crit.model_class)
+        assert (n_models, chunk) == (18, 12)
         rows = int(2.5 * chunk)
         batch = np.random.default_rng(73).integers(1, 4, size=(rows, space.n_units))
         expected = crit.values(batch)

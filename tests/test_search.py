@@ -7,8 +7,9 @@ from crtoptim import (Cell, CovarianceSpec, DesignCriterion, DesignSpace,
                       ExperimentalUnit, InfeasibleError, ModelClass, ModelSpec,
                       RobustCriterion, ValidationError, best_rounding,
                       brute_force_optimum, local_search, reverse_greedy,
-                      mixed_model_weights, space_from_sequences,
-                      standard_space, swap_delta)
+                      mixed_model_weights, simplex_weight_descent,
+                      space_from_sequences, standard_space,
+                      supermodularity_probe, swap_delta)
 from crtoptim import apportion, glscore, search
 from crtoptim.glscore import CRITERION_ROUNDING
 
@@ -228,6 +229,28 @@ class TestInputChecks:
         args = {"m": 3, "restarts": 2, "seed": 0, **kwargs}
         with pytest.raises(ValidationError):
             local_search(self.space, self.crit, **args)
+
+    @pytest.mark.parametrize("call", [
+        "mixed_model_weights", "simplex_weight_descent", "best_rounding",
+        "local_search space", "reverse_greedy space", "local_search criterion",
+        "brute_force_optimum criterion", "supermodularity_probe criterion"])
+    def test_argument_of_wrong_kind_rejected(self, call):
+        # a string for the space, or a criterion without values
+        cov, no_values = CovarianceSpec("EXC1", tau2=0.1), object()
+        run = {
+            "mixed_model_weights": lambda: mixed_model_weights("x", cov),
+            "simplex_weight_descent": lambda: simplex_weight_descent("x", cov),
+            "best_rounding": lambda: best_rounding("x", cov, [0.5, 0.5], 2),
+            "local_search space": lambda: local_search("x", self.crit, 2),
+            "reverse_greedy space": lambda: reverse_greedy("x", self.crit, 2),
+            "local_search criterion": lambda: local_search(self.space, no_values, 2),
+            "brute_force_optimum criterion":
+                lambda: brute_force_optimum(self.space, no_values, 2),
+            "supermodularity_probe criterion":
+                lambda: supermodularity_probe(self.space, no_values, 3),
+        }[call]
+        with pytest.raises(ValidationError, match="space|criterion"):
+            run()
 
     def test_reverse_greedy_ending_unidentified_is_infeasible(self):
         # no single sequence identifies the treatment effect
