@@ -36,7 +36,7 @@ from .exact import CellMeanParams, optimal_switch_ordering, treatment_precision
 from .glscore import DesignCriterion
 from .robust import ModelClass, ModelEntry, RobustCriterion
 from .search import local_search, reverse_greedy
-from .weights import mixed_model_weights, simplex_weight_descent
+from .weights import _lockstep_weights, mixed_model_weights, simplex_weight_descent
 
 ALGORITHMS = ("local", "reverse-greedy", "mixed-model-weights",
               "simplex-weights", "closed-form")
@@ -244,9 +244,24 @@ def write_weights_csv(path, space: DesignSpace, weights: np.ndarray) -> None:
                                  repr(float(w))])
 
 
+def _weight_options(cfg: dict):
+    """``(n_obs, tolerance)`` of a weighting run: the config's ``n_obs`` or
+    None, and its ``tolerance`` as keyword arguments of the solver, empty
+    so that the solver's own default applies unless the config sets one."""
+    n_obs = _optional(cfg, "n_obs", int, "", None)
+    tolerance = ({"tolerance": _require(cfg, "tolerance", float, "")}
+                 if "tolerance" in cfg else {})
+    return n_obs, tolerance
+
+
 def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
-                seed, out_dir: Path) -> float:
-    started = time.perf_counter()
+                seed, out_dir: Path, solved=None) -> float:
+    """Run one cell and write its bundle. ``solved``, given by a
+    ``mixed-model-weights`` grid, is ``(result, seconds)``: the cell's
+    weighted design (or error) from the grid's lockstep solve, which
+    replaces the cell's own solve, and its share of that solve's time,
+    which its ``wall_time_s`` includes."""
+    started = time.perf_counter() - (0.0 if solved is None else solved[1])
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"algorithm": algorithm, "seed": seed,
                "config_digest": config_digest(cfg)}
@@ -264,11 +279,12 @@ def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
             result = reverse_greedy(space, criterion, m)
         value, design = result.value, result.design
     elif algorithm in ("mixed-model-weights", "simplex-weights"):
-        n_obs = _optional(cfg, "n_obs", int, "", None)
-        # the solvers' own default tolerances apply unless the config sets one
-        tolerance = ({"tolerance": _require(cfg, "tolerance", float, "")}
-                     if "tolerance" in cfg else {})
-        if algorithm == "mixed-model-weights":
+        n_obs, tolerance = _weight_options(cfg)
+        if solved is not None:
+            wd = solved[0]
+            if isinstance(wd, Exception):
+                raise wd
+        elif algorithm == "mixed-model-weights":
             wd = mixed_model_weights(space, cov, model=model, total_obs=n_obs,
                                      **tolerance)
         else:
@@ -443,17 +459,28 @@ def _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed,
     for key, values in axes.items():
         if not values:
             raise ConfigError(f"field 'grid.{key}' must not be empty")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    index_rows = []
+    cells = []
     for point in itertools.product(*axes.values()):
         params = dict(zip(axes, point))
         try:
-            cov = CovarianceSpec.from_icc(kind, **params)
+            cells.append((point, params, CovarianceSpec.from_icc(kind, **params)))
         except ValidationError as exc:
             raise ConfigError(f"invalid field 'grid': {exc}") from exc
+    solved = [None] * len(cells)
+    if algorithm == "mixed-model-weights":
+        # every cell's fixed point at once; each cell then rounds and writes
+        n_obs, tolerance = _weight_options(cfg)
+        started = time.perf_counter()
+        results = _lockstep_weights(space, [cov for _, _, cov in cells], model,
+                                    n_obs, **tolerance)
+        share = (time.perf_counter() - started) / len(cells)
+        solved = [(result, share) for result in results]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    index_rows = []
+    for (point, params, cov), cell_solved in zip(cells, solved):
         cell_dir = out_dir / "_".join(f"{key}{v}" for key, v in params.items())
         value = _run_single(cfg, space, cov, model, None, algorithm, m,
-                            restarts, seed, cell_dir)
+                            restarts, seed, cell_dir, cell_solved)
         index_rows.append([*point, value, str(cell_dir.name)])
         label = "inf" if math.isinf(value) else f"{value:.10g}"
         click.echo(" ".join(f"{key}={v}" for key, v in params.items())

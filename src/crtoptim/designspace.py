@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .covariance import CovarianceSpec
-from .errors import ValidationError, check_count
+from .errors import ValidationError, check_count, check_instance
 
 GRANULARITIES = ("sequence", "cluster-period", "observation")
 STYLES = ("no-reversibility", "reversible")
@@ -246,8 +246,12 @@ def expand_design(space: DesignSpace, design: Design) -> DesignLayout:
 
     Sequence units are expanded copy by copy with fresh sequential cluster
     ids; cluster-period and observation units keep their parent cluster id
-    and multiplicity scales the cell count.
+    and multiplicity scales the cell count. Raises :class:`ValidationError`
+    unless ``space`` is a :class:`DesignSpace` and ``design`` a valid
+    :class:`Design` of it.
     """
+    check_instance("space", space, DesignSpace)
+    check_instance("design", design, Design)
     design.validate(space)
     cells = []  # (cluster, period, treated, n_obs, unit_index)
     if space.granularity == "sequence":

@@ -17,9 +17,16 @@ Scoring is batched, in one loop (:func:`_model_values`) behind every
 criterion value, plain or robust: it checks a ``(K, J)`` matrix of
 per-unit counts once and scores it chunk by chunk, each chunk in one block
 sum (or cluster solve) and one stacked rank-aware solve over the
-information matrices of its rows under ``L`` models. Every other criterion
-quantity (``contrast_variance``, the gradient the weight solvers follow,
-the rank-one screen of the greedy walks) is that kernel on a stack of one.
+information matrices of its rows under ``L`` models. The gradients the
+weight solvers follow come from :func:`_gradients`, which scores one row
+per criterion of one space, ``(L, J)``, in one cluster solve over the
+criteria's stacked covariances (or each criterion's unit-block sum at
+sequence granularity), one kernel call, one ``inv`` of the certified
+factors (:func:`_factor_solve`) and one ``bincount``;
+:meth:`DesignCriterion.gradient` is its stack of one, and a weight grid
+solved in lockstep scores all its cells at once. The other criterion
+quantities (``contrast_variance``, the rank-one screen of the greedy
+walks) are the kernel on a stack of one.
 The kernel factorises the whole stack once by Cholesky, ``M = L
 L'``, in one LAPACK call. A row is certified full-rank when its smallest
 eigenvalue exceeds ``delta = CERTIFICATE_MARGIN * RANK_TOL * tr M``: a
@@ -91,7 +98,7 @@ def treatment_contrast(n_params: int) -> np.ndarray:
 
 def _symmetrised(m: np.ndarray) -> np.ndarray:
     """``(M + M') / 2`` of a ``(..., P, P)`` stack, as a new array."""
-    m = m + np.swapaxes(m, -1, -2)
+    m = m + m.swapaxes(-1, -2)
     m *= 0.5
     return m
 
@@ -182,7 +189,7 @@ def _contrast_kernel(m: np.ndarray):
         # is finite and positive
         certified = ((bound > 2.0 * (p - 1) * CERTIFICATE_MARGIN * RANK_TOL)
                      & (bound < math.inf))
-    if not certified.all():
+    if np.count_nonzero(certified) < k:
         doubtful = np.flatnonzero(~certified & _factorised(lower))
         if doubtful.size:
             shifted = m[doubtful]
@@ -222,20 +229,32 @@ def _eigen_solve(m: np.ndarray):
 
 
 def _factor_solve(m: np.ndarray):
-    """``(value, y, L^-1)`` of a stack of one information matrix: the
-    kernel's value, ``y = M^+ e_P = L^-T L^-1 e_P`` from the Cholesky factor
-    ``L`` of ``M`` that the kernel returns where it certifies the row (no
-    second factorisation), else from :func:`_eigen_solve` with ``L^-1``
-    None; ``y`` is None too where the value is infinite."""
+    """``(value, y, L^-1)`` of a ``(K, P, P)`` stack of information
+    matrices: the kernel's values, ``y = M^+ e_P = L^-T L^-1 e_P`` (``(K,
+    P)``) and ``L^-1`` (``(K, P, P)``). On the rows the kernel certifies,
+    both come from one stacked ``inv`` of its Cholesky factors (no second
+    factorisation); every other row takes ``y`` from :func:`_eigen_solve`
+    on its own, and its ``L^-1`` is NaN. Where the value is infinite, ``y``
+    and ``L^-1`` are NaN."""
     value, lower = _contrast_kernel(m)
-    value = float(value[0])
-    if value == math.inf:
-        return value, None, None
-    if lower[0, -1, -1] != lower[0, -1, -1]:  # NaN: an uncertified row
-        return value, _eigen_solve(_symmetrised(m))[1][0], None
-    lower_inv = np.linalg.inv(lower)
-    y = ((lower_inv @ treatment_contrast(m.shape[-1]))[:, None, :] @ lower_inv)[0, 0]
-    return value, y, lower_inv[0]
+    # value * L_PP is 1 / L_PP on a certified row of finite value, NaN on a
+    # row the kernel does not certify (its factor is NaN) and inf where the
+    # value is; their sum is finite only when every row is of the first
+    # kind (an overflow merely takes the row-by-row path)
+    pivots = lower[:, -1, -1]
+    every = math.isfinite(value @ pivots)
+    if every:
+        lower_inv = np.linalg.inv(lower)
+    else:
+        solved = np.isfinite(value * pivots)
+        lower_inv = np.full_like(lower, np.nan)
+        lower_inv[solved] = np.linalg.inv(lower[solved])
+    y = ((lower_inv @ treatment_contrast(m.shape[-1]))[:, None, :] @ lower_inv)[:, 0]
+    if not every:
+        for k in np.flatnonzero(~solved):
+            y[k] = (_eigen_solve(_symmetrised(m[k:k + 1]))[1][0]
+                    if value[k] < math.inf else np.nan)
+    return value, y, lower_inv
 
 
 def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
@@ -387,12 +406,14 @@ def aggregate_cluster_periods(space: DesignSpace, design: Design,
 class _ClusterBlocks:
     """Cell-level pieces of every cluster, stacked over clusters and padded
     to a common cell count: ``(C, c, ...)``. A padding cell has a zero row
-    in ``x``, never holds observations and so adds zero wherever it goes."""
+    in ``x``, never holds observations and so adds zero wherever it goes.
+    The blocks of ``L`` settings on one space (:meth:`stacked`) hold
+    ``(L, C, c, ...)`` covariances and weights."""
 
     unit_idx: np.ndarray     # (C, c) owning unit of each cell
     x: np.ndarray            # (C, c, P) cell rows of the fixed-effects matrix
-    base: np.ndarray         # (C, c, c) cell-level random-effect covariance
-    weight: np.ndarray       # (C, c) iterated weight of one observation per cell
+    base: np.ndarray         # ([L,] C, c, c) cell-level random-effect covariance
+    weight: np.ndarray       # ([L,] C, c) iterated weight of one observation per cell
     n_per: np.ndarray        # (C, c) observations added per unit replicate
 
     def __post_init__(self):
@@ -401,6 +422,16 @@ class _ClusterBlocks:
         self._cell_unit = self.unit_idx.ravel()
         # precision one unit replicate adds to each cell; zero at padding
         self.cell_precision = (self.n_per * self.weight).ravel()
+
+    @staticmethod
+    def stacked(blocks) -> _ClusterBlocks:
+        """The blocks of ``L`` settings (covariance and model) on one
+        space as one set, whose :meth:`solve` and :meth:`gradient` take row
+        ``l`` of a ``(L, J)`` batch under ``blocks[l]``."""
+        first = blocks[0]
+        return _ClusterBlocks(first.unit_idx, first.x,
+                              np.stack([b.base for b in blocks]),
+                              np.stack([b.weight for b in blocks]), first.n_per)
 
     def _scale(self, counts: np.ndarray) -> np.ndarray:
         """``s = sqrt(w n_obs)`` (``(..., C, c)``) of per-unit multiplicities
@@ -421,7 +452,7 @@ class _ClusterBlocks:
         sx = s[..., None] * self.x
         a = self.base * (s[..., :, None] * s[..., None, :]) + self._eye
         t = np.linalg.solve(a, sx)
-        per_cluster = np.swapaxes(sx, -1, -2) @ t
+        per_cluster = sx.swapaxes(-1, -2) @ t
         # a reduction over an outer axis adds the clusters one after another;
         # starting from -0.0 keeps every bit, signed zeros included, of
         # summing them in a loop
@@ -429,13 +460,20 @@ class _ClusterBlocks:
 
     def gradient(self, s: np.ndarray, t: np.ndarray, y: np.ndarray,
                  n_units: int) -> np.ndarray:
-        """Cluster-granularity ``grad`` of :meth:`DesignCriterion.gradient`
-        from one design's ``(s, t)`` (``(C, c)``, ``(C, c, P)``) and
-        ``y = M^+ c``."""
-        a = s * (t @ y)
-        v = self.x @ y - (self.base @ a[..., None])[..., 0]
-        return np.bincount(self._cell_unit, weights=-self.cell_precision * (v * v).ravel(),
-                           minlength=n_units)
+        """Cluster-granularity ``grad`` (``(K, J)``) of
+        :meth:`DesignCriterion.gradient` from ``K`` designs' ``(s, t)``
+        (``(K, C, c)``, ``(K, C, c, P)``) and ``y = M^+ c`` (``(K, P)``),
+        summed per unit by one ``bincount`` that offsets row ``k`` by ``k
+        J``."""
+        k = len(y)
+        y = y[:, None, :, None]
+        a = s * (t @ y)[..., 0]
+        v = (self.x @ y - self.base @ a[..., None])[..., 0]
+        bins = self._cell_unit
+        if k > 1:
+            bins = (bins + n_units * np.arange(k)[:, None]).ravel()
+        return np.bincount(bins, weights=-self.cell_precision * (v * v).ravel(),
+                           minlength=k * n_units).reshape(k, n_units)
 
     def rank_one_terms(self, counts: np.ndarray):
         """``(info, u, var)`` of one design's multiplicities ``counts`` (``(J,)``):
@@ -459,7 +497,7 @@ class _ClusterBlocks:
         solved = np.linalg.solve(sb * s[..., None, :] + self._eye,
                                  np.concatenate([sx, sb], axis=-1))
         t, h = solved[..., :p], solved[..., p:]
-        info = np.add.reduce(np.swapaxes(sx, -1, -2) @ t, axis=-3)
+        info = np.add.reduce(sx.swapaxes(-1, -2) @ t, axis=-3)
         observed = s > 0
         scale = 1.0 / np.where(observed, s, 1.0)
         u = np.where(observed[..., None], t * scale[..., None],
@@ -502,10 +540,17 @@ def unit_information_blocks(space: DesignSpace, cov: CovarianceSpec,
     (J, P, P). Valid whenever units occupy distinct clusters, so a
     design's information is the multiplicity-weighted sum of blocks. Each
     unit is a cluster of its own, whose block is its term ``(S X)' t`` of
-    one stacked :meth:`_ClusterBlocks.solve` at one replicate per unit."""
+    one stacked :meth:`_ClusterBlocks.solve` at one replicate per unit.
+    Raises :class:`ValidationError` unless ``space`` is a
+    :class:`DesignSpace`, ``cov`` a :class:`CovarianceSpec` and ``model`` a
+    :class:`ModelSpec` or None."""
+    check_instance("space", space, DesignSpace)
+    check_instance("covariance", cov, CovarianceSpec)
+    if model is not None:
+        check_instance("model", model, ModelSpec)
     cl = _cluster_blocks(space, cov, model or ModelSpec(), per_unit=True)
     s, t, _ = cl.solve(np.ones(space.n_units))
-    return np.swapaxes(s[..., None] * cl.x, -1, -2) @ t
+    return (s[..., None] * cl.x).swapaxes(-1, -2) @ t
 
 
 class DesignCriterion:
@@ -609,7 +654,8 @@ class DesignCriterion:
 
     def gradient(self, counts) -> tuple[float, np.ndarray]:
         """``(value, grad)`` of one row of multiplicities, with ``grad[j]``
-        the derivative of the value in ``counts[j]``.
+        the derivative of the value in ``counts[j]``: :func:`_gradients` on a
+        stack of one.
 
         With ``y = M^+ c`` from the kernel's factorisation
         (:func:`_factor_solve`), unit ``j`` gives ``-y' B_j y`` at sequence
@@ -620,19 +666,8 @@ class DesignCriterion:
         weights ``a = S t y``; unlike ``a / (w n)`` it stays finite at
         empty cells. ``grad`` is NaN where the value is infinite.
         """
-        batch = self._batch(np.asarray(counts)[None])
-        cl = self._clusters
-        if cl is None:
-            m = self._information(batch)
-        else:
-            s, t, m = cl.solve(batch)
-        value, y, _ = _factor_solve(m)
-        if y is None:
-            return value, np.full(self.space.n_units, np.nan)
-        if cl is None:
-            blocks = self._unit_blocks.reshape(-1, y.size, y.size)
-            return value, -np.einsum("i,kij,j->k", y, blocks, y)
-        return value, cl.gradient(s[0], t[0], y, self.space.n_units)
+        value, grad = _gradients((self,), np.asarray(counts)[None])
+        return float(value[0]), grad[0]
 
     def single_moves(self, counts, units, step: int):
         """Screened criterion values of the design ``counts`` with one
@@ -673,9 +708,11 @@ class DesignCriterion:
             return None
         info, u, var = cl.rank_one_terms(batch[0])
         value, y, lower_inv = _factor_solve(info[None])
-        # tr M^-1 = |L^-1|_F^2
-        if (lower_inv is None or np.einsum("ij,ij->", lower_inv, lower_inv)
-                * np.trace(info) > SCREEN_CONDITION):
+        value, y, lower_inv = value[0], y[0], lower_inv[0]
+        # tr M^-1 = |L^-1|_F^2; written so that the NaN L^-1 of a row the
+        # kernel does not certify, or of an infinite value, fails
+        if not (np.einsum("ij,ij->", lower_inv, lower_inv) * np.trace(info)
+                <= SCREEN_CONDITION):
             return None
         delta = step * cl.cell_precision[cells]
         u = u[cells]
@@ -690,6 +727,9 @@ class DesignCriterion:
         return screened
 
     def value_of(self, design: Design) -> float:
+        """Criterion value of a :class:`Design`, which must be valid for
+        the space; raises :class:`ValidationError` otherwise."""
+        check_instance("design", design, Design)
         design.validate(self.space)
         return self.value(np.asarray(design.counts))
 
@@ -714,3 +754,32 @@ def _model_values(parts, batch, blocks) -> np.ndarray:
             m = np.einsum("kj,jx->kx", chunk, blocks).reshape(-1, p, p)
             out[i:i + rows] = _contrast_kernel(m)[0].reshape(len(chunk), -1)
     return out
+
+
+def _gradients(parts, batch):
+    """``(value, grad)`` (``(L,)``, ``(L, J)``) of a ``(L, J)`` batch, row
+    ``l`` scored under the criterion ``parts[l]``, all on one space; row
+    ``l`` equals ``parts[l].gradient(batch[l])`` bit for bit, which is this
+    on a stack of one. At sequence granularity each row sums its part's
+    unit blocks; elsewhere one cluster solve runs over the parts' stacked
+    covariances. One :func:`_factor_solve` then serves every row, and one
+    ``bincount`` (or each part's block contraction) the gradients."""
+    first = parts[0]
+    batch = first._batch(batch)
+    if first._clusters is None:
+        m = np.concatenate([part._information(batch[l:l + 1])
+                            for l, part in enumerate(parts)])
+        value, y, _ = _factor_solve(m)
+        p = y.shape[-1]
+        grad = np.stack([-np.einsum("i,kij,j->k", y[l],
+                                    part._unit_blocks.reshape(-1, p, p), y[l])
+                         for l, part in enumerate(parts)])
+    else:
+        cl = first._clusters
+        if len(parts) > 1:
+            cl = _ClusterBlocks.stacked([part._clusters for part in parts])
+        s, t, m = cl.solve(batch)
+        value, y, _ = _factor_solve(m)
+        grad = cl.gradient(s, t, y, first.space.n_units)
+    # the NaN y of a row of infinite value makes its whole gradient NaN
+    return value, grad

@@ -116,7 +116,10 @@ def swap_delta(space: DesignSpace, criterion, design: Design,
                remove: int, add: int) -> float:
     """Criterion change from swapping one replicate of ``remove`` for one
     of ``add``; consistent with full re-evaluation. Raises
-    :class:`ValidationError` unless both are integer unit indices."""
+    :class:`ValidationError` unless ``space`` is a :class:`DesignSpace`,
+    ``design`` a :class:`Design` and both units integer unit indices."""
+    check_instance("space", space, DesignSpace)
+    check_instance("design", design, Design)
     for name, unit in (("remove", remove), ("add", add)):
         check_count(name, unit)
         if not 0 <= unit < space.n_units:

@@ -115,7 +115,11 @@ def monte_carlo_variance(space: DesignSpace, design: Design,
     ``MONTE_CARLO_BLOCK`` replicates, each seeded from its own child of
     ``SeedSequence(seed)``, so results are reproducible.
     """
+    check_instance("space", space, DesignSpace)
+    check_instance("design", design, Design)
+    check_instance("covariance", cov, CovarianceSpec)
     model = model or ModelSpec()
+    check_instance("model", model, ModelSpec)
     if not model.is_gaussian:
         raise ValidationError("simulation validation requires gaussian-identity")
     check_count("n_sims", n_sims)

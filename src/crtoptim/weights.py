@@ -33,7 +33,7 @@ from .covariance import CovarianceSpec, ModelSpec
 from .designspace import DesignSpace
 from .errors import (ConvergenceError, InfeasibleError, ValidationError,
                      check_count, check_instance, check_probabilities, check_real)
-from .glscore import CRITERION_ROUNDING, DesignCriterion
+from .glscore import CRITERION_ROUNDING, DesignCriterion, _gradients
 
 # Units whose weight falls below this bound are dropped for good.
 WEIGHT_FLOOR = 1e-7
@@ -119,6 +119,21 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
     increases the criterion beyond tolerance, and :class:`InfeasibleError`
     when the contrast is not identified by the full space.
     """
+    scale = _weight_scale(space, total_obs, tolerance, max_iter)
+    gradient = DesignCriterion(space, cov, model).gradient
+    core = _squarem(space.n_units, scale, tolerance, max_iter)
+    try:
+        point = next(core)
+        while True:
+            point = core.send(gradient(point))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _weight_scale(space, total_obs, tolerance, max_iter) -> float:
+    """Check the arguments of :func:`mixed_model_weights` other than the
+    covariance and model, and return the multiplicity ``N`` that scales
+    the weights (1 at sequence granularity)."""
     check_instance("space", space, DesignSpace)
     _check_positive("tolerance", tolerance)
     check_count("max_iter", max_iter)
@@ -126,29 +141,66 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
         raise ValidationError("max_iter must be at least 1")
     if total_obs is not None:
         _check_positive("total_obs", total_obs)
-    scale = 1.0
-    if space.granularity != "sequence":
-        if total_obs is None:
-            raise ValidationError("cluster-period weights need a positive total_obs")
-        if any(len(unit.cells) != 1 for unit in space.units):
-            raise ValidationError(
-                "cluster-period weights need single-cell experimental units")
-        scale = float(total_obs)
-    crit = DesignCriterion(space, cov, model)
-    phi = np.full(space.n_units, 1.0 / space.n_units)
-    active = np.ones(space.n_units, dtype=bool)
-    calls = 0
+    if space.granularity == "sequence":
+        return 1.0
+    if total_obs is None:
+        raise ValidationError("cluster-period weights need a positive total_obs")
+    if any(len(unit.cells) != 1 for unit in space.units):
+        raise ValidationError(
+            "cluster-period weights need single-cell experimental units")
+    return float(total_obs)
 
-    def evaluate(point):
-        nonlocal calls
-        if calls == max_iter:
-            raise ConvergenceError(
-                f"no convergence in {max_iter} criterion evaluations",
-                weights=phi, iterations=max_iter)
-        calls += 1
-        return crit.gradient(scale * point)
 
-    f, grad = evaluate(phi)
+def _lockstep_weights(space: DesignSpace, covs, model: ModelSpec | None = None,
+                      total_obs: float | None = None, tolerance: float = 1e-6,
+                      max_iter: int = 10000) -> list:
+    """:func:`mixed_model_weights` of one space under each covariance in
+    ``covs``, run in lockstep: one :func:`glscore._gradients` call per step
+    scores the next point of every run still going. Returns, per
+    covariance, the :class:`WeightedDesign`, :class:`ConvergenceError` or
+    :class:`InfeasibleError` of its own run, bit for bit those of a lone
+    call; an argument the lone call would reject raises here, before any
+    run starts."""
+    scale = _weight_scale(space, total_obs, tolerance, max_iter)
+    criteria = [DesignCriterion(space, cov, model) for cov in covs]
+    cores = [_squarem(space.n_units, scale, tolerance, max_iter) for _ in covs]
+    results: list = [None] * len(cores)
+    live = list(range(len(cores)))
+    points = [next(core) for core in cores]
+    while live:
+        values, grads = _gradients([criteria[i] for i in live], np.stack(points))
+        running, points = [], []
+        for i, value, grad in zip(live, values.tolist(), grads):
+            try:
+                points.append(cores[i].send((value, grad)))
+                running.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+            except (ConvergenceError, InfeasibleError) as exc:
+                results[i] = exc
+        live = running
+    return results
+
+
+def _spend(calls: int, max_iter: int, phi: np.ndarray) -> int:
+    """``calls + 1``, or :class:`ConvergenceError` carrying ``phi`` when
+    ``max_iter`` criterion evaluations are spent."""
+    if calls == max_iter:
+        raise ConvergenceError(
+            f"no convergence in {max_iter} criterion evaluations",
+            weights=phi, iterations=max_iter)
+    return calls + 1
+
+
+def _squarem(n_units: int, scale: float, tolerance: float, max_iter: int):
+    """The SQUAREM fixed point of :func:`mixed_model_weights` as a
+    generator: it yields each point to score as multiplicities ``scale *
+    phi``, is sent back its ``(value, grad)``, and returns the
+    :class:`WeightedDesign` (or raises) when the run ends."""
+    phi = np.full(n_units, 1.0 / n_units)
+    active = np.ones(n_units, dtype=bool)
+    f, grad = yield scale * phi
+    calls = 1
     if not math.isfinite(f):
         raise InfeasibleError("contrast is not identified by the design space")
     start = None  # the cycle's first point while phi is its first plain step
@@ -168,22 +220,26 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
             start = None  # dropping restarts the cycle and re-baselines the monitor
         elif delta <= tolerance:
             # one extra evaluation so the reported value belongs to the weights
-            return WeightedDesign(mapped, evaluate(mapped)[0], calls)
+            calls = _spend(calls, max_iter, phi)
+            f_mapped, _ = yield scale * mapped
+            return WeightedDesign(mapped, f_mapped, calls)
         elif start is not None:
             # phi = F(start) and mapped = F(phi): try the SQUAREM extrapolation
             r = phi - start
             v = mapped - 2.0 * phi + start
-            v_norm = np.linalg.norm(v)
-            alpha = min(-np.linalg.norm(r) / v_norm, -1.0) if v_norm > 0 else -1.0
+            v_norm = math.sqrt(v @ v)
+            alpha = min(-math.sqrt(r @ r) / v_norm, -1.0) if v_norm > 0 else -1.0
             trial = start - 2.0 * alpha * r + alpha * alpha * v
             if alpha < -1.0 and (trial[active] > 0).all():
                 trial /= trial.sum()
-                f_trial, grad_trial = evaluate(trial)
+                calls = _spend(calls, max_iter, phi)
+                f_trial, grad_trial = yield scale * trial
                 if f_trial <= f:
                     phi, f, grad, start = trial, f_trial, grad_trial, None
                     continue
         # a plain step of the map: alpha = -1 ends the cycle at F(F(start))
-        f_mapped, grad_mapped = evaluate(mapped)
+        calls = _spend(calls, max_iter, phi)
+        f_mapped, grad_mapped = yield scale * mapped
         if not math.isfinite(f_mapped):
             raise InfeasibleError("contrast is not identified by the design space")
         if not drop and f_mapped > f * (1.0 + MONOTONE_SLACK):

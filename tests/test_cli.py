@@ -4,7 +4,9 @@ import pytest
 from click.testing import CliRunner
 
 from crtoptim import (Cell, CovarianceSpec, DesignCriterion, DesignSpace,
-                      ExperimentalUnit, reverse_greedy, standard_space)
+                      ExperimentalUnit, mixed_model_weights, reverse_greedy,
+                      standard_space)
+from crtoptim import cli
 from crtoptim.cli import config_digest, main, write_design_grid
 
 
@@ -355,6 +357,90 @@ class TestOptimize:
         cfg_path = write_json(tmp_path / "cfg.json", cfg)
         result = runner.invoke(main, ["optimize", "--config", cfg_path])
         assert result.exit_code == 3
+
+
+class TestWeightsGrid:
+    """A ``mixed-model-weights`` grid solves its cells' weights in
+    lockstep; each cell's bundle is that of a run of the cell alone."""
+
+    ICC, CAC = [0.0431, 0.0567], [0.4612, 0.5388]
+
+    def config(self, tmp_path, icc=None, cac=None):
+        return {
+            "space": {"standard": {"T": 6, "maxReplication": 10, "count": 1,
+                                   "granularity": "cluster-period"}},
+            "algorithm": "mixed-model-weights",
+            "n_obs": 60,
+            "grid": {"kind": "EXC2", "icc": icc or self.ICC, "cac": cac or self.CAC},
+            "seed": 9,
+            "out": str(tmp_path / "out"),
+        }
+
+    def test_cells_match_single_runs(self, tmp_path, runner):
+        cfg = self.config(tmp_path)
+        result = runner.invoke(main, ["optimize", "--config",
+                                      write_json(tmp_path / "cfg.json", cfg)])
+        assert result.exit_code == 0, result.output
+        space, model = cli.parse_space(cfg), cli.parse_model(cfg)
+        for icc in self.ICC:
+            for cac in self.CAC:
+                name = f"icc{icc}_cac{cac}"
+                single = tmp_path / "single" / name
+                cli._run_single(cfg, space, CovarianceSpec.from_icc("EXC2", icc, cac=cac),
+                                model, None, "mixed-model-weights", None, 100, 9, single)
+                cell = tmp_path / "out" / name
+                for bundle in ("weights.csv", "design_grid.csv"):
+                    assert (cell / bundle).read_bytes() == (single / bundle).read_bytes()
+                summaries = [[line for line in (d / "summary.json").read_text().splitlines()
+                              if '"wall_time_s"' not in line] for d in (cell, single)]
+                assert summaries[0] == summaries[1]
+
+    def test_invalid_point_runs_no_cell(self, tmp_path, runner):
+        cfg = self.config(tmp_path, icc=[0.05, 0.1, 1.5], cac=[0.5])
+        result = runner.invoke(main, ["optimize", "--config",
+                                      write_json(tmp_path / "cfg.json", cfg)])
+        assert result.exit_code == 2, result.output
+        assert "invalid field 'grid'" in result.output
+        out = tmp_path / "out"
+        assert not out.exists() or not any(p.is_dir() for p in out.iterdir())
+
+    def test_failing_cell_keeps_earlier_bundles(self, tmp_path, runner, monkeypatch):
+        cfg = self.config(tmp_path)
+        space = cli.parse_space(cfg)
+        names = [f"icc{icc}_cac{cac}" for icc in self.ICC for cac in self.CAC]
+        iterations = [mixed_model_weights(space, CovarianceSpec.from_icc(
+            "EXC2", icc, cac=cac), total_obs=60).iterations
+                      for icc in self.ICC for cac in self.CAC]
+        # one evaluation short of the slowest cell, which is not the first
+        cap = max(iterations) - 1
+        first_failure = next(k for k, n in enumerate(iterations) if n > cap)
+        assert first_failure > 0
+        lockstep = cli._lockstep_weights
+        monkeypatch.setattr(cli, "_lockstep_weights",
+                            lambda *args, **kwargs: lockstep(*args, max_iter=cap, **kwargs))
+        result = runner.invoke(main, ["optimize", "--config",
+                                      write_json(tmp_path / "cfg.json", cfg)])
+        assert result.exit_code == 3, result.output
+        assert f"no convergence in {cap} criterion evaluations" in result.output
+        out = tmp_path / "out"
+        for name in names[:first_failure]:
+            assert sorted(p.name for p in (out / name).iterdir()) == [
+                "design_grid.csv", "summary.json", "weights.csv"]
+        assert not any((out / names[first_failure]).iterdir())
+        assert not any((out / name).exists() for name in names[first_failure + 1:])
+        assert not (out / "grid_index.csv").exists()
+
+    def test_repeated_value_runs_twice(self, tmp_path, runner):
+        cfg = self.config(tmp_path, icc=[0.05, 0.05], cac=[0.5])
+        result = runner.invoke(main, ["optimize", "--config",
+                                      write_json(tmp_path / "cfg.json", cfg)])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert len(lines) == 2 and lines[0] == lines[1]
+        index = (tmp_path / "out" / "grid_index.csv").read_text().splitlines()
+        assert index[1] == index[2] and index[1].endswith(",icc0.05_cac0.5")
+        assert [p.name for p in (tmp_path / "out").iterdir() if p.is_dir()] == [
+            "icc0.05_cac0.5"]
 
 
 class TestDesignGrid:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from crtoptim import (CovarianceSpec, DesignCriterion, ModelClass, ModelSpec,
+from crtoptim import (Cell, CovarianceSpec, DesignCriterion, DesignSpace,
+                      ExperimentalUnit, ModelClass, ModelSpec,
                       RobustCriterion, ValidationError,
                       aggregate_cluster_periods, build_d,
                       build_sigma, build_x, build_z, c_optimality,
@@ -882,3 +883,38 @@ class TestGradient:
         value, grad = crit.gradient([1, 0, 0, 0])   # all control
         assert math.isinf(value)
         assert np.all(np.isnan(grad))
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    def test_stacked_rows_match_each_part(self, granularity):
+        # one row per criterion: certified rows, a row that leaves the last
+        # period without observations (its fixed effect is unidentified, so
+        # the kernel does not certify the row) and an all-zero row (infinite
+        # value, NaN gradient)
+        if granularity == "sequence":
+            # only the third unit reaches period 3
+            space = DesignSpace(3, (
+                ExperimentalUnit(0, (Cell(1, 0), Cell(2, 1))),
+                ExperimentalUnit(1, (Cell(1, 0), Cell(2, 0))),
+                ExperimentalUnit(2, (Cell(1, 0), Cell(2, 0), Cell(3, 1)))),
+                max_replication=3)
+        else:
+            space = standard_space(3, max_replication=3, granularity=granularity)
+        last = np.array([unit.cells[-1].period == 3 for unit in space.units])
+        logit = ModelSpec("binomial-logit", beta=(-1.5, -1.0, -0.5, 0.8))
+        parts = [DesignCriterion(space, cov, model) for cov, model in (
+            (CovarianceSpec.from_icc("EXC2", 0.1, cac=0.6), None),
+            (CovarianceSpec.from_icc("AR1", 0.1, decay=0.7), logit),
+            (CovarianceSpec.from_icc("AR1", 0.1, decay=0.7), None),
+            (CovarianceSpec.from_icc("EXC1", 0.05), logit),
+            (CovarianceSpec.from_icc("EXC2", 0.1, cac=0.6), None))]
+        batch = np.random.default_rng(6).uniform(0.5, 2.0, (len(parts), space.n_units))
+        batch[2, last] = 0.0
+        batch[-1] = 0.0
+        assert np.isnan(_contrast_kernel(parts[2].information(batch[2])[None])[1]).all()
+        values, grads = glscore._gradients(parts, batch)
+        for part, row, value, grad in zip(parts, batch, values, grads):
+            want_value, want_grad = part.gradient(row)
+            assert value.hex() == want_value.hex()
+            assert np.array_equal(grad, want_grad, equal_nan=True)
+        assert np.isfinite(values[:-1]).all() and np.isfinite(grads[:-1]).all()
+        assert math.isinf(values[-1]) and np.isnan(grads[-1]).all()

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from crtoptim import (CovarianceSpec, DesignCriterion, EnumerationLimitError,
-                      InfeasibleError, ValidationError, brute_force_optimum,
-                      local_search, monte_carlo_variance, space_from_sequences,
-                      standard_space, supermodularity_probe,
+                      InfeasibleError, ValidationError, aggregate_cluster_periods,
+                      brute_force_optimum, build_sigma, build_x, local_search,
+                      monte_carlo_variance, space_from_sequences, standard_space,
+                      supermodularity_probe, swap_delta, unit_information_blocks,
                       write_simulation_csv)
 from crtoptim.validate import _count_multisets
 
@@ -246,3 +247,29 @@ def test_seed_must_be_a_non_negative_integer(call, seed):
     crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
     with pytest.raises(ValidationError, match="seed"):
         call(space, crit, seed)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda space, crit, design: swap_delta("x", crit, design, 0, 1), "space"),
+    (lambda space, crit, design: build_x("x", design), "space"),
+    (lambda space, crit, design: build_sigma("x", design, crit.covariance), "space"),
+    (lambda space, crit, design: aggregate_cluster_periods(
+        "x", design, crit.covariance), "space"),
+    (lambda space, crit, design: unit_information_blocks("x", crit.covariance), "space"),
+    (lambda space, crit, design: monte_carlo_variance(
+        "x", design, crit.covariance, np.zeros(4), n_sims=1000), "space"),
+    (lambda space, crit, design: monte_carlo_variance(
+        space, design, crit.covariance, np.zeros(4), model="x", n_sims=1000), "model"),
+    (lambda space, crit, design: swap_delta(space, crit, "x", 0, 1), "design"),
+    (lambda space, crit, design: crit.value_of("x"), "design"),
+], ids=["swap_delta-space", "build_x-space", "build_sigma-space",
+        "aggregate_cluster_periods-space", "unit_information_blocks-space",
+        "monte_carlo_variance-space", "monte_carlo_variance-model",
+        "swap_delta-design", "value_of-design"])
+def test_argument_of_wrong_kind_rejected(call, name):
+    # each ended in a raw AttributeError on the string
+    space = standard_space(3, max_replication=2)
+    crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
+    design = space.design_from_counts([1, 1, 1, 1])
+    with pytest.raises(ValidationError, match=f"{name} must be a"):
+        call(space, crit, design)

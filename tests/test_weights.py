@@ -13,7 +13,7 @@ from crtoptim import (ConvergenceError, CovarianceSpec, DesignCriterion,
                       WeightedDesign)
 from crtoptim.covariance import iterated_weights
 from crtoptim.glscore import contrast_variance, treatment_contrast
-from crtoptim.weights import WEIGHT_FLOOR
+from crtoptim.weights import WEIGHT_FLOOR, _lockstep_weights
 
 
 def exc1_from_icc(icc):
@@ -272,6 +272,69 @@ class TestAcceleratedFixedPoint:
         plain_value = _cell_value(space, cov, plain, 100.0, model)
         assert wd.value <= (1 + 1e-9) * plain_value
         assert np.abs(wd.weights - plain).max() < 1e-3
+
+
+def _same_run(got, want):
+    """Bit-identical solver outcomes: the same weights, value and count, or
+    the same error with the same last iterate."""
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.weights, want.weights)
+    else:
+        assert np.array_equal(got.weights, want.weights)
+        assert type(got.value) is float and got.value.hex() == want.value.hex()
+        assert got.iterations == want.iterations
+
+
+def _solo(space, cov, model, total_obs, **kwargs):
+    try:
+        return mixed_model_weights(space, cov, model=model, total_obs=total_obs,
+                                   **kwargs)
+    except ConvergenceError as exc:
+        return exc
+
+
+class TestLockstep:
+    """Every cell's fixed point in lockstep, one stacked gradient call per
+    step, ends exactly where the cell's own run does."""
+
+    @pytest.mark.parametrize("space,model,covs,total_obs", [
+        (standard_space(6, max_replication=10, granularity="cluster-period"), None,
+         [CovarianceSpec.from_icc("EXC2", icc, cac=cac)
+          for icc in (0.0431, 0.0567) for cac in (0.4612, 0.5388)], 60),
+        (standard_space(4, max_replication=3), None,
+         [CovarianceSpec.from_icc("AR1", icc, decay=decay)
+          for icc in (0.02, 0.1) for decay in (0.5, 0.9)], None),
+        (standard_space(4, max_replication=10, granularity="cluster-period"),
+         ModelSpec("binomial-logit", beta=(-2, -1.5, -1, -0.5, 0.5)),
+         [CovarianceSpec.from_icc("EXC1", icc) for icc in (0.01, 0.05, 0.2)], 55),
+    ], ids=["cluster-period-EXC2", "sequence-AR1", "binomial-logit"])
+    def test_grid_matches_each_cell_alone(self, space, model, covs, total_obs):
+        results = _lockstep_weights(space, covs, model, total_obs)
+        assert len(results) == len(covs)
+        # the cells stop at different steps, so the stack shrinks on the way
+        assert len({r.iterations for r in results}) > 1
+        for cov, got in zip(covs, results):
+            _same_run(got, _solo(space, cov, model, total_obs))
+
+    def test_one_cell_out_of_evaluations(self):
+        space = standard_space(6, max_replication=10, granularity="cluster-period")
+        covs = [CovarianceSpec.from_icc("EXC2", icc, cac=cac)
+                for icc in (0.0431, 0.0567) for cac in (0.4612, 0.5388)]
+        # one evaluation short of what the slowest cell needs
+        cap = max(_solo(space, cov, None, 60).iterations for cov in covs) - 1
+        results = _lockstep_weights(space, covs, total_obs=60, max_iter=cap)
+        failed = [isinstance(r, ConvergenceError) for r in results]
+        assert 0 < sum(failed) < len(covs)
+        for cov, got in zip(covs, results):
+            _same_run(got, _solo(space, cov, None, 60, max_iter=cap))
+
+    def test_rejects_what_a_lone_call_rejects(self):
+        space = standard_space(4, max_replication=3, granularity="cluster-period")
+        with pytest.raises(ValidationError, match="total_obs"):
+            _lockstep_weights(space, [exc1_from_icc(0.1)])
 
 
 class TestSimplexDescent:
