@@ -6,6 +6,13 @@ candidate allocation and keeps the one with the smallest treatment
 variance. Adams guarantees at least one unit of every positive-weight
 type, which suits designs that must stagger their roll-out; Hamilton and
 the greedy fill allow weights to round to zero.
+
+The cells of a weight grid round in lockstep (:func:`_lockstep_rounding`):
+their greedy fills walk as one stack, each step screening the moves of
+every cell still filling in one stacked rank-one call, and each cell
+scores its candidates in one ``values`` call. Every cell gets the result
+its own :func:`best_rounding` gives, which is the lockstep on a stack of
+one.
 """
 from __future__ import annotations
 
@@ -78,13 +85,13 @@ class RoundingResult:
     candidates: dict[str, tuple[tuple[int, ...], float]]
 
 
-def _greedy_fill(criterion: DesignCriterion, weights: np.ndarray,
-                 total: int, cap: int) -> np.ndarray:
-    """Floors clipped at the cap, then add units one at a time choosing
-    the smallest resulting criterion among those below the cap."""
-    alloc = np.minimum(np.floor(total * weights), cap).astype(int)
-    _greedy_walk(criterion, alloc, total, cap)
-    return alloc
+def _check_total(space: DesignSpace, total) -> None:
+    """Reject a ``total`` that is not an integer or exceeds the capacity of
+    ``space``: the checks of a rounding that need no weights."""
+    check_count("total", total)
+    if total > space.total_capacity:
+        raise InfeasibleError(
+            f"total {total} exceeds the space capacity {space.total_capacity}")
 
 
 def best_rounding(space: DesignSpace, cov: CovarianceSpec, weights, total: int,
@@ -96,35 +103,61 @@ def best_rounding(space: DesignSpace, cov: CovarianceSpec, weights, total: int,
     the cap even when the weights ask more of a unit than the cap allows
     (for instance one-hot weights whose whole budget exceeds it); an error
     is raised only if every candidate leaves the contrast unidentified.
+    :func:`_lockstep_rounding` on a stack of one.
     """
     check_instance("space", space, DesignSpace)
-    w = _check_weights(weights)
-    if w.size != space.n_units:
-        raise ValidationError(
-            f"{w.size} weights for a space of {space.n_units} units")
-    check_count("total", total)
-    if total > space.total_capacity:
-        raise InfeasibleError(
-            f"total {total} exceeds the space capacity {space.total_capacity}")
-    criterion = DesignCriterion(space, cov, model=model)
+    result, = _lockstep_rounding(space, [DesignCriterion(space, cov, model=model)],
+                                 [weights], total)
+    if isinstance(result, InfeasibleError):
+        raise result
+    return result
 
-    candidates: dict[str, np.ndarray] = {"hamilton": hamilton_round(w, total)}
-    try:
-        candidates["adams"] = adams_round(w, total)
-    except InfeasibleError:
-        pass
-    candidates["floor-greedy"] = _greedy_fill(criterion, w, total,
-                                              space.max_replication)
 
-    report = {name: (tuple(int(v) for v in alloc),
-                     math.inf if (alloc > space.max_replication).any()
-                     else criterion.value(alloc))
-              for name, alloc in candidates.items()}
-    # min keeps the first of tied candidates
-    scheme = min(report, key=lambda name: report[name][1])
-    counts, value = report[scheme]
-    if not math.isfinite(value):
-        raise InfeasibleError(
-            "every rounding of these weights is infeasible or uninformative")
-    return RoundingResult(design=space.design_from_counts(counts), value=value,
-                          scheme=scheme, candidates=report)
+def _lockstep_rounding(space: DesignSpace, criteria, weights, total: int) -> list:
+    """:func:`best_rounding` of each cell's ``weights`` under its criterion
+    in ``criteria``, all on ``space``, to one ``total``: per cell, the
+    :class:`RoundingResult` or :class:`InfeasibleError` of its own call, bit
+    for bit. The cells' floor-greedy fills walk in lockstep
+    (:func:`search._greedy_walk`), and each cell scores its candidates in
+    one ``values`` call. An argument the lone call would reject raises
+    here, before any fill starts."""
+    checked = []
+    for w in weights:
+        w = _check_weights(w)
+        if w.size != space.n_units:
+            raise ValidationError(
+                f"{w.size} weights for a space of {space.n_units} units")
+        checked.append(w)
+    _check_total(space, total)
+    cap = space.max_replication
+    candidates = []
+    for w in checked:
+        allocs = {"hamilton": hamilton_round(w, total)}
+        try:
+            allocs["adams"] = adams_round(w, total)
+        except InfeasibleError:
+            pass
+        candidates.append(allocs)
+    # floors clipped at the cap, then units added one at a time choosing
+    # the smallest resulting criterion among those below the cap
+    fills = np.minimum(np.floor(total * np.stack(checked)), cap).astype(int)
+    _greedy_walk(criteria, fills, total, cap)
+    results: list = []
+    for criterion, allocs, fill in zip(criteria, candidates, fills):
+        allocs["floor-greedy"] = fill
+        batch = np.stack(list(allocs.values()))
+        within = (batch <= cap).all(axis=1)
+        values = np.full(len(batch), math.inf)
+        values[within] = criterion.values(batch[within])
+        report = {name: (tuple(int(v) for v in alloc), value)
+                  for (name, alloc), value in zip(allocs.items(), values.tolist())}
+        # min keeps the first of tied candidates
+        scheme = min(report, key=lambda name: report[name][1])
+        counts, value = report[scheme]
+        if not math.isfinite(value):
+            results.append(InfeasibleError(
+                "every rounding of these weights is infeasible or uninformative"))
+            continue
+        results.append(RoundingResult(design=space.design_from_counts(counts),
+                                      value=value, scheme=scheme, candidates=report))
+    return results

@@ -26,7 +26,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .apportion import best_rounding
+from .apportion import _check_total, _lockstep_rounding, best_rounding
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import (Cell, Design, DesignSpace, ExperimentalUnit, expand_design,
                           standard_space)
@@ -254,14 +254,33 @@ def _weight_options(cfg: dict):
     return n_obs, tolerance
 
 
+def _rounding_budget(cfg: dict, space: DesignSpace, m):
+    """The total a weighting run rounds its weights to (``m`` at sequence
+    granularity, the config's ``n_obs`` elsewhere), or None when it keeps
+    them continuous. Checked as the rounding checks it, so that a total
+    beyond the space's capacity stops the run before its solve."""
+    n_obs, _ = _weight_options(cfg)
+    if m is None and (space.granularity == "sequence" or not n_obs):
+        return None
+    budget = m if space.granularity == "sequence" else n_obs
+    if budget is not None:
+        _check_total(space, budget)
+    return budget
+
+
 def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
                 seed, out_dir: Path, solved=None) -> float:
     """Run one cell and write its bundle. ``solved``, given by a
-    ``mixed-model-weights`` grid, is ``(result, seconds)``: the cell's
-    weighted design (or error) from the grid's lockstep solve, which
-    replaces the cell's own solve, and its share of that solve's time,
-    which its ``wall_time_s`` includes."""
-    started = time.perf_counter() - (0.0 if solved is None else solved[1])
+    ``mixed-model-weights`` grid, is ``(weighted, rounded, seconds)``: the
+    cell's weighted design (or error) from the grid's lockstep solve and
+    its rounding (a result, an error, or None for continuous weights) from
+    the grid's lockstep rounding, which replace the cell's own solve and
+    rounding, and its share of both stages' time, which its
+    ``wall_time_s`` includes."""
+    started = time.perf_counter() - (0.0 if solved is None else solved[2])
+    weighting = algorithm in ("mixed-model-weights", "simplex-weights")
+    # checked before the solve writes anything
+    budget = _rounding_budget(cfg, space, m) if weighting and solved is None else None
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"algorithm": algorithm, "seed": seed,
                "config_digest": config_digest(cfg)}
@@ -278,23 +297,27 @@ def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
         else:
             result = reverse_greedy(space, criterion, m)
         value, design = result.value, result.design
-    elif algorithm in ("mixed-model-weights", "simplex-weights"):
-        n_obs, tolerance = _weight_options(cfg)
-        if solved is not None:
-            wd = solved[0]
+    elif weighting:
+        if solved is None:
+            n_obs, tolerance = _weight_options(cfg)
+            if algorithm == "mixed-model-weights":
+                wd = mixed_model_weights(space, cov, model=model, total_obs=n_obs,
+                                         **tolerance)
+            else:
+                wd = simplex_weight_descent(space, cov, model=model, **tolerance)
+        else:
+            wd, rounded = solved[:2]
             if isinstance(wd, Exception):
                 raise wd
-        elif algorithm == "mixed-model-weights":
-            wd = mixed_model_weights(space, cov, model=model, total_obs=n_obs,
-                                     **tolerance)
-        else:
-            wd = simplex_weight_descent(space, cov, model=model, **tolerance)
         write_weights_csv(out_dir / "weights.csv", space, wd.weights)
         summary["iterations"] = wd.iterations
         value = wd.value
-        if m is not None or (space.granularity != "sequence" and n_obs):
-            budget = m if space.granularity == "sequence" else n_obs
-            rounded = best_rounding(space, cov, wd.weights, budget, model=model)
+        if solved is None:
+            rounded = (None if budget is None
+                       else best_rounding(space, cov, wd.weights, budget, model=model))
+        if isinstance(rounded, Exception):
+            raise rounded
+        if rounded is not None:
             summary["rounding_scheme"] = rounded.scheme
             value, design = rounded.value, rounded.design
     else:
@@ -468,13 +491,22 @@ def _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed,
             raise ConfigError(f"invalid field 'grid': {exc}") from exc
     solved = [None] * len(cells)
     if algorithm == "mixed-model-weights":
-        # every cell's fixed point at once; each cell then rounds and writes
+        # every cell's fixed point at once, then every cell's rounding at
+        # once; each cell then writes its bundle
+        budget = _rounding_budget(cfg, space, m)
         n_obs, tolerance = _weight_options(cfg)
         started = time.perf_counter()
-        results = _lockstep_weights(space, [cov for _, _, cov in cells], model,
-                                    n_obs, **tolerance)
+        criteria = [DesignCriterion(space, cov, model=model) for _, _, cov in cells]
+        weighted = _lockstep_weights(space, criteria, n_obs, **tolerance)
+        rounded = [None] * len(cells)
+        done = [i for i, wd in enumerate(weighted) if not isinstance(wd, Exception)]
+        if budget is not None and done:
+            for i, result in zip(done, _lockstep_rounding(
+                    space, [criteria[i] for i in done],
+                    [weighted[i].weights for i in done], budget)):
+                rounded[i] = result
         share = (time.perf_counter() - started) / len(cells)
-        solved = [(result, share) for result in results]
+        solved = [(wd, result, share) for wd, result in zip(weighted, rounded)]
     out_dir.mkdir(parents=True, exist_ok=True)
     index_rows = []
     for (point, params, cov), cell_solved in zip(cells, solved):

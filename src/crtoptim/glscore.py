@@ -24,9 +24,12 @@ criteria's stacked covariances (or each criterion's unit-block sum at
 sequence granularity), one kernel call, one ``inv`` of the certified
 factors (:func:`_factor_solve`) and one ``bincount``;
 :meth:`DesignCriterion.gradient` is its stack of one, and a weight grid
-solved in lockstep scores all its cells at once. The other criterion
-quantities (``contrast_variance``, the rank-one screen of the greedy
-walks) are the kernel on a stack of one.
+solved in lockstep scores all its cells at once. The rank-one screen of
+the greedy walks (:func:`_single_moves`) is stacked the same way: one
+solve over the criteria's stacked covariances and one kernel call screen
+one row per criterion, so a weight grid's rounding fills share one call per
+step, and :meth:`DesignCriterion.single_moves` is its stack of one.
+``contrast_variance`` is the kernel on a stack of one.
 The kernel factorises the whole stack once by Cholesky, ``M = L
 L'``, in one LAPACK call. A row is certified full-rank when its smallest
 eigenvalue exceeds ``delta = CERTIFICATE_MARGIN * RANK_TOL * tr M``: a
@@ -476,8 +479,9 @@ class _ClusterBlocks:
                            minlength=k * n_units).reshape(k, n_units)
 
     def rank_one_terms(self, counts: np.ndarray):
-        """``(info, u, var)`` of one design's multiplicities ``counts`` (``(J,)``):
-        its information matrix, and per cell (flattened over clusters) the
+        """``(info, u, var)`` of ``K`` designs' multiplicities ``counts``
+        (``(K, J)``): their information matrices (``(K, P, P)``), and per
+        cell (flattened over clusters, ``(K, C c, P)`` and ``(K, C c)``) the
         row ``u = X - B S t`` and the conditional variance ``var = (B - B S
         A^-1 S B)_ii`` of the cell's random effect given the observed
         cells, with ``A = I + S B S`` as in :meth:`solve`.
@@ -502,11 +506,13 @@ class _ClusterBlocks:
         scale = 1.0 / np.where(observed, s, 1.0)
         u = np.where(observed[..., None], t * scale[..., None],
                      self.x - self.base @ (s[..., None] * t))
-        # (B S A^-1 S B)_ii = sum_j (S B)_ji H_ji, B being symmetric
+        # (B S A^-1 S B)_ii = sum_j (S B)_ji H_ji, B being symmetric; a
+        # reduction over an outer axis adds in j order whatever the stack
         var = np.where(observed, np.diagonal(h, axis1=-2, axis2=-1) * scale,
                        np.diagonal(self.base, axis1=-2, axis2=-1)
-                       - np.einsum("kji,kji->ki", sb, h))
-        return info, u.reshape(-1, p), var.ravel()
+                       - np.add.reduce(sb * h, axis=-2))
+        k = len(counts)
+        return info, u.reshape(k, -1, p), var.reshape(k, -1)
 
 
 def _cluster_blocks(space: DesignSpace, cov: CovarianceSpec,
@@ -690,6 +696,10 @@ class DesignCriterion:
         :class:`ValidationError` for counts that ``values`` rejects, for
         ``units`` that are not unit indices, for a ``step`` other than 1 or
         -1, and for a removal from a unit the design does not hold.
+
+        Once the arguments pass, this is :func:`_single_moves` on a stack
+        of one: the greedy fills of a weight grid's cells screen their moves
+        in one stacked call per step, each row bit for bit its lone screen.
         """
         batch = self._batch(np.asarray(counts)[None])
         units = np.asarray(units)
@@ -700,31 +710,7 @@ class DesignCriterion:
             raise ValidationError("step must be 1 or -1")
         if step == -1 and (batch[0, units] < 1).any():
             raise ValidationError("a removal from a unit the design does not hold")
-        cl = self._clusters
-        if cl is None:
-            return None
-        cells = self._unit_cell[units]
-        if (cells < 0).any():
-            return None
-        info, u, var = cl.rank_one_terms(batch[0])
-        value, y, lower_inv = _factor_solve(info[None])
-        value, y, lower_inv = value[0], y[0], lower_inv[0]
-        # tr M^-1 = |L^-1|_F^2; written so that the NaN L^-1 of a row the
-        # kernel does not certify, or of an infinite value, fails
-        if not (np.einsum("ij,ij->", lower_inv, lower_inv) * np.trace(info)
-                <= SCREEN_CONDITION):
-            return None
-        delta = step * cl.cell_precision[cells]
-        u = u[cells]
-        shrink = 1.0 + delta * var[cells]
-        trusted = shrink > SCREEN_DENOMINATOR
-        # rho = delta / shrink, without dividing by a denominator near zero
-        rho = np.where(trusted, delta, 0.0) / np.where(trusted, shrink, 1.0)
-        denominator = 1.0 + rho * np.add.reduce((u @ lower_inv.T) ** 2, axis=-1)
-        trusted &= denominator > SCREEN_DENOMINATOR
-        screened = value - rho * (u @ y) ** 2 / np.where(trusted, denominator, 1.0)
-        screened[~trusted] = np.nan
-        return screened
+        return _single_moves((self,), batch, [units], step)[0]
 
     def value_of(self, design: Design) -> float:
         """Criterion value of a :class:`Design`, which must be valid for
@@ -783,3 +769,51 @@ def _gradients(parts, batch):
         grad = cl.gradient(s, t, y, first.space.n_units)
     # the NaN y of a row of infinite value makes its whole gradient NaN
     return value, grad
+
+
+def _single_moves(parts, batch, units, step: int) -> list:
+    """Screened move values of a ``(L, J)`` batch of counts, row ``l``
+    under the criterion ``parts[l]`` (all on one space) with one replicate
+    of each unit in ``units[l]`` added (``step`` 1) or removed (``step``
+    -1): per row, ``parts[l].single_moves(batch[l], units[l], step)`` bit
+    for bit, so an array or ``None``. That method checks its arguments and
+    is this on a stack of one; here they are taken as checked. The rows the
+    screen applies to share one :meth:`_ClusterBlocks.rank_one_terms` solve
+    over the parts' stacked covariances, one :func:`_factor_solve` and the
+    screened values of every cell; each row then takes its own condition
+    check and its own units' values."""
+    first = parts[0]
+    screened = [None] * len(parts)
+    if first._clusters is None:
+        return screened
+    cells = [first._unit_cell[own] for own in units]
+    rows = [l for l, own in enumerate(cells) if (own >= 0).all()]
+    if not rows:
+        return screened
+    cl = (parts[rows[0]]._clusters if len(rows) == 1
+          else _ClusterBlocks.stacked([parts[l]._clusters for l in rows]))
+    info, u, var = cl.rank_one_terms(batch if len(rows) == len(batch) else batch[rows])
+    value, y, lower_inv = _factor_solve(info)
+    k, p = info.shape[:2]
+    # tr M^-1 = |L^-1|_F^2; written so that the NaN L^-1 of a row the
+    # kernel does not certify, or of an infinite value, fails
+    flat = lower_inv.reshape(k, -1)
+    conditioned = (np.add.reduce(flat * flat, axis=-1)
+                   * np.add.reduce(info.reshape(k, -1)[:, ::p + 1], axis=-1)
+                   <= SCREEN_CONDITION)
+    # every cell of every row, each row's matrix products of one shape
+    delta = step * cl.cell_precision.reshape(k, -1)
+    shrink = 1.0 + delta * var
+    trusted = shrink > SCREEN_DENOMINATOR
+    # rho = delta / shrink, without dividing by a denominator near zero
+    rho = np.where(trusted, delta, 0.0) / np.where(trusted, shrink, 1.0)
+    solved = u @ lower_inv.swapaxes(-1, -2)
+    denominator = 1.0 + rho * np.add.reduce(solved * solved, axis=-1)
+    trusted &= denominator > SCREEN_DENOMINATOR
+    moved = value[:, None] - rho * (u @ y[:, :, None])[..., 0] ** 2 / np.where(
+        trusted, denominator, 1.0)
+    moved[~trusted] = np.nan
+    for i, (l, ok) in enumerate(zip(rows, conditioned.tolist())):
+        if ok:
+            screened[l] = moved[i, cells[l]]
+    return screened

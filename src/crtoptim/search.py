@@ -36,7 +36,12 @@ value is to be reported. ``values`` alone picks between candidates and
 gives every reported value, so while the screen errs by less than
 ``SCREEN_RTOL / 2`` (it errs by about 1e-13) a walk takes the moves and
 reports the values of scoring every move in full. Sequence spaces, robust
-criteria and the swaps of local search score every row.
+criteria and the swaps of local search score every row. A walk moves a
+stack of designs in lockstep, each under its own criterion: the rounding
+fills of a weight grid's cells share one stacked screen per step
+(:func:`glscore._single_moves`), each scoring its front-runners through its
+own ``values``, and end where each fill alone would; reverse greedy walks
+a stack of one.
 
 Values within ``CRITERION_ROUNDING`` (relative) of each other are ties: the
 order of two such values is the rounding of the criterion kernel, not a
@@ -57,7 +62,7 @@ import numpy as np
 from .designspace import Design, DesignSpace
 from .errors import (InfeasibleError, ValidationError, check_count, check_instance,
                      check_seed)
-from .glscore import CHUNK_BYTES, CRITERION_ROUNDING
+from .glscore import CHUNK_BYTES, CRITERION_ROUNDING, DesignCriterion, _single_moves
 
 # How many random starts may come up infeasible before local search gives up.
 MAX_START_DRAWS = 1000
@@ -212,33 +217,53 @@ def _front_runners(screened, units):
     return units[~(screened > edge)]
 
 
-def _greedy_walk(criterion, counts, target: int, cap: int, progress=None):
-    """Walk ``counts`` in place to size ``target`` (reachable under ``cap``),
-    one unit at a time: each step removes (above the target) or adds (below
-    it) the unit whose move gives the lowest criterion, ties to the lowest
-    unit, and is reported as ``progress(step, value)``.
+def _screens(criteria, counts, units, move):
+    """Each row's screened move values (see :func:`_front_runners`), or
+    ``None``: one stacked :func:`glscore._single_moves` over a stack of
+    :class:`DesignCriterion` rows, and otherwise each criterion's own
+    ``single_moves``, where it offers one."""
+    if all(isinstance(criterion, DesignCriterion) for criterion in criteria):
+        return _single_moves(criteria, counts, units, move)
+    screens = [getattr(criterion, "single_moves", None) for criterion in criteria]
+    return [None if screen is None else screen(row, own, move)
+            for screen, row, own in zip(screens, counts, units)]
 
-    A criterion with a ``single_moves`` screen has every move screened
-    first, and only the front-runners (see :func:`_front_runners`) are
-    scored by ``values``, which alone decides the move and the value. A
-    step left with one candidate and no ``progress`` to report takes it
-    without scoring it."""
-    down = counts.sum() > target
+
+def _greedy_walk(criteria, counts, target: int, cap: int, progress=None):
+    """Walk each row of the ``(L, J)`` stack ``counts`` in place to size
+    ``target`` (reachable under ``cap``; every row on one side of it) under
+    its own criterion ``criteria[l]``, one unit at a time: each step removes
+    (above the target) or adds (below it) the unit whose move gives the
+    lowest criterion, ties to the lowest unit, and is reported as
+    ``progress(step, value)``.
+
+    The rows walk in lockstep, and a row leaves the stack once it reaches
+    the target. Every step screens the moves of all rows still walking at
+    once (:func:`_screens`), and only each row's front-runners (see
+    :func:`_front_runners`) are scored, by that row's own ``values``, which
+    alone decides the move and the value. A row left with one candidate
+    and no ``progress`` to report takes it without scoring it."""
+    sizes = counts.sum(axis=1)
+    down = bool((sizes > target).any())
     move = -1 if down else 1
-    screen = getattr(criterion, "single_moves", None)
-    for step in range(1, abs(int(counts.sum()) - target) + 1):
-        units = np.flatnonzero(counts > 0 if down else counts < cap)
-        if screen is not None:
-            units = _front_runners(screen(counts, units, move), units)
-        if units.size == 1 and progress is None:
-            # one candidate: values could not change the move
-            counts[units[0]] += move
-            continue
-        best, value = _best_moves(criterion, counts[None], np.zeros_like(units),
-                                  *((units, None) if down else (None, units)))
-        counts[units[best[0]]] += move
-        if progress is not None:
-            progress(step, float(value[0]))
+    # every walking row moves one unit per step
+    lengths = np.abs(sizes - target).tolist()
+    for step in range(1, max(lengths, default=0) + 1):
+        live = [l for l, length in enumerate(lengths) if length >= step]
+        rows = counts if len(live) == len(counts) else counts[live]
+        units = [np.flatnonzero(row > 0 if down else row < cap) for row in rows]
+        screened = _screens([criteria[l] for l in live], rows, units, move)
+        for l, own, values in zip(live, units, screened):
+            own = _front_runners(values, own)
+            if own.size == 1 and progress is None:
+                # one candidate: values could not change the move
+                counts[l, own[0]] += move
+                continue
+            best, value = _best_moves(criteria[l], counts[l:l + 1], np.zeros_like(own),
+                                      *((own, None) if down else (None, own)))
+            counts[l, own[best[0]]] += move
+            if progress is not None:
+                progress(step, float(value[0]))
 
 
 def _random_starts(space: DesignSpace, criterion, m: int, rngs):
@@ -349,9 +374,10 @@ def reverse_greedy(space: DesignSpace, criterion, m: int,
     the unit whose removal increases the criterion least. Deterministic."""
     _check_size(space, m)
     _check_criterion(criterion)
-    counts = np.full(space.n_units, space.max_replication, dtype=int)
-    _greedy_walk(criterion, counts, m, space.max_replication, progress)
-    value = float(criterion.values(counts[None])[0])
+    counts = np.full((1, space.n_units), space.max_replication, dtype=int)
+    _greedy_walk([criterion], counts, m, space.max_replication, progress)
+    value = float(criterion.values(counts)[0])
+    counts = counts[0]
     if not math.isfinite(value):
         raise InfeasibleError(
             f"reverse greedy reached size {m} with an infinite criterion")

@@ -151,19 +151,17 @@ def _weight_scale(space, total_obs, tolerance, max_iter) -> float:
     return float(total_obs)
 
 
-def _lockstep_weights(space: DesignSpace, covs, model: ModelSpec | None = None,
-                      total_obs: float | None = None, tolerance: float = 1e-6,
-                      max_iter: int = 10000) -> list:
-    """:func:`mixed_model_weights` of one space under each covariance in
-    ``covs``, run in lockstep: one :func:`glscore._gradients` call per step
-    scores the next point of every run still going. Returns, per
-    covariance, the :class:`WeightedDesign`, :class:`ConvergenceError` or
-    :class:`InfeasibleError` of its own run, bit for bit those of a lone
-    call; an argument the lone call would reject raises here, before any
-    run starts."""
+def _lockstep_weights(space: DesignSpace, criteria, total_obs: float | None = None,
+                      tolerance: float = 1e-6, max_iter: int = 10000) -> list:
+    """:func:`mixed_model_weights` under each :class:`DesignCriterion` in
+    ``criteria``, all on ``space``, run in lockstep: one
+    :func:`glscore._gradients` call per step scores the next point of every
+    run still going. Returns, per criterion, the :class:`WeightedDesign`,
+    :class:`ConvergenceError` or :class:`InfeasibleError` of its own run,
+    bit for bit those of a lone call; an argument the lone call would
+    reject raises here, before any run starts."""
     scale = _weight_scale(space, total_obs, tolerance, max_iter)
-    criteria = [DesignCriterion(space, cov, model) for cov in covs]
-    cores = [_squarem(space.n_units, scale, tolerance, max_iter) for _ in covs]
+    cores = [_squarem(space.n_units, scale, tolerance, max_iter) for _ in criteria]
     results: list = [None] * len(cores)
     live = list(range(len(cores)))
     points = [next(core) for core in cores]

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from crtoptim import (CovarianceSpec, InfeasibleError, ModelSpec,
+from crtoptim import (CovarianceSpec, DesignCriterion, InfeasibleError, ModelSpec,
                       ValidationError, adams_round, best_rounding,
                       hamilton_round, mixed_model_weights,
                       space_from_sequences, standard_space,
                       unidirectional_weights)
+from crtoptim.apportion import _lockstep_rounding
 
 
 class TestHamilton:
@@ -198,3 +199,65 @@ class TestBestRounding:
             best_rounding(self.space, self.cov,
                           np.full(self.space.n_units, 1 / self.space.n_units),
                           self.space.total_capacity + 1)
+
+
+def _fill_length(weights, total, cap):
+    """Steps of the floor-greedy fill: the units its clipped floors lack."""
+    return total - int(np.minimum(np.floor(total * np.asarray(weights)), cap).sum())
+
+
+class TestLockstepRounding:
+    """Every cell's rounding in lockstep, one stacked screen per fill step,
+    ends exactly where the cell's own ``best_rounding`` does."""
+
+    @pytest.mark.parametrize("space,model,covs,total", [
+        (standard_space(6, max_replication=10, granularity="cluster-period"), None,
+         [CovarianceSpec.from_icc("EXC2", icc, cac=cac)
+          for icc in (0.0431, 0.0567) for cac in (0.4612, 0.5388)], 60),
+        (standard_space(4, max_replication=8, granularity="cluster-period"), None,
+         [CovarianceSpec.from_icc("AR1", icc, decay=decay)
+          for icc in (0.02, 0.1) for decay in (0.5, 0.9)], 40),
+        (standard_space(4, max_replication=10, granularity="cluster-period"),
+         ModelSpec("binomial-logit", beta=(-2, -1.5, -1, -0.5, 0.5)),
+         [CovarianceSpec.from_icc("EXC1", icc) for icc in (0.01, 0.05, 0.2)], 55),
+    ], ids=["cluster-period-EXC2", "AR1", "binomial-logit"])
+    def test_grid_matches_each_cell_alone(self, space, model, covs, total):
+        weights = [mixed_model_weights(space, cov, model=model, total_obs=total).weights
+                   for cov in covs]
+        # the fills stop at different steps, so the stack shrinks on the way
+        assert len({_fill_length(w, total, space.max_replication)
+                    for w in weights}) > 1
+        results = _lockstep_rounding(space, [DesignCriterion(space, cov, model)
+                                             for cov in covs], weights, total)
+        assert len(results) == len(covs)
+        for cov, w, got in zip(covs, weights, results):
+            assert got == best_rounding(space, cov, w, total, model=model)
+
+    def test_one_cell_infeasible(self):
+        space = standard_space(4, max_replication=10, granularity="cluster-period")
+        covs = [CovarianceSpec.from_icc("EXC2", icc, cac=0.5) for icc in (0.05, 0.1, 0.2)]
+        weights = [mixed_model_weights(space, cov, total_obs=40).weights for cov in covs]
+        # the middle cell puts all 40 observations on four control cells at
+        # the cap: its floors fill the budget, and no rounding is treated
+        control = [j for j, unit in enumerate(space.units) if not unit.cells[0].treated]
+        weights[1] = np.zeros(space.n_units)
+        weights[1][control[:4]] = 0.25
+        assert _fill_length(weights[1], 40, 10) == 0
+        assert _fill_length(weights[0], 40, 10) > 0
+        results = _lockstep_rounding(space, [DesignCriterion(space, cov) for cov in covs],
+                                     weights, 40)
+        with pytest.raises(InfeasibleError) as lone:
+            best_rounding(space, covs[1], weights[1], 40)
+        assert isinstance(results[1], InfeasibleError)
+        assert str(results[1]) == str(lone.value)
+        for l in (0, 2):
+            assert results[l] == best_rounding(space, covs[l], weights[l], 40)
+
+    def test_rejects_what_a_lone_call_rejects(self):
+        space = standard_space(4, max_replication=4, granularity="cluster-period")
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC1", 0.1))
+        uniform = np.full(space.n_units, 1 / space.n_units)
+        with pytest.raises(InfeasibleError, match="exceeds the space capacity 80"):
+            _lockstep_rounding(space, [crit, crit], [uniform, uniform], 1000)
+        with pytest.raises(ValidationError, match="3 weights"):
+            _lockstep_rounding(space, [crit, crit], [uniform, [0.5, 0.25, 0.25]], 40)

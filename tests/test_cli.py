@@ -430,6 +430,30 @@ class TestWeightsGrid:
         assert not any((out / name).exists() for name in names[first_failure + 1:])
         assert not (out / "grid_index.csv").exists()
 
+    @pytest.mark.parametrize("grid", [True, False], ids=["grid", "single"])
+    def test_over_capacity_total_solves_nothing(self, tmp_path, runner, monkeypatch,
+                                                grid):
+        # 20 cluster-period units at a cap of 4 hold 80 observations
+        cfg = {"space": {"standard": {"T": 4, "maxReplication": 4,
+                                      "granularity": "cluster-period"}},
+               "algorithm": "mixed-model-weights", "n_obs": 1000,
+               "out": str(tmp_path / "out")}
+        if grid:
+            cfg["grid"] = {"kind": "EXC2", "icc": [0.05], "cac": [0.5, 0.6]}
+        else:
+            cfg["covariance"] = {"kind": "EXC2", "icc": 0.05, "cac": 0.5}
+        solves = []
+        for name in ("mixed_model_weights", "_lockstep_weights"):
+            monkeypatch.setattr(cli, name, lambda *args, solve=getattr(cli, name), **kw:
+                                solves.append(solve.__name__) or solve(*args, **kw))
+        result = runner.invoke(main, ["optimize", "--config",
+                                      write_json(tmp_path / "cfg.json", cfg)])
+        assert result.exit_code == 3, result.output
+        assert "total 1000 exceeds the space capacity 80" in result.output
+        assert solves == []
+        out = tmp_path / "out"
+        assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
+
     def test_repeated_value_runs_twice(self, tmp_path, runner):
         cfg = self.config(tmp_path, icc=[0.05, 0.05], cac=[0.5])
         result = runner.invoke(main, ["optimize", "--config",

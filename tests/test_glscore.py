@@ -918,3 +918,75 @@ class TestGradient:
             assert np.array_equal(grad, want_grad, equal_nan=True)
         assert np.isfinite(values[:-1]).all() and np.isfinite(grads[:-1]).all()
         assert math.isinf(values[-1]) and np.isnan(grads[-1]).all()
+
+
+class TestStackedScreen:
+    """One rank-one screen over a stack of designs, each row under its own
+    criterion, gives every row the screen of that row alone, bit for bit."""
+
+    @staticmethod
+    def assert_rows_match(parts, batch, units, step):
+        stacked = glscore._single_moves(parts, batch, units, step)
+        assert len(stacked) == len(parts)
+        for part, row, own, got in zip(parts, batch, units, stacked):
+            want = part.single_moves(row, own, step)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.tobytes() == want.tobytes()
+        return stacked
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_rows_match_each_part(self, step):
+        space = standard_space(4, max_replication=4, cells_per_period=3,
+                               granularity="cluster-period")
+        logit = ModelSpec("binomial-logit", beta=(-2, -1.5, -1, -0.5, 0.5))
+        parts = [DesignCriterion(space, cov, model) for cov, model in (
+            (CovarianceSpec.from_icc("EXC2", 0.1, cac=0.6), None),
+            (CovarianceSpec.from_icc("AR1", 0.2, decay=0.6), logit),
+            (CovarianceSpec.from_icc("EXC1", 0.1), None),
+            (CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7), logit),
+            (CovarianceSpec.from_icc("EXC2", 0.1, cac=0.6), None))]
+        rng = np.random.default_rng(21)
+        batch = rng.integers(1, 5, (len(parts), space.n_units))
+        # row 2 holds no observation in period 4: the kernel does not
+        # certify its information matrix, so the screen does not apply
+        period = np.array([unit.cells[0].period for unit in space.units])
+        batch[2, period == 4] = 0
+        # in row 3 unit 5 holds the only treated observations, so its
+        # removal is never vouched for
+        batch[3] = 0
+        batch[3, :4] = 2
+        batch[3, 4:6] = 1
+        movable = batch > 0 if step == -1 else batch < space.max_replication
+        # each row screens its own units, a random share of its movable ones
+        units = [np.flatnonzero(row & (rng.random(space.n_units) < 0.7)) for row in movable]
+        units[3] = np.flatnonzero(movable[3])
+        stacked = self.assert_rows_match(parts, batch, units, step)
+        assert stacked[2] is None
+        assert all(stacked[l] is not None for l in (0, 1, 3, 4))
+        assert len({len(own) for own in units}) > 1
+        if step == -1:
+            assert np.isnan(stacked[3][units[3] == 5]).all()
+            assert np.isfinite(stacked[3][units[3] != 5]).all()
+
+    def test_multi_cell_unit_row(self):
+        # unit 0 has two cells: a row screening it gets None, the others not
+        two = DesignSpace(2, (ExperimentalUnit(0, (Cell(1, 0), Cell(2, 1))),
+                              ExperimentalUnit(1, (Cell(1, 0),)),
+                              ExperimentalUnit(1, (Cell(2, 0),)),
+                              ExperimentalUnit(2, (Cell(2, 1),))),
+                          max_replication=3, granularity="cluster-period")
+        parts = [DesignCriterion(two, CovarianceSpec.from_icc("EXC2", icc, cac=0.7))
+                 for icc in (0.05, 0.1, 0.2)]
+        batch = np.ones((3, two.n_units), dtype=int)
+        units = [np.array([1, 2, 3]), np.array([0, 1]), np.array([3])]
+        stacked = self.assert_rows_match(parts, batch, units, 1)
+        assert [s is None for s in stacked] == [False, True, False]
+
+    def test_sequence_rows_are_none(self):
+        space = standard_space(3, max_replication=2)
+        parts = [DesignCriterion(space, CovarianceSpec.from_icc("EXC1", icc))
+                 for icc in (0.05, 0.1)]
+        units = [np.arange(space.n_units)] * 2
+        assert glscore._single_moves(parts, np.ones((2, space.n_units)), units,
+                                     1) == [None, None]

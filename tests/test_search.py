@@ -502,13 +502,13 @@ def screen_cases():
 
 
 def walk(criterion, counts, target, cap):
-    """``_greedy_walk`` from a copy of ``counts``: the end design and the
-    progress trail, values as hex."""
-    counts = np.array(counts)
+    """``_greedy_walk`` of a stack of one, from a copy of ``counts``: the
+    end design and the progress trail, values as hex."""
+    counts = np.array(counts)[None]
     trail = []
-    search._greedy_walk(criterion, counts, target, cap,
+    search._greedy_walk([criterion], counts, target, cap,
                         lambda i, v: trail.append((i, v.hex())))
-    return counts.tolist(), trail
+    return counts[0].tolist(), trail
 
 
 def neighbours(counts, units, step):
@@ -588,6 +588,20 @@ class TestSingleMoveScreen:
                 == reverse_greedy(space, full, 60))
         # 360 removals: every move scored in full against the front-runners
         assert len(screened.rows) < len(full.rows) / 10
+
+    def test_reverse_greedy_matches_disabled_screen(self, monkeypatch):
+        space = standard_space(5, max_replication=6, granularity="cluster-period")
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.6))
+        screened = reverse_greedy(space, crit, 40)
+        calls = []
+        monkeypatch.setattr(search, "_single_moves",
+                            lambda parts, *args: calls.append(len(parts))
+                            or [None] * len(parts))
+        unscreened = reverse_greedy(space, crit, 40)
+        # one stack of one per removal, none of them screened
+        assert calls == [1] * (space.total_capacity - 40)
+        assert unscreened.design == screened.design
+        assert unscreened.value.hex() == screened.value.hex()
 
     def test_lone_front_runner_is_taken_unscored(self, monkeypatch):
         space = standard_space(6, max_replication=10, granularity="cluster-period")

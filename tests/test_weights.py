@@ -312,7 +312,8 @@ class TestLockstep:
          [CovarianceSpec.from_icc("EXC1", icc) for icc in (0.01, 0.05, 0.2)], 55),
     ], ids=["cluster-period-EXC2", "sequence-AR1", "binomial-logit"])
     def test_grid_matches_each_cell_alone(self, space, model, covs, total_obs):
-        results = _lockstep_weights(space, covs, model, total_obs)
+        results = _lockstep_weights(
+            space, [DesignCriterion(space, cov, model) for cov in covs], total_obs)
         assert len(results) == len(covs)
         # the cells stop at different steps, so the stack shrinks on the way
         assert len({r.iterations for r in results}) > 1
@@ -325,7 +326,8 @@ class TestLockstep:
                 for icc in (0.0431, 0.0567) for cac in (0.4612, 0.5388)]
         # one evaluation short of what the slowest cell needs
         cap = max(_solo(space, cov, None, 60).iterations for cov in covs) - 1
-        results = _lockstep_weights(space, covs, total_obs=60, max_iter=cap)
+        results = _lockstep_weights(space, [DesignCriterion(space, cov) for cov in covs],
+                                    total_obs=60, max_iter=cap)
         failed = [isinstance(r, ConvergenceError) for r in results]
         assert 0 < sum(failed) < len(covs)
         for cov, got in zip(covs, results):
@@ -334,7 +336,7 @@ class TestLockstep:
     def test_rejects_what_a_lone_call_rejects(self):
         space = standard_space(4, max_replication=3, granularity="cluster-period")
         with pytest.raises(ValidationError, match="total_obs"):
-            _lockstep_weights(space, [exc1_from_icc(0.1)])
+            _lockstep_weights(space, [DesignCriterion(space, exc1_from_icc(0.1))])
 
 
 class TestSimplexDescent:
