@@ -8,6 +8,14 @@ the criterion value, seed, wall time, and a digest of the canonicalised
 configuration. ``crtoptim evaluate`` scores an explicit design against a
 configuration and cross-checks the closed form where it applies.
 
+An ``optimize`` run is a list of cells, one for a single run and one per
+``grid`` point. :func:`_solve` runs over the whole list, then one write
+loop writes each cell's whole bundle and makes its directory only then (a
+single run writes at the top of the output directory). A configuration
+error writes nothing; an optimiser error stops the run at its cell, after
+the earlier cells' bundles. A cell's ``wall_time_s`` is an equal share of
+the solve stage plus its own writes.
+
 Exit codes: 2 for configuration problems, 3 for optimiser infeasibility
 or non-convergence.
 """
@@ -26,8 +34,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .apportion import _check_total, _lockstep_rounding, best_rounding
-from .covariance import CovarianceSpec, ModelSpec
+from .apportion import _check_total, _lockstep_rounding
+from .covariance import COVARIANCE_KINDS, CovarianceSpec, ModelSpec
 from .designspace import (Cell, Design, DesignSpace, ExperimentalUnit, expand_design,
                           standard_space)
 from .errors import (ConvergenceError, EnumerationLimitError, InfeasibleError,
@@ -36,7 +44,7 @@ from .exact import CellMeanParams, optimal_switch_ordering, treatment_precision
 from .glscore import DesignCriterion
 from .robust import ModelClass, ModelEntry, RobustCriterion
 from .search import local_search, reverse_greedy
-from .weights import _lockstep_weights, mixed_model_weights, simplex_weight_descent
+from .weights import _lockstep_weights, simplex_weight_descent
 
 ALGORITHMS = ("local", "reverse-greedy", "mixed-model-weights",
               "simplex-weights", "closed-form")
@@ -244,95 +252,80 @@ def write_weights_csv(path, space: DesignSpace, weights: np.ndarray) -> None:
                                  repr(float(w))])
 
 
-def _weight_options(cfg: dict):
-    """``(n_obs, tolerance)`` of a weighting run: the config's ``n_obs`` or
-    None, and its ``tolerance`` as keyword arguments of the solver, empty
-    so that the solver's own default applies unless the config sets one."""
-    n_obs = _optional(cfg, "n_obs", int, "", None)
-    tolerance = ({"tolerance": _require(cfg, "tolerance", float, "")}
-                 if "tolerance" in cfg else {})
-    return n_obs, tolerance
+def _until_failure(solve, cells) -> list:
+    """``solve(cov)`` of each cell's covariance in turn, stopping at the
+    first cell that raises :class:`InfeasibleError` or
+    :class:`ConvergenceError`, whose error then ends the list."""
+    results = []
+    for _, _, cov in cells:
+        try:
+            results.append(solve(cov))
+        except (InfeasibleError, ConvergenceError) as exc:
+            results.append(exc)
+            break
+    return results
 
 
-def _rounding_budget(cfg: dict, space: DesignSpace, m):
-    """The total a weighting run rounds its weights to (``m`` at sequence
-    granularity, the config's ``n_obs`` elsewhere), or None when it keeps
-    them continuous. Checked as the rounding checks it, so that a total
-    beyond the space's capacity stops the run before its solve."""
-    n_obs, _ = _weight_options(cfg)
-    if m is None and (space.granularity == "sequence" or not n_obs):
-        return None
-    budget = m if space.granularity == "sequence" else n_obs
-    if budget is not None:
-        _check_total(space, budget)
-    return budget
-
-
-def _run_single(cfg: dict, space, cov, model, robust, algorithm, m, restarts,
-                seed, out_dir: Path, solved=None) -> float:
-    """Run one cell and write its bundle. ``solved``, given by a
-    ``mixed-model-weights`` grid, is ``(weighted, rounded, seconds)``: the
-    cell's weighted design (or error) from the grid's lockstep solve and
-    its rounding (a result, an error, or None for continuous weights) from
-    the grid's lockstep rounding, which replace the cell's own solve and
-    rounding, and its share of both stages' time, which its
-    ``wall_time_s`` includes."""
-    started = time.perf_counter() - (0.0 if solved is None else solved[2])
-    weighting = algorithm in ("mixed-model-weights", "simplex-weights")
-    # checked before the solve writes anything
-    budget = _rounding_budget(cfg, space, m) if weighting and solved is None else None
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {"algorithm": algorithm, "seed": seed,
-               "config_digest": config_digest(cfg)}
-    design = None
-
+def _solve(cfg: dict, space, model, robust, algorithm, m, restarts, seed,
+           cells) -> list:
+    """The solve stage of a run: per cell, in order, ``(value, design,
+    fields, weights)`` (``design`` and ``weights`` may be None, ``fields``
+    holds the cell's extra summary entries) or the optimiser error that
+    stops the run there; the list ends at the first error. The searches,
+    the closed form and the simplex descent run cell by cell; the
+    mixed-model fixed points of all cells run in lockstep, and the solved
+    weights of all cells are rounded in lockstep."""
     if algorithm in ("local", "reverse-greedy"):
         if m is None:
             raise ConfigError("missing field 'm'")
-        criterion = robust if robust is not None else DesignCriterion(
-            space, cov, model=model)
-        if algorithm == "local":
-            result = local_search(space, criterion, m, restarts=restarts, seed=seed)
-            summary["restarts"] = restarts
-        else:
-            result = reverse_greedy(space, criterion, m)
-        value, design = result.value, result.design
-    elif weighting:
-        if solved is None:
-            n_obs, tolerance = _weight_options(cfg)
-            if algorithm == "mixed-model-weights":
-                wd = mixed_model_weights(space, cov, model=model, total_obs=n_obs,
-                                         **tolerance)
-            else:
-                wd = simplex_weight_descent(space, cov, model=model, **tolerance)
-        else:
-            wd, rounded = solved[:2]
-            if isinstance(wd, Exception):
-                raise wd
-        write_weights_csv(out_dir / "weights.csv", space, wd.weights)
-        summary["iterations"] = wd.iterations
-        value = wd.value
-        if solved is None:
-            rounded = (None if budget is None
-                       else best_rounding(space, cov, wd.weights, budget, model=model))
-        if isinstance(rounded, Exception):
-            raise rounded
-        if rounded is not None:
-            summary["rounding_scheme"] = rounded.scheme
-            value, design = rounded.value, rounded.design
-    else:
-        value, design = _closed_form_design(
-            space, _closed_form_params(space, cov, model, m))
+        fields = {"restarts": restarts} if algorithm == "local" else {}
 
-    if design is not None:
-        write_design_grid(out_dir / "design_grid.csv", space, design)
-        summary["design_counts"] = list(design.counts)
-    summary["criterion_value"] = None if math.isinf(value) else value
-    summary["wall_time_s"] = round(time.perf_counter() - started, 6)
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return value
+        def search(cov):
+            criterion = robust if robust is not None else DesignCriterion(
+                space, cov, model=model)
+            result = (local_search(space, criterion, m, restarts=restarts, seed=seed)
+                      if algorithm == "local" else reverse_greedy(space, criterion, m))
+            return result.value, result.design, fields, None
+        return _until_failure(search, cells)
+    if algorithm == "closed-form":
+        return _until_failure(lambda cov: (*_closed_form_design(
+            space, _closed_form_params(space, cov, model, m)), {}, None), cells)
+
+    n_obs = _optional(cfg, "n_obs", int, "", None)
+    # the rounding total, None for continuous weights; checked before the
+    # solve, so that a total beyond the space's capacity solves nothing
+    budget = m if space.granularity == "sequence" else n_obs or None
+    if budget is not None:
+        _check_total(space, budget)
+    # the solvers' own default tolerance applies unless the config sets one
+    tolerance = ({"tolerance": _require(cfg, "tolerance", float, "")}
+                 if "tolerance" in cfg else {})
+    criteria = None
+    if algorithm == "mixed-model-weights":
+        criteria = [DesignCriterion(space, cov, model=model) for _, _, cov in cells]
+        weighted = _lockstep_weights(space, criteria, n_obs, **tolerance)
+    else:
+        weighted = _until_failure(lambda cov: simplex_weight_descent(
+            space, cov, model=model, **tolerance), cells)
+    solved = list(itertools.takewhile(lambda wd: not isinstance(wd, Exception), weighted))
+    rounded = []
+    if budget is not None and solved:
+        criteria = criteria or [DesignCriterion(space, cov, model=model)
+                                for _, _, cov in cells]
+        rounded = _lockstep_rounding(space, criteria[:len(solved)],
+                                     [wd.weights for wd in solved], budget)
+    results = []
+    for wd, result in itertools.zip_longest(weighted, rounded):
+        error = wd if isinstance(wd, Exception) else result
+        if isinstance(error, Exception):
+            return results + [error]
+        fields = {"iterations": wd.iterations}
+        value, design = wd.value, None
+        if result is not None:
+            fields["rounding_scheme"] = result.scheme
+            value, design = result.value, result.design
+        results.append((value, design, fields, wd.weights))
+    return results
 
 
 def _closed_form_params(space: DesignSpace, cov, model,
@@ -461,20 +454,57 @@ def optimize(config_path, algorithm, m_override, restarts, seed, out_override):
                 "field 'robust' only applies to the combinatorial "
                 "algorithms (local, reverse-greedy)")
     if grid is not None:
-        _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed, out_dir)
+        axes, cells = _grid_cells(grid)
     else:
-        cov = parse_covariance(cfg) if robust is None else None
-        value = _run_single(cfg, space, cov, model, robust, algorithm, m,
-                            restarts, seed, out_dir)
+        # one cell without parameters, whose directory is ``out_dir`` itself
+        axes, cells = None, [((), {}, parse_covariance(cfg) if robust is None else None)]
+
+    started = time.perf_counter()
+    results = _solve(cfg, space, model, robust, algorithm, m, restarts, seed, cells)
+    share = (time.perf_counter() - started) / len(cells)
+    digest = config_digest(cfg)
+    index_rows = []
+    for (point, params, _), result in zip(cells, results):
+        if isinstance(result, Exception):
+            raise result
+        started = time.perf_counter() - share
+        value, design, fields, weights = result
+        cell_dir = out_dir / "_".join(f"{key}{v}" for key, v in params.items())
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        summary = {"algorithm": algorithm, "seed": seed, "config_digest": digest,
+                   **fields, "criterion_value": None if math.isinf(value) else value}
+        if weights is not None:
+            write_weights_csv(cell_dir / "weights.csv", space, weights)
+        if design is not None:
+            write_design_grid(cell_dir / "design_grid.csv", space, design)
+            summary["design_counts"] = list(design.counts)
+        summary["wall_time_s"] = round(time.perf_counter() - started, 6)
+        with open(cell_dir / "summary.json", "w") as fh:
+            json.dump(summary, fh, sort_keys=True, indent=2)
+            fh.write("\n")
         label = "inf" if math.isinf(value) else f"{value:.10g}"
-        click.echo(f"{algorithm}: criterion value {label}")
+        if axes is None:
+            click.echo(f"{algorithm}: criterion value {label}")
+        else:
+            index_rows.append([*point, value, cell_dir.name])
+            click.echo(" ".join(f"{key}={v}" for key, v in params.items())
+                       + f": {label}")
+    if axes is not None:
+        with open(out_dir / "grid_index.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([*axes, "criterion_value", "directory"])
+            writer.writerows(index_rows)
 
 
-def _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed,
-              out_dir: Path):
+def _grid_cells(grid) -> tuple[list[str], list]:
+    """The axes of a ``grid`` block and its cells ``(point, params, cov)``
+    in product order, every point checked before any cell runs."""
     if not isinstance(grid, dict):
         raise ConfigError("field 'grid' must be an object")
     kind = _require(grid, "kind", str, "grid.")
+    if kind not in COVARIANCE_KINDS:
+        raise ConfigError(
+            f"field 'grid.kind' must be one of {', '.join(COVARIANCE_KINDS)}")
     axes = {"icc": _require_list(grid, "icc", float, "grid.")}
     second_key = "cac" if kind == "EXC2" else "decay"
     if kind != "EXC1" or second_key in grid:  # EXC1 has no second parameter
@@ -489,38 +519,7 @@ def _run_grid(cfg, space, model, grid, algorithm, m, restarts, seed,
             cells.append((point, params, CovarianceSpec.from_icc(kind, **params)))
         except ValidationError as exc:
             raise ConfigError(f"invalid field 'grid': {exc}") from exc
-    solved = [None] * len(cells)
-    if algorithm == "mixed-model-weights":
-        # every cell's fixed point at once, then every cell's rounding at
-        # once; each cell then writes its bundle
-        budget = _rounding_budget(cfg, space, m)
-        n_obs, tolerance = _weight_options(cfg)
-        started = time.perf_counter()
-        criteria = [DesignCriterion(space, cov, model=model) for _, _, cov in cells]
-        weighted = _lockstep_weights(space, criteria, n_obs, **tolerance)
-        rounded = [None] * len(cells)
-        done = [i for i, wd in enumerate(weighted) if not isinstance(wd, Exception)]
-        if budget is not None and done:
-            for i, result in zip(done, _lockstep_rounding(
-                    space, [criteria[i] for i in done],
-                    [weighted[i].weights for i in done], budget)):
-                rounded[i] = result
-        share = (time.perf_counter() - started) / len(cells)
-        solved = [(wd, result, share) for wd, result in zip(weighted, rounded)]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    index_rows = []
-    for (point, params, cov), cell_solved in zip(cells, solved):
-        cell_dir = out_dir / "_".join(f"{key}{v}" for key, v in params.items())
-        value = _run_single(cfg, space, cov, model, None, algorithm, m,
-                            restarts, seed, cell_dir, cell_solved)
-        index_rows.append([*point, value, str(cell_dir.name)])
-        label = "inf" if math.isinf(value) else f"{value:.10g}"
-        click.echo(" ".join(f"{key}={v}" for key, v in params.items())
-                   + f": {label}")
-    with open(out_dir / "grid_index.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*axes, "criterion_value", "directory"])
-        writer.writerows(index_rows)
+    return list(axes), cells
 
 
 @main.command()

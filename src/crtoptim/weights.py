@@ -118,16 +118,13 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
     suffice (the error carries the last iterate) or if a plain step
     increases the criterion beyond tolerance, and :class:`InfeasibleError`
     when the contrast is not identified by the full space.
+    :func:`_lockstep_weights` on a stack of one.
     """
-    scale = _weight_scale(space, total_obs, tolerance, max_iter)
-    gradient = DesignCriterion(space, cov, model).gradient
-    core = _squarem(space.n_units, scale, tolerance, max_iter)
-    try:
-        point = next(core)
-        while True:
-            point = core.send(gradient(point))
-    except StopIteration as stop:
-        return stop.value
+    result, = _lockstep_weights(space, [DesignCriterion(space, cov, model)],
+                                total_obs, tolerance, max_iter)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _weight_scale(space, total_obs, tolerance, max_iter) -> float:
@@ -158,8 +155,9 @@ def _lockstep_weights(space: DesignSpace, criteria, total_obs: float | None = No
     :func:`glscore._gradients` call per step scores the next point of every
     run still going. Returns, per criterion, the :class:`WeightedDesign`,
     :class:`ConvergenceError` or :class:`InfeasibleError` of its own run,
-    bit for bit those of a lone call; an argument the lone call would
-    reject raises here, before any run starts."""
+    bit for bit the same whatever else runs in the stack; an argument
+    :func:`mixed_model_weights` would reject raises here, before any run
+    starts."""
     scale = _weight_scale(space, total_obs, tolerance, max_iter)
     cores = [_squarem(space.n_units, scale, tolerance, max_iter) for _ in criteria]
     results: list = [None] * len(cores)

@@ -324,6 +324,37 @@ class TestOptimize:
         assert result.exit_code == 2, result.output
         assert f"'{field}'" in result.output
 
+    def test_unknown_grid_kind_exits_two(self, tmp_path, runner):
+        cfg = base_config(tmp_path, grid={"kind": "foo", "icc": [0.05]})
+        cfg.pop("covariance")
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, ["optimize", "--config", cfg_path])
+        assert result.exit_code == 2, result.output
+        assert "field 'grid.kind' must be one of EXC1, EXC2, AR1" in result.output
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["single", "grid"])
+    @pytest.mark.parametrize("overrides, code", [
+        ({"m": None}, 2),
+        ({"restarts": 0}, 2),
+        ({"algorithm": "simplex-weights", "space": {"standard": {
+            "T": 4, "maxReplication": 4, "granularity": "cluster-period"}}}, 2),
+        ({"algorithm": "closed-form", "covariance": {"kind": "EXC1", "icc": 0.05}}, 2),
+        ({"m": 1000}, 3),
+    ], ids=["missing-m", "no-restarts", "simplex-cluster-period", "closed-form-exc1",
+            "over-capacity"])
+    def test_failed_run_leaves_no_output(self, tmp_path, runner, overrides, code, grid):
+        # an override of None leaves the field out
+        cfg = {key: v for key, v in base_config(tmp_path, **overrides).items()
+               if v is not None}
+        if grid:
+            cov = cfg.pop("covariance")
+            cfg["grid"] = {key: v if key == "kind" else [v] for key, v in cov.items()}
+            cfg["grid"]["icc"] = [0.05, 0.1]
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, ["optimize", "--config", cfg_path])
+        assert result.exit_code == code, result.output
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("via_flag", [False, True])
     def test_negative_seed_exits_two(self, tmp_path, runner, via_flag):
         cfg = base_config(tmp_path, **({} if via_flag else {"seed": -1}))
@@ -361,7 +392,8 @@ class TestOptimize:
 
 class TestWeightsGrid:
     """A ``mixed-model-weights`` grid solves its cells' weights in
-    lockstep; each cell's bundle is that of a run of the cell alone."""
+    lockstep; each cell's bundle, under every algorithm, is that of a run
+    of the cell alone."""
 
     ICC, CAC = [0.0431, 0.0567], [0.4612, 0.5388]
 
@@ -376,23 +408,43 @@ class TestWeightsGrid:
             "out": str(tmp_path / "out"),
         }
 
-    def test_cells_match_single_runs(self, tmp_path, runner):
-        cfg = self.config(tmp_path)
+    SEQUENCE = {"standard": {"T": 4, "maxReplication": 4, "count": 5}}
+    # what each algorithm changes in the cluster-period weights config
+    OVERRIDES = {
+        "mixed-model-weights": {},
+        "simplex-weights": {"space": SEQUENCE, "m": 8},
+        "local": {"space": SEQUENCE, "m": 6, "restarts": 5},
+        "reverse-greedy": {"space": {"standard": {
+            "T": 4, "maxReplication": 4, "granularity": "cluster-period"}}, "m": 20},
+        "closed-form": {"space": SEQUENCE, "m": 6},
+    }
+
+    @pytest.mark.parametrize("algorithm", list(OVERRIDES))
+    def test_cells_match_single_runs(self, tmp_path, runner, algorithm):
+        cfg = dict(self.config(tmp_path), algorithm=algorithm, **self.OVERRIDES[algorithm])
         result = runner.invoke(main, ["optimize", "--config",
                                       write_json(tmp_path / "cfg.json", cfg)])
         assert result.exit_code == 0, result.output
-        space, model = cli.parse_space(cfg), cli.parse_model(cfg)
         for icc in self.ICC:
             for cac in self.CAC:
                 name = f"icc{icc}_cac{cac}"
+                single_cfg = {key: v for key, v in cfg.items() if key != "grid"}
+                single_cfg["covariance"] = {"kind": "EXC2", "icc": icc, "cac": cac}
                 single = tmp_path / "single" / name
-                cli._run_single(cfg, space, CovarianceSpec.from_icc("EXC2", icc, cac=cac),
-                                model, None, "mixed-model-weights", None, 100, 9, single)
+                result = runner.invoke(main, [
+                    "optimize", "--config", write_json(tmp_path / f"{name}.json", single_cfg),
+                    "--out", str(single)])
+                assert result.exit_code == 0, result.output
                 cell = tmp_path / "out" / name
-                for bundle in ("weights.csv", "design_grid.csv"):
+                files = sorted(p.name for p in cell.iterdir())
+                assert files == sorted(p.name for p in single.iterdir())
+                for bundle in set(files) - {"summary.json"}:
                     assert (cell / bundle).read_bytes() == (single / bundle).read_bytes()
-                summaries = [[line for line in (d / "summary.json").read_text().splitlines()
-                              if '"wall_time_s"' not in line] for d in (cell, single)]
+                # the digests differ: the configs do
+                summaries = [{key: v for key, v in json.loads(
+                    (d / "summary.json").read_text()).items()
+                              if key not in ("wall_time_s", "config_digest")}
+                             for d in (cell, single)]
                 assert summaries[0] == summaries[1]
 
     def test_invalid_point_runs_no_cell(self, tmp_path, runner):
@@ -426,7 +478,7 @@ class TestWeightsGrid:
         for name in names[:first_failure]:
             assert sorted(p.name for p in (out / name).iterdir()) == [
                 "design_grid.csv", "summary.json", "weights.csv"]
-        assert not any((out / names[first_failure]).iterdir())
+        assert not (out / names[first_failure]).exists()
         assert not any((out / name).exists() for name in names[first_failure + 1:])
         assert not (out / "grid_index.csv").exists()
 
@@ -443,9 +495,9 @@ class TestWeightsGrid:
         else:
             cfg["covariance"] = {"kind": "EXC2", "icc": 0.05, "cac": 0.5}
         solves = []
-        for name in ("mixed_model_weights", "_lockstep_weights"):
-            monkeypatch.setattr(cli, name, lambda *args, solve=getattr(cli, name), **kw:
-                                solves.append(solve.__name__) or solve(*args, **kw))
+        solve = cli._lockstep_weights
+        monkeypatch.setattr(cli, "_lockstep_weights", lambda *args, **kw:
+                            solves.append(solve.__name__) or solve(*args, **kw))
         result = runner.invoke(main, ["optimize", "--config",
                                       write_json(tmp_path / "cfg.json", cfg)])
         assert result.exit_code == 3, result.output
