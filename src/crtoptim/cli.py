@@ -12,9 +12,11 @@ An ``optimize`` run is a list of cells, one for a single run and one per
 ``grid`` point. :func:`_solve` runs over the whole list, then one write
 loop writes each cell's whole bundle and makes its directory only then (a
 single run writes at the top of the output directory). A configuration
-error writes nothing; an optimiser error stops the run at its cell, after
-the earlier cells' bundles. A cell's ``wall_time_s`` is an equal share of
-the solve stage plus its own writes.
+error writes nothing; an output directory, or a cell directory under it,
+that runs through an existing file is one, found before any cell is
+solved. An optimiser error stops the run at its cell, after the earlier
+cells' bundles. A cell's ``wall_time_s`` is an equal share of the solve
+stage plus its own writes.
 
 Exit codes: 2 for configuration problems, 3 for optimiser infeasibility
 or non-convergence.
@@ -459,17 +461,19 @@ def optimize(config_path, algorithm, m_override, restarts, seed, out_override):
         # one cell without parameters, whose directory is ``out_dir`` itself
         axes, cells = None, [((), {}, parse_covariance(cfg) if robust is None else None)]
 
+    cell_dirs = [out_dir / "_".join(f"{key}{v}" for key, v in params.items())
+                 for _, params, _ in cells]
+    _check_directories(cell_dirs)
     started = time.perf_counter()
     results = _solve(cfg, space, model, robust, algorithm, m, restarts, seed, cells)
     share = (time.perf_counter() - started) / len(cells)
     digest = config_digest(cfg)
     index_rows = []
-    for (point, params, _), result in zip(cells, results):
+    for (point, params, _), cell_dir, result in zip(cells, cell_dirs, results):
         if isinstance(result, Exception):
             raise result
         started = time.perf_counter() - share
         value, design, fields, weights = result
-        cell_dir = out_dir / "_".join(f"{key}{v}" for key, v in params.items())
         cell_dir.mkdir(parents=True, exist_ok=True)
         summary = {"algorithm": algorithm, "seed": seed, "config_digest": digest,
                    **fields, "criterion_value": None if math.isinf(value) else value}
@@ -494,6 +498,16 @@ def optimize(config_path, algorithm, m_override, restarts, seed, out_override):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow([*axes, "criterion_value", "directory"])
             writer.writerows(index_rows)
+
+
+def _check_directories(paths) -> None:
+    """:class:`ConfigError` unless every path in ``paths`` is a directory
+    or can be made one: the nearest of it and its parents that exists
+    must be a directory."""
+    for path in paths:
+        existing = next((p for p in (path, *path.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise ConfigError(f"field 'out': {existing} is not a directory")
 
 
 def _grid_cells(grid) -> tuple[list[str], list]:

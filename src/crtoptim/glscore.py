@@ -742,14 +742,25 @@ def _model_values(parts, batch, blocks) -> np.ndarray:
     return out
 
 
-def _gradients(parts, batch):
+def _stacked_clusters(parts):
+    """The cluster blocks of ``parts`` (criteria on one space) as one
+    set, row ``l`` under ``parts[l]``; a lone part's own blocks, and
+    ``None`` at sequence granularity."""
+    if len(parts) == 1 or parts[0]._clusters is None:
+        return parts[0]._clusters
+    return _ClusterBlocks.stacked([part._clusters for part in parts])
+
+
+def _gradients(parts, batch, clusters=None):
     """``(value, grad)`` (``(L,)``, ``(L, J)``) of a ``(L, J)`` batch, row
     ``l`` scored under the criterion ``parts[l]``, all on one space; row
     ``l`` equals ``parts[l].gradient(batch[l])`` bit for bit, which is this
     on a stack of one. At sequence granularity each row sums its part's
     unit blocks; elsewhere one cluster solve runs over the parts' stacked
-    covariances. One :func:`_factor_solve` then serves every row, and one
-    ``bincount`` (or each part's block contraction) the gradients."""
+    covariances, ``clusters`` when given (``_stacked_clusters(parts)``,
+    kept by a caller that scores one stack of parts again and again). One
+    :func:`_factor_solve` then serves every row, and one ``bincount`` (or
+    each part's block contraction) the gradients."""
     first = parts[0]
     batch = first._batch(batch)
     if first._clusters is None:
@@ -761,9 +772,7 @@ def _gradients(parts, batch):
                                     part._unit_blocks.reshape(-1, p, p), y[l])
                          for l, part in enumerate(parts)])
     else:
-        cl = first._clusters
-        if len(parts) > 1:
-            cl = _ClusterBlocks.stacked([part._clusters for part in parts])
+        cl = clusters if clusters is not None else _stacked_clusters(parts)
         s, t, m = cl.solve(batch)
         value, y, _ = _factor_solve(m)
         grad = cl.gradient(s, t, y, first.space.n_units)
@@ -790,8 +799,7 @@ def _single_moves(parts, batch, units, step: int) -> list:
     rows = [l for l, own in enumerate(cells) if (own >= 0).all()]
     if not rows:
         return screened
-    cl = (parts[rows[0]]._clusters if len(rows) == 1
-          else _ClusterBlocks.stacked([parts[l]._clusters for l in rows]))
+    cl = _stacked_clusters([parts[l] for l in rows])
     info, u, var = cl.rank_one_terms(batch if len(rows) == len(batch) else batch[rows])
     value, y, lower_inv = _factor_solve(info)
     k, p = info.shape[:2]

@@ -23,6 +23,16 @@ bit, as :class:`DesignCriterion` and :class:`RobustCriterion` guarantee.
 The memo lives for one call and is cleared when it holds more than
 ``MEMO_BYTES`` (128 KiB) of raw keys and values.
 
+Restarts also meet on the same designs, and from there walk the same way:
+a restart's next move depends only on its design, since each row is
+scored on its own, ties break by row order within one restart's
+neighbourhood, and a restart's current value is always the value of its
+design. So local search sweeps each design once: before each sweep, a
+restart that has reached a design another restart held before it (an
+identical start included) stops and follows that restart, and at the end
+every follower takes the design and value at the end of its chain. Every
+restart ends as it would alone, with the same value bit for bit.
+
 Greedy walks (reverse greedy and the rounding fill) move one unit at a
 time. A criterion may also offer ``single_moves(counts, units, step)``,
 approximate values of all of a step's moves from one solve of the current
@@ -96,9 +106,13 @@ class _ScoreMemo:
         self._scores: dict[bytes, float] = {}
         self._capacity = MEMO_BYTES // (self._key.itemsize + 8)
 
-    def values(self, batch) -> np.ndarray:
+    def keys(self, batch) -> list[bytes]:
+        """Each row's key: its bytes in the memo's narrow dtype."""
         rows = np.ascontiguousarray(batch, dtype=self._dtype)
-        keys = rows.view(self._key).ravel().tolist()
+        return rows.view(self._key).ravel().tolist()
+
+    def values(self, batch) -> np.ndarray:
+        keys = self.keys(batch)
         scores = self._scores
         fresh = {key: i for i, key in enumerate(keys) if key not in scores}
         if fresh:
@@ -279,9 +293,9 @@ def _random_starts(space: DesignSpace, criterion, m: int, rngs):
     values = np.full(len(rngs), math.inf)
     pending = np.arange(len(rngs))
     for _ in range(MAX_START_DRAWS):
-        counts[pending] = 0
         for i in pending:
-            np.add.at(counts[i], pool[rngs[i].choice(pool.size, size=m, replace=False)], 1)
+            counts[i] = np.bincount(pool[rngs[i].choice(pool.size, size=m, replace=False)],
+                                    minlength=space.n_units)
         values[pending] = criterion.values(counts[pending])
         pending = pending[~np.isfinite(values[pending])]
         if pending.size == 0:
@@ -336,6 +350,15 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     keys and values. That needs ``criterion.values`` to score each row on
     its own, as :class:`DesignCriterion` and :class:`RobustCriterion` do;
     no state outlives the call.
+
+    Each design is also swept once per call. A second dict, keyed the same
+    way, maps every design a restart has held to the first restart that
+    held it; a restart that reaches a design in it (an identical start
+    included) stops there, and ends with the design and value that the
+    restart it follows, in turn, ends with. That is exact because a
+    restart's walk from a design depends on nothing but the design, so
+    every restart's end, the result and the ``progress`` calls are those of
+    walking each restart to its own end.
     """
     _check_size(space, m)
     _check_criterion(criterion)
@@ -352,11 +375,21 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     # working-array budget
     row_bytes = counts.itemsize * space.n_units
     group = max(1, CHUNK_BYTES // max(1, row_bytes * space.n_units * (space.n_units - 1)))
-    active = np.arange(restarts)
+    # the first restart to hold each design, and the restart each one follows
+    held: dict[bytes, int] = {}
+    follows = np.arange(restarts)
+    active = follows.copy()
     while active.size:
-        active = np.concatenate([
+        for r, key in zip(active.tolist(), criterion.keys(counts[active])):
+            follows[r] = held.setdefault(key, r)
+        active = active[follows[active] == active]
+        active = np.concatenate([active[:0], *(
             _swap_sweep(space, criterion, counts, current, active[i:i + group])
-            for i in range(0, active.size, group)])
+            for i in range(0, active.size, group))])
+    # a follower ends where the end of its chain ends
+    while (follows[follows] != follows).any():
+        follows = follows[follows]
+    counts, current = counts[follows], current[follows]
     best = 0
     for idx in range(restarts):
         if current[best] > _tie_edge(current[idx]):

@@ -33,7 +33,7 @@ from .covariance import CovarianceSpec, ModelSpec
 from .designspace import DesignSpace
 from .errors import (ConvergenceError, InfeasibleError, ValidationError,
                      check_count, check_instance, check_probabilities, check_real)
-from .glscore import CRITERION_ROUNDING, DesignCriterion, _gradients
+from .glscore import CRITERION_ROUNDING, DesignCriterion, _gradients, _stacked_clusters
 
 # Units whose weight falls below this bound are dropped for good.
 WEIGHT_FLOOR = 1e-7
@@ -153,7 +153,8 @@ def _lockstep_weights(space: DesignSpace, criteria, total_obs: float | None = No
     """:func:`mixed_model_weights` under each :class:`DesignCriterion` in
     ``criteria``, all on ``space``, run in lockstep: one
     :func:`glscore._gradients` call per step scores the next point of every
-    run still going. Returns, per criterion, the :class:`WeightedDesign`,
+    run still going, on cluster blocks stacked once per set of runs still
+    going. Returns, per criterion, the :class:`WeightedDesign`,
     :class:`ConvergenceError` or :class:`InfeasibleError` of its own run,
     bit for bit the same whatever else runs in the stack; an argument
     :func:`mixed_model_weights` would reject raises here, before any run
@@ -163,8 +164,12 @@ def _lockstep_weights(space: DesignSpace, criteria, total_obs: float | None = No
     results: list = [None] * len(cores)
     live = list(range(len(cores)))
     points = [next(core) for core in cores]
+    parts = None
     while live:
-        values, grads = _gradients([criteria[i] for i in live], np.stack(points))
+        if parts is None:  # the first step, or a run ended at the last one
+            parts = [criteria[i] for i in live]
+            clusters = _stacked_clusters(parts)
+        values, grads = _gradients(parts, np.stack(points), clusters)
         running, points = [], []
         for i, value, grad in zip(live, values.tolist(), grads):
             try:
@@ -174,6 +179,8 @@ def _lockstep_weights(space: DesignSpace, criteria, total_obs: float | None = No
                 results[i] = stop.value
             except (ConvergenceError, InfeasibleError) as exc:
                 results[i] = exc
+        if len(running) < len(live):
+            parts = None
         live = running
     return results
 

@@ -355,6 +355,30 @@ class TestOptimize:
         assert result.exit_code == code, result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("grid, out, file", [
+        (False, "out", "out"), (False, "out/sub", "out"),
+        (True, "out", "out"), (True, "out", "out/icc0.1")],
+        ids=["single", "single-below-file", "grid", "grid-cell"])
+    def test_out_path_through_a_file_exits_two(self, tmp_path, runner, monkeypatch,
+                                               grid, out, file):
+        cfg = base_config(tmp_path, out=str(tmp_path / out))
+        if grid:
+            cfg.pop("covariance")
+            cfg["grid"] = {"kind": "EXC1", "icc": [0.05, 0.1]}
+        file = tmp_path / file
+        file.parent.mkdir(exist_ok=True)
+        file.write_text("kept")
+        searches = []
+        monkeypatch.setattr(cli, "local_search", lambda *args, **kw: searches.append(args))
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, ["optimize", "--config", cfg_path])
+        assert result.exit_code == 2, result.output
+        assert f"field 'out': {file} is not a directory" in result.output
+        assert searches == []
+        assert sorted(tmp_path.rglob("*")) == sorted(
+            {tmp_path / "cfg.json", tmp_path / "out", file})
+        assert file.read_text() == "kept"
+
     @pytest.mark.parametrize("via_flag", [False, True])
     def test_negative_seed_exits_two(self, tmp_path, runner, via_flag):
         cfg = base_config(tmp_path, **({} if via_flag else {"seed": -1}))

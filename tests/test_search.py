@@ -213,6 +213,149 @@ class TestScoreMemo:
         assert set(bounded_rows) == set(rows)
 
 
+SWAP_SWEEP = search._swap_sweep
+
+
+def unmerged_local_search(space, crit, m, restarts, seed):
+    """The lockstep local search in which every restart sweeps until it
+    stops, from starts drawn one ``np.add.at`` at a time: the
+    ``(counts, value)`` of the best restart, the running best after each
+    restart, each restart's designs before each of its sweeps, and the
+    number of restart-sweeps."""
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(restarts)]
+    memo = search._ScoreMemo(crit, space.n_units, space.max_replication)
+    pool = np.repeat(np.arange(space.n_units), space.max_replication)
+    counts = np.zeros((restarts, space.n_units), dtype=int)
+    current = np.full(restarts, math.inf)
+    pending = np.arange(restarts)
+    while pending.size:
+        counts[pending] = 0
+        for i in pending:
+            np.add.at(counts[i], pool[rngs[i].choice(pool.size, size=m, replace=False)], 1)
+        current[pending] = memo.values(counts[pending])
+        pending = pending[~np.isfinite(current[pending])]
+    histories = [[] for _ in range(restarts)]
+    active, sweeps = np.arange(restarts), 0
+    while active.size:
+        for r in active.tolist():
+            histories[r].append(tuple(counts[r].tolist()))
+        sweeps += active.size
+        active = SWAP_SWEEP(space, memo, counts, current, active)
+    best, trail = 0, []
+    for idx in range(restarts):
+        if current[best] > search._tie_edge(current[idx]):
+            best = idx
+        trail.append((idx, float(current[best]).hex()))
+    return ((tuple(counts[best].tolist()), float(current[best]).hex()), trail,
+            histories, sweeps)
+
+
+def follow_chains(histories):
+    """Per restart, how many restarts it follows in turn to the one whose
+    walk it ends on: a restart follows the first restart (in sweep order,
+    then restart order) to hold the first design it reaches that another
+    restart held before it."""
+    holder = {}
+    for sweep in range(max(map(len, histories))):
+        for r, history in enumerate(histories):
+            if sweep < len(history):
+                holder.setdefault(history[sweep], r)
+    follows = [next((holder[d] for d in history if holder[d] != r), r)
+               for r, history in enumerate(histories)]
+    chains = []
+    for r in range(len(histories)):
+        length = 0
+        while follows[r] != r:
+            r, length = follows[r], length + 1
+        chains.append(length)
+    return chains
+
+
+def count_sweeps(monkeypatch):
+    """The size of each group of restarts that ``search._swap_sweep``
+    sweeps from now on."""
+    sweeps = []
+    monkeypatch.setattr(search, "_swap_sweep", lambda space, crit, counts, current,
+                        active: sweeps.append(active.size)
+                        or SWAP_SWEEP(space, crit, counts, current, active))
+    return sweeps
+
+
+def merge_cases():
+    readme = standard_space(6, max_replication=5, cells_per_period=10)
+    cp = standard_space(5, max_replication=4, granularity="cluster-period")
+    exc2 = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.8)
+    models = [CovarianceSpec.from_icc(kind, icc, **{key: v})
+              for icc in (0.01, 0.05, 0.2)
+              for kind, key in (("EXC2", "cac"), ("AR1", "decay"))
+              for v in (0.2, 0.5, 0.8)]
+    robust = RobustCriterion(readme, ModelClass.equal_priors(models))
+    full = standard_space(3, max_replication=2)
+    return [
+        *(pytest.param(readme, DesignCriterion(readme, exc2), 10, 100, seed,
+                       id=f"readme-seed{seed}") for seed in range(5)),
+        pytest.param(cp, DesignCriterion(cp, exc2), 25, 3, 1, id="cluster-period"),
+        pytest.param(readme, robust, 10, 5, 2, id="robust-18"),
+        pytest.param(full, DesignCriterion(full, exc2), full.total_capacity, 6, 0,
+                     id="full-capacity"),
+    ]
+
+
+class TestMergedRestarts:
+    """A restart that reaches a design another restart held before it
+    stops there and ends where that restart ends: the result, its value
+    and the running best are those of sweeping every restart to its end,
+    over fewer restart-sweeps and the same scored rows."""
+
+    @pytest.mark.parametrize("space, crit, m, restarts, seed", merge_cases())
+    def test_matches_unmerged_search(self, space, crit, m, restarts, seed):
+        trail = []
+        result = local_search(space, crit, m, restarts=restarts, seed=seed,
+                              progress=lambda i, v: trail.append((i, v.hex())))
+        best, unmerged_trail, _, _ = unmerged_local_search(space, crit, m, restarts,
+                                                           seed)
+        assert (result.design.counts, result.value.hex()) == best
+        assert trail == unmerged_trail
+
+    def test_identical_starts_sweep_once(self, monkeypatch):
+        # at full capacity every restart draws the same start
+        space = standard_space(3, max_replication=2)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC1", 0.05))
+        _, _, histories, unmerged_sweeps = unmerged_local_search(
+            space, crit, space.total_capacity, 6, 0)
+        assert follow_chains(histories) == [0] + [1] * 5
+        assert unmerged_sweeps == 6
+        sweeps = count_sweeps(monkeypatch)
+        local_search(space, crit, space.total_capacity, restarts=6, seed=0)
+        assert sweeps == [1]
+
+    def test_follows_a_chain_to_its_end(self):
+        # at this seed a restart that took the design of the restart it
+        # follows, not that of the end of the chain, would change the trail
+        space = standard_space(6, max_replication=5, cells_per_period=10)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.8))
+        best, unmerged_trail, histories, _ = unmerged_local_search(space, crit, 10,
+                                                                   100, 16)
+        assert max(follow_chains(histories)) >= 2
+        trail = []
+        result = local_search(space, crit, 10, restarts=100, seed=16,
+                              progress=lambda i, v: trail.append((i, v.hex())))
+        assert (result.design.counts, result.value.hex()) == best
+        assert trail == unmerged_trail
+
+    def test_fewer_sweeps_same_scored_rows(self, monkeypatch):
+        space = standard_space(6, max_replication=5, cells_per_period=10)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.8))
+        unmerged = Recording(crit)
+        _, _, _, unmerged_sweeps = unmerged_local_search(space, unmerged, 10, 100, 0)
+        sweeps = count_sweeps(monkeypatch)
+        merged = Recording(crit)
+        local_search(space, merged, 10, restarts=100, seed=0)
+        assert sum(sweeps) < unmerged_sweeps / 2
+        assert merged.rows == unmerged.rows
+
+
 class TestInputChecks:
     space = standard_space(3, max_replication=2)
     crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))

@@ -12,6 +12,7 @@ from crtoptim import (ConvergenceError, CovarianceSpec, DesignCriterion,
                       unidirectional_weights, unit_information_blocks,
                       WeightedDesign)
 from crtoptim.covariance import iterated_weights
+from crtoptim import glscore
 from crtoptim.glscore import contrast_variance, treatment_contrast
 from crtoptim.weights import WEIGHT_FLOOR, _lockstep_weights
 
@@ -337,6 +338,26 @@ class TestLockstep:
         space = standard_space(4, max_replication=3, granularity="cluster-period")
         with pytest.raises(ValidationError, match="total_obs"):
             _lockstep_weights(space, [DesignCriterion(space, exc1_from_icc(0.1))])
+
+
+class TestStackedOnce:
+    """A lockstep run stacks its cells' cluster blocks once per set of
+    cells still running, not once per step."""
+
+    def test_one_stack_per_live_set(self, monkeypatch):
+        space = standard_space(6, max_replication=10, granularity="cluster-period")
+        criteria = [DesignCriterion(space, CovarianceSpec.from_icc("EXC2", icc, cac=cac))
+                    for icc in (0.0431, 0.0567) for cac in (0.4612, 0.5388)]
+        stacked = glscore._ClusterBlocks.stacked
+        sizes = []
+        monkeypatch.setattr(glscore._ClusterBlocks, "stacked", staticmethod(
+            lambda blocks: sizes.append(len(blocks)) or stacked(blocks)))
+        iterations = [r.iterations for r in _lockstep_weights(space, criteria, 60)]
+        # a cell is scored once per step until its last evaluation
+        live = [len(criteria)] + [sum(n > k for n in iterations)
+                                  for k in sorted(set(iterations))]
+        assert len(set(iterations)) > 1
+        assert sizes == [n for n in live if n > 1]
 
 
 class TestSimplexDescent:
