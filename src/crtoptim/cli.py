@@ -463,7 +463,14 @@ def optimize(config_path, algorithm, m_override, restarts, seed, out_override):
 
     cell_dirs = [out_dir / "_".join(f"{key}{v}" for key, v in params.items())
                  for _, params, _ in cells]
-    _check_directories(cell_dirs)
+    # every file a cell's bundle may hold, and the grid's index
+    names = ["summary.json", "design_grid.csv"]
+    if algorithm in ("mixed-model-weights", "simplex-weights"):
+        names.append("weights.csv")
+    files = [cell_dir / name for cell_dir in cell_dirs for name in names]
+    if axes is not None:
+        files.append(out_dir / "grid_index.csv")
+    _check_directories(cell_dirs, files)
     started = time.perf_counter()
     results = _solve(cfg, space, model, robust, algorithm, m, restarts, seed, cells)
     share = (time.perf_counter() - started) / len(cells)
@@ -500,14 +507,18 @@ def optimize(config_path, algorithm, m_override, restarts, seed, out_override):
             writer.writerows(index_rows)
 
 
-def _check_directories(paths) -> None:
+def _check_directories(paths, files) -> None:
     """:class:`ConfigError` unless every path in ``paths`` is a directory
-    or can be made one: the nearest of it and its parents that exists
-    must be a directory."""
+    or can be made one (the nearest of it and its parents that exists
+    must be a directory) and no path in ``files`` is a directory, so that
+    a run writes every file of its bundle or none."""
     for path in paths:
         existing = next((p for p in (path, *path.parents) if p.exists()), None)
         if existing is not None and not existing.is_dir():
             raise ConfigError(f"field 'out': {existing} is not a directory")
+    for path in files:
+        if path.is_dir():
+            raise ConfigError(f"field 'out': {path} is a directory, not a file")
 
 
 def _grid_cells(grid) -> tuple[list[str], list]:

@@ -28,7 +28,10 @@ solved in lockstep scores all its cells at once. The rank-one screen of
 the greedy walks (:func:`_single_moves`) is stacked the same way: one
 solve over the criteria's stacked covariances and one kernel call screen
 one row per criterion, so a weight grid's rounding fills share one call per
-step, and :meth:`DesignCriterion.single_moves` is its stack of one.
+step, and :meth:`DesignCriterion.single_moves` is its stack of one. The
+first-order terms by which local search bounds swaps from below
+(:func:`_bound_terms`) take, per chunk, the same block sum as the values,
+one :func:`_factor_solve` and one ``einsum`` against the unit blocks.
 ``contrast_variance`` is the kernel on a stack of one.
 The kernel factorises the whole stack once by Cholesky, ``M = L
 L'``, in one LAPACK call. A row is certified full-rank when its smallest
@@ -81,7 +84,8 @@ CRITERION_ROUNDING = 16 * np.finfo(float).eps
 CHUNK_BYTES = 1 << 19
 # :meth:`DesignCriterion.single_moves` screens only designs whose
 # information matrix has ``tr M tr M^-1`` (at least the condition number)
-# up to SCREEN_CONDITION, and vouches only for rows whose two rank-one
+# up to SCREEN_CONDITION (as :meth:`DesignCriterion.bound_terms` vouches
+# only for such designs), and vouches only for rows whose two rank-one
 # denominators exceed SCREEN_DENOMINATOR: rounding in a denominator near
 # zero is amplified without bound, as where a removal leaves a direction of
 # ``M`` (almost) unidentified.
@@ -570,9 +574,12 @@ class DesignCriterion:
     follow. Every block comes from one stacked cluster solve: for
     sequence-granularity spaces it runs once, at one replicate per unit
     (:func:`unit_information_blocks`), and the unit blocks are summed;
-    otherwise it runs on the whole batch. Where every unit is one cell, ``single_moves`` screens all the
-    single-unit moves from one design by rank-one updates, which the greedy
-    walks of :mod:`crtoptim.search` use to pick the moves worth scoring.
+    otherwise it runs on the whole batch. Where every unit is one cell,
+    ``single_moves`` screens all the single-unit moves from one design by
+    rank-one updates, which the greedy walks of :mod:`crtoptim.search` use
+    to pick the moves worth scoring; at sequence granularity
+    ``bound_terms`` gives the first-order terms by which local search
+    bounds a design's swaps from below and scores only those that can win.
     Raises :class:`ValidationError` unless ``space`` is a
     :class:`DesignSpace`, ``covariance`` a :class:`CovarianceSpec` and
     ``model`` a :class:`ModelSpec` or None.
@@ -712,6 +719,30 @@ class DesignCriterion:
             raise ValidationError("a removal from a unit the design does not hold")
         return _single_moves((self,), batch, [units], step)[0]
 
+    def bound_terms(self, batch):
+        """First-order terms of a ``(K, J)`` batch of multiplicities,
+        ``(grad, vouched)``, from which local search bounds every swap from
+        below; or ``None`` where they do not apply.
+
+        ``c' M^-1 c`` is convex in ``M`` (the matrix-fractional function),
+        and at sequence granularity ``M`` is linear in the multiplicities,
+        so the value is convex in them: a design ``n'`` scores at least
+        ``f(n) + grad . (n' - n)``, with ``grad[k, j] = -y' B_j y`` the
+        derivative of :meth:`gradient` (``y = M^-1 c``, ``B_j`` unit
+        ``j``'s block). ``vouched[k]`` says that the kernel certifies row
+        ``k``'s ``M`` and that its ``tr M tr M^-1`` is at most
+        ``SCREEN_CONDITION``, so that ``grad`` is accurate far beyond
+        ``SCREEN_RTOL``; a row it does not vouch for may hold NaN.
+        ``None`` at cluster-period and observation granularity, where an
+        empty cell makes the criterion non-smooth in a unit's multiplicity.
+        Raises :class:`ValidationError` for a batch that :meth:`values`
+        rejects.
+        """
+        if self._unit_blocks is None:
+            self._batch(batch)
+            return None
+        return _bound_terms((self,), (1.0,), batch, self._unit_blocks)
+
     def value_of(self, design: Design) -> float:
         """Criterion value of a :class:`Design`, which must be valid for
         the space; raises :class:`ValidationError` otherwise."""
@@ -780,6 +811,46 @@ def _gradients(parts, batch, clusters=None):
     return value, grad
 
 
+def _conditioned(m: np.ndarray, lower_inv: np.ndarray) -> np.ndarray:
+    """Rows of a ``(K, P, P)`` stack of information matrices, with ``L^-1``
+    from :func:`_factor_solve`, that the kernel certifies and whose ``tr M
+    tr M^-1`` (at least the condition number) is at most
+    ``SCREEN_CONDITION``."""
+    k, p = m.shape[:2]
+    # tr M^-1 = |L^-1|_F^2; written so that the NaN L^-1 of a row the
+    # kernel does not certify, or of an infinite value, fails
+    flat = lower_inv.reshape(k, -1)
+    return (np.add.reduce(flat * flat, axis=-1)
+            * np.add.reduce(m.reshape(k, -1)[:, ::p + 1], axis=-1)
+            <= SCREEN_CONDITION)
+
+
+def _bound_terms(parts, priors, batch, blocks):
+    """``(grad, vouched)`` of :meth:`DesignCriterion.bound_terms` for the
+    prior-weighted sum of the criteria ``parts`` of one sequence space,
+    whose flat unit blocks ``blocks`` lie side by side as in
+    :func:`_model_values`: per chunk, one block sum, one
+    :func:`_factor_solve` over the ``(K L, P, P)`` stack and one ``einsum``
+    of the prior-weighted ``y y'`` against the blocks."""
+    first = parts[0]
+    batch, p = first._batch(batch), first.space.n_periods + 1
+    n = len(parts)
+    rows = max(1, first._chunk_rows // n)
+    weights = np.asarray(priors, dtype=float)[:, None]
+    grad = np.empty(batch.shape)
+    vouched = np.empty(len(batch), dtype=bool)
+    for i in range(0, len(batch), rows):
+        chunk = batch[i:i + rows]
+        m = np.einsum("kj,jx->kx", chunk, blocks).reshape(-1, p, p)
+        _, y, lower_inv = _factor_solve(m)
+        vouched[i:i + rows] = _conditioned(m, lower_inv).reshape(-1, n).all(axis=1)
+        # row k, model l: prior_l y y', flattened as the blocks are
+        outer = (y[:, :, None] * y[:, None, :]).reshape(len(chunk), n, p * p)
+        grad[i:i + rows] = -np.einsum("kx,jx->kj", (weights * outer).reshape(len(chunk), -1),
+                                      blocks)
+    return grad, vouched
+
+
 def _single_moves(parts, batch, units, step: int) -> list:
     """Screened move values of a ``(L, J)`` batch of counts, row ``l``
     under the criterion ``parts[l]`` (all on one space) with one replicate
@@ -802,13 +873,8 @@ def _single_moves(parts, batch, units, step: int) -> list:
     cl = _stacked_clusters([parts[l] for l in rows])
     info, u, var = cl.rank_one_terms(batch if len(rows) == len(batch) else batch[rows])
     value, y, lower_inv = _factor_solve(info)
-    k, p = info.shape[:2]
-    # tr M^-1 = |L^-1|_F^2; written so that the NaN L^-1 of a row the
-    # kernel does not certify, or of an infinite value, fails
-    flat = lower_inv.reshape(k, -1)
-    conditioned = (np.add.reduce(flat * flat, axis=-1)
-                   * np.add.reduce(info.reshape(k, -1)[:, ::p + 1], axis=-1)
-                   <= SCREEN_CONDITION)
+    conditioned = _conditioned(info, lower_inv)
+    k = len(info)
     # every cell of every row, each row's matrix products of one shape
     delta = step * cl.cell_precision.reshape(k, -1)
     shrink = 1.0 + delta * var

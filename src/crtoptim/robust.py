@@ -14,7 +14,10 @@ kernel values of its rows under every model with a positive prior, which
 are then summed with the priors, in model order, once per batch. At
 sequence granularity the models' unit blocks lie side by side, so a chunk
 takes one block sum and one kernel call; at cluster-period and observation
-granularity each model solves the chunk's clusters in turn.
+granularity each model solves the chunk's clusters in turn. A
+linear-average class at sequence granularity also gives the first-order
+terms by which local search bounds swaps from below, in one block sum and
+one kernel call per chunk as well.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import numpy as np
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace
 from .errors import ValidationError, check_instance, check_probabilities, check_real
-from .glscore import DesignCriterion, _model_values
+from .glscore import DesignCriterion, _bound_terms, _model_values
 
 CRITERION_FORMS = ("linear-average", "log-average")
 
@@ -116,6 +119,20 @@ class RobustCriterion:
         for prior, v in zip(self._priors, _model_values(self._parts, batch, self._blocks).T):
             total = total + prior * (np.log(v) if self._log_form else v)
         return total
+
+    def bound_terms(self, batch):
+        """:meth:`DesignCriterion.bound_terms` of the class: ``grad`` is the
+        prior-weighted sum of the models' gradients, from one block sum
+        over the models' unit blocks side by side, one kernel call and one
+        ``einsum`` per chunk, and a row is vouched for only where every
+        model's is. A linear average of convex criteria is convex, so the
+        bound holds. ``None`` at cluster-period and observation
+        granularity, and for the log-average form, whose logarithms are
+        not convex."""
+        if self._blocks is None or self._log_form:
+            self._parts[0]._batch(batch)
+            return None
+        return _bound_terms(self._parts, self._priors, batch, self._blocks)
 
     value = DesignCriterion.value
     value_of = DesignCriterion.value_of

@@ -6,12 +6,11 @@ monotone supermodular function of the design): a criterion is any object
 whose ``values`` maps a ``(K, J)`` count matrix to ``K`` values. Local
 search repeatedly applies the best value-improving single swap from
 random feasible starts; reverse greedy strips the full space down to the
-target size, removing whichever unit costs the least variance. Every
-sweep is one call of :func:`_best_moves`, which builds the neighbourhood
-(every swap, every single-unit removal or addition, or a greedy step's
-front-runners, below) as one count matrix and scores it with one
-``values`` call. Local search runs its restarts in lockstep, so one call
-scores the swaps of every restart that is still moving.
+target size, removing whichever unit costs the least variance. A sweep
+builds its neighbourhood (the swaps of every restart still moving, or a
+greedy step's front-runners, below) as one count matrix and scores it
+through ``values``: local search runs its restarts in lockstep, so one
+batch holds the swaps of all of them.
 
 The restarts of one local search keep landing on the same designs, so it
 scores each distinct design once per call: a memo in front of the
@@ -33,6 +32,27 @@ identical start included) stops and follows that restart, and at the end
 every follower takes the design and value at the end of its chain. Every
 restart ends as it would alone, with the same value bit for bit.
 
+A criterion may also offer ``bound_terms(batch)``: per design, a gradient
+``g`` in the multiplicities and whether it vouches for it, or ``None``.
+:class:`DesignCriterion` and the linear-average :class:`RobustCriterion`
+offer it at sequence granularity, where ``M`` is linear in the
+multiplicities and ``c' M^-1 c`` is convex in ``M``, so a swap of unit
+``r`` for unit ``a`` in a design of value ``f`` scores at least ``f + g_a
+- g_r``; each bound is lowered by ``SCREEN_RTOL (|f| + |g_a| + |g_r|)``
+for rounding, and a design whose terms are not vouched for (its ``M`` not
+certified by the kernel, or ``tr M tr M^-1`` above ``SCREEN_CONDITION``)
+bounds its swaps by ``-inf``. A sweep then scores in two rounds: each
+design's lowest-bound swap, where that bound ties with or beats ``f``
+(value ``U``), then only the swaps whose bound ties with or beats both
+``f`` and ``U``; the rest count as infinite. If some swap improves on
+``f``, every swap tied with the best one has a bound under both edges, so
+it is scored and the sweep takes the row and value that scoring every
+swap would; if none does, the restart stops either way. Designs, values
+and ``progress`` trails are unchanged, and on the README space about a
+third of the swaps are scored. Cluster-period and observation
+granularity (where an empty cell makes the criterion non-smooth) and the
+log-average form (not convex) score every swap.
+
 Greedy walks (reverse greedy and the rounding fill) move one unit at a
 time. A criterion may also offer ``single_moves(counts, units, step)``,
 approximate values of all of a step's moves from one solve of the current
@@ -45,13 +65,15 @@ and the moves screened NaN; a lone candidate is taken unscored unless its
 value is to be reported. ``values`` alone picks between candidates and
 gives every reported value, so while the screen errs by less than
 ``SCREEN_RTOL / 2`` (it errs by about 1e-13) a walk takes the moves and
-reports the values of scoring every move in full. Sequence spaces, robust
-criteria and the swaps of local search score every row. A walk moves a
-stack of designs in lockstep, each under its own criterion: the rounding
-fills of a weight grid's cells share one stacked screen per step
-(:func:`glscore._single_moves`), each scoring its front-runners through its
-own ``values``, and end where each fill alone would; reverse greedy walks
-a stack of one.
+reports the values of scoring every move in full. Sequence spaces and
+robust criteria score every move of a greedy step. A step scores its
+front-runners in one ``values`` call and takes the first within
+``CRITERION_ROUNDING`` of their minimum, comparing Python floats. A walk
+moves a stack of designs in lockstep, each under its own criterion: the
+rounding fills of a weight grid's cells share one stacked screen per step
+(:func:`glscore._single_moves`), each scoring its front-runners through
+its own ``values``, and end where each fill alone would; reverse greedy
+walks a stack of one.
 
 Values within ``CRITERION_ROUNDING`` (relative) of each other are ties: the
 order of two such values is the rounding of the criterion kernel, not a
@@ -82,9 +104,14 @@ MAX_START_DRAWS = 1000
 # rather than grow with every sweep.
 MEMO_BYTES = 1 << 17
 # Relative band above the smallest screened move value within which a
-# greedy step still scores a move through ``values``: far above the
+# greedy step still scores a move through ``values``, and the relative
+# margin by which a swap's first-order bound is lowered: far above the
 # criterion's rounding (``CRITERION_ROUNDING``) and the screen's own error.
 SCREEN_RTOL = 1e-9
+# The factors that take a positive or a negative value to the top of its
+# tie band, as Python floats.
+_TIE_UP = float(1.0 + CRITERION_ROUNDING)
+_TIE_DOWN = float(1.0 - CRITERION_ROUNDING)
 
 
 class _ScoreMemo:
@@ -122,6 +149,12 @@ class _ScoreMemo:
         if len(scores) > self._capacity:
             scores.clear()
         return values
+
+    def bound_terms(self, batch):
+        """The wrapped criterion's ``bound_terms(batch)``, or ``None`` if it
+        offers none."""
+        terms = getattr(self.criterion, "bound_terms", None)
+        return None if terms is None else terms(batch)
 
 
 @dataclass(frozen=True)
@@ -178,8 +211,21 @@ def _check_size(space: DesignSpace, m) -> None:
 def _tie_edge(low):
     """Largest value that ties with ``low``: ``low + CRITERION_ROUNDING *
     |low|``, written so that an infinite ``low`` is its own edge."""
-    return np.where(low > 0, low * (1.0 + CRITERION_ROUNDING),
-                    low * (1.0 - CRITERION_ROUNDING))
+    return np.where(low > 0, low * _TIE_UP, low * _TIE_DOWN)
+
+
+def _scalar_tie_edge(low: float) -> float:
+    """:func:`_tie_edge` of one Python float, bit for bit."""
+    return low * (_TIE_UP if low > 0 else _TIE_DOWN)
+
+
+def _first_minimum(values: list) -> int:
+    """Index of the first of ``values`` (Python floats) within
+    ``CRITERION_ROUNDING`` of their minimum, a NaN ranking last: the one
+    segment of :func:`_first_minima`, bit for bit."""
+    edge = _scalar_tie_edge(min((v for v in values if not math.isnan(v)),
+                                default=math.inf))
+    return next((i for i, v in enumerate(values) if v <= edge), 0)
 
 
 def _first_minima(values: np.ndarray, starts) -> np.ndarray:
@@ -197,23 +243,6 @@ def _first_minima(values: np.ndarray, starts) -> np.ndarray:
     sizes = np.diff(starts, append=len(values))
     near = np.flatnonzero(values <= np.repeat(edge, sizes))
     return near[np.searchsorted(near, starts)]
-
-
-def _best_moves(criterion, counts, owner, remove=None, add=None):
-    """Row ``i`` is ``counts[owner[i]]`` with one replicate taken from unit
-    ``remove[i]`` and one given to unit ``add[i]`` (either side may be
-    absent); all rows are scored in one ``values`` call. ``owner`` is
-    sorted. Returns each owner's first row within ``CRITERION_ROUNDING`` of
-    its minimum, and that row's value."""
-    batch = counts[owner]
-    rows = np.arange(owner.size)
-    if remove is not None:
-        batch[rows, remove] -= 1
-    if add is not None:
-        batch[rows, add] += 1
-    values = criterion.values(batch)
-    best = _first_minima(values, np.flatnonzero(np.diff(owner, prepend=-1)))
-    return best, values[best]
 
 
 def _front_runners(screened, units):
@@ -262,6 +291,8 @@ def _greedy_walk(criteria, counts, target: int, cap: int, progress=None):
     move = -1 if down else 1
     # every walking row moves one unit per step
     lengths = np.abs(sizes - target).tolist()
+    # row j: the move of unit j alone
+    moves = move * np.eye(counts.shape[1], dtype=counts.dtype)
     for step in range(1, max(lengths, default=0) + 1):
         live = [l for l, length in enumerate(lengths) if length >= step]
         rows = counts if len(live) == len(counts) else counts[live]
@@ -273,11 +304,11 @@ def _greedy_walk(criteria, counts, target: int, cap: int, progress=None):
                 # one candidate: values could not change the move
                 counts[l, own[0]] += move
                 continue
-            best, value = _best_moves(criteria[l], counts[l:l + 1], np.zeros_like(own),
-                                      *((own, None) if down else (None, own)))
-            counts[l, own[best[0]]] += move
+            values = criteria[l].values(counts[l] + moves[own]).tolist()
+            best = _first_minimum(values)
+            counts[l, own[best]] += move
             if progress is not None:
-                progress(step, float(value[0]))
+                progress(step, values[best])
 
 
 def _random_starts(space: DesignSpace, criterion, m: int, rngs):
@@ -309,9 +340,10 @@ def _swap_sweep(space: DesignSpace, criterion, counts, current, active):
     improves on ``current`` by more than ``CRITERION_ROUNDING``; updates
     ``counts`` and ``current`` in place and returns the restarts that moved.
 
-    The neighbourhoods of all of them are scored in one batch. Each
-    restart's rows are its ``(remove, add)`` pairs in row-major order, so
-    its first minimum is the lowest ``(remove, add)``.
+    The neighbourhoods of all of them are scored together
+    (:func:`_swap_values`). Each restart's rows are its ``(remove, add)``
+    pairs in row-major order, so its first minimum is the lowest ``(remove,
+    add)``.
     """
     own = counts[active]
     pairs = ((own > 0)[:, :, None] & (own < space.max_replication)[:, None, :]
@@ -319,14 +351,79 @@ def _swap_sweep(space: DesignSpace, criterion, counts, current, active):
     owner, remove, add = np.nonzero(pairs)
     if owner.size == 0:
         return active[:0]
-    best, values = _best_moves(criterion, own, owner, remove, add)
-    restart = active[owner[best]]
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    values = _swap_values(criterion, own, current[active], owner, remove, add, starts)
+    best = _first_minima(values, starts)
+    restart, values = active[owner[best]], values[best]
     improved = current[restart] > _tie_edge(values)
     best, restart = best[improved], restart[improved]
     counts[restart, remove[best]] -= 1
     counts[restart, add[best]] += 1
     current[restart] = values[improved]
     return restart
+
+
+def _swap_bounds(terms, current, owner, remove, add):
+    """Lower bounds of swap rows (laid out as in :func:`_swap_values`)
+    from ``(grad, vouched) = criterion.bound_terms(own)``: ``f + g_a -
+    g_r - SCREEN_RTOL (|f| + |g_a| + |g_r|)`` for a row swapping ``r`` for
+    ``a`` in a design of value ``f``, ``-inf`` on every row of a design
+    the terms do not vouch for (or whose bound is NaN)."""
+    grad, vouched = terms
+    f, g_add, g_remove = current[owner], grad[owner, add], grad[owner, remove]
+    bound = f + g_add - g_remove - SCREEN_RTOL * (abs(f) + abs(g_add) + abs(g_remove))
+    bound[~vouched[owner] | np.isnan(bound)] = -math.inf
+    return bound
+
+
+def _swap_values(criterion, own, current, owner, remove, add, starts):
+    """Values of the swap rows (row ``i`` is design ``own[owner[i]]``, of
+    value ``current[owner[i]]``, with one replicate moved from
+    ``remove[i]`` to ``add[i]``; ``owner`` sorted, each owner's rows
+    starting at ``starts``), ``inf`` on the rows left unscored.
+
+    Without ``criterion.bound_terms`` every row is scored in one ``values``
+    call. With it, a row swapping ``r`` for ``a`` in a design of value
+    ``f`` scores at least ``f + g_a - g_r``, by convexity, and each row is
+    bounded by that less a rounding margin (:func:`_swap_bounds`). The rows
+    are then scored in two rounds: the lowest-bound row of each design
+    whose lowest bound is within the tie band of ``f`` (value ``U``), then
+    the rows whose bound is within the tie bands of both ``f`` and ``U``.
+    Where some swap improves on ``f``, every row within
+    ``CRITERION_ROUNDING`` of the best swap's value is scored, so the sweep
+    takes the row and value it would take scoring all of them; where none
+    does, the design stops either way.
+    """
+    batch = own[owner]
+    rows = np.arange(owner.size)
+    batch[rows, remove] -= 1
+    batch[rows, add] += 1
+    terms = getattr(criterion, "bound_terms", None)
+    terms = None if terms is None else terms(own)
+    if terms is None:
+        return criterion.values(batch)
+    bound = _swap_bounds(terms, current, owner, remove, add)
+    sizes = np.diff(starts, append=owner.size)
+    lowest = np.minimum.reduceat(bound, starts)
+    first = np.flatnonzero(bound == np.repeat(lowest, sizes))
+    first = first[np.searchsorted(first, starts)]
+    edge = _tie_edge(current[owner[starts]])
+    reached = np.flatnonzero(lowest <= edge)
+    values = np.full(owner.size, math.inf)
+    if reached.size == 0:
+        return values
+    first = first[reached]
+    values[first] = criterion.values(batch[first])
+    low = np.full(starts.size, math.inf)
+    low[reached] = values[first]
+    # a NaN value ranks last, like an unidentified design
+    reach = np.fmin(edge, _tie_edge(low))
+    pending = bound <= np.repeat(reach, sizes)
+    pending[first] = False
+    second = np.flatnonzero(pending)
+    if second.size:
+        values[second] = criterion.values(batch[second])
+    return values
 
 
 def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
@@ -359,6 +456,11 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     restart's walk from a design depends on nothing but the design, so
     every restart's end, the result and the ``progress`` calls are those of
     walking each restart to its own end.
+
+    Where ``criterion.bound_terms`` applies, a sweep scores only the swaps
+    whose first-order lower bound can still reach a design's value and its
+    best swap's (see the module docstring); every swap that could be taken
+    is among them, so the result is that of scoring every swap.
     """
     _check_size(space, m)
     _check_criterion(criterion)
@@ -389,15 +491,15 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     # a follower ends where the end of its chain ends
     while (follows[follows] != follows).any():
         follows = follows[follows]
-    counts, current = counts[follows], current[follows]
+    values = current[follows].tolist()
     best = 0
-    for idx in range(restarts):
-        if current[best] > _tie_edge(current[idx]):
+    for idx, value in enumerate(values):
+        if values[best] > _scalar_tie_edge(value):
             best = idx
         if progress is not None:
-            progress(idx, float(current[best]))
-    return SearchResult(space.design_from_counts(counts[best]),
-                        float(current[best]), restarts=restarts)
+            progress(idx, values[best])
+    return SearchResult(space.design_from_counts(counts[follows[best]]),
+                        values[best], restarts=restarts)
 
 
 def reverse_greedy(space: DesignSpace, criterion, m: int,

@@ -379,6 +379,32 @@ class TestOptimize:
             {tmp_path / "cfg.json", tmp_path / "out", file})
         assert file.read_text() == "kept"
 
+    @pytest.mark.parametrize("grid, name, algorithm", [
+        (False, "summary.json", "local"), (False, "design_grid.csv", "local"),
+        (False, "weights.csv", "mixed-model-weights"),
+        (True, "summary.json", "local"), (True, "design_grid.csv", "local"),
+        (True, "weights.csv", "mixed-model-weights"), (True, "grid_index.csv", "local")],
+        ids=["single-summary", "single-design", "single-weights", "grid-summary",
+             "grid-design", "grid-weights", "grid-index"])
+    def test_bundle_file_that_is_a_directory_exits_two(self, tmp_path, runner, grid,
+                                                       name, algorithm):
+        cfg = base_config(tmp_path, algorithm=algorithm)
+        blocked = tmp_path / "out" / name
+        if grid:
+            cfg.pop("covariance")
+            cfg["grid"] = {"kind": "EXC1", "icc": [0.05, 0.1]}
+            if name != "grid_index.csv":
+                blocked = tmp_path / "out" / "icc0.1" / name
+        blocked.mkdir(parents=True)
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, ["optimize", "--config", cfg_path])
+        assert result.exit_code == 2, result.output
+        assert f"field 'out': {blocked} is a directory, not a file" in result.output
+        # nothing written: only the config and the directories made above
+        assert sorted(tmp_path.rglob("*")) == sorted(
+            {tmp_path / "cfg.json", blocked,
+             *(path for path in blocked.parents if tmp_path in path.parents)})
+
     @pytest.mark.parametrize("via_flag", [False, True])
     def test_negative_seed_exits_two(self, tmp_path, runner, via_flag):
         cfg = base_config(tmp_path, **({} if via_flag else {"seed": -1}))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crtoptim import (Cell, CovarianceSpec, DesignCriterion, DesignSpace,
-                      ExperimentalUnit, InfeasibleError, ModelClass, ModelSpec,
+                      ExperimentalUnit, InfeasibleError, ModelClass, ModelEntry, ModelSpec,
                       RobustCriterion, ValidationError, best_rounding,
                       brute_force_optimum, local_search, reverse_greedy,
                       mixed_model_weights, simplex_weight_descent,
@@ -851,3 +851,288 @@ class TestSingleMoveScreen:
         crit = RobustCriterion(space, ModelClass.equal_priors(
             [CovarianceSpec.from_icc("EXC1", 0.1)]))
         assert not hasattr(crit, "single_moves")
+
+
+class Bounded(Recording):
+    """A recording criterion that keeps the bound terms, so that local
+    search prunes its swap sweeps."""
+
+    def bound_terms(self, batch):
+        return self.criterion.bound_terms(batch)
+
+
+def swap_rows(space, counts):
+    """Every swap row of each design in ``counts``, laid out as a swap
+    sweep lays them: ``(batch, owner, remove, add)``."""
+    pairs = ((counts > 0)[:, :, None] & (counts < space.max_replication)[:, None, :]
+             & ~np.eye(space.n_units, dtype=bool))
+    owner, remove, add = np.nonzero(pairs)
+    batch = counts[owner]
+    rows = np.arange(owner.size)
+    batch[rows, remove] -= 1
+    batch[rows, add] += 1
+    return batch, owner, remove, add
+
+
+def random_designs(space, rng, k):
+    """``k`` random designs of random sizes from 2 to one below capacity."""
+    pool = np.repeat(np.arange(space.n_units), space.max_replication)
+    return np.stack([np.bincount(rng.choice(pool, size=int(rng.integers(2, pool.size)),
+                                            replace=False), minlength=space.n_units)
+                     for _ in range(k)])
+
+
+def eighteen_models():
+    return [CovarianceSpec.from_icc(kind, icc, **{key: v})
+            for icc in (0.01, 0.05, 0.2)
+            for kind, key in (("EXC2", "cac"), ("AR1", "decay"))
+            for v in (0.2, 0.5, 0.8)]
+
+
+def binomial(n_periods):
+    return ModelSpec("binomial-logit",
+                     beta=tuple(np.linspace(-2.0, -0.5, n_periods)) + (0.5,))
+
+
+def bound_cases():
+    """Two sequence spaces x {EXC1, EXC2, AR1} x {Gaussian,
+    binomial-logit}, and linear-average classes on the README space."""
+    covs = [CovarianceSpec.from_icc("EXC1", 0.1),
+            CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7),
+            CovarianceSpec.from_icc("AR1", 0.2, decay=0.6)]
+    readme = standard_space(6, max_replication=5, cells_per_period=10)
+    small = standard_space(4, max_replication=3, cells_per_period=2)
+    for name, space in (("small", small), ("readme", readme)):
+        for cov in covs:
+            for model in (ModelSpec(), binomial(space.n_periods)):
+                yield pytest.param(space, DesignCriterion(space, cov, model),
+                                   id=f"{name}-{cov.kind}-{model.family}")
+    # a swap between two copies of a unit leaves the value unchanged, and
+    # the bound meets it up to rounding
+    twins = space_from_sequences([(0, 0, 1), (0, 1, 1), (0, 1, 1), (1, 1, 1)],
+                                 max_replication=3)
+    yield pytest.param(twins, DesignCriterion(twins, covs[1]), id="twin-units")
+    yield pytest.param(readme, RobustCriterion(readme, ModelClass.equal_priors(
+        eighteen_models())), id="readme-robust-18")
+    yield pytest.param(readme, RobustCriterion(readme, ModelClass((
+        ModelEntry(covs[1], 0.3), ModelEntry(covs[2], 0.7, binomial(6))))),
+        id="readme-robust-binomial")
+
+
+def condition(criteria, counts):
+    """Per design, whether the kernel certifies its information matrix
+    under every criterion, and the largest ``tr M tr M^-1`` over them."""
+    certified = np.ones(len(counts), dtype=bool)
+    worst = np.zeros(len(counts))
+    for crit in criteria:
+        m = np.stack([crit.information(row) for row in counts])
+        certified &= np.isfinite(glscore._contrast_kernel(m)[1][:, -1, -1])
+        with np.errstate(all="ignore"):
+            measure = np.array([np.trace(mk) * np.trace(np.linalg.pinv(mk)) for mk in m])
+        worst = np.maximum(worst, measure)
+    return certified, worst
+
+
+class TestSwapBound:
+    """``bound_terms`` gives first-order terms from which every swap's
+    value is bounded from below, on the designs it vouches for."""
+
+    @pytest.mark.parametrize("space, crit", bound_cases())
+    def test_vouched_bounds_hold(self, space, crit):
+        counts = random_designs(space, np.random.default_rng(0), 60)
+        current = crit.values(counts)
+        terms = crit.bound_terms(counts)
+        batch, owner, remove, add = swap_rows(space, counts)
+        bound = search._swap_bounds(terms, current, owner, remove, add)
+        vouched = terms[1][owner]
+        assert vouched.mean() > 0.5
+        values = crit.values(batch)
+        assert (bound[vouched] <= values[vouched]).all()
+        assert (bound[~vouched] == -math.inf).all()
+
+    @pytest.mark.parametrize("space, crit", [
+        case for case in bound_cases()
+        if case.id in ("readme-EXC2-gaussian-identity", "readme-robust-18")])
+    def test_vouches_only_within_screen_condition(self, monkeypatch, space, crit):
+        counts = random_designs(space, np.random.default_rng(1), 60)
+        parts = getattr(crit, "_parts", [crit])
+        certified, measure = condition(parts, counts)
+        threshold = float(np.median(measure[certified]))
+        monkeypatch.setattr(glscore, "SCREEN_CONDITION", threshold)
+        vouched = crit.bound_terms(counts)[1]
+        expected = certified & (measure <= threshold)
+        # pinv and the kernel's factor round differently at the threshold
+        clear = np.abs(measure / threshold - 1.0) > 1e-6
+        assert (vouched[clear] == expected[clear]).all()
+        assert vouched.any() and not vouched.all()
+
+    def test_uncertified_design_is_not_vouched_for(self):
+        # no design of units 0 and 1 alone observes period 3, so its
+        # information matrix is singular, yet the treatment is identified
+        units = (ExperimentalUnit(0, (Cell(1, 0, 2), Cell(2, 1, 2))),
+                 ExperimentalUnit(1, (Cell(1, 0, 2), Cell(2, 0, 2))),
+                 ExperimentalUnit(2, (Cell(1, 0, 2), Cell(2, 1, 2), Cell(3, 1, 2))))
+        space = DesignSpace(3, units, max_replication=3)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC1", 0.1))
+        counts = np.array([[2, 1, 0], [1, 1, 1], [3, 0, 0]])
+        values = crit.values(counts)
+        assert math.isfinite(values[0]) and math.isinf(values[2])
+        certified, _ = condition([crit], counts)
+        assert certified.tolist() == [False, True, False]
+        assert crit.bound_terms(counts)[1].tolist() == [False, True, False]
+
+    def test_no_terms_where_the_bound_does_not_apply(self):
+        cov = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7)
+        for granularity in ("cluster-period", "observation"):
+            space = standard_space(4, max_replication=3, granularity=granularity)
+            counts = np.ones((2, space.n_units), dtype=int)
+            assert DesignCriterion(space, cov).bound_terms(counts) is None
+            robust = RobustCriterion(space, ModelClass.equal_priors([cov]))
+            assert robust.bound_terms(counts) is None
+        readme = standard_space(6, max_replication=5, cells_per_period=10)
+        log = RobustCriterion(readme, ModelClass.equal_priors(eighteen_models(),
+                                                              form="log-average"))
+        assert log.bound_terms(np.ones((2, readme.n_units), dtype=int)) is None
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    @pytest.mark.parametrize("form", [None, "linear-average", "log-average"])
+    def test_bad_batch_rejected(self, granularity, form):
+        space = standard_space(4, max_replication=3, granularity=granularity)
+        cov = CovarianceSpec.from_icc("EXC1", 0.1)
+        crit = (DesignCriterion(space, cov) if form is None else
+                RobustCriterion(space, ModelClass.equal_priors([cov], form=form)))
+        for batch in (np.ones((2, space.n_units + 1)), -np.ones((1, space.n_units))):
+            with pytest.raises(ValidationError):
+                crit.bound_terms(batch)
+
+    def test_memo_forwards_the_terms(self):
+        space = standard_space(4, max_replication=3, cells_per_period=2)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC1", 0.1))
+        counts = np.ones((2, space.n_units), dtype=int)
+        grad, vouched = search._ScoreMemo(crit, space.n_units, 3).bound_terms(counts)
+        expected = crit.bound_terms(counts)
+        assert grad.tolist() == expected[0].tolist()
+        assert vouched.tolist() == expected[1].tolist()
+        assert search._ScoreMemo(Recording(crit), space.n_units, 3).bound_terms(
+            counts) is None
+
+    def test_gradient_matches_the_criterion_gradient(self):
+        space = standard_space(6, max_replication=5, cells_per_period=10)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("AR1", 0.2, decay=0.6))
+        counts = random_designs(space, np.random.default_rng(2), 10)
+        grad, vouched = crit.bound_terms(counts)
+        for row, g, ok in zip(counts, grad, vouched):
+            if ok:
+                np.testing.assert_allclose(g, crit.gradient(row)[1], rtol=1e-12)
+
+
+def prune_cases():
+    readme = standard_space(6, max_replication=5, cells_per_period=10)
+    exc2 = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.8)
+    # swaps between the two copies of a unit tie with the design they leave
+    twins = space_from_sequences([(0, 0, 1), (0, 1, 1), (0, 1, 1), (1, 1, 1)],
+                                 max_replication=3)
+    return [
+        *(pytest.param(readme, DesignCriterion(readme, exc2), 10, 100, seed, True,
+                       id=f"readme-seed{seed}") for seed in range(5)),
+        pytest.param(readme, RobustCriterion(readme, ModelClass.equal_priors(
+            eighteen_models())), 10, 5, 2, True, id="robust-18"),
+        pytest.param(readme, DesignCriterion(readme, exc2, binomial(6)), 10, 20, 1, True,
+                     id="binomial-logit"),
+        pytest.param(readme, RobustCriterion(readme, ModelClass.equal_priors(
+            eighteen_models(), form="log-average")), 10, 5, 2, False, id="log-average"),
+        pytest.param(twins, DesignCriterion(twins, exc2), 5, 20, 0, True,
+                     id="twin-units"),
+    ]
+
+
+def search_outcome(space, criterion, m, restarts, seed):
+    """The design, value and progress trail of a local search."""
+    trail = []
+    result = local_search(space, criterion, m, restarts=restarts, seed=seed,
+                          progress=lambda i, v: trail.append((i, v.hex())))
+    return result.design.counts, result.value.hex(), trail
+
+
+class TestPrunedSweep:
+    """Local search scores only the swaps whose bound can still win, with
+    the results of scoring every swap, over fewer rows."""
+
+    @pytest.mark.parametrize("space, crit, m, restarts, seed, pruned", prune_cases())
+    def test_matches_full_scoring(self, space, crit, m, restarts, seed, pruned):
+        bounded, full = Bounded(crit), Recording(crit)
+        assert (search_outcome(space, bounded, m, restarts, seed)
+                == search_outcome(space, full, m, restarts, seed))
+        if pruned:
+            assert len(bounded.rows) < len(full.rows)
+            assert set(bounded.rows) < set(full.rows)
+        else:
+            assert bounded.rows == full.rows
+
+    def test_unvouched_designs_score_every_swap(self):
+        space = standard_space(6, max_replication=5, cells_per_period=10)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.8))
+
+        class Unvouched(Recording):
+            def bound_terms(self, batch):
+                grad, vouched = self.criterion.bound_terms(batch)
+                return grad, np.zeros_like(vouched)
+
+        unvouched, full = Unvouched(crit), Recording(crit)
+        assert (search_outcome(space, unvouched, 10, 20, 3)
+                == search_outcome(space, full, 10, 20, 3))
+        assert sorted(unvouched.rows) == sorted(full.rows)
+
+    def test_scores_only_the_swaps_that_can_win(self):
+        # a design's lowest-bound swap is scored if its bound is within the
+        # tie band of the design's value, and then every swap whose bound
+        # is within the tie bands of both values
+        space = standard_space(6, max_replication=5, cells_per_period=10)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.8))
+        designs = random_designs(space, np.random.default_rng(3), 30)
+        designs = np.concatenate([designs, [local_search(space, crit, 10, restarts=20,
+                                                         seed=0).design.counts]])
+        stopped = scored = rows = 0
+        for counts in designs:
+            counts, current = counts[None].copy(), crit.values(counts[None])
+            if not math.isfinite(current[0]):
+                continue
+            batch, owner, remove, add = swap_rows(space, counts)
+            bound = search._swap_bounds(crit.bound_terms(counts), current, owner,
+                                        remove, add)
+            edge = search._tie_edge(current[0])
+            lowest = int(np.argmin(bound))
+            expected = set()
+            if bound[lowest] <= edge:
+                reach = min(edge, search._tie_edge(crit.values(batch[lowest:lowest + 1])[0]))
+                expected = {tuple(batch[lowest].tolist()),
+                            *(tuple(row.tolist()) for row in batch[bound <= reach])}
+            bounded = Bounded(crit)
+            moved = search._swap_sweep(space, bounded, counts, current, np.arange(1))
+            assert set(bounded.rows) == expected
+            assert len(bounded.rows) == len(expected)
+            stopped += moved.size == 0
+            scored, rows = scored + len(expected), rows + len(batch)
+        assert stopped >= 1
+        assert scored < rows / 2
+
+
+class TestGreedyStep:
+    """A greedy step and the merge of restarts pick by Python floats as
+    the sweeps do by arrays, bit for bit."""
+
+    @pytest.mark.parametrize("values", [
+        [3.0], [2.0, 1.0, 1.0], [1.0, 1.0 + 1e-16, 0.5 + 0.5],
+        [math.nan, 2.0, 1.0], [math.nan, math.nan], [math.inf, math.inf, 4.0],
+        [-1.0, -1.0 - 1e-16, 0.0], [0.0, -0.0], [5e-324, 0.0]])
+    def test_first_minimum_matches_first_minima(self, values):
+        assert search._first_minimum(values) == search._first_minima(
+            np.array(values), [0])[0]
+
+    @pytest.mark.parametrize("low", [1.0, 0.1, -2.5, 0.0, -0.0, math.inf, -math.inf,
+                                     5e-324, 1e308])
+    def test_scalar_tie_edge_matches_tie_edge(self, low):
+        assert search._scalar_tie_edge(low).hex() == float(search._tie_edge(low)).hex()
+
+    def test_scalar_tie_edge_of_nan(self):
+        assert math.isnan(search._scalar_tie_edge(math.nan))
