@@ -441,6 +441,8 @@ def optimize(config_path, algorithm, m_override, restarts, seed, out_override):
         raise ConfigError("field 'm' must be a positive integer")
     if restarts is None:
         restarts = _optional(cfg, "restarts", int, "", 100)
+    if restarts < 1:
+        raise ConfigError("field 'restarts' must be at least 1")
     if seed is None:
         seed = _optional(cfg, "seed", int, "", 0)
     if seed < 0:

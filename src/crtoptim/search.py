@@ -12,6 +12,13 @@ greedy step's front-runners, below) as one count matrix and scores it
 through ``values``: local search runs its restarts in lockstep, so one
 batch holds the swaps of all of them.
 
+One generator, ``default_rng(seed)``, draws every start of a local
+search, in rounds: a round draws, row by row, a row of ``J cap`` uniform
+keys per start still to draw; a start is the ``m`` replicate slots (slot
+``s`` of unit ``s // cap``) of lowest key, chosen by rank, so a uniform
+``m``-subset; and only infinite starts are redrawn. So restart ``i``'s
+first draw does not depend on the number of restarts.
+
 The restarts of one local search keep landing on the same designs, so it
 scores each distinct design once per call: a memo in front of the
 criterion, a dict from a row's bytes to its value, sends only rows it has
@@ -199,6 +206,12 @@ def _check_criterion(criterion) -> None:
         raise ValidationError(f"criterion must have a values method, got {criterion!r}")
 
 
+def _check_progress(progress) -> None:
+    """Reject a ``progress`` hook that is neither ``None`` nor callable."""
+    if progress is not None and not callable(progress):
+        raise ValidationError(f"progress must be callable or None, got {progress!r}")
+
+
 def _check_size(space: DesignSpace, m) -> None:
     """Reject a space that is not a DesignSpace, and a size not in ``[1, capacity]``."""
     check_instance("space", space, DesignSpace)
@@ -311,22 +324,22 @@ def _greedy_walk(criteria, counts, target: int, cap: int, progress=None):
                 progress(step, values[best])
 
 
-def _random_starts(space: DesignSpace, criterion, m: int, rngs):
-    """A random size-``m`` design with a finite criterion for each
-    generator, and its value: ``(R, J)`` counts and ``R`` values.
+def _random_starts(space: DesignSpace, criterion, m: int, restarts: int, rng):
+    """``restarts`` random size-``m`` designs with a finite criterion, drawn
+    from ``rng``, and their values: ``(R, J)`` counts and ``R`` values.
 
-    Draws run in rounds, each scored in one batch, and only the starts that
-    are still infinite are redrawn, so every generator makes the draws it
-    would make alone.
+    Each round draws one ``(pending, J cap)`` block of keys, takes each
+    row's ``m`` lowest-key slots as its start (see the module docstring),
+    scores the starts in one batch and redraws only the infinite ones.
     """
-    pool = np.repeat(np.arange(space.n_units), space.max_replication)
-    counts = np.zeros((len(rngs), space.n_units), dtype=int)
-    values = np.full(len(rngs), math.inf)
-    pending = np.arange(len(rngs))
+    n, cap = space.n_units, space.max_replication
+    counts = np.zeros((restarts, n), dtype=int)
+    values = np.full(restarts, math.inf)
+    pending = np.arange(restarts)
     for _ in range(MAX_START_DRAWS):
-        for i in pending:
-            counts[i] = np.bincount(pool[rngs[i].choice(pool.size, size=m, replace=False)],
-                                    minlength=space.n_units)
+        slots = np.argpartition(rng.random((pending.size, n * cap)), m - 1, axis=1)[:, :m]
+        units = slots // cap + n * np.arange(pending.size)[:, None]
+        counts[pending] = np.bincount(units.ravel(), minlength=pending.size * n).reshape(-1, n)
         values[pending] = criterion.values(counts[pending])
         pending = pending[~np.isfinite(values[pending])]
         if pending.size == 0:
@@ -433,8 +446,9 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     """Best design of size ``m`` over independent local-search restarts.
 
     Each restart walks from a random feasible start to a local optimum in
-    the single-swap neighbourhood, drawing from its own child of
-    ``SeedSequence(seed)``. The restarts run in lockstep: every sweep
+    the single-swap neighbourhood. One ``default_rng(seed)`` draws all the
+    starts, restart ``i``'s first draw independent of ``restarts`` (see
+    the module docstring). The restarts run in lockstep: every sweep
     scores the neighbourhoods of all restarts that still move in one
     batch, and a restart stops when no swap improves it. Identical seeds
     yield identical results; restarts merge by smallest value with earlier
@@ -466,12 +480,12 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     _check_criterion(criterion)
     check_count("restarts", restarts)
     check_seed(seed)
+    _check_progress(progress)
     if restarts < 1:
         raise ValidationError("restarts must be at least 1")
-    rngs = [np.random.default_rng(child)
-            for child in np.random.SeedSequence(seed).spawn(restarts)]
     criterion = _ScoreMemo(criterion, space.n_units, space.max_replication)
-    counts, current = _random_starts(space, criterion, m, rngs)
+    counts, current = _random_starts(space, criterion, m, restarts,
+                                     np.random.default_rng(seed))
     # a restart adds at most J (J - 1) rows of J counts to a sweep batch;
     # cap the restarts per batch so that it stays within one evaluation's
     # working-array budget
@@ -509,6 +523,7 @@ def reverse_greedy(space: DesignSpace, criterion, m: int,
     the unit whose removal increases the criterion least. Deterministic."""
     _check_size(space, m)
     _check_criterion(criterion)
+    _check_progress(progress)
     counts = np.full((1, space.n_units), space.max_replication, dtype=int)
     _greedy_walk([criterion], counts, m, space.max_replication, progress)
     value = float(criterion.values(counts)[0])

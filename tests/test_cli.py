@@ -414,6 +414,22 @@ class TestOptimize:
         assert result.exit_code == 2, result.output
         assert "'seed'" in result.output
 
+    @pytest.mark.parametrize("via_flag", [False, True])
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_below_one_exits_two(self, tmp_path, runner, monkeypatch,
+                                          via_flag, restarts):
+        cfg = base_config(tmp_path, **({} if via_flag else {"restarts": restarts}))
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        searches = []
+        monkeypatch.setattr(cli, "local_search", lambda *args, **kw: searches.append(args))
+        args = ["optimize", "--config", cfg_path] + (
+            ["--restarts", str(restarts)] if via_flag else [])
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "field 'restarts' must be at least 1" in result.output
+        assert searches == []
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "cfg.json"]
+
     @pytest.mark.parametrize("field", ["tau2", "omega2", "sigma2"])
     def test_non_finite_variance_component_exits_two(self, tmp_path, runner,
                                                       field):

@@ -93,19 +93,37 @@ def ties(value, low):
     return value <= low * (1.0 + CRITERION_ROUNDING)
 
 
+def documented_starts(space, values, m, restarts, seed):
+    """The starts of a local search by its documented rule, written out
+    again: one generator per search; each round draws a ``(pending, J
+    cap)`` block of uniform keys, row by row; each pending restart takes
+    the ``m`` replicate slots with the lowest keys (slot ``s`` a replicate
+    of unit ``s // cap``); the starts that ``values`` scores infinite are
+    redrawn. Returns ``(R, J)`` counts and their ``R`` values."""
+    cap, n = space.max_replication, space.n_units
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((restarts, n), dtype=int)
+    current = np.full(restarts, math.inf)
+    pending = np.arange(restarts)
+    while pending.size:
+        keys = rng.random((pending.size, n * cap))
+        counts[pending] = 0
+        for i, row in zip(pending, keys):
+            np.add.at(counts[i], np.argsort(row)[:m] // cap, 1)
+        current[pending] = values(counts[pending])
+        pending = pending[~np.isfinite(current[pending])]
+    return counts, current
+
+
 def serial_local_search(space, crit, m, restarts, seed):
     """One restart after another, one ``value`` call per design: the
     restarts' ``(counts, value)`` and the running best after each."""
     cap, n = space.max_replication, space.n_units
-    pool = np.repeat(np.arange(n), cap)
+    starts, start_values = documented_starts(
+        space, lambda batch: np.array([crit.value(row) for row in batch]), m, restarts,
+        seed)
     runs = []
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        current = math.inf
-        while math.isinf(current):
-            counts = np.zeros(n, dtype=int)
-            np.add.at(counts, pool[rng.choice(pool.size, size=m, replace=False)], 1)
-            current = crit.value(counts)
+    for counts, current in zip(starts, start_values.tolist()):
         while True:
             moves = [(r, a) for r in range(n) if counts[r] > 0
                      for a in range(n) if a != r and counts[a] < cap]
@@ -152,6 +170,83 @@ class TestLockstepRestarts:
             assert result.design.counts == counts
             assert result.value.hex() == value.hex()
             assert [(i, v.hex()) for i, v in seen] == [(i, v.hex()) for i, v in trail]
+
+
+class Flat:
+    """A criterion that is zero on every design."""
+
+    def values(self, batch):
+        return np.zeros(len(batch))
+
+
+class TestRandomStarts:
+    """One generator per search draws every start: each a uniform
+    ``m``-subset of the replicate slots, chosen by rank of uniform keys
+    drawn row by row."""
+
+    @pytest.mark.parametrize("space, m", [
+        pytest.param(standard_space(3, max_replication=2), 8, id="full-capacity"),
+        pytest.param(standard_space(3, max_replication=2, cells_per_period=2,
+                                    granularity="cluster-period"), 2,
+                     id="cluster-period-m2"),
+        pytest.param(standard_space(6, max_replication=5, cells_per_period=10), 10,
+                     id="readme")])
+    def test_starts_have_size_m_within_the_cap(self, space, m):
+        crit = Recording(DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05,
+                                                                        cac=0.7)))
+        counts, values = search._random_starts(space, crit, m, 50,
+                                               np.random.default_rng(0))
+        assert counts.shape == (50, space.n_units)
+        assert (counts.sum(axis=1) == m).all()
+        assert ((counts >= 0) & (counts <= space.max_replication)).all()
+        assert np.isfinite(values).all()
+        assert values.tolist() == crit.criterion.values(counts).tolist()
+        if m == 2:
+            # most starts of two cluster-periods are unidentified and redrawn
+            assert len(crit.rows) > 2 * 50
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fewer_restarts_give_a_prefix_of_the_progress(self, seed):
+        space = standard_space(6, max_replication=5, cells_per_period=10)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.8))
+        trails = {}
+        for restarts in (3, 10):
+            trails[restarts] = []
+            local_search(space, crit, 10, restarts=restarts, seed=seed,
+                         progress=lambda i, v: trails[restarts].append((i, v.hex())))
+        assert trails[3] == trails[10][:3]
+
+    def test_start_frequencies_are_hypergeometric(self):
+        # 3 units of 2 replicates: a start of 3 of the 6 slots holds units
+        # n with probability prod_j C(2, n_j) / C(6, 3)
+        space = standard_space(2, max_replication=2)
+        cap, m, draws = space.max_replication, 3, 20000
+        counts, _ = search._random_starts(space, Flat(), m, draws,
+                                          np.random.default_rng(0))
+        designs, seen = np.unique(counts, axis=0, return_counts=True)
+        exact = [math.prod(math.comb(cap, int(c)) for c in row)
+                 / math.comb(cap * space.n_units, m) for row in designs]
+        assert len(designs) == 7
+        assert math.isclose(sum(exact), 1.0)
+        assert np.abs(seen / draws - exact).max() < 0.01
+
+    def test_one_generator_and_no_spawn(self, monkeypatch):
+        calls = []
+        default_rng = np.random.default_rng
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                calls.append("spawn")
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: calls.append("default_rng")
+                            or default_rng(*args))
+        space = standard_space(4, max_replication=3, cells_per_period=2)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7))
+        local_search(space, crit, 6, restarts=20, seed=5)
+        assert calls == ["default_rng"]
 
 
 class Recording:
@@ -218,23 +313,12 @@ SWAP_SWEEP = search._swap_sweep
 
 def unmerged_local_search(space, crit, m, restarts, seed):
     """The lockstep local search in which every restart sweeps until it
-    stops, from starts drawn one ``np.add.at`` at a time: the
+    stops, from starts drawn by :func:`documented_starts`: the
     ``(counts, value)`` of the best restart, the running best after each
     restart, each restart's designs before each of its sweeps, and the
     number of restart-sweeps."""
-    rngs = [np.random.default_rng(child)
-            for child in np.random.SeedSequence(seed).spawn(restarts)]
     memo = search._ScoreMemo(crit, space.n_units, space.max_replication)
-    pool = np.repeat(np.arange(space.n_units), space.max_replication)
-    counts = np.zeros((restarts, space.n_units), dtype=int)
-    current = np.full(restarts, math.inf)
-    pending = np.arange(restarts)
-    while pending.size:
-        counts[pending] = 0
-        for i in pending:
-            np.add.at(counts[i], pool[rngs[i].choice(pool.size, size=m, replace=False)], 1)
-        current[pending] = memo.values(counts[pending])
-        pending = pending[~np.isfinite(current[pending])]
+    counts, current = documented_starts(space, memo.values, m, restarts, seed)
     histories = [[] for _ in range(restarts)]
     active, sweeps = np.arange(restarts), 0
     while active.size:
@@ -395,6 +479,19 @@ class TestInputChecks:
         with pytest.raises(ValidationError, match="space|criterion"):
             run()
 
+    @pytest.mark.parametrize("progress", [5, "log"])
+    @pytest.mark.parametrize("search_kind", ["local", "reverse-greedy"])
+    def test_progress_must_be_callable(self, progress, search_kind):
+        recording = Recording(self.crit)
+        run = {"local": lambda: local_search(self.space, recording, 3, restarts=2,
+                                             seed=0, progress=progress),
+               "reverse-greedy": lambda: reverse_greedy(self.space, recording, 3,
+                                                        progress=progress)}[search_kind]
+        with pytest.raises(ValidationError, match="progress must be callable"):
+            run()
+        # rejected before any design is scored
+        assert recording.rows == []
+
     def test_reverse_greedy_ending_unidentified_is_infeasible(self):
         # no single sequence identifies the treatment effect
         space = standard_space(4, max_replication=3)
@@ -478,9 +575,9 @@ class TestTieRule:
         assert result.candidates["floor-greedy"][0] == expected
 
     @pytest.mark.parametrize("m, expected", [
-        (2, [(0, 1, 0, 1), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)]),
-        (3, [(1, 0, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 0, 1)]),
-        (5, [(1, 2, 1, 1), (2, 1, 1, 1), (2, 1, 2, 0), (1, 1, 1, 2)])])
+        (2, [(1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0)]),
+        (3, [(2, 0, 0, 1), (0, 1, 1, 1), (0, 1, 0, 2), (1, 0, 1, 1)]),
+        (5, [(1, 2, 1, 1), (1, 1, 2, 1), (2, 1, 0, 2), (2, 0, 2, 1)])])
     def test_local_search_never_swaps_between_tied_units(self, m, expected):
         crit = DesignCriterion(self.space, self.cov)
         found = [local_search(self.space, crit, m, restarts=3, seed=s).design.counts
@@ -489,12 +586,13 @@ class TestTieRule:
 
     @pytest.mark.parametrize("m, removed, filled, searched", [
         (5, (0, 1, 0, 1, 0, 1, 0, 2), (2, 1, 0, 1, 0, 1, 0, 0),
-         [(0, 1, 0, 1, 0, 2, 0, 1)] + 3 * [(0, 2, 0, 1, 0, 1, 0, 1)]),
+         2 * [(0, 2, 0, 1, 0, 1, 0, 1)] + [(0, 1, 0, 2, 0, 1, 0, 1)]
+         + [(0, 2, 0, 1, 0, 1, 0, 1)]),
         (9, (0, 2, 0, 2, 0, 2, 1, 2), (1, 2, 1, 1, 1, 1, 1, 1),
-         2 * [(0, 2, 0, 2, 0, 2, 1, 2)] + 2 * [(0, 2, 0, 2, 1, 2, 0, 2)]),
+         4 * [(0, 2, 0, 2, 0, 2, 1, 2)]),
         (13, (1, 2, 1, 2, 1, 2, 2, 2), (2, 2, 1, 2, 1, 2, 1, 2),
-         [(1, 2, 1, 2, 2, 2, 1, 2), (1, 2, 1, 2, 1, 2, 2, 2)]
-         + 2 * [(1, 2, 2, 2, 1, 2, 1, 2)])])
+         [(2, 2, 1, 2, 1, 2, 1, 2), (1, 2, 1, 2, 1, 2, 2, 2),
+          (1, 2, 1, 2, 2, 2, 1, 2), (1, 2, 1, 2, 1, 2, 2, 2)])])
     def test_cluster_period_moves(self, m, removed, filled, searched):
         # the cells of clusters 0/1 (units 0-3) and 2/3 (units 4-7) are
         # duplicates, and these designs hold under noise within the band
