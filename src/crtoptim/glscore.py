@@ -13,25 +13,33 @@ At sequence granularity each replicate of a unit is a cluster of its own:
 :class:`DesignCriterion` runs that solve once, at one replicate per unit,
 and sums the cached unit blocks.
 
-Scoring is batched, in one loop (:func:`_model_values`) behind every
-criterion value, plain or robust: it checks a ``(K, J)`` matrix of
-per-unit counts once and scores it chunk by chunk, each chunk in one block
-sum (or cluster solve) and one stacked rank-aware solve over the
-information matrices of its rows under ``L`` models. The gradients the
-weight solvers follow come from :func:`_gradients`, which scores one row
-per criterion of one space, ``(L, J)``, in one cluster solve over the
-criteria's stacked covariances (or each criterion's unit-block sum at
-sequence granularity), one kernel call, one ``inv`` of the certified
-factors (:func:`_factor_solve`) and one ``bincount``;
+Every criterion is a prior-weighted class of models, its parts: a plain
+:class:`DesignCriterion` is the class of one, itself with prior 1 in the
+linear form, and :class:`crtoptim.robust.RobustCriterion` a class of
+several. Each method is written once, over the parts, and
+:func:`_prior_sum` weighs the parts' results with the priors, in the
+linear or the log form; a class of one gives its part's results bit for
+bit. Scoring is batched, in one loop (:meth:`DesignCriterion.values`): it
+checks a ``(K, J)`` matrix of per-unit counts once and scores it chunk by
+chunk, each chunk in one block sum (or cluster solve) and one stacked
+rank-aware solve over the information matrices of its rows under the
+``L`` parts. The gradients the weight solvers follow come from
+:func:`_gradients`, which scores one row per criterion of one space, ``(L,
+J)``, under every part of each, in one cluster solve over the parts'
+stacked covariances (or each part's unit-block sum at sequence
+granularity), one kernel call, one ``inv`` of the certified factors
+(:func:`_factor_solve`) and one ``bincount``;
 :meth:`DesignCriterion.gradient` is its stack of one, and a weight grid
 solved in lockstep scores all its cells at once. The rank-one screen of
 the greedy walks (:func:`_single_moves`) is stacked the same way: one
-solve over the criteria's stacked covariances and one kernel call screen
-one row per criterion, so a weight grid's rounding fills share one call per
-step, and :meth:`DesignCriterion.single_moves` is its stack of one. The
-first-order terms by which local search bounds swaps from below
-(:func:`_bound_terms`) take, per chunk, the same block sum as the values,
-one :func:`_factor_solve` and one ``einsum`` against the unit blocks.
+solve over the parts' stacked covariances and one kernel call screen one
+row per criterion, so a weight grid's rounding fills share one call per
+step, and :meth:`DesignCriterion.single_moves` is its stack of one. A
+stack of plain criteria is its own stack of parts and takes no extra
+step. The first-order terms by which local search bounds swaps from below
+(:meth:`DesignCriterion.bound_terms`) take, per chunk, the same block sum
+as the values, one :func:`_factor_solve` and one ``einsum`` against the
+unit blocks.
 ``contrast_variance`` is the kernel on a stack of one.
 The kernel factorises the whole stack once by Cholesky, ``M = L
 L'``, in one LAPACK call. A row is certified full-rank when its smallest
@@ -563,6 +571,16 @@ def unit_information_blocks(space: DesignSpace, cov: CovarianceSpec,
     return (s[..., None] * cl.x).swapaxes(-1, -2) @ t
 
 
+class _ClassOfOne:
+    """The parts of a plain criterion, ``(criterion,)``. A descriptor, not an
+    attribute, so that a criterion holds no reference to itself (and is
+    freed as soon as it is dropped), and a non-data one, so that a model
+    class's own ``_parts`` take precedence."""
+
+    def __get__(self, criterion, owner=None):
+        return (criterion,)
+
+
 class DesignCriterion:
     """Treatment-variance criterion for one covariance/model setting.
 
@@ -580,10 +598,19 @@ class DesignCriterion:
     to pick the moves worth scoring; at sequence granularity
     ``bound_terms`` gives the first-order terms by which local search
     bounds a design's swaps from below and scores only those that can win.
+
+    It is also the model class of one that every criterion generalises:
+    its parts are ``(self,)``, with prior 1 in the linear form. A
+    subclass that sets other parts, priors and form (and, at sequence
+    granularity, the parts' unit blocks side by side) inherits every
+    method, as :class:`crtoptim.robust.RobustCriterion` does.
     Raises :class:`ValidationError` unless ``space`` is a
     :class:`DesignSpace`, ``covariance`` a :class:`CovarianceSpec` and
     ``model`` a :class:`ModelSpec` or None.
     """
+
+    # a model class of one: itself, prior 1, the linear form
+    _parts, _priors, _log_form = _ClassOfOne(), (1.0,), False
 
     def __init__(self, space: DesignSpace, covariance: CovarianceSpec,
                  model: ModelSpec | None = None):
@@ -600,7 +627,7 @@ class DesignCriterion:
         row_bytes = 6 * 8 * p * p
         self._unit_blocks = self._clusters = None
         if space.granularity == "sequence":
-            # flat, (J, P P), so that several models' blocks stack side by side
+            # flat, (J, P P), so that several parts' blocks stack side by side
             blocks = unit_information_blocks(space, covariance, self.model)
             self._unit_blocks = blocks.reshape(space.n_units, -1)
         else:
@@ -645,21 +672,44 @@ class DesignCriterion:
         return np.einsum("kj,jx->kx", batch, self._unit_blocks).reshape(-1, p, p)
 
     def information(self, counts) -> np.ndarray:
-        """Information matrix of the design given per-unit multiplicities."""
-        return self._information(self._batch(np.asarray(counts)[None]))[0]
+        """Information matrix of the design given per-unit multiplicities.
+        Raises :class:`ValidationError` for a class of several models,
+        which has one per model."""
+        if len(self._parts) > 1:
+            raise ValidationError("a class of several models has no one information matrix")
+        return self._parts[0]._information(self._batch(np.asarray(counts)[None]))[0]
 
     def values(self, batch) -> np.ndarray:
         """Criterion values of a ``(K, J)`` batch of per-unit multiplicities,
-        one per row, from :func:`_contrast_kernel` in the chunks of
-        :func:`_model_values`; row ``i`` equals ``value(batch[i])`` bit for
+        one per row: the prior sum (:func:`_prior_sum`) of the rows' kernel
+        values under each part. Row ``i`` equals ``value(batch[i])`` bit for
         bit.
+
+        This is the one loop that splits a batch into chunks. At sequence
+        granularity the parts' flat unit blocks lie side by side, ``(J, L P
+        P)``, so a chunk of ``1 / L`` of a plain chunk's rows takes one block
+        sum and one kernel call; elsewhere each part solves the chunk's
+        clusters and calls the kernel in turn.
 
         Multiplicities must be finite and non-negative; a fractional row is
         legal and scores the weighted design it describes (the weight
         solvers evaluate ``N * phi``). Raises :class:`ValidationError`
         otherwise.
         """
-        return _model_values((self,), batch, self._unit_blocks)[:, 0]
+        parts, blocks = self._parts, self._unit_blocks
+        batch, p = self._batch(batch), self.space.n_periods + 1
+        rows = max(1, parts[0]._chunk_rows // (1 if blocks is None else len(parts)))
+        out = np.empty((len(parts), len(batch)))
+        for i in range(0, len(batch), rows):
+            chunk = batch[i:i + rows]
+            if blocks is None:
+                for l, part in enumerate(parts):
+                    out[l, i:i + rows] = _contrast_kernel(part._information(chunk))[0]
+            else:
+                m = np.einsum("kj,jx->kx", chunk, blocks).reshape(-1, p, p)
+                out[:, i:i + rows] = _contrast_kernel(m)[0].reshape(len(chunk), -1).T
+        # a class of one is its own part: its values need no sum
+        return out[0] if parts[0] is self else _prior_sum(self, out)
 
     def value(self, counts) -> float:
         """Criterion value of one row of counts (``inf`` when unidentified)."""
@@ -677,7 +727,10 @@ class DesignCriterion:
         observations adds ``-n_per w v^2`` to its unit, where
         ``v = X y - B a = a / (w n)`` is the residual part of the GLS
         weights ``a = S t y``; unlike ``a / (w n)`` it stays finite at
-        empty cells. ``grad`` is NaN where the value is infinite.
+        empty cells. ``grad`` is NaN where the value is infinite. For a
+        class of models both are the prior sums of the parts' (in the log
+        form, of ``log f_l`` and of ``g_l / f_l``), so ``grad`` is the
+        derivative of :meth:`values`.
         """
         value, grad = _gradients((self,), np.asarray(counts)[None])
         return float(value[0]), grad[0]
@@ -707,6 +760,9 @@ class DesignCriterion:
         Once the arguments pass, this is :func:`_single_moves` on a stack
         of one: the greedy fills of a weight grid's cells screen their moves
         in one stacked call per step, each row bit for bit its lone screen.
+        For a class of models the screen is the prior sum of the parts'
+        screens, as :meth:`values` is of their values, and ``None`` where
+        any part's is.
         """
         batch = self._batch(np.asarray(counts)[None])
         units = np.asarray(units)
@@ -737,11 +793,33 @@ class DesignCriterion:
         empty cell makes the criterion non-smooth in a unit's multiplicity.
         Raises :class:`ValidationError` for a batch that :meth:`values`
         rejects.
+
+        For a class of models ``grad`` is the prior-weighted sum of the
+        parts' gradients, and a row is vouched for only where every part's
+        is: a linear average of convex criteria is convex. Per chunk that
+        takes one block sum over the parts' unit blocks side by side, one
+        :func:`_factor_solve` over the ``(K L, P, P)`` stack and one
+        ``einsum`` of the prior-weighted ``y y'`` against the blocks. The
+        log-average form, whose logarithms are not convex, gives ``None``.
         """
-        if self._unit_blocks is None:
-            self._batch(batch)
+        batch, blocks = self._batch(batch), self._unit_blocks
+        if blocks is None or self._log_form:
             return None
-        return _bound_terms((self,), (1.0,), batch, self._unit_blocks)
+        p, n = self.space.n_periods + 1, len(self._parts)
+        rows = max(1, self._parts[0]._chunk_rows // n)
+        weights = np.asarray(self._priors, dtype=float)[:, None]
+        grad = np.empty(batch.shape)
+        vouched = np.empty(len(batch), dtype=bool)
+        for i in range(0, len(batch), rows):
+            chunk = batch[i:i + rows]
+            m = np.einsum("kj,jx->kx", chunk, blocks).reshape(-1, p, p)
+            _, y, lower_inv = _factor_solve(m)
+            vouched[i:i + rows] = _conditioned(m, lower_inv).reshape(-1, n).all(axis=1)
+            # row k, part l: prior_l y y', flattened as the blocks are
+            outer = (y[:, :, None] * y[:, None, :]).reshape(len(chunk), n, p * p)
+            grad[i:i + rows] = -np.einsum("kx,jx->kj",
+                                          (weights * outer).reshape(len(chunk), -1), blocks)
+        return grad, vouched
 
     def value_of(self, design: Design) -> float:
         """Criterion value of a :class:`Design`, which must be valid for
@@ -751,49 +829,65 @@ class DesignCriterion:
         return self.value(np.asarray(design.counts))
 
 
-def _model_values(parts, batch, blocks) -> np.ndarray:
-    """``(K, L)`` kernel values of a ``(K, J)`` batch under the ``L``
-    criteria ``parts`` of one space, checked once and scored in chunks. At
-    sequence granularity ``blocks`` lays their flat unit blocks side by
-    side, ``(J, L P P)``, so a chunk of ``1 / L`` of a plain chunk's rows
-    takes one block sum and one kernel call; elsewhere each part solves the
-    chunk's clusters and calls the kernel in turn."""
-    first = parts[0]
-    batch, p = first._batch(batch), first.space.n_periods + 1
-    rows = max(1, first._chunk_rows // (1 if blocks is None else len(parts)))
-    out = np.empty((len(batch), len(parts)))
-    for i in range(0, len(batch), rows):
-        chunk = batch[i:i + rows]
-        if blocks is None:
-            v = [_contrast_kernel(part._information(chunk))[0] for part in parts]
-            out[i:i + rows] = np.stack(v, axis=1)
-        else:
-            m = np.einsum("kj,jx->kx", chunk, blocks).reshape(-1, p, p)
-            out[i:i + rows] = _contrast_kernel(m)[0].reshape(len(chunk), -1)
-    return out
+def _prior_sum(criterion, terms, values=None):
+    """``sum_l prior_l t_l`` over the parts of ``criterion``, in part order,
+    with ``t_l`` from ``terms[l]``: the term itself in the linear form; in
+    the log form its logarithm, or, given the parts' ``values``,
+    ``terms[l] / values[l]``, the derivative of ``log f_l`` from that of
+    ``f_l``. A class of one in the linear form gives ``0.0 + 1.0 t_0``,
+    which is ``t_0`` bit for bit."""
+    if criterion._log_form:
+        terms = np.log(terms) if values is None else terms / values[:, None]
+    total = 0.0
+    for prior, term in zip(criterion._priors, terms):
+        total = total + prior * term
+    return total
 
 
-def _stacked_clusters(parts):
-    """The cluster blocks of ``parts`` (criteria on one space) as one
-    set, row ``l`` under ``parts[l]``; a lone part's own blocks, and
+def _expand(criteria):
+    """``(parts, owner)``: the parts of ``criteria`` in order, and the row of
+    each part's criterion; ``owner`` is ``None`` when every criterion is its
+    own one part, so that a stack of plain criteria takes no extra step."""
+    if all(criterion._parts[0] is criterion for criterion in criteria):
+        return criteria, None
+    return ([part for criterion in criteria for part in criterion._parts],
+            np.repeat(np.arange(len(criteria)), [len(c._parts) for c in criteria]))
+
+
+def _by_class(criteria, rows):
+    """``rows``, one per part of ``criteria`` in order, cut into each
+    criterion's."""
+    ends = np.cumsum([len(criterion._parts) for criterion in criteria]).tolist()
+    return [rows[end - len(criterion._parts):end] for criterion, end in zip(criteria, ends)]
+
+
+def _stacked_clusters(criteria):
+    """The cluster blocks of the parts of ``criteria`` (all on one space)
+    as one set, row ``l`` under part ``l``; a lone part's own blocks, and
     ``None`` at sequence granularity."""
+    parts = _expand(criteria)[0]
     if len(parts) == 1 or parts[0]._clusters is None:
         return parts[0]._clusters
     return _ClusterBlocks.stacked([part._clusters for part in parts])
 
 
-def _gradients(parts, batch, clusters=None):
+def _gradients(criteria, batch, clusters=None):
     """``(value, grad)`` (``(L,)``, ``(L, J)``) of a ``(L, J)`` batch, row
-    ``l`` scored under the criterion ``parts[l]``, all on one space; row
-    ``l`` equals ``parts[l].gradient(batch[l])`` bit for bit, which is this
-    on a stack of one. At sequence granularity each row sums its part's
-    unit blocks; elsewhere one cluster solve runs over the parts' stacked
-    covariances, ``clusters`` when given (``_stacked_clusters(parts)``,
-    kept by a caller that scores one stack of parts again and again). One
-    :func:`_factor_solve` then serves every row, and one ``bincount`` (or
-    each part's block contraction) the gradients."""
+    ``l`` scored under ``criteria[l]``, all on one space; row ``l`` equals
+    ``criteria[l].gradient(batch[l])`` bit for bit, which is this on a stack
+    of one. Each row is scored under every part of its criterion: at
+    sequence granularity each part sums its unit blocks; elsewhere one
+    cluster solve runs over the parts' stacked covariances, ``clusters``
+    when given (``_stacked_clusters(criteria)``, kept by a caller that
+    scores one stack again and again). One :func:`_factor_solve` then
+    serves every part, and one ``bincount`` (or each part's block
+    contraction) the gradients, which :func:`_prior_sum` sums per
+    criterion."""
+    parts, owner = _expand(criteria)
     first = parts[0]
     batch = first._batch(batch)
+    if owner is not None:
+        batch = batch[owner]
     if first._clusters is None:
         m = np.concatenate([part._information(batch[l:l + 1])
                             for l, part in enumerate(parts)])
@@ -808,7 +902,11 @@ def _gradients(parts, batch, clusters=None):
         value, y, _ = _factor_solve(m)
         grad = cl.gradient(s, t, y, first.space.n_units)
     # the NaN y of a row of infinite value makes its whole gradient NaN
-    return value, grad
+    if owner is None:
+        return value, grad
+    value, grad = _by_class(criteria, value), _by_class(criteria, grad)
+    return (np.array([_prior_sum(c, f) for c, f in zip(criteria, value)]),
+            np.stack([_prior_sum(c, g, f) for c, f, g in zip(criteria, value, grad)]))
 
 
 def _conditioned(m: np.ndarray, lower_inv: np.ndarray) -> np.ndarray:
@@ -825,69 +923,48 @@ def _conditioned(m: np.ndarray, lower_inv: np.ndarray) -> np.ndarray:
             <= SCREEN_CONDITION)
 
 
-def _bound_terms(parts, priors, batch, blocks):
-    """``(grad, vouched)`` of :meth:`DesignCriterion.bound_terms` for the
-    prior-weighted sum of the criteria ``parts`` of one sequence space,
-    whose flat unit blocks ``blocks`` lie side by side as in
-    :func:`_model_values`: per chunk, one block sum, one
-    :func:`_factor_solve` over the ``(K L, P, P)`` stack and one ``einsum``
-    of the prior-weighted ``y y'`` against the blocks."""
-    first = parts[0]
-    batch, p = first._batch(batch), first.space.n_periods + 1
-    n = len(parts)
-    rows = max(1, first._chunk_rows // n)
-    weights = np.asarray(priors, dtype=float)[:, None]
-    grad = np.empty(batch.shape)
-    vouched = np.empty(len(batch), dtype=bool)
-    for i in range(0, len(batch), rows):
-        chunk = batch[i:i + rows]
-        m = np.einsum("kj,jx->kx", chunk, blocks).reshape(-1, p, p)
-        _, y, lower_inv = _factor_solve(m)
-        vouched[i:i + rows] = _conditioned(m, lower_inv).reshape(-1, n).all(axis=1)
-        # row k, model l: prior_l y y', flattened as the blocks are
-        outer = (y[:, :, None] * y[:, None, :]).reshape(len(chunk), n, p * p)
-        grad[i:i + rows] = -np.einsum("kx,jx->kj", (weights * outer).reshape(len(chunk), -1),
-                                      blocks)
-    return grad, vouched
-
-
-def _single_moves(parts, batch, units, step: int) -> list:
+def _single_moves(criteria, batch, units, step: int) -> list:
     """Screened move values of a ``(L, J)`` batch of counts, row ``l``
-    under the criterion ``parts[l]`` (all on one space) with one replicate
-    of each unit in ``units[l]`` added (``step`` 1) or removed (``step``
-    -1): per row, ``parts[l].single_moves(batch[l], units[l], step)`` bit
-    for bit, so an array or ``None``. That method checks its arguments and
-    is this on a stack of one; here they are taken as checked. The rows the
-    screen applies to share one :meth:`_ClusterBlocks.rank_one_terms` solve
-    over the parts' stacked covariances, one :func:`_factor_solve` and the
-    screened values of every cell; each row then takes its own condition
-    check and its own units' values."""
-    first = parts[0]
+    under ``criteria[l]`` (all on one space) with one replicate of each
+    unit in ``units[l]`` added (``step`` 1) or removed (``step`` -1): per
+    row, ``criteria[l].single_moves(batch[l], units[l], step)`` bit for bit,
+    so an array or ``None``. That method checks its arguments and is this on
+    a stack of one; here they are taken as checked. Each row is screened
+    under every part of its criterion: the parts the screen applies to
+    share one :meth:`_ClusterBlocks.rank_one_terms` solve over their
+    stacked covariances, one :func:`_factor_solve` and the screened values
+    of every cell, and each part then takes its own condition check and
+    its own units' values. A row's screen is the prior sum
+    (:func:`_prior_sum`) of its parts' screens, ``None`` where any of them
+    is."""
+    parts, owner = _expand(criteria)
+    if owner is not None:
+        batch, units = batch[owner], [units[l] for l in owner]
     screened = [None] * len(parts)
-    if first._clusters is None:
-        return screened
-    cells = [first._unit_cell[own] for own in units]
+    cells = [] if parts[0]._clusters is None else [parts[0]._unit_cell[own] for own in units]
     rows = [l for l, own in enumerate(cells) if (own >= 0).all()]
-    if not rows:
+    if rows:
+        cl = _stacked_clusters([parts[l] for l in rows])
+        info, u, var = cl.rank_one_terms(batch if len(rows) == len(batch) else batch[rows])
+        value, y, lower_inv = _factor_solve(info)
+        conditioned = _conditioned(info, lower_inv)
+        k = len(info)
+        # every cell of every row, each row's matrix products of one shape
+        delta = step * cl.cell_precision.reshape(k, -1)
+        shrink = 1.0 + delta * var
+        trusted = shrink > SCREEN_DENOMINATOR
+        # rho = delta / shrink, without dividing by a denominator near zero
+        rho = np.where(trusted, delta, 0.0) / np.where(trusted, shrink, 1.0)
+        solved = u @ lower_inv.swapaxes(-1, -2)
+        denominator = 1.0 + rho * np.add.reduce(solved * solved, axis=-1)
+        trusted &= denominator > SCREEN_DENOMINATOR
+        moved = value[:, None] - rho * (u @ y[:, :, None])[..., 0] ** 2 / np.where(
+            trusted, denominator, 1.0)
+        moved[~trusted] = np.nan
+        for i, (l, ok) in enumerate(zip(rows, conditioned.tolist())):
+            if ok:
+                screened[l] = moved[i, cells[l]]
+    if owner is None:
         return screened
-    cl = _stacked_clusters([parts[l] for l in rows])
-    info, u, var = cl.rank_one_terms(batch if len(rows) == len(batch) else batch[rows])
-    value, y, lower_inv = _factor_solve(info)
-    conditioned = _conditioned(info, lower_inv)
-    k = len(info)
-    # every cell of every row, each row's matrix products of one shape
-    delta = step * cl.cell_precision.reshape(k, -1)
-    shrink = 1.0 + delta * var
-    trusted = shrink > SCREEN_DENOMINATOR
-    # rho = delta / shrink, without dividing by a denominator near zero
-    rho = np.where(trusted, delta, 0.0) / np.where(trusted, shrink, 1.0)
-    solved = u @ lower_inv.swapaxes(-1, -2)
-    denominator = 1.0 + rho * np.add.reduce(solved * solved, axis=-1)
-    trusted &= denominator > SCREEN_DENOMINATOR
-    moved = value[:, None] - rho * (u @ y[:, :, None])[..., 0] ** 2 / np.where(
-        trusted, denominator, 1.0)
-    moved[~trusted] = np.nan
-    for i, (l, ok) in enumerate(zip(rows, conditioned.tolist())):
-        if ok:
-            screened[l] = moved[i, cells[l]]
-    return screened
+    return [None if any(s is None for s in own) else _prior_sum(c, own)
+            for c, own in zip(criteria, _by_class(criteria, screened))]

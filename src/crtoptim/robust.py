@@ -8,16 +8,24 @@ their logarithms. Both preserve the monotone supermodularity that the
 combinatorial optimisers rely on, so a :class:`RobustCriterion` plugs in
 wherever a plain criterion does.
 
-Every value goes through the one batch pipeline of :mod:`crtoptim.glscore`:
-a batch is checked once and scored chunk by chunk, each chunk giving the
-kernel values of its rows under every model with a positive prior, which
-are then summed with the priors, in model order, once per batch. At
-sequence granularity the models' unit blocks lie side by side, so a chunk
-takes one block sum and one kernel call; at cluster-period and observation
-granularity each model solves the chunk's clusters in turn. A
+A :class:`RobustCriterion` is a :class:`DesignCriterion` whose parts are
+the class's models of positive prior, so it has every method of one,
+written once in :mod:`crtoptim.glscore`: ``values`` checks a batch once and
+scores it chunk by chunk, each chunk giving the kernel values of its rows
+under every model, which are then summed with the priors, in model order
+(in the log form, their logarithms). At sequence granularity the models'
+unit blocks lie side by side, so a chunk takes one block sum and one
+kernel call; at cluster-period and observation granularity each model
+solves the chunk's clusters in turn. ``gradient`` sums the models'
+gradients the same way (``sum_l prior_l g_l / f_l`` in the log form), so
+the class's gradient is that of its value. ``single_moves`` sums the
+models' rank-one screens, and is ``None`` where any model's is, so the
+greedy walks screen a robust class as they do a plain criterion. A
 linear-average class at sequence granularity also gives the first-order
-terms by which local search bounds swaps from below, in one block sum and
-one kernel call per chunk as well.
+terms by which local search bounds swaps from below (``bound_terms``), in
+one block sum and one kernel call per chunk as well. A class of one model
+in the linear form scores as that model's :class:`DesignCriterion` does,
+bit for bit.
 """
 from __future__ import annotations
 
@@ -29,7 +37,7 @@ import numpy as np
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace
 from .errors import ValidationError, check_instance, check_probabilities, check_real
-from .glscore import DesignCriterion, _bound_terms, _model_values
+from .glscore import DesignCriterion
 
 CRITERION_FORMS = ("linear-average", "log-average")
 
@@ -80,16 +88,19 @@ class ModelClass:
                          for cov in covariances), form=form)
 
 
-class RobustCriterion:
-    """Prior-weighted criterion over a model class, same evaluation
-    interface as :class:`DesignCriterion`. Raises :class:`ValidationError`
-    unless ``model_class`` is a :class:`ModelClass` and the space and every
-    entry make a :class:`DesignCriterion`."""
+class RobustCriterion(DesignCriterion):
+    """Prior-weighted criterion over a model class: a
+    :class:`DesignCriterion` whose parts are the entries of positive prior,
+    so every method is the one :class:`DesignCriterion` defines (see the
+    module docstring). :meth:`information` is that of a class of one model
+    and raises :class:`ValidationError` for more. Raises
+    :class:`ValidationError` unless ``model_class`` is a
+    :class:`ModelClass` and the space and every entry make a
+    :class:`DesignCriterion`."""
 
     def __init__(self, space: DesignSpace, model_class: ModelClass):
         check_instance("model_class", model_class, ModelClass)
-        self.space = space
-        self.model_class = model_class
+        self.space, self.model_class = space, model_class
         self._log_form = model_class.form == "log-average"
         # every entry is built, and so checked; only those with a positive
         # prior are scored
@@ -99,43 +110,12 @@ class RobustCriterion:
                                           if prior > 0.0])
         # (J, L P P): each unit's blocks under the L models, in order; none
         # at cluster granularity, where each model solves its own clusters
-        self._blocks = (np.concatenate([crit._unit_blocks for crit in self._parts], axis=1)
-                        if space.granularity == "sequence" else None)
+        self._unit_blocks = (None if space.granularity != "sequence" else np.concatenate(
+            [crit._unit_blocks for crit in self._parts], axis=1))
 
-    def values(self, batch) -> np.ndarray:
-        """Robust criteria of a ``(K, J)`` batch of per-unit multiplicities;
-        a row that any model with a positive prior cannot identify is
-        ``inf``. Row ``i`` equals ``value(batch[i])`` bit for bit, and equals
-        the prior-weighted sum, in model order, of each model's
-        :meth:`DesignCriterion.values`.
-
-        The batch is checked once and scored in the one chunk loop of
-        :mod:`crtoptim.glscore`, which gives each row's value under every
-        model; the priors then weigh those, once per batch. Raises
-        :class:`ValidationError` for a batch that
-        :meth:`DesignCriterion.values` rejects.
-        """
-        total = 0.0
-        for prior, v in zip(self._priors, _model_values(self._parts, batch, self._blocks).T):
-            total = total + prior * (np.log(v) if self._log_form else v)
-        return total
-
-    def bound_terms(self, batch):
-        """:meth:`DesignCriterion.bound_terms` of the class: ``grad`` is the
-        prior-weighted sum of the models' gradients, from one block sum
-        over the models' unit blocks side by side, one kernel call and one
-        ``einsum`` per chunk, and a row is vouched for only where every
-        model's is. A linear average of convex criteria is convex, so the
-        bound holds. ``None`` at cluster-period and observation
-        granularity, and for the log-average form, whose logarithms are
-        not convex."""
-        if self._blocks is None or self._log_form:
-            self._parts[0]._batch(batch)
-            return None
-        return _bound_terms(self._parts, self._priors, batch, self._blocks)
-
+    # an entry of its own, so that perfbench's traced runs time robust
+    # values apart from plain ones
     value = DesignCriterion.value
-    value_of = DesignCriterion.value_of
 
 
 def robust_criterion(space: DesignSpace, design: Design,

@@ -3,7 +3,9 @@
 Both optimisers treat the criterion as a black-box set function over unit
 multisets, so they work unchanged for plain and robust criteria (any
 monotone supermodular function of the design): a criterion is any object
-whose ``values`` maps a ``(K, J)`` count matrix to ``K`` values. Local
+whose ``values`` maps a ``(K, J)`` count matrix to ``K`` values, and one
+that has a ``space`` must have been built on the space searched (every
+entry point raises :class:`ValidationError` otherwise). Local
 search repeatedly applies the best value-improving single swap from
 random feasible starts; reverse greedy strips the full space down to the
 target size, removing whichever unit costs the least variance. A sweep
@@ -61,21 +63,26 @@ granularity (where an empty cell makes the criterion non-smooth) and the
 log-average form (not convex) score every swap.
 
 Greedy walks (reverse greedy and the rounding fill) move one unit at a
-time. A criterion may also offer ``single_moves(counts, units, step)``,
-approximate values of all of a step's moves from one solve of the current
-design, NaN for a move it cannot vouch for, or ``None`` where it does not
-apply; :class:`DesignCriterion` does so by a rank-one update wherever every
-unit is one cell (cluster-period and observation granularity) and the
-design's information matrix is well conditioned. A walk then scores through
-``values`` only the moves within ``SCREEN_RTOL`` of the best screened value
-and the moves screened NaN; a lone candidate is taken unscored unless its
-value is to be reported. ``values`` alone picks between candidates and
-gives every reported value, so while the screen errs by less than
-``SCREEN_RTOL / 2`` (it errs by about 1e-13) a walk takes the moves and
-reports the values of scoring every move in full. Sequence spaces and
-robust criteria score every move of a greedy step. A step scores its
-front-runners in one ``values`` call and takes the first within
-``CRITERION_ROUNDING`` of their minimum, comparing Python floats. A walk
+time. A walk under :class:`DesignCriterion` rows, plain or robust, screens
+each step's moves in one :func:`glscore._single_moves` call: approximate
+values of all of a row's moves from one solve of its design, NaN for a move
+the screen cannot vouch for, or ``None`` where it does not apply. The
+screen is a rank-one update, which applies wherever every unit is one cell
+(cluster-period and observation granularity) and the design's information
+matrix is well conditioned under every model of the row's criterion; a
+robust row's screen is its models' screens summed with the priors, as its
+value is. A walk then scores through ``values`` only the moves within
+``SCREEN_RTOL`` of the best screened value and the moves screened NaN; a
+lone candidate is taken unscored unless its value is to be reported.
+``values`` alone picks between candidates and gives every reported value,
+so while the screen errs by less than ``SCREEN_RTOL / 2`` (it errs by
+about 1e-13) a walk takes the moves and reports the values of scoring
+every move in full. (A log-average screen errs by about 1e-13 absolutely,
+not relatively, so near a value of zero the band is narrower than that.)
+Sequence spaces, and a walk under any criterion that is not a
+:class:`DesignCriterion`, score every move of a greedy step. A step
+scores its front-runners in one ``values`` call and takes the first
+within ``CRITERION_ROUNDING`` of their minimum, comparing Python floats. A walk
 moves a stack of designs in lockstep, each under its own criterion: the
 rounding fills of a weight grid's cells share one stacked screen per step
 (:func:`glscore._single_moves`), each scoring its front-runners through
@@ -178,6 +185,7 @@ def swap_delta(space: DesignSpace, criterion, design: Design,
     :class:`ValidationError` unless ``space`` is a :class:`DesignSpace`,
     ``design`` a :class:`Design` and both units integer unit indices."""
     check_instance("space", space, DesignSpace)
+    _check_criterion(criterion, space)
     check_instance("design", design, Design)
     for name, unit in (("remove", remove), ("add", add)):
         check_count(name, unit)
@@ -200,10 +208,14 @@ def swap_delta(space: DesignSpace, criterion, design: Design,
     return float(after - before)
 
 
-def _check_criterion(criterion) -> None:
-    """Reject a criterion without a ``values`` method."""
+def _check_criterion(criterion, space: DesignSpace) -> None:
+    """Reject a criterion without a ``values`` method, and one whose
+    ``space`` is not ``space``: its counts would score other units."""
     if not callable(getattr(criterion, "values", None)):
         raise ValidationError(f"criterion must have a values method, got {criterion!r}")
+    own = getattr(criterion, "space", space)
+    if own is not space and own != space:
+        raise ValidationError("criterion is built on another design space")
 
 
 def _check_progress(progress) -> None:
@@ -273,18 +285,6 @@ def _front_runners(screened, units):
     return units[~(screened > edge)]
 
 
-def _screens(criteria, counts, units, move):
-    """Each row's screened move values (see :func:`_front_runners`), or
-    ``None``: one stacked :func:`glscore._single_moves` over a stack of
-    :class:`DesignCriterion` rows, and otherwise each criterion's own
-    ``single_moves``, where it offers one."""
-    if all(isinstance(criterion, DesignCriterion) for criterion in criteria):
-        return _single_moves(criteria, counts, units, move)
-    screens = [getattr(criterion, "single_moves", None) for criterion in criteria]
-    return [None if screen is None else screen(row, own, move)
-            for screen, row, own in zip(screens, counts, units)]
-
-
 def _greedy_walk(criteria, counts, target: int, cap: int, progress=None):
     """Walk each row of the ``(L, J)`` stack ``counts`` in place to size
     ``target`` (reachable under ``cap``; every row on one side of it) under
@@ -299,6 +299,9 @@ def _greedy_walk(criteria, counts, target: int, cap: int, progress=None):
     :func:`_front_runners`) are scored, by that row's own ``values``, which
     alone decides the move and the value. A row left with one candidate
     and no ``progress`` to report takes it without scoring it."""
+    # a stack of DesignCriterion rows is screened; any other criterion
+    # scores every move
+    screen = all(isinstance(criterion, DesignCriterion) for criterion in criteria)
     sizes = counts.sum(axis=1)
     down = bool((sizes > target).any())
     move = -1 if down else 1
@@ -310,7 +313,8 @@ def _greedy_walk(criteria, counts, target: int, cap: int, progress=None):
         live = [l for l, length in enumerate(lengths) if length >= step]
         rows = counts if len(live) == len(counts) else counts[live]
         units = [np.flatnonzero(row > 0 if down else row < cap) for row in rows]
-        screened = _screens([criteria[l] for l in live], rows, units, move)
+        screened = (_single_moves([criteria[l] for l in live], rows, units, move)
+                    if screen else [None] * len(live))
         for l, own, values in zip(live, units, screened):
             own = _front_runners(values, own)
             if own.size == 1 and progress is None:
@@ -411,8 +415,7 @@ def _swap_values(criterion, own, current, owner, remove, add, starts):
     rows = np.arange(owner.size)
     batch[rows, remove] -= 1
     batch[rows, add] += 1
-    terms = getattr(criterion, "bound_terms", None)
-    terms = None if terms is None else terms(own)
+    terms = criterion.bound_terms(own)
     if terms is None:
         return criterion.values(batch)
     bound = _swap_bounds(terms, current, owner, remove, add)
@@ -477,7 +480,7 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     is among them, so the result is that of scoring every swap.
     """
     _check_size(space, m)
-    _check_criterion(criterion)
+    _check_criterion(criterion, space)
     check_count("restarts", restarts)
     check_seed(seed)
     _check_progress(progress)
@@ -522,7 +525,7 @@ def reverse_greedy(space: DesignSpace, criterion, m: int,
     """Strip the full design space down to ``m`` units, each step removing
     the unit whose removal increases the criterion least. Deterministic."""
     _check_size(space, m)
-    _check_criterion(criterion)
+    _check_criterion(criterion, space)
     _check_progress(progress)
     counts = np.full((1, space.n_units), space.max_replication, dtype=int)
     _greedy_walk([criterion], counts, m, space.max_replication, progress)

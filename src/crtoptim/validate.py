@@ -61,7 +61,7 @@ def brute_force_optimum(space: DesignSpace, criterion, m: int,
     ``CRITERION_ROUNDING`` of each other tie as in the searches.
     """
     _check_size(space, m)
-    _check_criterion(criterion)
+    _check_criterion(criterion, space)
     check_count("limit", limit)
     n_designs = _count_multisets(space.n_units, space.max_replication, m)
     if n_designs > limit:
@@ -212,7 +212,7 @@ def supermodularity_probe(space: DesignSpace, criterion, n_triples: int,
     ``slack`` must be a finite non-negative number.
     """
     check_instance("space", space, DesignSpace)
-    _check_criterion(criterion)
+    _check_criterion(criterion, space)
     check_count("n_triples", n_triples)
     if n_triples < 1:
         raise ValidationError("need at least one probe triple")

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from crtoptim import (Cell, CovarianceSpec, DesignCriterion, DesignSpace,
-                      ExperimentalUnit, ModelClass, ModelSpec,
+                      ExperimentalUnit, ModelClass, ModelEntry, ModelSpec,
                       RobustCriterion, ValidationError,
                       aggregate_cluster_periods, build_d,
                       build_sigma, build_x, build_z, c_optimality,
                       glm_weight_diagonal, information_matrix,
                       space_from_sequences, standard_space,
                       treatment_contrast, unit_information_blocks)
-from crtoptim import glscore
+from crtoptim import apportion, glscore
 from crtoptim.glscore import (CERTIFICATE_MARGIN, RANGE_TOL, RANK_TOL,
                               _contrast_kernel, _eigen_solve, contrast_variance)
 
@@ -990,3 +990,60 @@ class TestStackedScreen:
         units = [np.arange(space.n_units)] * 2
         assert glscore._single_moves(parts, np.ones((2, space.n_units)), units,
                                      1) == [None, None]
+
+
+def mixed_stack(space):
+    """Plain criteria and robust classes of both forms (one of them a class
+    of one) on one space, in one stack."""
+    exc2 = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.6)
+    ar1 = CovarianceSpec.from_icc("AR1", 0.1, decay=0.7)
+    exc1 = CovarianceSpec.from_icc("EXC1", 0.1)
+    logit = ModelSpec("binomial-logit",
+                      beta=tuple(np.linspace(-2.0, -0.5, space.n_periods)) + (0.5,))
+    return [DesignCriterion(space, exc2),
+            RobustCriterion(space, ModelClass((ModelEntry(exc2, 0.6),
+                                               ModelEntry(ar1, 0.4, logit)))),
+            DesignCriterion(space, ar1, logit),
+            RobustCriterion(space, ModelClass.equal_priors([exc1, ar1, exc2], "log-average")),
+            RobustCriterion(space, ModelClass.equal_priors([exc1])),
+            DesignCriterion(space, exc1)]
+
+
+class TestMixedStack:
+    """A lockstep stack that mixes plain and robust rows gives each row, bit
+    for bit, what its lone call gives."""
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    def test_gradients(self, granularity):
+        space = standard_space(4, max_replication=3, granularity=granularity)
+        criteria = mixed_stack(space)
+        batch = np.random.default_rng(2).uniform(0.5, 2.0, (len(criteria), space.n_units))
+        values, grads = glscore._gradients(criteria, batch)
+        clusters = glscore._stacked_clusters(criteria)
+        again = glscore._gradients(criteria, batch, clusters)
+        assert values.tobytes() == again[0].tobytes() and grads.tobytes() == again[1].tobytes()
+        for crit, row, value, grad in zip(criteria, batch, values, grads):
+            want_value, want_grad = crit.gradient(row)
+            assert value.hex() == want_value.hex()
+            assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_single_moves(self, step):
+        space = standard_space(4, max_replication=4, granularity="cluster-period")
+        criteria = mixed_stack(space)
+        rng = np.random.default_rng(5)
+        batch = rng.integers(1, 4, (len(criteria), space.n_units))
+        units = [np.flatnonzero(rng.random(space.n_units) < 0.6) for _ in criteria]
+        stacked = glscore._single_moves(criteria, batch, units, step)
+        assert all(got is not None for got in stacked)
+        for crit, row, own, got in zip(criteria, batch, units, stacked):
+            assert got.tobytes() == crit.single_moves(row, own, step).tobytes()
+
+    def test_lockstep_rounding(self):
+        space = standard_space(4, max_replication=4, granularity="cluster-period")
+        criteria = mixed_stack(space)
+        weights = np.random.default_rng(9).dirichlet(np.ones(space.n_units), len(criteria))
+        stacked = apportion._lockstep_rounding(space, criteria, weights, 30)
+        for crit, w, got in zip(criteria, weights, stacked):
+            want, = apportion._lockstep_rounding(space, [crit], [w], 30)
+            assert got == want and got.value.hex() == want.value.hex()

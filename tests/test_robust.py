@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crtoptim import (CovarianceSpec, DesignCriterion, ModelClass, ModelEntry,
                       ModelSpec, RobustCriterion, ValidationError,
-                      robust_criterion, standard_space, supermodularity_probe)
+                      local_search, reverse_greedy, robust_criterion, standard_space,
+                      supermodularity_probe)
 
 
 def grid_class(form="linear-average"):
@@ -256,3 +258,158 @@ class TestStackedValues:
         assert crit.values(batch).tobytes() == expected.tobytes()
         assert calls == [n_models * chunk, n_models * chunk,
                          n_models * (rows - 2 * chunk)]
+
+
+def one_entry_cases():
+    """A sequence, a cluster-period and an observation space, each with a
+    plain criterion and the one-entry class of its setting."""
+    cov = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7)
+    logit = ModelSpec("binomial-logit", beta=(-2, -1.5, -1, -0.5, 0.5))
+    for granularity, cap, count in (("sequence", 3, 2), ("cluster-period", 4, 3),
+                                    ("observation", 3, 1)):
+        space = standard_space(4, max_replication=cap, cells_per_period=count,
+                               granularity=granularity)
+        for model in (ModelSpec(), logit):
+            yield pytest.param(space, DesignCriterion(space, cov, model),
+                               RobustCriterion(space, ModelClass((ModelEntry(cov, 1.0, model),))),
+                               id=f"{granularity}-{model.family}")
+
+
+def trail(run):
+    """A search's design, value and ``progress`` trail, values as hex."""
+    seen = []
+    result = run(lambda i, v: seen.append((i, v.hex())))
+    return result.design.counts, result.value.hex(), seen
+
+
+class TestClassOfOne:
+    """A class of one model in the linear form is its plain criterion, bit
+    for bit, through every method and both searches."""
+
+    @pytest.mark.parametrize("space, plain, robust", one_entry_cases())
+    def test_methods_match_bit_for_bit(self, space, plain, robust):
+        rng = np.random.default_rng(4)
+        cap = space.max_replication
+        batch = rng.integers(0, cap + 1, (40, space.n_units))
+        batch[0] = 0
+        assert plain.values(batch).tobytes() == robust.values(batch).tobytes()
+        terms = plain.bound_terms(batch)
+        if terms is None:
+            assert robust.bound_terms(batch) is None
+        else:
+            assert [t.tobytes() for t in terms] == [
+                t.tobytes() for t in robust.bound_terms(batch)]
+        screened = 0
+        for row in batch[:10]:
+            assert plain.information(row).tobytes() == robust.information(row).tobytes()
+            value, grad = plain.gradient(row)
+            got = robust.gradient(row)
+            assert value.hex() == got[0].hex() and grad.tobytes() == got[1].tobytes()
+            for step, movable in ((1, row < cap), (-1, row > 0)):
+                units = np.flatnonzero(movable)
+                want = plain.single_moves(row, units, step)
+                got = robust.single_moves(row, units, step)
+                assert (want is None) == (got is None)
+                if want is not None:
+                    screened += 1
+                    assert want.tobytes() == got.tobytes()
+        assert screened > 0 or space.granularity == "sequence"
+
+    @pytest.mark.parametrize("space, plain, robust", one_entry_cases())
+    def test_searches_match_bit_for_bit(self, space, plain, robust):
+        def runs(crit):
+            return (trail(lambda p: reverse_greedy(space, crit, 8, progress=p)),
+                    trail(lambda p: local_search(space, crit, 8, restarts=4, seed=5,
+                                                 progress=p)))
+
+        assert runs(plain) == runs(robust)
+
+
+class ValuesOnly:
+    """A criterion seen through ``values`` alone: a greedy walk scores
+    every move in full."""
+
+    def __init__(self, criterion):
+        self.values = criterion.values
+
+
+def scaled(cov, scale):
+    """``cov`` with every variance multiplied by ``scale``: each criterion
+    value scales by ``scale``."""
+    return replace(cov, tau2=cov.tau2 * scale, omega2=cov.omega2 * scale,
+                   sigma2=cov.sigma2 * scale)
+
+
+class TestRobustScreen:
+    """A robust class screens its greedy moves, to the designs, values and
+    progress trails of scoring every move in full."""
+
+    space = standard_space(5, max_replication=4, granularity="cluster-period")
+
+    @staticmethod
+    def models():
+        return [CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5),
+                CovarianceSpec.from_icc("AR1", 0.1, decay=0.6),
+                CovarianceSpec.from_icc("EXC1", 0.2),
+                CovarianceSpec.from_icc("EXC2", 0.01, cac=0.9)]
+
+    def run(self, crit):
+        return trail(lambda p: reverse_greedy(self.space, crit, 30, progress=p))
+
+    @pytest.mark.parametrize("form", ["linear-average", "log-average"])
+    def test_reverse_greedy_matches_full_scoring(self, monkeypatch, form):
+        crit = RobustCriterion(self.space, ModelClass(tuple(
+            ModelEntry(cov, prior)
+            for cov, prior in zip(self.models(), (0.4, 0.3, 0.2, 0.1))), form=form))
+        rows = []
+        values = DesignCriterion.values
+        monkeypatch.setattr(DesignCriterion, "values",
+                            lambda self, batch: rows.append(len(batch)) or values(self, batch))
+        screened = self.run(crit)
+        scored = sum(rows)
+        assert screened == self.run(ValuesOnly(crit))
+        # 90 removals: every move scored in full against the front-runners
+        assert scored < (sum(rows) - scored) / 10
+
+    def test_log_average_near_zero(self):
+        # every variance scaled so that the walk ends at a log-average of
+        # about zero, where the screen's relative band collapses
+        models = self.models()
+        end = RobustCriterion(self.space, ModelClass.equal_priors(models, "log-average"))
+        scale = math.exp(-reverse_greedy(self.space, end, 30).value)
+        crit = RobustCriterion(self.space, ModelClass.equal_priors(
+            [scaled(cov, scale) for cov in models], "log-average"))
+        screened = self.run(crit)
+        assert abs(float.fromhex(screened[1])) <= 1e-15
+        assert screened == self.run(ValuesOnly(crit))
+
+
+class TestClassGradient:
+    """The class gradient is the derivative of the class value."""
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    @pytest.mark.parametrize("form", ["linear-average", "log-average"])
+    def test_matches_central_differences(self, granularity, form):
+        space = standard_space(4, max_replication=3, granularity=granularity)
+        crit = RobustCriterion(space, ModelClass((
+            ModelEntry(CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7), 0.5),
+            ModelEntry(CovarianceSpec.from_icc("AR1", 0.2, decay=0.6), 0.3,
+                       ModelSpec("binomial-logit", beta=(-2, -1.5, -1, -0.5, 0.5))),
+            ModelEntry(CovarianceSpec.from_icc("EXC1", 0.1), 0.2)), form=form))
+        counts = np.random.default_rng(8).uniform(1.0, 3.0, space.n_units)
+        value, grad = crit.gradient(counts)
+        assert value.hex() == crit.value(counts).hex()
+        h = 1e-4
+        steps = h * np.eye(space.n_units)
+        central = (crit.values(counts + steps) - crit.values(counts - steps)) / (2 * h)
+        assert np.abs(central - grad).max() <= 7e-9 * np.abs(grad).max()
+
+
+class TestClassInformation:
+    def test_information_needs_a_class_of_one(self):
+        space = standard_space(3, max_replication=2)
+        covs = [CovarianceSpec.from_icc("EXC1", 0.1), CovarianceSpec.from_icc("AR1", 0.1,
+                                                                              decay=0.5)]
+        crit = RobustCriterion(space, ModelClass.equal_priors(covs))
+        with pytest.raises(ValidationError, match="several models"):
+            crit.information([1] * space.n_units)

@@ -479,6 +479,35 @@ class TestInputChecks:
         with pytest.raises(ValidationError, match="space|criterion"):
             run()
 
+    @pytest.mark.parametrize("call", [
+        "reverse_greedy", "local_search", "swap_delta", "brute_force_optimum",
+        "supermodularity_probe"])
+    def test_criterion_of_another_space_rejected(self, call):
+        # the same units with 10 observations per cell, not 2: the counts
+        # would be scored on the wrong space
+        cov = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7)
+        crit = DesignCriterion(standard_space(4, max_replication=3, cells_per_period=10), cov)
+        space = standard_space(4, max_replication=3, cells_per_period=2)
+        design = space.design_from_counts([1] * space.n_units)
+        run = {
+            "reverse_greedy": lambda: reverse_greedy(space, crit, 4),
+            "local_search": lambda: local_search(space, crit, 4, restarts=2, seed=0),
+            "swap_delta": lambda: swap_delta(space, crit, design, 0, 1),
+            "brute_force_optimum": lambda: brute_force_optimum(space, crit, 4),
+            "supermodularity_probe": lambda: supermodularity_probe(space, crit, 3, seed=0),
+        }[call]
+        with pytest.raises(ValidationError, match="another design space"):
+            run()
+        # an equal space built apart is the same space
+        assert math.isfinite(reverse_greedy(
+            space, DesignCriterion(standard_space(4, max_replication=3, cells_per_period=2),
+                                   cov), 4).value)
+
+    def test_swap_delta_checks_its_criterion(self):
+        design = self.space.design_from_counts([1, 1, 1, 1])
+        with pytest.raises(ValidationError, match="criterion"):
+            swap_delta(self.space, "x", design, 0, 1)
+
     @pytest.mark.parametrize("progress", [5, "log"])
     @pytest.mark.parametrize("search_kind", ["local", "reverse-greedy"])
     def test_progress_must_be_callable(self, progress, search_kind):
@@ -758,15 +787,18 @@ def neighbours(counts, units, step):
     return batch
 
 
-class Screened(Recording):
-    """A recording criterion that keeps the rank-one screen, and scores
-    ``value`` through ``values``."""
+def scored_rows(monkeypatch):
+    """Every row that ``DesignCriterion.values`` (plain or robust) scores
+    from now on, as tuples."""
+    rows = []
+    values = DesignCriterion.values
 
-    def single_moves(self, counts, units, step):
-        return self.criterion.single_moves(counts, units, step)
+    def recording(self, batch):
+        rows.extend(tuple(int(c) for c in row) for row in np.asarray(batch))
+        return values(self, batch)
 
-    def value(self, counts):
-        return float(self.values(np.asarray(counts)[None])[0])
+    monkeypatch.setattr(DesignCriterion, "values", recording)
+    return rows
 
 
 class TestSingleMoveScreen:
@@ -821,14 +853,15 @@ class TestSingleMoveScreen:
                 assert np.abs(approx[both] - full[both]).max() <= 1e-12 * full[both].min()
         assert screened >= 30
 
-    def test_screen_scores_few_rows(self):
+    def test_screen_scores_few_rows(self, monkeypatch):
         space = standard_space(6, max_replication=10, granularity="cluster-period")
         crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5))
-        screened, full = Screened(crit), Recording(crit)
-        assert (reverse_greedy(space, screened, 60)
-                == reverse_greedy(space, full, 60))
+        full = Recording(crit)
+        expected = reverse_greedy(space, full, 60)
+        screened = scored_rows(monkeypatch)
+        assert reverse_greedy(space, crit, 60) == expected
         # 360 removals: every move scored in full against the front-runners
-        assert len(screened.rows) < len(full.rows) / 10
+        assert len(screened) < len(full.rows) / 10
 
     def test_reverse_greedy_matches_disabled_screen(self, monkeypatch):
         space = standard_space(5, max_replication=6, granularity="cluster-period")
@@ -849,14 +882,11 @@ class TestSingleMoveScreen:
         cov = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5)
         weights = mixed_model_weights(space, cov, total_obs=60).weights
         expected = best_rounding(space, cov, weights, 60)
-        made = []
-        monkeypatch.setattr(apportion, "DesignCriterion",
-                            lambda *a, **k: made.append(Screened(DesignCriterion(*a, **k)))
-                            or made[-1])
+        rows = scored_rows(monkeypatch)
         assert best_rounding(space, cov, weights, 60) == expected
         # the fill's 14 additions: 3 steps send 6 front-runners, the 11 with
         # one front-runner send none; then the 3 candidates are scored
-        assert len(made[0].rows) == 9
+        assert len(rows) == 9
 
     def test_rank_deficient_start_falls_back(self):
         # no observation in period 4: its effect is unidentified, the
@@ -930,25 +960,32 @@ class TestSingleMoveScreen:
         kept = search._front_runners(np.full(3, np.nan), units)
         assert kept.tolist() == [2, 5, 7]
 
-    def test_walk_scores_every_move_the_screen_cannot_vouch_for(self):
+    def test_walk_scores_every_move_the_screen_cannot_vouch_for(self, monkeypatch):
         space = standard_space(4, max_replication=3, granularity="cluster-period")
         crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7))
-
-        class Unvouched(Recording):
-            def single_moves(self, counts, units, step):
-                return np.full(len(units), np.nan)
-
-        # a criterion without a screen scores every move of every step
-        plain, unvouched = Recording(crit), Unvouched(crit)
+        # a criterion that is not a DesignCriterion scores every move of
+        # every step
+        plain = Recording(crit)
         counts = [3] * space.n_units
-        assert walk(unvouched, counts, 30, 3) == walk(plain, counts, 30, 3)
-        assert unvouched.rows == plain.rows
+        expected = walk(plain, counts, 30, 3)
+        monkeypatch.setattr(search, "_single_moves", lambda criteria, batch, units, step: [
+            np.full(len(own), np.nan) for own in units])
+        unvouched = scored_rows(monkeypatch)
+        assert walk(crit, counts, 30, 3) == expected
+        assert unvouched == plain.rows
 
-    def test_robust_criterion_has_no_screen(self):
+    @pytest.mark.parametrize("form", ["linear-average", "log-average"])
+    def test_robust_criterion_screens(self, form):
         space = standard_space(3, max_replication=2, granularity="cluster-period")
         crit = RobustCriterion(space, ModelClass.equal_priors(
-            [CovarianceSpec.from_icc("EXC1", 0.1)]))
-        assert not hasattr(crit, "single_moves")
+            [CovarianceSpec.from_icc("EXC1", 0.1),
+             CovarianceSpec.from_icc("AR1", 0.2, decay=0.6)], form=form))
+        counts = np.ones(space.n_units, dtype=int)
+        units = np.arange(space.n_units)
+        approx = crit.single_moves(counts, units, 1)
+        full = crit.values(neighbours(counts, units, 1))
+        assert np.isfinite(approx).all()
+        assert np.abs(approx - full).max() <= 1e-12 * np.abs(full).max()
 
 
 class Bounded(Recording):
