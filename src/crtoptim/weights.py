@@ -16,9 +16,10 @@ Cauchy-Schwarz optimum ``phi ∝ |a| / sqrt(w n_per)`` of the residual part
 estimation weight of a cell and ``w`` the iterated weight of one of its
 observations. The map runs in SQUAREM cycles (Varadhan & Roland, Scand.
 J. Statist. 35, 2008), which extrapolate between two plain steps and fall
-back to them; the fixed point, its stop rule and the monotone descent of
-every plain step are those of the plain map, and only the number of
-criterion evaluations drops. :func:`simplex_weight_descent` minimises the
+back to them, with a step length bounded after a rejected extrapolation;
+the fixed point, its stop rule and the monotone descent of every plain
+step are those of the plain map, and only the number of criterion
+evaluations drops. :func:`simplex_weight_descent` minimises the
 same criterion at sequence granularity by projected gradient descent,
 serving as a generic cross-check on the fixed point.
 """
@@ -38,7 +39,8 @@ from .glscore import CRITERION_ROUNDING, DesignCriterion, _gradients, _stacked_c
 # Units whose weight falls below this bound are dropped for good.
 WEIGHT_FLOOR = 1e-7
 # A plain step of the map may not increase the criterion by more than this
-# (relative); larger increases indicate a broken fixed point.
+# times its magnitude (log-average values are negative); larger increases
+# indicate a broken fixed point.
 MONOTONE_SLACK = 1e-9
 
 
@@ -100,10 +102,13 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
     35, 2008): from two plain steps ``p1 = F(phi)`` and ``p2 = F(p1)`` the
     cycle tries the extrapolation ``phi - 2 alpha r + alpha^2 v`` with
     ``r = p1 - phi``, ``v = p2 - 2 p1 + phi`` and
-    ``alpha = min(-|r|/|v|, -1)``. It accepts the point only if every
-    active weight stays positive and its criterion does not exceed that of
-    ``p1``; otherwise the cycle ends at the plain double step ``p2``
-    (``alpha = -1``). The fixed point is that of the plain map, and
+    ``alpha = max(min(-|r|/|v|, -1), -reach)``. It accepts the point only
+    if every active weight stays positive and its criterion does not exceed
+    that of ``p1``; otherwise the cycle ends at the plain double step ``p2``
+    (``alpha = -1``). The step bound ``reach`` starts infinite, becomes
+    ``max(1, -alpha / 2)`` when an extrapolation's criterion is rejected and
+    infinite again once one is accepted, so a run that rejects none takes
+    the unbounded steps. The fixed point is that of the plain map, and
     the run stops once a plain step moves no weight by more than
     ``tolerance``, returning that step's weights and their criterion.
     Units dropping below ``1e-7`` weight on a plain step are removed
@@ -207,6 +212,7 @@ def _squarem(n_units: int, scale: float, tolerance: float, max_iter: int):
     if not math.isfinite(f):
         raise InfeasibleError("contrast is not identified by the design space")
     start = None  # the cycle's first point while phi is its first plain step
+    reach = math.inf  # bound on -alpha, set by a rejected extrapolation
     while True:
         q = phi * np.sqrt(np.maximum(-grad, 0.0))
         total = q.sum()
@@ -232,6 +238,7 @@ def _squarem(n_units: int, scale: float, tolerance: float, max_iter: int):
             v = mapped - 2.0 * phi + start
             v_norm = math.sqrt(v @ v)
             alpha = min(-math.sqrt(r @ r) / v_norm, -1.0) if v_norm > 0 else -1.0
+            alpha = max(alpha, -reach)
             trial = start - 2.0 * alpha * r + alpha * alpha * v
             if alpha < -1.0 and (trial[active] > 0).all():
                 trial /= trial.sum()
@@ -239,13 +246,15 @@ def _squarem(n_units: int, scale: float, tolerance: float, max_iter: int):
                 f_trial, grad_trial = yield scale * trial
                 if f_trial <= f:
                     phi, f, grad, start = trial, f_trial, grad_trial, None
+                    reach = math.inf
                     continue
+                reach = max(1.0, -alpha / 2.0)
         # a plain step of the map: alpha = -1 ends the cycle at F(F(start))
         calls = _spend(calls, max_iter, phi)
         f_mapped, grad_mapped = yield scale * mapped
         if not math.isfinite(f_mapped):
             raise InfeasibleError("contrast is not identified by the design space")
-        if not drop and f_mapped > f * (1.0 + MONOTONE_SLACK):
+        if not drop and f_mapped > f + MONOTONE_SLACK * abs(f):
             raise ConvergenceError(
                 f"criterion increased at evaluation {calls}: {f} -> {f_mapped}",
                 weights=phi.copy(), iterations=calls)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from crtoptim import (ConvergenceError, CovarianceSpec, DesignCriterion,
-                      InfeasibleError, ModelSpec, ValidationError, best_rounding,
-                      mixed_model_weights,
+                      InfeasibleError, ModelClass, ModelSpec, RobustCriterion,
+                      ValidationError, best_rounding, mixed_model_weights,
                       project_to_simplex, sequence_patterns,
                       simplex_weight_descent, space_from_sequences,
                       standard_space, stepped_wedge_weights,
@@ -245,34 +245,87 @@ def _plain_cell_fixed_point(space, cov, total_obs, model, tolerance):
             return phi
 
 
+_CP4 = standard_space(4, max_replication=10, granularity="cluster-period")
+_CP6 = standard_space(6, max_replication=10, granularity="cluster-period")
+_README = standard_space(6, max_replication=5, cells_per_period=10)
+
+
 class TestAcceleratedFixedPoint:
     """SQUAREM cycles cut the criterion evaluations of the multiplicative
     map; its fixed point and stop rule stay those of the plain map."""
 
     def test_cluster_period_grid_cell(self):
-        space = standard_space(6, max_replication=10, cells_per_period=1,
-                               granularity="cluster-period")
         cov = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5)
-        wd = mixed_model_weights(space, cov, total_obs=60)
-        assert wd.iterations <= 150  # the plain map takes 511 steps
-        assert wd.value == DesignCriterion(space, cov).value(60 * wd.weights)
+        wd = mixed_model_weights(_CP6, cov, total_obs=60)
+        assert wd.iterations <= 60  # the plain map takes 511 steps, unbounded SQUAREM 92
+        assert wd.value == DesignCriterion(_CP6, cov).value(60 * wd.weights)
         assert wd.value <= 0.0744144719  # where the plain map stops
-        tight = mixed_model_weights(space, cov, total_obs=60, tolerance=1e-10)
+        tight = mixed_model_weights(_CP6, cov, total_obs=60, tolerance=1e-10)
         assert wd.value == pytest.approx(tight.value, rel=1e-5)
 
     @pytest.mark.parametrize("family", ["gaussian-identity", "binomial-logit"])
     @pytest.mark.parametrize("kind,params", [("EXC1", {}), ("EXC2", {"cac": 0.5}),
                                              ("AR1", {"decay": 0.8})])
     def test_no_worse_than_plain_map(self, kind, params, family):
-        space = standard_space(4, max_replication=10,
-                               granularity="cluster-period")
         cov = CovarianceSpec.from_icc(kind, 0.05, **params)
         model = ModelSpec(family, beta=(-2, -1.5, -1, -0.5, 0.5))
-        wd = mixed_model_weights(space, cov, model=model, total_obs=100.0)
-        plain = _plain_cell_fixed_point(space, cov, 100.0, model, 1e-6)
-        plain_value = _cell_value(space, cov, plain, 100.0, model)
+        wd = mixed_model_weights(_CP4, cov, model=model, total_obs=100.0)
+        plain = _plain_cell_fixed_point(_CP4, cov, 100.0, model, 1e-6)
+        plain_value = _cell_value(_CP4, cov, plain, 100.0, model)
         assert wd.value <= (1 + 1e-9) * plain_value
         assert np.abs(wd.weights - plain).max() < 1e-3
+
+    LOGIT = ModelSpec("binomial-logit", beta=(-2, -1.5, -1, -0.5, 0.5))
+
+    @pytest.mark.parametrize("space,cov,model,total_obs,iterations,value", [
+        (_CP4, CovarianceSpec.from_icc("EXC1", 0.05), ModelSpec(), 100.0,
+         39, "0x1.72cbe70841221p-5"),
+        (_CP4, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5), ModelSpec(), 100.0,
+         23, "0x1.bd933c1d9c5cbp-5"),
+        (_CP4, CovarianceSpec.from_icc("AR1", 0.05, decay=0.8), ModelSpec(), 100.0,
+         20, "0x1.96ba0dcc5c0f4p-5"),
+        (_CP4, CovarianceSpec.from_icc("EXC1", 0.05), LOGIT, 100.0,
+         98, "0x1.8b3743b226c99p-3"),
+        (_CP4, CovarianceSpec.from_icc("AR1", 0.05, decay=0.8), LOGIT, 100.0,
+         72, "0x1.95f7656e83985p-3"),
+        (_README, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.8), ModelSpec(), None,
+         14, "0x1.47379c2ee9fdbp-3"),
+        (_README, CovarianceSpec.from_icc("EXC2", 0.01, cac=0.5), ModelSpec(), None,
+         32, "0x1.6a074b1ace053p-4"),
+    ], ids=["EXC1-gaussian", "EXC2-gaussian", "AR1-gaussian", "EXC1-logit",
+            "AR1-logit", "readme-0.05-0.8", "readme-0.01-0.5"])
+    def test_step_bound_idle_without_a_rejection(self, space, cov, model, total_obs,
+                                                 iterations, value):
+        # runs that never reject an extrapolation: the step bound stays
+        # infinite, so they keep the unbounded step's path bit for bit
+        wd = mixed_model_weights(space, cov, model=model, total_obs=total_obs)
+        assert (wd.iterations, wd.value.hex()) == (iterations, value)
+
+    def test_step_bound_after_rejections(self):
+        # unbounded, 26 of 35 extrapolations here are rejected, in 136 evaluations
+        wd = mixed_model_weights(_CP4, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5),
+                                 model=self.LOGIT, total_obs=100.0)
+        assert wd.iterations <= 100
+
+    @pytest.mark.parametrize("icc", [0.0431, 0.0567])
+    @pytest.mark.parametrize("cac", [0.4612, 0.5388])
+    def test_grid_cell_gap_to_tight_solve(self, icc, cac):
+        cov = CovarianceSpec.from_icc("EXC2", icc, cac=cac)
+        wd = mixed_model_weights(_CP6, cov, total_obs=60)
+        tight = mixed_model_weights(_CP6, cov, total_obs=60, tolerance=1e-10)
+        assert wd.value == pytest.approx(tight.value, rel=5e-6)
+
+    def test_log_average_class_converges(self):
+        # log-average values are negative; the monotone check once read
+        # -1.4413067884257664 -> -1.4413067888436026, a decrease, as an increase
+        covs = [CovarianceSpec.from_icc("AR1", 0.2, decay=0.8),
+                CovarianceSpec.from_icc("EXC1", 0.05)]
+        crit = RobustCriterion(_README, ModelClass.equal_priors(covs, form="log-average"))
+        wd, = _lockstep_weights(_README, [crit])
+        assert isinstance(wd, WeightedDesign)
+        assert wd.value == crit.value(wd.weights) < 0
+        for cov in covs:  # no worse than either model's own optimum
+            assert wd.value <= crit.value(mixed_model_weights(_README, cov).weights)
 
 
 def _same_run(got, want):
