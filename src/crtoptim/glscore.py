@@ -654,8 +654,11 @@ class DesignCriterion:
             raise ValidationError(
                 f"counts must be a (K, {self.space.n_units}) batch of "
                 f"per-unit multiplicities, got shape {batch.shape}")
-        # one pass catches negative, NaN and infinite entries alike
-        if not ((batch >= 0) & (batch < np.inf)).all():
+        # one pass catches negative, NaN and infinite entries alike; an
+        # integer is finite, so its smallest entry decides
+        valid = (batch.min(initial=0) >= 0 if batch.dtype.kind in "iu"
+                 else ((batch >= 0) & (batch < np.inf)).all())
+        if not valid:
             raise ValidationError(
                 "multiplicities must be finite and non-negative")
         # as floats: einsum casts an integer batch 3x slower, to the same sums
@@ -777,8 +780,8 @@ class DesignCriterion:
 
     def bound_terms(self, batch):
         """First-order terms of a ``(K, J)`` batch of multiplicities,
-        ``(grad, vouched)``, from which local search bounds every swap from
-        below; or ``None`` where they do not apply.
+        ``(grad, vouched, scale)``, from which local search bounds every
+        swap from below; or ``None`` where they do not apply.
 
         ``c' M^-1 c`` is convex in ``M`` (the matrix-fractional function),
         and at sequence granularity ``M`` is linear in the multiplicities,
@@ -789,37 +792,51 @@ class DesignCriterion:
         ``k``'s ``M`` and that its ``tr M tr M^-1`` is at most
         ``SCREEN_CONDITION``, so that ``grad`` is accurate far beyond
         ``SCREEN_RTOL``; a row it does not vouch for may hold NaN.
-        ``None`` at cluster-period and observation granularity, where an
-        empty cell makes the criterion non-smooth in a unit's multiplicity.
-        Raises :class:`ValidationError` for a batch that :meth:`values`
-        rejects.
+        ``scale[k]`` is the size of row ``k``'s value that its rounding
+        grows with, ``sum_l prior_l |t_l|`` over the parts' terms: the
+        value itself for a plain criterion. ``None`` at cluster-period and
+        observation granularity, where an empty cell makes the criterion
+        non-smooth in a unit's multiplicity. Raises
+        :class:`ValidationError` for a batch that :meth:`values` rejects.
 
         For a class of models ``grad`` is the prior-weighted sum of the
         parts' gradients, and a row is vouched for only where every part's
-        is: a linear average of convex criteria is convex. Per chunk that
-        takes one block sum over the parts' unit blocks side by side, one
+        is: a linear average of convex criteria is convex. So is a log
+        average, ``sum_l prior_l log f_l``: ``1 / f_l`` is the
+        c-information, concave in ``M`` (Pukelsheim 1993, ch. 3), so ``log
+        f_l = -log(1 / f_l)`` is convex; its gradient is ``sum_l prior_l
+        g_l / f_l``, and its scale ``sum_l prior_l |log f_l|`` covers the
+        rounding of terms that cancel in the sum. Per chunk that takes one
+        block sum over the parts' unit blocks side by side, one
         :func:`_factor_solve` over the ``(K L, P, P)`` stack and one
-        ``einsum`` of the prior-weighted ``y y'`` against the blocks. The
-        log-average form, whose logarithms are not convex, gives ``None``.
+        ``einsum`` of the weighted ``y y'`` against the blocks.
         """
         batch, blocks = self._batch(batch), self._unit_blocks
-        if blocks is None or self._log_form:
+        if blocks is None:
             return None
         p, n = self.space.n_periods + 1, len(self._parts)
         rows = max(1, self._parts[0]._chunk_rows // n)
-        weights = np.asarray(self._priors, dtype=float)[:, None]
+        priors = np.asarray(self._priors, dtype=float)
         grad = np.empty(batch.shape)
         vouched = np.empty(len(batch), dtype=bool)
+        scale = np.empty(len(batch))
         for i in range(0, len(batch), rows):
             chunk = batch[i:i + rows]
             m = np.einsum("kj,jx->kx", chunk, blocks).reshape(-1, p, p)
-            _, y, lower_inv = _factor_solve(m)
+            value, y, lower_inv = _factor_solve(m)
             vouched[i:i + rows] = _conditioned(m, lower_inv).reshape(-1, n).all(axis=1)
-            # row k, part l: prior_l y y', flattened as the blocks are
+            # row k, part l: its term of the value and the weight of its y y'
+            value = value.reshape(len(chunk), n)
+            if self._log_form:
+                terms, weights = np.log(value), priors / value
+            else:
+                terms, weights = value, priors
+            scale[i:i + rows] = np.add.reduce(priors * abs(terms), axis=-1)
+            # y y' flattened as the blocks are
             outer = (y[:, :, None] * y[:, None, :]).reshape(len(chunk), n, p * p)
-            grad[i:i + rows] = -np.einsum("kx,jx->kj",
-                                          (weights * outer).reshape(len(chunk), -1), blocks)
-        return grad, vouched
+            grad[i:i + rows] = -np.einsum("kx,jx->kj", (weights[..., None] * outer)
+                                          .reshape(len(chunk), -1), blocks)
+        return grad, vouched, scale
 
     def value_of(self, design: Design) -> float:
         """Criterion value of a :class:`Design`, which must be valid for

@@ -20,8 +20,8 @@ solves the chunk's clusters in turn. ``gradient`` sums the models'
 gradients the same way (``sum_l prior_l g_l / f_l`` in the log form), so
 the class's gradient is that of its value. ``single_moves`` sums the
 models' rank-one screens, and is ``None`` where any model's is, so the
-greedy walks screen a robust class as they do a plain criterion. A
-linear-average class at sequence granularity also gives the first-order
+greedy walks screen a robust class as they do a plain criterion. At
+sequence granularity a class, in either form, also gives the first-order
 terms by which local search bounds swaps from below (``bound_terms``), in
 one block sum and one kernel call per chunk as well. A class of one model
 in the linear form scores as that model's :class:`DesignCriterion` does,

@@ -9,10 +9,14 @@ entry point raises :class:`ValidationError` otherwise). Local
 search repeatedly applies the best value-improving single swap from
 random feasible starts; reverse greedy strips the full space down to the
 target size, removing whichever unit costs the least variance. A sweep
-builds its neighbourhood (the swaps of every restart still moving, or a
-greedy step's front-runners, below) as one count matrix and scores it
-through ``values``: local search runs its restarts in lockstep, so one
-batch holds the swaps of all of them.
+scores its neighbourhood (the swaps of every restart still moving, or a
+greedy step's front-runners, below) through ``values``: local search runs
+its restarts in lockstep, so one sweep holds the swaps of all of them.
+It lays them on one ``(K, J J)`` grid, row ``k`` for the ``k``-th restart
+and entry ``r J + a`` for the pair that moves one replicate from unit
+``r`` to unit ``a``, so each row's pairs lie in ``(remove, add)``
+row-major order; a broadcast mask marks the pairs that are swaps, and a
+row of counts is built only for a swap sent to ``values``.
 
 One generator, ``default_rng(seed)``, draws every start of a local
 search, in rounds: a round draws, row by row, a row of ``J cap`` uniform
@@ -42,25 +46,29 @@ every follower takes the design and value at the end of its chain. Every
 restart ends as it would alone, with the same value bit for bit.
 
 A criterion may also offer ``bound_terms(batch)``: per design, a gradient
-``g`` in the multiplicities and whether it vouches for it, or ``None``.
-:class:`DesignCriterion` and the linear-average :class:`RobustCriterion`
-offer it at sequence granularity, where ``M`` is linear in the
-multiplicities and ``c' M^-1 c`` is convex in ``M``, so a swap of unit
-``r`` for unit ``a`` in a design of value ``f`` scores at least ``f + g_a
-- g_r``; each bound is lowered by ``SCREEN_RTOL (|f| + |g_a| + |g_r|)``
-for rounding, and a design whose terms are not vouched for (its ``M`` not
-certified by the kernel, or ``tr M tr M^-1`` above ``SCREEN_CONDITION``)
-bounds its swaps by ``-inf``. A sweep then scores in two rounds: each
-design's lowest-bound swap, where that bound ties with or beats ``f``
-(value ``U``), then only the swaps whose bound ties with or beats both
-``f`` and ``U``; the rest count as infinite. If some swap improves on
+``g`` in the multiplicities, whether it vouches for it, and the scale
+``s`` its value rounds with; or ``None``. :class:`DesignCriterion` and
+:class:`RobustCriterion`, in either form, offer it at sequence
+granularity, where ``M`` is linear in the multiplicities and both ``c'
+M^-1 c`` and its logarithm are convex in ``M``, so a swap of unit ``r``
+for unit ``a`` in a design of value ``f`` scores at least ``f + g_a -
+g_r``. Each bound is lowered by ``SCREEN_RTOL (s + |g_a| + |g_r|)`` for
+rounding (``s`` is ``|f|`` for a plain criterion, and the prior sum of
+the models' ``|log f_l|`` in the log form), a design whose terms are not
+vouched for (its ``M`` not certified by the kernel, or ``tr M tr M^-1``
+above ``SCREEN_CONDITION``) bounds its swaps by ``-inf``, and a pair
+that is not a swap has bound ``+inf``. A sweep then scores in two rounds:
+each row's lowest-bound swap (its ``argmin``), where that bound ties
+with or beats ``f`` (value ``U``), then only the swaps the mask ``bound
+<= min(edge f, edge U)`` marks, with ``edge`` the top of a value's tie
+band; the rest count as infinite. If some swap improves on
 ``f``, every swap tied with the best one has a bound under both edges, so
 it is scored and the sweep takes the row and value that scoring every
 swap would; if none does, the restart stops either way. Designs, values
 and ``progress`` trails are unchanged, and on the README space about a
 third of the swaps are scored. Cluster-period and observation
-granularity (where an empty cell makes the criterion non-smooth) and the
-log-average form (not convex) score every swap.
+granularity (where an empty cell makes the criterion non-smooth) score
+every swap.
 
 Greedy walks (reverse greedy and the rounding fill) move one unit at a
 time. A walk under :class:`DesignCriterion` rows, plain or robust, screens
@@ -79,8 +87,9 @@ so while the screen errs by less than ``SCREEN_RTOL / 2`` (it errs by
 about 1e-13) a walk takes the moves and reports the values of scoring
 every move in full. (A log-average screen errs by about 1e-13 absolutely,
 not relatively, so near a value of zero the band is narrower than that.)
-Sequence spaces, and a walk under any criterion that is not a
-:class:`DesignCriterion`, score every move of a greedy step. A step
+A walk decides once whether the screen can apply: on a sequence space,
+and under any criterion that is not a :class:`DesignCriterion`, it
+screens nothing and scores every move of a greedy step. A step
 scores its front-runners in one ``values`` call and takes the first
 within ``CRITERION_ROUNDING`` of their minimum, comparing Python floats. A walk
 moves a stack of designs in lockstep, each under its own criterion: the
@@ -246,28 +255,25 @@ def _scalar_tie_edge(low: float) -> float:
 
 def _first_minimum(values: list) -> int:
     """Index of the first of ``values`` (Python floats) within
-    ``CRITERION_ROUNDING`` of their minimum, a NaN ranking last: the one
-    segment of :func:`_first_minima`, bit for bit."""
+    ``CRITERION_ROUNDING`` of their minimum, a NaN ranking last: a grid of
+    one row under :func:`_first_minima`, bit for bit."""
     edge = _scalar_tie_edge(min((v for v in values if not math.isnan(v)),
                                 default=math.inf))
     return next((i for i, v in enumerate(values) if v <= edge), 0)
 
 
-def _first_minima(values: np.ndarray, starts) -> np.ndarray:
-    """For each segment ``values[starts[i]:starts[i + 1]]`` (the last runs
-    to the end), the index of its first value within
-    ``CRITERION_ROUNDING`` of the segment minimum.
+def _first_minima(values: np.ndarray) -> np.ndarray:
+    """For each row of the ``(K, N)`` grid ``values``, the index of its
+    first value within ``CRITERION_ROUNDING`` of the row's minimum, a NaN
+    ranking last.
 
     Values that close are ties whose order is the kernel's rounding, so
-    they settle toward the first row, whatever the kernel rounds.
+    they settle toward the first entry, whatever the kernel rounds.
     """
-    starts = np.asarray(starts)
     # a NaN value ranks last, like an unidentified design
     values = np.where(np.isnan(values), np.inf, values)
-    edge = _tie_edge(np.minimum.reduceat(values, starts))
-    sizes = np.diff(starts, append=len(values))
-    near = np.flatnonzero(values <= np.repeat(edge, sizes))
-    return near[np.searchsorted(near, starts)]
+    edge = _tie_edge(values.min(axis=1))
+    return (values <= edge[:, None]).argmax(axis=1)
 
 
 def _front_runners(screened, units):
@@ -295,13 +301,16 @@ def _greedy_walk(criteria, counts, target: int, cap: int, progress=None):
 
     The rows walk in lockstep, and a row leaves the stack once it reaches
     the target. Every step screens the moves of all rows still walking at
-    once (:func:`_screens`), and only each row's front-runners (see
+    once (:func:`glscore._single_moves`; the walk decides once whether the
+    screen can apply), and only each row's front-runners (see
     :func:`_front_runners`) are scored, by that row's own ``values``, which
     alone decides the move and the value. A row left with one candidate
     and no ``progress`` to report takes it without scoring it."""
-    # a stack of DesignCriterion rows is screened; any other criterion
+    # a stack of DesignCriterion rows is screened, except at sequence
+    # granularity, where the screen never applies; any other criterion
     # scores every move
-    screen = all(isinstance(criterion, DesignCriterion) for criterion in criteria)
+    screen = all(isinstance(criterion, DesignCriterion)
+                 and criterion.space.granularity != "sequence" for criterion in criteria)
     sizes = counts.sum(axis=1)
     down = bool((sizes > target).any())
     move = -1 if down else 1
@@ -357,88 +366,100 @@ def _swap_sweep(space: DesignSpace, criterion, counts, current, active):
     improves on ``current`` by more than ``CRITERION_ROUNDING``; updates
     ``counts`` and ``current`` in place and returns the restarts that moved.
 
-    The neighbourhoods of all of them are scored together
-    (:func:`_swap_values`). Each restart's rows are its ``(remove, add)``
-    pairs in row-major order, so its first minimum is the lowest ``(remove,
-    add)``.
+    The neighbourhoods of all of them are scored together, as one ``(K, J
+    J)`` grid (:func:`_swap_values`): row ``k`` is restart ``active[k]``,
+    and its entry ``r J + a`` the pair that moves one replicate from unit
+    ``r`` to unit ``a``, so the pairs lie in ``(remove, add)`` row-major
+    order and each restart's first minimum is its lowest ``(remove,
+    add)``. A broadcast mask marks the pairs that are swaps: ``r`` held,
+    ``a`` below the cap, ``r != a``.
     """
-    own = counts[active]
-    pairs = ((own > 0)[:, :, None] & (own < space.max_replication)[:, None, :]
-             & ~np.eye(space.n_units, dtype=bool))
-    owner, remove, add = np.nonzero(pairs)
-    if owner.size == 0:
-        return active[:0]
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    values = _swap_values(criterion, own, current[active], owner, remove, add, starts)
-    best = _first_minima(values, starts)
-    restart, values = active[owner[best]], values[best]
-    improved = current[restart] > _tie_edge(values)
-    best, restart = best[improved], restart[improved]
-    counts[restart, remove[best]] -= 1
-    counts[restart, add[best]] += 1
+    own, n = counts[active], space.n_units
+    valid = ((own > 0)[:, :, None] & (own < space.max_replication)[:, None, :]
+             & ~np.eye(n, dtype=bool)).reshape(len(own), n * n)
+    values = _swap_values(criterion, own, current[active], valid)
+    best = _first_minima(values)
+    values = values[np.arange(len(own)), best]
+    improved = current[active] > _tie_edge(values)
+    restart, best = active[improved], best[improved]
+    counts[restart, best // n] -= 1
+    counts[restart, best % n] += 1
     current[restart] = values[improved]
     return restart
 
 
-def _swap_bounds(terms, current, owner, remove, add):
-    """Lower bounds of swap rows (laid out as in :func:`_swap_values`)
-    from ``(grad, vouched) = criterion.bound_terms(own)``: ``f + g_a -
-    g_r - SCREEN_RTOL (|f| + |g_a| + |g_r|)`` for a row swapping ``r`` for
-    ``a`` in a design of value ``f``, ``-inf`` on every row of a design
-    the terms do not vouch for (or whose bound is NaN)."""
-    grad, vouched = terms
-    f, g_add, g_remove = current[owner], grad[owner, add], grad[owner, remove]
-    bound = f + g_add - g_remove - SCREEN_RTOL * (abs(f) + abs(g_add) + abs(g_remove))
-    bound[~vouched[owner] | np.isnan(bound)] = -math.inf
+def _swap_bounds(terms, current, valid):
+    """Lower bounds of the swaps of a ``(K, J J)`` grid (laid out as in
+    :func:`_swap_sweep`, ``valid`` its mask of swaps) from ``(grad,
+    vouched, scale) = criterion.bound_terms(own)``: ``f + g_a - g_r -
+    SCREEN_RTOL (s + |g_a| + |g_r|)`` for the pair ``(r, a)`` of a design
+    of value ``f`` and scale ``s``, ``-inf`` on every pair of a design the
+    terms do not vouch for (or whose bound is NaN), and ``+inf`` on the
+    pairs that are not swaps."""
+    grad, vouched, scale = terms
+    margin = SCREEN_RTOL * abs(grad)
+    # f + (g_a - SCREEN_RTOL |g_a|) - (g_r + SCREEN_RTOL (|g_r| + s)), pair by pair
+    add = grad - margin
+    remove = grad + margin + (SCREEN_RTOL * scale)[:, None]
+    bound = (current[:, None, None] + add[:, None, :] - remove[:, :, None]
+             ).reshape(valid.shape)
+    bound[np.isnan(bound) | ~vouched[:, None]] = -math.inf
+    bound[~valid] = math.inf
     return bound
 
 
-def _swap_values(criterion, own, current, owner, remove, add, starts):
-    """Values of the swap rows (row ``i`` is design ``own[owner[i]]``, of
-    value ``current[owner[i]]``, with one replicate moved from
-    ``remove[i]`` to ``add[i]``; ``owner`` sorted, each owner's rows
-    starting at ``starts``), ``inf`` on the rows left unscored.
-
-    Without ``criterion.bound_terms`` every row is scored in one ``values``
-    call. With it, a row swapping ``r`` for ``a`` in a design of value
-    ``f`` scores at least ``f + g_a - g_r``, by convexity, and each row is
-    bounded by that less a rounding margin (:func:`_swap_bounds`). The rows
-    are then scored in two rounds: the lowest-bound row of each design
-    whose lowest bound is within the tie band of ``f`` (value ``U``), then
-    the rows whose bound is within the tie bands of both ``f`` and ``U``.
-    Where some swap improves on ``f``, every row within
-    ``CRITERION_ROUNDING`` of the best swap's value is scored, so the sweep
-    takes the row and value it would take scoring all of them; where none
-    does, the design stops either way.
-    """
-    batch = own[owner]
-    rows = np.arange(owner.size)
+def _swapped(own, k, pair):
+    """The count rows of the swaps at ``(k, pair)`` of a grid laid out as
+    in :func:`_swap_sweep` on the designs ``own``."""
+    remove, add = np.divmod(pair, own.shape[1])
+    batch = own[k]
+    rows = np.arange(k.size)
     batch[rows, remove] -= 1
     batch[rows, add] += 1
+    return batch
+
+
+def _swap_values(criterion, own, current, valid):
+    """Values of the swaps of a ``(K, J J)`` grid laid out as in
+    :func:`_swap_sweep` (row ``k`` design ``own[k]``, of value
+    ``current[k]``; ``valid`` the mask of swaps), ``inf`` on the entries
+    left unscored. Count rows are built only for the swaps sent to
+    ``criterion.values`` (:func:`_swapped`), in row-major order.
+
+    Without ``criterion.bound_terms`` every swap is scored in one ``values``
+    call. With it, a swap of ``r`` for ``a`` in a design of value ``f``
+    scores at least ``f + g_a - g_r``, by convexity, and each is bounded by
+    that less a rounding margin (:func:`_swap_bounds`). The swaps are then
+    scored in two rounds: each row's lowest-bound swap (its ``argmin``)
+    where that bound is within the tie band of ``f`` (value ``U``), then
+    the swaps whose bound is within the tie bands of both ``f`` and ``U``.
+    Where some swap improves on ``f``, every swap within
+    ``CRITERION_ROUNDING`` of the best swap's value is scored, so the sweep
+    takes the swap and value it would take scoring all of them; where none
+    does, the design stops either way.
+    """
     terms = criterion.bound_terms(own)
+    values = np.full(valid.shape, math.inf)
     if terms is None:
-        return criterion.values(batch)
-    bound = _swap_bounds(terms, current, owner, remove, add)
-    sizes = np.diff(starts, append=owner.size)
-    lowest = np.minimum.reduceat(bound, starts)
-    first = np.flatnonzero(bound == np.repeat(lowest, sizes))
-    first = first[np.searchsorted(first, starts)]
-    edge = _tie_edge(current[owner[starts]])
-    reached = np.flatnonzero(lowest <= edge)
-    values = np.full(owner.size, math.inf)
-    if reached.size == 0:
+        k, pair = np.nonzero(valid)
+        values[k, pair] = criterion.values(_swapped(own, k, pair))
         return values
-    first = first[reached]
-    values[first] = criterion.values(batch[first])
-    low = np.full(starts.size, math.inf)
-    low[reached] = values[first]
+    bound = _swap_bounds(terms, current, valid)
+    rows = np.arange(len(own))
+    first = bound.argmin(axis=1)
+    edge = _tie_edge(current)
+    # a row without a swap has no lowest bound
+    k = np.flatnonzero((bound[rows, first] <= edge) & valid[rows, first])
+    if k.size == 0:
+        return values
+    values[k, first[k]] = criterion.values(_swapped(own, k, first[k]))
     # a NaN value ranks last, like an unidentified design
-    reach = np.fmin(edge, _tie_edge(low))
-    pending = bound <= np.repeat(reach, sizes)
-    pending[first] = False
-    second = np.flatnonzero(pending)
-    if second.size:
-        values[second] = criterion.values(batch[second])
+    reach = np.fmin(edge, _tie_edge(values[rows, first]))
+    pending = (bound <= reach[:, None]) & valid
+    pending[rows, first] = False
+    k, pair = np.nonzero(pending)
+    if k.size:
+        values[k, pair] = criterion.values(_swapped(own, k, pair))
     return values
 
 
@@ -489,11 +510,11 @@ def local_search(space: DesignSpace, criterion, m: int, restarts: int = 100,
     criterion = _ScoreMemo(criterion, space.n_units, space.max_replication)
     counts, current = _random_starts(space, criterion, m, restarts,
                                      np.random.default_rng(seed))
-    # a restart adds at most J (J - 1) rows of J counts to a sweep batch;
-    # cap the restarts per batch so that it stays within one evaluation's
-    # working-array budget
-    row_bytes = counts.itemsize * space.n_units
-    group = max(1, CHUNK_BYTES // max(1, row_bytes * space.n_units * (space.n_units - 1)))
+    # a restart takes J J entries of a sweep's grid, each a float and, if
+    # scored, a row of J counts; cap the restarts per sweep so that the
+    # grid stays within one evaluation's working-array budget
+    n = space.n_units
+    group = max(1, CHUNK_BYTES // (n * n * (8 + counts.itemsize * n)))
     # the first restart to hold each design, and the restart each one follows
     held: dict[bytes, int] = {}
     follows = np.arange(restarts)

@@ -73,7 +73,7 @@ def brute_force_optimum(space: DesignSpace, criterion, m: int,
     # later batch wins only beyond the tie band
     while batch := list(itertools.islice(designs, BRUTE_FORCE_BATCH)):
         values = criterion.values(np.array(batch))
-        i = _first_minima(values, [0])[0]
+        i = _first_minima(values[None])[0]
         if best_counts is None or best_value > _tie_edge(values[i]):
             best_value, best_counts = float(values[i]), batch[i]
     if best_counts is None or not math.isfinite(best_value):

@@ -106,9 +106,10 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
     if every active weight stays positive and its criterion does not exceed
     that of ``p1``; otherwise the cycle ends at the plain double step ``p2``
     (``alpha = -1``). The step bound ``reach`` starts infinite, becomes
-    ``max(1, -alpha / 2)`` when an extrapolation's criterion is rejected and
-    infinite again once one is accepted, so a run that rejects none takes
-    the unbounded steps. The fixed point is that of the plain map, and
+    ``max(1, -alpha / 2)`` when an extrapolation is rejected (its criterion
+    too high, or an active weight non-positive) and infinite again once one
+    is accepted, so a run that rejects none takes the unbounded steps. The
+    fixed point is that of the plain map, and
     the run stops once a plain step moves no weight by more than
     ``tolerance``, returning that step's weights and their criterion.
     Units dropping below ``1e-7`` weight on a plain step are removed
@@ -240,14 +241,17 @@ def _squarem(n_units: int, scale: float, tolerance: float, max_iter: int):
             alpha = min(-math.sqrt(r @ r) / v_norm, -1.0) if v_norm > 0 else -1.0
             alpha = max(alpha, -reach)
             trial = start - 2.0 * alpha * r + alpha * alpha * v
-            if alpha < -1.0 and (trial[active] > 0).all():
-                trial /= trial.sum()
-                calls = _spend(calls, max_iter, phi)
-                f_trial, grad_trial = yield scale * trial
-                if f_trial <= f:
-                    phi, f, grad, start = trial, f_trial, grad_trial, None
-                    reach = math.inf
-                    continue
+            if alpha < -1.0:
+                if (trial[active] > 0).all():
+                    trial /= trial.sum()
+                    calls = _spend(calls, max_iter, phi)
+                    f_trial, grad_trial = yield scale * trial
+                    if f_trial <= f:
+                        phi, f, grad, start = trial, f_trial, grad_trial, None
+                        reach = math.inf
+                        continue
+                # rejected: its value rose, or it left an active weight
+                # non-positive
                 reach = max(1.0, -alpha / 2.0)
         # a plain step of the map: alpha = -1 ends the cycle at F(F(start))
         calls = _spend(calls, max_iter, phi)

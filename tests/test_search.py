@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -996,17 +997,21 @@ class Bounded(Recording):
         return self.criterion.bound_terms(batch)
 
 
-def swap_rows(space, counts):
-    """Every swap row of each design in ``counts``, laid out as a swap
-    sweep lays them: ``(batch, owner, remove, add)``."""
+def swap_grid(space, counts):
+    """The swaps of each design in ``counts`` on a sweep's ``(K, J J)``
+    grid, entry ``r J + a`` of row ``k`` moving one replicate of design
+    ``k`` from unit ``r`` to unit ``a``: ``(valid, owner, pair, batch)``,
+    the grid's mask of swaps and, per swap in row-major order, its design,
+    its entry and its row of counts."""
+    n = space.n_units
     pairs = ((counts > 0)[:, :, None] & (counts < space.max_replication)[:, None, :]
-             & ~np.eye(space.n_units, dtype=bool))
+             & ~np.eye(n, dtype=bool))
     owner, remove, add = np.nonzero(pairs)
     batch = counts[owner]
     rows = np.arange(owner.size)
     batch[rows, remove] -= 1
     batch[rows, add] += 1
-    return batch, owner, remove, add
+    return pairs.reshape(len(counts), n * n), owner, remove * n + add, batch
 
 
 def random_designs(space, rng, k):
@@ -1049,6 +1054,8 @@ def bound_cases():
     yield pytest.param(twins, DesignCriterion(twins, covs[1]), id="twin-units")
     yield pytest.param(readme, RobustCriterion(readme, ModelClass.equal_priors(
         eighteen_models())), id="readme-robust-18")
+    yield pytest.param(readme, RobustCriterion(readme, ModelClass.equal_priors(
+        eighteen_models(), form="log-average")), id="readme-robust-log-18")
     yield pytest.param(readme, RobustCriterion(readme, ModelClass((
         ModelEntry(covs[1], 0.3), ModelEntry(covs[2], 0.7, binomial(6))))),
         id="readme-robust-binomial")
@@ -1077,8 +1084,10 @@ class TestSwapBound:
         counts = random_designs(space, np.random.default_rng(0), 60)
         current = crit.values(counts)
         terms = crit.bound_terms(counts)
-        batch, owner, remove, add = swap_rows(space, counts)
-        bound = search._swap_bounds(terms, current, owner, remove, add)
+        valid, owner, pair, batch = swap_grid(space, counts)
+        grid = search._swap_bounds(terms, current, valid)
+        assert (grid[~valid] == math.inf).all()
+        bound = grid[owner, pair]
         vouched = terms[1][owner]
         assert vouched.mean() > 0.5
         values = crit.values(batch)
@@ -1124,10 +1133,12 @@ class TestSwapBound:
             assert DesignCriterion(space, cov).bound_terms(counts) is None
             robust = RobustCriterion(space, ModelClass.equal_priors([cov]))
             assert robust.bound_terms(counts) is None
+        # a log average is convex too, so it has terms at sequence granularity
         readme = standard_space(6, max_replication=5, cells_per_period=10)
         log = RobustCriterion(readme, ModelClass.equal_priors(eighteen_models(),
                                                               form="log-average"))
-        assert log.bound_terms(np.ones((2, readme.n_units), dtype=int)) is None
+        grad, vouched, scale = log.bound_terms(np.ones((2, readme.n_units), dtype=int))
+        assert vouched.all() and np.isfinite(grad).all() and np.isfinite(scale).all()
 
     @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
     @pytest.mark.parametrize("form", [None, "linear-average", "log-average"])
@@ -1144,10 +1155,9 @@ class TestSwapBound:
         space = standard_space(4, max_replication=3, cells_per_period=2)
         crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC1", 0.1))
         counts = np.ones((2, space.n_units), dtype=int)
-        grad, vouched = search._ScoreMemo(crit, space.n_units, 3).bound_terms(counts)
+        terms = search._ScoreMemo(crit, space.n_units, 3).bound_terms(counts)
         expected = crit.bound_terms(counts)
-        assert grad.tolist() == expected[0].tolist()
-        assert vouched.tolist() == expected[1].tolist()
+        assert [t.tolist() for t in terms] == [t.tolist() for t in expected]
         assert search._ScoreMemo(Recording(crit), space.n_units, 3).bound_terms(
             counts) is None
 
@@ -1155,7 +1165,23 @@ class TestSwapBound:
         space = standard_space(6, max_replication=5, cells_per_period=10)
         crit = DesignCriterion(space, CovarianceSpec.from_icc("AR1", 0.2, decay=0.6))
         counts = random_designs(space, np.random.default_rng(2), 10)
-        grad, vouched = crit.bound_terms(counts)
+        grad, vouched, scale = crit.bound_terms(counts)
+        for row, g, ok in zip(counts, grad, vouched):
+            if ok:
+                np.testing.assert_allclose(g, crit.gradient(row)[1], rtol=1e-12)
+        # a plain criterion's value is its own scale
+        assert scale.tobytes() == crit.values(counts).tobytes()
+
+    def test_log_average_terms(self):
+        space = standard_space(6, max_replication=5, cells_per_period=10)
+        models = eighteen_models()
+        crit = RobustCriterion(space, ModelClass.equal_priors(models, form="log-average"))
+        counts = random_designs(space, np.random.default_rng(2), 10)
+        grad, vouched, scale = crit.bound_terms(counts)
+        assert vouched.sum() >= 5
+        logs = np.log([DesignCriterion(space, cov).values(counts) for cov in models])
+        np.testing.assert_allclose(scale[vouched], np.abs(logs).mean(axis=0)[vouched],
+                                   rtol=1e-12)
         for row, g, ok in zip(counts, grad, vouched):
             if ok:
                 np.testing.assert_allclose(g, crit.gradient(row)[1], rtol=1e-12)
@@ -1175,7 +1201,7 @@ def prune_cases():
         pytest.param(readme, DesignCriterion(readme, exc2, binomial(6)), 10, 20, 1, True,
                      id="binomial-logit"),
         pytest.param(readme, RobustCriterion(readme, ModelClass.equal_priors(
-            eighteen_models(), form="log-average")), 10, 5, 2, False, id="log-average"),
+            eighteen_models(), form="log-average")), 10, 5, 2, True, id="log-average"),
         pytest.param(twins, DesignCriterion(twins, exc2), 5, 20, 0, True,
                      id="twin-units"),
     ]
@@ -1210,8 +1236,8 @@ class TestPrunedSweep:
 
         class Unvouched(Recording):
             def bound_terms(self, batch):
-                grad, vouched = self.criterion.bound_terms(batch)
-                return grad, np.zeros_like(vouched)
+                grad, vouched, scale = self.criterion.bound_terms(batch)
+                return grad, np.zeros_like(vouched), scale
 
         unvouched, full = Unvouched(crit), Recording(crit)
         assert (search_outcome(space, unvouched, 10, 20, 3)
@@ -1232,9 +1258,8 @@ class TestPrunedSweep:
             counts, current = counts[None].copy(), crit.values(counts[None])
             if not math.isfinite(current[0]):
                 continue
-            batch, owner, remove, add = swap_rows(space, counts)
-            bound = search._swap_bounds(crit.bound_terms(counts), current, owner,
-                                        remove, add)
+            valid, _, pair, batch = swap_grid(space, counts)
+            bound = search._swap_bounds(crit.bound_terms(counts), current, valid)[0, pair]
             edge = search._tie_edge(current[0])
             lowest = int(np.argmin(bound))
             expected = set()
@@ -1252,6 +1277,46 @@ class TestPrunedSweep:
         assert scored < rows / 2
 
 
+class TestSweepGrid:
+    """A sweep lays every restart's swaps on one grid and builds rows of
+    counts only for the swaps it sends to the criterion."""
+
+    def test_builds_rows_only_for_the_swaps_it_scores(self, monkeypatch):
+        space = standard_space(6, max_replication=5, cells_per_period=10)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.8))
+        counts = random_designs(space, np.random.default_rng(4), 20)
+        current = crit.values(counts)
+        swaps = int(swap_grid(space, counts)[0].sum())
+        built = []
+        swapped = search._swapped
+        monkeypatch.setattr(search, "_swapped", lambda own, k, pair: built.append(k.size)
+                            or swapped(own, k, pair))
+        bounded = Bounded(crit)
+        search._swap_sweep(space, bounded, counts, current, np.arange(len(counts)))
+        assert sum(built) == len(bounded.rows)
+        assert sum(built) < swaps / 2
+
+    def test_readme_sweep_holds_little_beyond_one_chunk(self):
+        # building every swap's row of counts took about 450 KB more
+        space = standard_space(6, max_replication=5, cells_per_period=10)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.8))
+        memo = search._ScoreMemo(crit, space.n_units, space.max_replication)
+        counts, current = search._random_starts(space, memo, 10, 100,
+                                                np.random.default_rng(0))
+        rows = np.repeat(counts, 10, axis=0)
+        assert len(rows) > crit._chunk_rows
+        tracemalloc.start()
+        try:
+            crit.values(rows)
+            chunk = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            search._swap_sweep(space, memo, counts, current, np.arange(100))
+            sweep = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sweep <= chunk + (256 << 10)
+
+
 class TestGreedyStep:
     """A greedy step and the merge of restarts pick by Python floats as
     the sweeps do by arrays, bit for bit."""
@@ -1262,7 +1327,7 @@ class TestGreedyStep:
         [-1.0, -1.0 - 1e-16, 0.0], [0.0, -0.0], [5e-324, 0.0]])
     def test_first_minimum_matches_first_minima(self, values):
         assert search._first_minimum(values) == search._first_minima(
-            np.array(values), [0])[0]
+            np.array([values]))[0]
 
     @pytest.mark.parametrize("low", [1.0, 0.1, -2.5, 0.0, -0.0, math.inf, -math.inf,
                                      5e-324, 1e308])

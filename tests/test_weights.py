@@ -282,24 +282,41 @@ class TestAcceleratedFixedPoint:
          39, "0x1.72cbe70841221p-5"),
         (_CP4, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5), ModelSpec(), 100.0,
          23, "0x1.bd933c1d9c5cbp-5"),
-        (_CP4, CovarianceSpec.from_icc("AR1", 0.05, decay=0.8), ModelSpec(), 100.0,
-         20, "0x1.96ba0dcc5c0f4p-5"),
-        (_CP4, CovarianceSpec.from_icc("EXC1", 0.05), LOGIT, 100.0,
-         98, "0x1.8b3743b226c99p-3"),
-        (_CP4, CovarianceSpec.from_icc("AR1", 0.05, decay=0.8), LOGIT, 100.0,
-         72, "0x1.95f7656e83985p-3"),
         (_README, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.8), ModelSpec(), None,
          14, "0x1.47379c2ee9fdbp-3"),
         (_README, CovarianceSpec.from_icc("EXC2", 0.01, cac=0.5), ModelSpec(), None,
          32, "0x1.6a074b1ace053p-4"),
-    ], ids=["EXC1-gaussian", "EXC2-gaussian", "AR1-gaussian", "EXC1-logit",
-            "AR1-logit", "readme-0.05-0.8", "readme-0.01-0.5"])
+    ], ids=["EXC1-gaussian", "EXC2-gaussian", "readme-0.05-0.8", "readme-0.01-0.5"])
     def test_step_bound_idle_without_a_rejection(self, space, cov, model, total_obs,
                                                  iterations, value):
         # runs that never reject an extrapolation: the step bound stays
         # infinite, so they keep the unbounded step's path bit for bit
         wd = mixed_model_weights(space, cov, model=model, total_obs=total_obs)
         assert (wd.iterations, wd.value.hex()) == (iterations, value)
+
+    @pytest.mark.parametrize("cov,model,iterations,value", [
+        (CovarianceSpec.from_icc("AR1", 0.05, decay=0.8), ModelSpec(),
+         24, "0x1.96b9c1d766550p-5"),
+        (CovarianceSpec.from_icc("EXC1", 0.05), LOGIT, 52, "0x1.8b372657d1193p-3"),
+        (CovarianceSpec.from_icc("AR1", 0.05, decay=0.8), LOGIT,
+         59, "0x1.95f793c33e504p-3"),
+    ], ids=["AR1-gaussian", "EXC1-logit", "AR1-logit"])
+    def test_step_bound_after_fallbacks(self, cov, model, iterations, value):
+        # runs that, unbounded, reject no extrapolation by its criterion
+        # value but fall back from ones that leave an active weight
+        # non-positive: each such fallback now bounds the next step
+        wd = mixed_model_weights(_CP4, cov, model=model, total_obs=100.0)
+        assert (wd.iterations, wd.value.hex()) == (iterations, value)
+
+    def test_fallback_bounds_the_step(self):
+        # with the step left unbounded after a fallback, this run fell back
+        # 39 times in 98 evaluations; bounded, 11 times in 52
+        cov = CovarianceSpec.from_icc("EXC1", 0.05)
+        wd = mixed_model_weights(_CP4, cov, model=self.LOGIT, total_obs=100.0)
+        assert wd.iterations <= 60
+        tight = mixed_model_weights(_CP4, cov, model=self.LOGIT, total_obs=100.0,
+                                    tolerance=1e-10)
+        assert wd.value == pytest.approx(tight.value, rel=2e-6)
 
     def test_step_bound_after_rejections(self):
         # unbounded, 26 of 35 extrapolations here are rejected, in 136 evaluations
