@@ -23,23 +23,26 @@ bit. Scoring is batched, in one loop (:meth:`DesignCriterion.values`): it
 checks a ``(K, J)`` matrix of per-unit counts once and scores it chunk by
 chunk, each chunk in one block sum (or cluster solve) and one stacked
 rank-aware solve over the information matrices of its rows under the
-``L`` parts. The gradients the weight solvers follow come from
-:func:`_gradients`, which scores one row per criterion of one space, ``(L,
-J)``, under every part of each, in one cluster solve over the parts'
-stacked covariances (or each part's unit-block sum at sequence
-granularity), one kernel call, one ``inv`` of the certified factors
-(:func:`_factor_solve`) and one ``bincount``;
-:meth:`DesignCriterion.gradient` is its stack of one, and a weight grid
-solved in lockstep scores all its cells at once. The rank-one screen of
-the greedy walks (:func:`_single_moves`) is stacked the same way: one
-solve over the parts' stacked covariances and one kernel call screen one
-row per criterion, so a weight grid's rounding fills share one call per
-step, and :meth:`DesignCriterion.single_moves` is its stack of one. A
-stack of plain criteria is its own stack of parts and takes no extra
-step. The first-order terms by which local search bounds swaps from below
-(:meth:`DesignCriterion.bound_terms`) take, per chunk, the same block sum
-as the values, one :func:`_factor_solve` and one ``einsum`` against the
-unit blocks.
+``L`` parts. Values and gradients in the multiplicities come from one
+first-order core, :func:`_first_order`, on a stack of parts
+(:func:`_stacked_clusters`: their unit blocks side by side at sequence
+granularity, their cluster blocks stacked elsewhere), whose batch
+broadcasts against the parts: one information step, one kernel call, one
+``inv`` of the certified factors (:func:`_factor_solve`) and one
+contraction, a three-operand ``einsum`` over the unit blocks or one
+``bincount`` over the cells. The gradients the weight solvers follow come
+from :func:`_gradients`, which scores one row per criterion of one space,
+``(L, J)``, under every part of each; :meth:`DesignCriterion.gradient` is
+its stack of one, and a weight grid solved in lockstep scores all its
+cells at once. The first-order terms by which local search bounds swaps
+from below (:meth:`DesignCriterion.bound_terms`) score each row of a batch
+under every part of one criterion, chunk by chunk, at every granularity.
+The rank-one screen of the greedy walks (:func:`_single_moves`) is stacked
+the same way: one solve over the parts' stacked covariances and one
+kernel call screen one row per criterion, so a weight grid's rounding
+fills share one call per step, and :meth:`DesignCriterion.single_moves`
+is its stack of one. A stack of plain criteria is its own stack of parts
+and takes no extra step.
 ``contrast_variance`` is the kernel on a stack of one.
 The kernel factorises the whole stack once by Cholesky, ``M = L
 L'``, in one LAPACK call. A row is certified full-rank when its smallest
@@ -435,14 +438,16 @@ class _ClusterBlocks:
         # per-cell constants of every solve and gradient
         self._eye = np.eye(self.unit_idx.shape[-1])
         self._cell_unit = self.unit_idx.ravel()
-        # precision one unit replicate adds to each cell; zero at padding
-        self.cell_precision = (self.n_per * self.weight).ravel()
+        # precision one unit replicate adds to each cell, ([L,] C, c); zero
+        # at padding
+        self.cell_precision = self.n_per * self.weight
 
     @staticmethod
     def stacked(blocks) -> _ClusterBlocks:
         """The blocks of ``L`` settings (covariance and model) on one
         space as one set, whose :meth:`solve` and :meth:`gradient` take row
-        ``l`` of a ``(L, J)`` batch under ``blocks[l]``."""
+        ``l`` of a ``(..., L, J)`` batch under ``blocks[l]``, and a ``(...,
+        1, J)`` batch's rows under every one."""
         first = blocks[0]
         return _ClusterBlocks(first.unit_idx, first.x,
                               np.stack([b.base for b in blocks]),
@@ -475,20 +480,21 @@ class _ClusterBlocks:
 
     def gradient(self, s: np.ndarray, t: np.ndarray, y: np.ndarray,
                  n_units: int) -> np.ndarray:
-        """Cluster-granularity ``grad`` (``(K, J)``) of
-        :meth:`DesignCriterion.gradient` from ``K`` designs' ``(s, t)``
-        (``(K, C, c)``, ``(K, C, c, P)``) and ``y = M^+ c`` (``(K, P)``),
-        summed per unit by one ``bincount`` that offsets row ``k`` by ``k
-        J``."""
-        k = len(y)
-        y = y[:, None, :, None]
+        """Cluster-granularity ``grad`` (``(..., J)``) of
+        :meth:`DesignCriterion.gradient` from designs' ``(s, t)`` of
+        :meth:`solve` (``(..., C, c)``, ``(..., C, c, P)``) and ``y = M^+ c``
+        (``(..., P)``), summed per unit by one ``bincount`` that offsets the
+        ``k``-th design by ``k J``."""
+        lead = y.shape[:-1]
+        k = math.prod(lead)
+        y = y[..., None, :, None]
         a = s * (t @ y)[..., 0]
         v = (self.x @ y - self.base @ a[..., None])[..., 0]
         bins = self._cell_unit
         if k > 1:
             bins = (bins + n_units * np.arange(k)[:, None]).ravel()
-        return np.bincount(bins, weights=-self.cell_precision * (v * v).ravel(),
-                           minlength=k * n_units).reshape(k, n_units)
+        return np.bincount(bins, weights=(-self.cell_precision * (v * v)).ravel(),
+                           minlength=k * n_units).reshape(lead + (n_units,))
 
     def rank_one_terms(self, counts: np.ndarray):
         """``(info, u, var)`` of ``K`` designs' multiplicities ``counts``
@@ -595,15 +601,15 @@ class DesignCriterion:
     otherwise it runs on the whole batch. Where every unit is one cell,
     ``single_moves`` screens all the single-unit moves from one design by
     rank-one updates, which the greedy walks of :mod:`crtoptim.search` use
-    to pick the moves worth scoring; at sequence granularity
-    ``bound_terms`` gives the first-order terms by which local search
-    bounds a design's swaps from below and scores only those that can win.
+    to pick the moves worth scoring; ``bound_terms`` gives the first-order
+    terms by which local search bounds a design's swaps from below and
+    scores only those that can win.
 
     It is also the model class of one that every criterion generalises:
     its parts are ``(self,)``, with prior 1 in the linear form. A
-    subclass that sets other parts, priors and form (and, at sequence
-    granularity, the parts' unit blocks side by side) inherits every
-    method, as :class:`crtoptim.robust.RobustCriterion` does.
+    subclass that sets other parts, priors and form, and the parts' blocks
+    as one stack (:func:`_stacked_clusters`), inherits every method, as
+    :class:`crtoptim.robust.RobustCriterion` does.
     Raises :class:`ValidationError` unless ``space`` is a
     :class:`DesignSpace`, ``covariance`` a :class:`CovarianceSpec` and
     ``model`` a :class:`ModelSpec` or None.
@@ -625,13 +631,13 @@ class DesignCriterion:
         self.contrast = treatment_contrast(p)
         # a row's information matrix and the kernel's copies of it
         row_bytes = 6 * 8 * p * p
-        self._unit_blocks = self._clusters = None
+        # its parts' blocks as one stack (see _stacked_clusters): its own
+        # unit blocks, (J, 1, P, P), so that several parts' blocks stack side
+        # by side, or its own cluster blocks
         if space.granularity == "sequence":
-            # flat, (J, P P), so that several parts' blocks stack side by side
-            blocks = unit_information_blocks(space, covariance, self.model)
-            self._unit_blocks = blocks.reshape(space.n_units, -1)
+            self._stack = unit_information_blocks(space, covariance, self.model)[:, None]
         else:
-            self._clusters = cl = _cluster_blocks(space, covariance, self.model)
+            self._stack = cl = _cluster_blocks(space, covariance, self.model)
             n_clusters, n_cells = cl.unit_idx.shape
             # each unit's cell among the flattened cells, -1 for a unit of
             # several cells (padding cells hold no observations)
@@ -665,14 +671,18 @@ class DesignCriterion:
         return batch.astype(float, copy=False)
 
     def _information(self, batch: np.ndarray) -> np.ndarray:
-        """Information matrices ``(K, P, P)`` of a checked ``(K, J)`` batch,
-        summed in a fixed order over units (einsum; a BLAS product would
-        switch kernels, and rounding, with ``K``) or clusters, so a row's
-        matrix does not depend on the rest of the batch."""
-        if self._unit_blocks is None:
-            return self._clusters.solve(batch)[2]
-        p = self.space.n_periods + 1
-        return np.einsum("kj,jx->kx", batch, self._unit_blocks).reshape(-1, p, p)
+        """Information matrices ``(K L, P, P)`` of a checked ``(K, J)`` batch,
+        row ``k`` under each of the ``L`` parts whose unit blocks lie side by
+        side, or ``(K, P, P)`` under a part's clusters: summed in a fixed
+        order over units (einsum over the blocks flattened, ``(J, L P P)``; a
+        BLAS product would switch kernels, and rounding, with ``K``) or
+        clusters, so a row's matrix does not depend on the rest of the
+        batch."""
+        blocks = self._stack
+        if isinstance(blocks, _ClusterBlocks):
+            return blocks.solve(batch)[2]
+        return np.einsum("kj,jx->kx", batch, blocks.reshape(len(blocks), -1)).reshape(
+            -1, *blocks.shape[2:])
 
     def information(self, counts) -> np.ndarray:
         """Information matrix of the design given per-unit multiplicities.
@@ -688,29 +698,29 @@ class DesignCriterion:
         values under each part. Row ``i`` equals ``value(batch[i])`` bit for
         bit.
 
-        This is the one loop that splits a batch into chunks. At sequence
-        granularity the parts' flat unit blocks lie side by side, ``(J, L P
-        P)``, so a chunk of ``1 / L`` of a plain chunk's rows takes one block
-        sum and one kernel call; elsewhere each part solves the chunk's
-        clusters and calls the kernel in turn.
+        It scores a batch chunk by chunk. At sequence granularity the
+        parts' unit blocks lie side by side, ``(J, L, P, P)``, so a chunk of
+        ``1 / L`` of a plain chunk's rows takes one block sum
+        (:meth:`_information`) and one kernel call; elsewhere each part
+        solves the chunk's clusters and calls the kernel in turn.
 
         Multiplicities must be finite and non-negative; a fractional row is
         legal and scores the weighted design it describes (the weight
         solvers evaluate ``N * phi``). Raises :class:`ValidationError`
         otherwise.
         """
-        parts, blocks = self._parts, self._unit_blocks
-        batch, p = self._batch(batch), self.space.n_periods + 1
-        rows = max(1, parts[0]._chunk_rows // (1 if blocks is None else len(parts)))
+        parts, batch = self._parts, self._batch(batch)
+        sequence = self.space.granularity == "sequence"
+        rows = max(1, parts[0]._chunk_rows // (len(parts) if sequence else 1))
         out = np.empty((len(parts), len(batch)))
         for i in range(0, len(batch), rows):
             chunk = batch[i:i + rows]
-            if blocks is None:
+            if sequence:
+                out[:, i:i + rows] = _contrast_kernel(self._information(chunk))[0].reshape(
+                    len(chunk), -1).T
+            else:
                 for l, part in enumerate(parts):
                     out[l, i:i + rows] = _contrast_kernel(part._information(chunk))[0]
-            else:
-                m = np.einsum("kj,jx->kx", chunk, blocks).reshape(-1, p, p)
-                out[:, i:i + rows] = _contrast_kernel(m)[0].reshape(len(chunk), -1).T
         # a class of one is its own part: its values need no sum
         return out[0] if parts[0] is self else _prior_sum(self, out)
 
@@ -781,61 +791,53 @@ class DesignCriterion:
     def bound_terms(self, batch):
         """First-order terms of a ``(K, J)`` batch of multiplicities,
         ``(grad, vouched, scale)``, from which local search bounds every
-        swap from below; or ``None`` where they do not apply.
+        swap from below.
 
-        ``c' M^-1 c`` is convex in ``M`` (the matrix-fractional function),
-        and at sequence granularity ``M`` is linear in the multiplicities,
-        so the value is convex in them: a design ``n'`` scores at least
-        ``f(n) + grad . (n' - n)``, with ``grad[k, j] = -y' B_j y`` the
-        derivative of :meth:`gradient` (``y = M^-1 c``, ``B_j`` unit
-        ``j``'s block). ``vouched[k]`` says that the kernel certifies row
-        ``k``'s ``M`` and that its ``tr M tr M^-1`` is at most
-        ``SCREEN_CONDITION``, so that ``grad`` is accurate far beyond
+        ``1 / (c' M^-1 c)`` is the c-information, concave and increasing in
+        ``M`` (Pukelsheim 1993, ch. 3). At sequence granularity ``M`` is
+        linear in the multiplicities; elsewhere each cluster adds ``X' (B +
+        D^-1)^-1 X``, a parallel sum with ``D`` linear in them, and so
+        concave in them (Anderson & Duffin 1969), empty cells included. So
+        the value and its logarithm are convex in the multiplicities at
+        every granularity: a design ``n'`` scores at least ``f(n) + grad .
+        (n' - n)``, with ``grad`` the derivative of :meth:`gradient` (for a
+        plain criterion, its rows bit for bit). ``vouched[k]`` says that the
+        kernel certifies row ``k``'s ``M`` and that its ``tr M tr M^-1`` is
+        at most ``SCREEN_CONDITION``, so that ``grad`` is accurate far beyond
         ``SCREEN_RTOL``; a row it does not vouch for may hold NaN.
         ``scale[k]`` is the size of row ``k``'s value that its rounding
         grows with, ``sum_l prior_l |t_l|`` over the parts' terms: the
-        value itself for a plain criterion. ``None`` at cluster-period and
-        observation granularity, where an empty cell makes the criterion
-        non-smooth in a unit's multiplicity. Raises
-        :class:`ValidationError` for a batch that :meth:`values` rejects.
+        value itself for a plain criterion. Raises :class:`ValidationError`
+        for a batch that :meth:`values` rejects.
 
         For a class of models ``grad`` is the prior-weighted sum of the
-        parts' gradients, and a row is vouched for only where every part's
-        is: a linear average of convex criteria is convex. So is a log
-        average, ``sum_l prior_l log f_l``: ``1 / f_l`` is the
-        c-information, concave in ``M`` (Pukelsheim 1993, ch. 3), so ``log
-        f_l = -log(1 / f_l)`` is convex; its gradient is ``sum_l prior_l
-        g_l / f_l``, and its scale ``sum_l prior_l |log f_l|`` covers the
-        rounding of terms that cancel in the sum. Per chunk that takes one
-        block sum over the parts' unit blocks side by side, one
-        :func:`_factor_solve` over the ``(K L, P, P)`` stack and one
-        ``einsum`` of the weighted ``y y'`` against the blocks.
+        parts' gradients, in one ``einsum``, and a row is vouched for only
+        where every part's is: a linear average of convex criteria is
+        convex, and so is a log average, ``sum_l prior_l log f_l``, whose
+        gradient is ``sum_l prior_l g_l / f_l`` and whose scale ``sum_l
+        prior_l |log f_l|`` covers the rounding of terms that cancel in the
+        sum. Each chunk takes one :func:`_first_order` call on the parts'
+        stack, every row under every part.
         """
-        batch, blocks = self._batch(batch), self._unit_blocks
-        if blocks is None:
-            return None
-        p, n = self.space.n_periods + 1, len(self._parts)
-        rows = max(1, self._parts[0]._chunk_rows // n)
+        batch, parts = self._batch(batch), self._parts
+        rows = max(1, parts[0]._chunk_rows // len(parts))
         priors = np.asarray(self._priors, dtype=float)
         grad = np.empty(batch.shape)
         vouched = np.empty(len(batch), dtype=bool)
         scale = np.empty(len(batch))
         for i in range(0, len(batch), rows):
-            chunk = batch[i:i + rows]
-            m = np.einsum("kj,jx->kx", chunk, blocks).reshape(-1, p, p)
-            value, y, lower_inv = _factor_solve(m)
-            vouched[i:i + rows] = _conditioned(m, lower_inv).reshape(-1, n).all(axis=1)
-            # row k, part l: its term of the value and the weight of its y y'
-            value = value.reshape(len(chunk), n)
+            # row k under part l: (K, L) values and (K, L, J) gradients
+            value, g, m, lower_inv = _first_order(self._stack, batch[i:i + rows, None])
+            vouched[i:i + rows] = _conditioned(m, lower_inv).reshape(len(value), -1).all(axis=1)
+            # each part's term of the value and the weight of its gradient
             if self._log_form:
                 terms, weights = np.log(value), priors / value
             else:
-                terms, weights = value, priors
+                terms, weights = value, priors[None]
             scale[i:i + rows] = np.add.reduce(priors * abs(terms), axis=-1)
-            # y y' flattened as the blocks are
-            outer = (y[:, :, None] * y[:, None, :]).reshape(len(chunk), n, p * p)
-            grad[i:i + rows] = -np.einsum("kx,jx->kj", (weights[..., None] * outer)
-                                          .reshape(len(chunk), -1), blocks)
+            # a class of one is its own part: its gradient needs no sum
+            grad[i:i + rows] = (g[:, 0] if parts[0] is self
+                                else np.einsum("kl,klj->kj", weights, g))
         return grad, vouched, scale
 
     def value_of(self, design: Design) -> float:
@@ -854,7 +856,7 @@ def _prior_sum(criterion, terms, values=None):
     ``f_l``. A class of one in the linear form gives ``0.0 + 1.0 t_0``,
     which is ``t_0`` bit for bit."""
     if criterion._log_form:
-        terms = np.log(terms) if values is None else terms / values[:, None]
+        terms = np.log(terms) if values is None else terms / values[..., None]
     total = 0.0
     for prior, term in zip(criterion._priors, terms):
         total = total + prior * term
@@ -879,46 +881,66 @@ def _by_class(criteria, rows):
 
 
 def _stacked_clusters(criteria):
-    """The cluster blocks of the parts of ``criteria`` (all on one space)
-    as one set, row ``l`` under part ``l``; a lone part's own blocks, and
-    ``None`` at sequence granularity."""
+    """The blocks of the parts of ``criteria`` (all on one space) as one
+    stack, part ``l`` at index ``l`` of its part axis: at sequence
+    granularity, where each unit replicate is a cluster of its own, their
+    unit blocks side by side, ``(J, L, P, P)``; elsewhere their cluster
+    blocks stacked, ``(L, C, c, ...)``. A lone part's own blocks."""
     parts = _expand(criteria)[0]
-    if len(parts) == 1 or parts[0]._clusters is None:
-        return parts[0]._clusters
-    return _ClusterBlocks.stacked([part._clusters for part in parts])
+    if len(parts) == 1:
+        return parts[0]._stack
+    if parts[0].space.granularity == "sequence":
+        return np.concatenate([part._stack for part in parts], axis=1)
+    return _ClusterBlocks.stacked([part._stack for part in parts])
 
 
-def _gradients(criteria, batch, clusters=None):
+def _first_order(stack, counts):
+    """``(value, grad, m, lower_inv)`` of per-unit multiplicities ``counts``
+    (``(..., J)``) under a stack of parts (:func:`_stacked_clusters`),
+    against whose ``L`` parts the leading axes of ``counts`` broadcast: a
+    ``(L, J)`` batch scores row ``l`` under part ``l``, a ``(K, 1, J)`` batch
+    every row under every part. ``value`` (``(...)``) and ``grad`` (``(...,
+    J)``) are each row's kernel value and its derivative in each
+    multiplicity, as :meth:`DesignCriterion.gradient` defines them; ``m``
+    and ``lower_inv`` (``(N, P, P)``, rows in order) its information matrix
+    and inverse factor from :func:`_factor_solve`.
+
+    One information step (a block sum over the unit blocks, or one cluster
+    solve), one :func:`_factor_solve` and one contraction: ``-y' B_j y`` as
+    one three-operand ``einsum`` over the ``(J, L, P, P)`` unit blocks,
+    which reduces every row in the order of a lone part's, or
+    :meth:`_ClusterBlocks.gradient`."""
+    if isinstance(stack, _ClusterBlocks):
+        s, t, m = stack.solve(counts)
+    else:
+        m = np.einsum("...lj,jlx->...lx", counts, stack.reshape(*stack.shape[:2], -1))
+        m = m.reshape(m.shape[:-1] + stack.shape[2:])
+    lead, p = m.shape[:-2], m.shape[-1]
+    m = m.reshape(-1, p, p)
+    value, y, lower_inv = _factor_solve(m)
+    y = y.reshape(lead + (p,))
+    # the NaN y of a row of infinite value makes its whole gradient NaN
+    if isinstance(stack, _ClusterBlocks):
+        grad = stack.gradient(s, t, y, counts.shape[-1])
+    else:
+        grad = -np.einsum("...li,jlim,...lm->...lj", y, stack, y)
+    return value.reshape(lead), grad, m, lower_inv
+
+
+def _gradients(criteria, batch, stack=None):
     """``(value, grad)`` (``(L,)``, ``(L, J)``) of a ``(L, J)`` batch, row
     ``l`` scored under ``criteria[l]``, all on one space; row ``l`` equals
     ``criteria[l].gradient(batch[l])`` bit for bit, which is this on a stack
-    of one. Each row is scored under every part of its criterion: at
-    sequence granularity each part sums its unit blocks; elsewhere one
-    cluster solve runs over the parts' stacked covariances, ``clusters``
-    when given (``_stacked_clusters(criteria)``, kept by a caller that
-    scores one stack again and again). One :func:`_factor_solve` then
-    serves every part, and one ``bincount`` (or each part's block
-    contraction) the gradients, which :func:`_prior_sum` sums per
-    criterion."""
+    of one. Each row is scored under every part of its criterion, in one
+    :func:`_first_order` call on the parts' stack, ``stack`` when given
+    (``_stacked_clusters(criteria)``, kept by a caller that scores one
+    stack again and again), and :func:`_prior_sum` sums the parts' results
+    per criterion."""
     parts, owner = _expand(criteria)
-    first = parts[0]
-    batch = first._batch(batch)
+    batch = parts[0]._batch(batch)
     if owner is not None:
         batch = batch[owner]
-    if first._clusters is None:
-        m = np.concatenate([part._information(batch[l:l + 1])
-                            for l, part in enumerate(parts)])
-        value, y, _ = _factor_solve(m)
-        p = y.shape[-1]
-        grad = np.stack([-np.einsum("i,kij,j->k", y[l],
-                                    part._unit_blocks.reshape(-1, p, p), y[l])
-                         for l, part in enumerate(parts)])
-    else:
-        cl = clusters if clusters is not None else _stacked_clusters(parts)
-        s, t, m = cl.solve(batch)
-        value, y, _ = _factor_solve(m)
-        grad = cl.gradient(s, t, y, first.space.n_units)
-    # the NaN y of a row of infinite value makes its whole gradient NaN
+    value, grad = _first_order(_stacked_clusters(parts) if stack is None else stack, batch)[:2]
     if owner is None:
         return value, grad
     value, grad = _by_class(criteria, value), _by_class(criteria, grad)
@@ -958,7 +980,8 @@ def _single_moves(criteria, batch, units, step: int) -> list:
     if owner is not None:
         batch, units = batch[owner], [units[l] for l in owner]
     screened = [None] * len(parts)
-    cells = [] if parts[0]._clusters is None else [parts[0]._unit_cell[own] for own in units]
+    cells = ([] if parts[0].space.granularity == "sequence"
+             else [parts[0]._unit_cell[own] for own in units])
     rows = [l for l, own in enumerate(cells) if (own >= 0).all()]
     if rows:
         cl = _stacked_clusters([parts[l] for l in rows])

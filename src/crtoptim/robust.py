@@ -20,24 +20,23 @@ solves the chunk's clusters in turn. ``gradient`` sums the models'
 gradients the same way (``sum_l prior_l g_l / f_l`` in the log form), so
 the class's gradient is that of its value. ``single_moves`` sums the
 models' rank-one screens, and is ``None`` where any model's is, so the
-greedy walks screen a robust class as they do a plain criterion. At
-sequence granularity a class, in either form, also gives the first-order
-terms by which local search bounds swaps from below (``bound_terms``), in
-one block sum and one kernel call per chunk as well. A class of one model
-in the linear form scores as that model's :class:`DesignCriterion` does,
-bit for bit.
+greedy walks screen a robust class as they do a plain criterion. At every
+granularity a class, in either form, also gives the first-order terms by
+which local search bounds swaps from below (``bound_terms``): per chunk,
+one information step, one kernel call and one contraction over the
+models' blocks, held as one stack (side by side at sequence granularity,
+stacked elsewhere). A class of one model in the linear form scores as
+that model's :class:`DesignCriterion` does, bit for bit.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace
 from .errors import ValidationError, check_instance, check_probabilities, check_real
-from .glscore import DesignCriterion
+from .glscore import DesignCriterion, _stacked_clusters
 
 CRITERION_FORMS = ("linear-average", "log-average")
 
@@ -108,10 +107,9 @@ class RobustCriterion(DesignCriterion):
                  for entry in model_class.entries]
         self._priors, self._parts = zip(*[(prior, crit) for prior, crit in parts
                                           if prior > 0.0])
-        # (J, L P P): each unit's blocks under the L models, in order; none
-        # at cluster granularity, where each model solves its own clusters
-        self._unit_blocks = (None if space.granularity != "sequence" else np.concatenate(
-            [crit._unit_blocks for crit in self._parts], axis=1))
+        # the models' blocks as one stack: their unit blocks side by side,
+        # or their cluster blocks stacked
+        self._stack = _stacked_clusters(self._parts)
 
     # an entry of its own, so that perfbench's traced runs time robust
     # values apart from plain ones

@@ -47,12 +47,14 @@ restart ends as it would alone, with the same value bit for bit.
 
 A criterion may also offer ``bound_terms(batch)``: per design, a gradient
 ``g`` in the multiplicities, whether it vouches for it, and the scale
-``s`` its value rounds with; or ``None``. :class:`DesignCriterion` and
-:class:`RobustCriterion`, in either form, offer it at sequence
-granularity, where ``M`` is linear in the multiplicities and both ``c'
-M^-1 c`` and its logarithm are convex in ``M``, so a swap of unit ``r``
-for unit ``a`` in a design of value ``f`` scores at least ``f + g_a -
-g_r``. Each bound is lowered by ``SCREEN_RTOL (s + |g_a| + |g_r|)`` for
+``s`` its value rounds with. :class:`DesignCriterion` and
+:class:`RobustCriterion`, in either form, offer it at every granularity:
+``1 / (c' M^-1 c)`` is concave in ``M``, and ``M`` is linear in the
+multiplicities at sequence granularity and, elsewhere, a sum of parallel
+sums concave in them, empty cells included, so both ``c' M^-1 c`` and its
+logarithm are convex in the multiplicities, and a swap of unit ``r`` for
+unit ``a`` in a design of value ``f`` scores at least ``f + g_a - g_r``.
+Each bound is lowered by ``SCREEN_RTOL (s + |g_a| + |g_r|)`` for
 rounding (``s`` is ``|f|`` for a plain criterion, and the prior sum of
 the models' ``|log f_l|`` in the log form), a design whose terms are not
 vouched for (its ``M`` not certified by the kernel, or ``tr M tr M^-1``
@@ -65,10 +67,9 @@ band; the rest count as infinite. If some swap improves on
 ``f``, every swap tied with the best one has a bound under both edges, so
 it is scored and the sweep takes the row and value that scoring every
 swap would; if none does, the restart stops either way. Designs, values
-and ``progress`` trails are unchanged, and on the README space about a
-third of the swaps are scored. Cluster-period and observation
-granularity (where an empty cell makes the criterion non-smooth) score
-every swap.
+and ``progress`` trails are unchanged. On the README space about a third
+of the distinct swaps are scored, and on a cluster-period space of T=6
+about a sixth.
 
 Greedy walks (reverse greedy and the rounding fill) move one unit at a
 time. A walk under :class:`DesignCriterion` rows, plain or robust, screens

@@ -159,12 +159,12 @@ def _lockstep_weights(space: DesignSpace, criteria, total_obs: float | None = No
     """:func:`mixed_model_weights` under each :class:`DesignCriterion` in
     ``criteria``, all on ``space``, run in lockstep: one
     :func:`glscore._gradients` call per step scores the next point of every
-    run still going, on cluster blocks stacked once per set of runs still
-    going. Returns, per criterion, the :class:`WeightedDesign`,
-    :class:`ConvergenceError` or :class:`InfeasibleError` of its own run,
-    bit for bit the same whatever else runs in the stack; an argument
-    :func:`mixed_model_weights` would reject raises here, before any run
-    starts."""
+    run still going, on the runs' blocks stacked once per set of runs still
+    going (:func:`glscore._stacked_clusters`). Returns, per criterion, the
+    :class:`WeightedDesign`, :class:`ConvergenceError` or
+    :class:`InfeasibleError` of its own run, bit for bit the same whatever
+    else runs in the stack; an argument :func:`mixed_model_weights` would
+    reject raises here, before any run starts."""
     scale = _weight_scale(space, total_obs, tolerance, max_iter)
     cores = [_squarem(space.n_units, scale, tolerance, max_iter) for _ in criteria]
     results: list = [None] * len(cores)
@@ -174,8 +174,8 @@ def _lockstep_weights(space: DesignSpace, criteria, total_obs: float | None = No
     while live:
         if parts is None:  # the first step, or a run ended at the last one
             parts = [criteria[i] for i in live]
-            clusters = _stacked_clusters(parts)
-        values, grads = _gradients(parts, np.stack(points), clusters)
+            stack = _stacked_clusters(parts)
+        values, grads = _gradients(parts, np.stack(points), stack)
         running, points = [], []
         for i, value, grad in zip(live, values.tolist(), grads):
             try:

@@ -1015,11 +1015,18 @@ def swap_grid(space, counts):
 
 
 def random_designs(space, rng, k):
-    """``k`` random designs of random sizes from 2 to one below capacity."""
+    """``k`` random designs of random sizes from 2 to one below capacity.
+    Off sequence granularity, where a unit is one cell, every third design
+    also leaves one random period without observations."""
     pool = np.repeat(np.arange(space.n_units), space.max_replication)
-    return np.stack([np.bincount(rng.choice(pool, size=int(rng.integers(2, pool.size)),
-                                            replace=False), minlength=space.n_units)
-                     for _ in range(k)])
+    designs = np.stack([np.bincount(rng.choice(pool, size=int(rng.integers(2, pool.size)),
+                                               replace=False), minlength=space.n_units)
+                        for _ in range(k)])
+    if space.granularity != "sequence":
+        period = np.array([unit.cells[0].period for unit in space.units])
+        for row in designs[::3]:
+            row[period == rng.integers(1, space.n_periods + 1)] = 0
+    return designs
 
 
 def eighteen_models():
@@ -1035,14 +1042,19 @@ def binomial(n_periods):
 
 
 def bound_cases():
-    """Two sequence spaces x {EXC1, EXC2, AR1} x {Gaussian,
-    binomial-logit}, and linear-average classes on the README space."""
+    """Two sequence spaces, and cluster-period and observation spaces of
+    T=4 and T=5, x {EXC1, EXC2, AR1} x {Gaussian, binomial-logit}; classes
+    on the README space, and of both forms on a cluster-period space."""
     covs = [CovarianceSpec.from_icc("EXC1", 0.1),
             CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7),
             CovarianceSpec.from_icc("AR1", 0.2, decay=0.6)]
     readme = standard_space(6, max_replication=5, cells_per_period=10)
     small = standard_space(4, max_replication=3, cells_per_period=2)
-    for name, space in (("small", small), ("readme", readme)):
+    spaces = [("small", small), ("readme", readme)] + [
+        (f"{granularity}-T{t}", standard_space(t, max_replication=3, cells_per_period=2,
+                                               granularity=granularity))
+        for granularity in ("cluster-period", "observation") for t in (4, 5)]
+    for name, space in spaces:
         for cov in covs:
             for model in (ModelSpec(), binomial(space.n_periods)):
                 yield pytest.param(space, DesignCriterion(space, cov, model),
@@ -1059,6 +1071,12 @@ def bound_cases():
     yield pytest.param(readme, RobustCriterion(readme, ModelClass((
         ModelEntry(covs[1], 0.3), ModelEntry(covs[2], 0.7, binomial(6))))),
         id="readme-robust-binomial")
+    cp = spaces[3][1]
+    for form in ("linear-average", "log-average"):
+        yield pytest.param(cp, RobustCriterion(cp, ModelClass((
+            ModelEntry(covs[0], 0.5), ModelEntry(covs[1], 0.2),
+            ModelEntry(covs[2], 0.3, binomial(5))), form=form)),
+            id=f"cluster-period-T5-robust-{form}")
 
 
 def condition(criteria, counts):
@@ -1081,7 +1099,10 @@ class TestSwapBound:
 
     @pytest.mark.parametrize("space, crit", bound_cases())
     def test_vouched_bounds_hold(self, space, crit):
-        counts = random_designs(space, np.random.default_rng(0), 60)
+        # a cluster-period design has about ten times the swaps of a
+        # sequence one
+        designs = 60 if space.granularity == "sequence" else 12
+        counts = random_designs(space, np.random.default_rng(0), designs)
         current = crit.values(counts)
         terms = crit.bound_terms(counts)
         valid, owner, pair, batch = swap_grid(space, counts)
@@ -1125,20 +1146,20 @@ class TestSwapBound:
         assert certified.tolist() == [False, True, False]
         assert crit.bound_terms(counts)[1].tolist() == [False, True, False]
 
-    def test_no_terms_where_the_bound_does_not_apply(self):
-        cov = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7)
-        for granularity in ("cluster-period", "observation"):
-            space = standard_space(4, max_replication=3, granularity=granularity)
-            counts = np.ones((2, space.n_units), dtype=int)
-            assert DesignCriterion(space, cov).bound_terms(counts) is None
-            robust = RobustCriterion(space, ModelClass.equal_priors([cov]))
-            assert robust.bound_terms(counts) is None
-        # a log average is convex too, so it has terms at sequence granularity
-        readme = standard_space(6, max_replication=5, cells_per_period=10)
-        log = RobustCriterion(readme, ModelClass.equal_priors(eighteen_models(),
-                                                              form="log-average"))
-        grad, vouched, scale = log.bound_terms(np.ones((2, readme.n_units), dtype=int))
-        assert vouched.all() and np.isfinite(grad).all() and np.isfinite(scale).all()
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period", "observation"])
+    def test_every_granularity_gives_terms(self, granularity):
+        # the criterion and its logarithm are convex in the multiplicities
+        # at every granularity, so every criterion, of either form, has terms
+        space = standard_space(4, max_replication=3, granularity=granularity)
+        covs = [CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7),
+                CovarianceSpec.from_icc("AR1", 0.2, decay=0.6)]
+        counts = np.ones((2, space.n_units), dtype=int)
+        for crit in (DesignCriterion(space, covs[0]),
+                     *(RobustCriterion(space, ModelClass.equal_priors(covs, form=form))
+                       for form in ("linear-average", "log-average"))):
+            grad, vouched, scale = crit.bound_terms(counts)
+            assert grad.shape == counts.shape and vouched.all()
+            assert np.isfinite(grad).all() and np.isfinite(scale).all()
 
     @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
     @pytest.mark.parametrize("form", [None, "linear-average", "log-average"])
@@ -1162,15 +1183,16 @@ class TestSwapBound:
             counts) is None
 
     def test_gradient_matches_the_criterion_gradient(self):
-        space = standard_space(6, max_replication=5, cells_per_period=10)
-        crit = DesignCriterion(space, CovarianceSpec.from_icc("AR1", 0.2, decay=0.6))
-        counts = random_designs(space, np.random.default_rng(2), 10)
-        grad, vouched, scale = crit.bound_terms(counts)
-        for row, g, ok in zip(counts, grad, vouched):
-            if ok:
-                np.testing.assert_allclose(g, crit.gradient(row)[1], rtol=1e-12)
-        # a plain criterion's value is its own scale
-        assert scale.tobytes() == crit.values(counts).tobytes()
+        for space in (standard_space(6, max_replication=5, cells_per_period=10),
+                      standard_space(5, max_replication=3, granularity="cluster-period")):
+            crit = DesignCriterion(space, CovarianceSpec.from_icc("AR1", 0.2, decay=0.6))
+            counts = random_designs(space, np.random.default_rng(2), 10)
+            grad, vouched, scale = crit.bound_terms(counts)
+            assert vouched.sum() >= 5
+            for row, g in zip(counts, grad):
+                assert g.tobytes() == crit.gradient(row)[1].tobytes()
+            # a plain criterion's value is its own scale
+            assert scale.tobytes() == crit.values(counts).tobytes()
 
     def test_log_average_terms(self):
         space = standard_space(6, max_replication=5, cells_per_period=10)
@@ -1193,6 +1215,10 @@ def prune_cases():
     # swaps between the two copies of a unit tie with the design they leave
     twins = space_from_sequences([(0, 0, 1), (0, 1, 1), (0, 1, 1), (1, 1, 1)],
                                  max_replication=3)
+    cp5 = standard_space(5, max_replication=5, granularity="cluster-period")
+    cp6 = standard_space(6, max_replication=10, granularity="cluster-period")
+    obs = standard_space(4, max_replication=3, granularity="observation")
+    exc2_cp = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5)
     return [
         *(pytest.param(readme, DesignCriterion(readme, exc2), 10, 100, seed, True,
                        id=f"readme-seed{seed}") for seed in range(5)),
@@ -1204,6 +1230,14 @@ def prune_cases():
             eighteen_models(), form="log-average")), 10, 5, 2, True, id="log-average"),
         pytest.param(twins, DesignCriterion(twins, exc2), 5, 20, 0, True,
                      id="twin-units"),
+        pytest.param(cp5, DesignCriterion(cp5, exc2_cp), 30, 3, 0, True,
+                     id="cluster-period-T5"),
+        pytest.param(cp6, DesignCriterion(cp6, exc2_cp), 60, 1, 0, True,
+                     id="cluster-period-T6"),
+        pytest.param(obs, DesignCriterion(obs, exc2), 20, 3, 1, True, id="observation"),
+        pytest.param(cp5, RobustCriterion(cp5, ModelClass.equal_priors(
+            [exc2_cp, CovarianceSpec.from_icc("AR1", 0.1, decay=0.6)], form="log-average")),
+            30, 2, 0, True, id="cluster-period-log-average"),
     ]
 
 
