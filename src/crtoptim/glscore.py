@@ -28,7 +28,7 @@ first-order core, :func:`_first_order`, on a stack of parts
 (:func:`_stacked_clusters`: their unit blocks side by side at sequence
 granularity, their cluster blocks stacked elsewhere), whose batch
 broadcasts against the parts: one information step, one kernel call, one
-``inv`` of the certified factors (:func:`_factor_solve`) and one
+back substitution on the certified factors (:func:`_factor_solve`) and one
 contraction, a three-operand ``einsum`` over the unit blocks or one
 ``bincount`` over the cells. The gradients the weight solvers follow come
 from :func:`_gradients`, which scores one row per criterion of one space,
@@ -50,8 +50,12 @@ eigenvalue exceeds ``delta = CERTIFICATE_MARGIN * RANK_TOL * tr M``: a
 determinant bound read off the diagonal of ``L`` vouches for that on
 well-conditioned rows, and only the rows it cannot vouch for are factorised
 again, at ``M - delta I``. A certified row scores the treatment contrast
-``e_P`` as ``1 / L_PP^2``; ``values`` inverts no matrix, and the gradient
-and the screen invert that same factor (:func:`_factor_solve`). Rows that
+``e_P`` as ``1 / L_PP^2``. ``values`` inverts no matrix; nor do the
+gradient and the swap bounds on well-conditioned rows: they take ``y =
+M^-1 e_P`` by one back substitution on that same factor
+(:func:`_factor_solve`) and vouch for its conditioning from the
+determinant bound (:func:`_conditioned`). Only the rank-one screen, which
+needs ``L^-1 u`` for every cell, inverts the factor. Rows that
 fail the certificate (rank-deficient, indefinite, NaN or infinite) take a
 rank-revealing eigen-solve instead. A contrast other than ``e_P`` is first
 mapped onto it, by a permutation for a scaled unit contrast and a
@@ -247,13 +251,14 @@ def _eigen_solve(m: np.ndarray):
 
 
 def _factor_solve(m: np.ndarray):
-    """``(value, y, L^-1)`` of a ``(K, P, P)`` stack of information
-    matrices: the kernel's values, ``y = M^+ e_P = L^-T L^-1 e_P`` (``(K,
-    P)``) and ``L^-1`` (``(K, P, P)``). On the rows the kernel certifies,
-    both come from one stacked ``inv`` of its Cholesky factors (no second
-    factorisation); every other row takes ``y`` from :func:`_eigen_solve`
-    on its own, and its ``L^-1`` is NaN. Where the value is infinite, ``y``
-    and ``L^-1`` are NaN."""
+    """``(value, y, lower)`` of a ``(K, P, P)`` stack of information
+    matrices: the kernel's values and Cholesky factors
+    (:func:`_contrast_kernel`) and ``y = M^+ e_P`` (``(K, P)``). On the
+    rows the kernel certifies, ``L^-1 e_P = e_P / L_PP``, so ``y = L^-T
+    (e_P / L_PP)`` is one stacked back substitution on the kernel's own
+    factor: no second factorisation and no inverse. Every other row takes
+    ``y`` from :func:`_eigen_solve` on its own, and its factor is NaN.
+    Where the value is infinite, ``y`` is NaN."""
     value, lower = _contrast_kernel(m)
     # value * L_PP is 1 / L_PP on a certified row of finite value, NaN on a
     # row the kernel does not certify (its factor is NaN) and inf where the
@@ -261,18 +266,22 @@ def _factor_solve(m: np.ndarray):
     # kind (an overflow merely takes the row-by-row path)
     pivots = lower[:, -1, -1]
     every = math.isfinite(value @ pivots)
+    solved = slice(None) if every else np.isfinite(value * pivots)
+    upper = lower[solved].swapaxes(-1, -2)
+    rhs = np.zeros(upper.shape[:-1] + (1,))
+    rhs[:, -1, 0] = 1.0 / pivots[solved]
+    # an LU of the upper-triangular L' exchanges no rows, so this is a plain
+    # back substitution; b is (K, P, 1) because numpy 1 reads a (K, P) b as
+    # K vectors and numpy 2 as one matrix
+    solved_y = np.linalg.solve(upper, rhs)[..., 0]
     if every:
-        lower_inv = np.linalg.inv(lower)
-    else:
-        solved = np.isfinite(value * pivots)
-        lower_inv = np.full_like(lower, np.nan)
-        lower_inv[solved] = np.linalg.inv(lower[solved])
-    y = ((lower_inv @ treatment_contrast(m.shape[-1]))[:, None, :] @ lower_inv)[:, 0]
-    if not every:
-        for k in np.flatnonzero(~solved):
-            y[k] = (_eigen_solve(_symmetrised(m[k:k + 1]))[1][0]
-                    if value[k] < math.inf else np.nan)
-    return value, y, lower_inv
+        return value, solved_y, lower
+    y = np.full(m.shape[:2], np.nan)
+    y[solved] = solved_y
+    for k in np.flatnonzero(~solved):
+        if value[k] < math.inf:
+            y[k] = _eigen_solve(_symmetrised(m[k:k + 1]))[1][0]
+    return value, y, lower
 
 
 def contrast_variance(m: np.ndarray, c: np.ndarray) -> float:
@@ -733,9 +742,9 @@ class DesignCriterion:
         the derivative of the value in ``counts[j]``: :func:`_gradients` on a
         stack of one.
 
-        With ``y = M^+ c`` from the kernel's factorisation
-        (:func:`_factor_solve`), unit ``j`` gives ``-y' B_j y`` at sequence
-        granularity, ``B_j`` its information block. At cluster granularity,
+        With ``y = M^+ c``, by one back substitution on the kernel's
+        Cholesky factor (:func:`_factor_solve`), unit ``j`` gives ``-y' B_j
+        y`` at sequence granularity, ``B_j`` its information block. At cluster granularity,
         from the same stacked solve as the value, a cell holding ``n``
         observations adds ``-n_per w v^2`` to its unit, where
         ``v = X y - B a = a / (w n)`` is the residual part of the GLS
@@ -804,7 +813,9 @@ class DesignCriterion:
         plain criterion, its rows bit for bit). ``vouched[k]`` says that the
         kernel certifies row ``k``'s ``M`` and that its ``tr M tr M^-1`` is
         at most ``SCREEN_CONDITION``, so that ``grad`` is accurate far beyond
-        ``SCREEN_RTOL``; a row it does not vouch for may hold NaN.
+        ``SCREEN_RTOL``; a row it does not vouch for may hold NaN. The
+        kernel's determinant bound vouches for most rows without an inverse
+        (:func:`_conditioned`).
         ``scale[k]`` is the size of row ``k``'s value that its rounding
         grows with, ``sum_l prior_l |t_l|`` over the parts' terms: the
         value itself for a plain criterion. Raises :class:`ValidationError`
@@ -817,7 +828,8 @@ class DesignCriterion:
         gradient is ``sum_l prior_l g_l / f_l`` and whose scale ``sum_l
         prior_l |log f_l|`` covers the rounding of terms that cancel in the
         sum. Each chunk takes one :func:`_first_order` call on the parts'
-        stack, every row under every part.
+        stack, every row under every part, and so inverts no matrix on its
+        well-conditioned rows.
         """
         batch, parts = self._batch(batch), self._parts
         rows = max(1, parts[0]._chunk_rows // len(parts))
@@ -827,8 +839,8 @@ class DesignCriterion:
         scale = np.empty(len(batch))
         for i in range(0, len(batch), rows):
             # row k under part l: (K, L) values and (K, L, J) gradients
-            value, g, m, lower_inv = _first_order(self._stack, batch[i:i + rows, None])
-            vouched[i:i + rows] = _conditioned(m, lower_inv).reshape(len(value), -1).all(axis=1)
+            value, g, m, lower = _first_order(self._stack, batch[i:i + rows, None])
+            vouched[i:i + rows] = _conditioned(m, lower).reshape(len(value), -1).all(axis=1)
             # each part's term of the value and the weight of its gradient
             if self._log_form:
                 terms, weights = np.log(value), priors / value
@@ -853,14 +865,19 @@ def _prior_sum(criterion, terms, values=None):
     with ``t_l`` from ``terms[l]``: the term itself in the linear form; in
     the log form its logarithm, or, given the parts' ``values``,
     ``terms[l] / values[l]``, the derivative of ``log f_l`` from that of
-    ``f_l``. A class of one in the linear form gives ``0.0 + 1.0 t_0``,
+    ``f_l``. One strictly sequential pass, ``np.add.accumulate`` along the
+    part axis, from ``0.0 + prior_0 t_0``: the sums of adding the parts one
+    by one, bit for bit (a pairwise ``np.add.reduce`` would change their
+    last bits). A class of one in the linear form gives ``0.0 + 1.0 t_0``,
     which is ``t_0`` bit for bit."""
+    terms = np.asarray(terms)
     if criterion._log_form:
         terms = np.log(terms) if values is None else terms / values[..., None]
-    total = 0.0
-    for prior, term in zip(criterion._priors, terms):
-        total = total + prior * term
-    return total
+    priors = np.asarray(criterion._priors).reshape((-1,) + (1,) * (terms.ndim - 1))
+    weighted = priors * terms
+    # 0.0 + x is x, but for a -0.0 term, which it makes 0.0
+    weighted[0] += 0.0
+    return np.add.accumulate(weighted, axis=0)[-1]
 
 
 def _expand(criteria):
@@ -895,21 +912,21 @@ def _stacked_clusters(criteria):
 
 
 def _first_order(stack, counts):
-    """``(value, grad, m, lower_inv)`` of per-unit multiplicities ``counts``
+    """``(value, grad, m, lower)`` of per-unit multiplicities ``counts``
     (``(..., J)``) under a stack of parts (:func:`_stacked_clusters`),
     against whose ``L`` parts the leading axes of ``counts`` broadcast: a
     ``(L, J)`` batch scores row ``l`` under part ``l``, a ``(K, 1, J)`` batch
     every row under every part. ``value`` (``(...)``) and ``grad`` (``(...,
     J)``) are each row's kernel value and its derivative in each
     multiplicity, as :meth:`DesignCriterion.gradient` defines them; ``m``
-    and ``lower_inv`` (``(N, P, P)``, rows in order) its information matrix
-    and inverse factor from :func:`_factor_solve`.
+    and ``lower`` (``(N, P, P)``, rows in order) its information matrix
+    and the kernel's Cholesky factor of it, from :func:`_factor_solve`.
 
     One information step (a block sum over the unit blocks, or one cluster
-    solve), one :func:`_factor_solve` and one contraction: ``-y' B_j y`` as
-    one three-operand ``einsum`` over the ``(J, L, P, P)`` unit blocks,
-    which reduces every row in the order of a lone part's, or
-    :meth:`_ClusterBlocks.gradient`."""
+    solve), one :func:`_factor_solve` (a back substitution, no inverse) and
+    one contraction: ``-y' B_j y`` as one three-operand ``einsum`` over the
+    ``(J, L, P, P)`` unit blocks, which reduces every row in the order of a
+    lone part's, or :meth:`_ClusterBlocks.gradient`."""
     if isinstance(stack, _ClusterBlocks):
         s, t, m = stack.solve(counts)
     else:
@@ -917,14 +934,14 @@ def _first_order(stack, counts):
         m = m.reshape(m.shape[:-1] + stack.shape[2:])
     lead, p = m.shape[:-2], m.shape[-1]
     m = m.reshape(-1, p, p)
-    value, y, lower_inv = _factor_solve(m)
+    value, y, lower = _factor_solve(m)
     y = y.reshape(lead + (p,))
     # the NaN y of a row of infinite value makes its whole gradient NaN
     if isinstance(stack, _ClusterBlocks):
         grad = stack.gradient(s, t, y, counts.shape[-1])
     else:
         grad = -np.einsum("...li,jlim,...lm->...lj", y, stack, y)
-    return value.reshape(lead), grad, m, lower_inv
+    return value.reshape(lead), grad, m, lower
 
 
 def _gradients(criteria, batch, stack=None):
@@ -948,18 +965,44 @@ def _gradients(criteria, batch, stack=None):
             np.stack([_prior_sum(c, g, f) for c, f, g in zip(criteria, value, grad)]))
 
 
-def _conditioned(m: np.ndarray, lower_inv: np.ndarray) -> np.ndarray:
-    """Rows of a ``(K, P, P)`` stack of information matrices, with ``L^-1``
-    from :func:`_factor_solve`, that the kernel certifies and whose ``tr M
-    tr M^-1`` (at least the condition number) is at most
-    ``SCREEN_CONDITION``."""
+def _conditioned(m: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Rows of a ``(K, P, P)`` stack of information matrices, with their
+    Cholesky factors from :func:`_factor_solve`, that the kernel certifies
+    and whose ``tr M tr M^-1`` (at least the condition number) is at most
+    ``SCREEN_CONDITION``: exactly the rows whose ``tr M |L^-1|_F^2`` is.
+
+    The kernel's determinant bound vouches for most rows without an
+    inverse.
+    ``tr M^-1 <= P / lambda_min`` and ``lambda_min >= det M ((P - 1) / tr
+    M)^(P - 1)`` (:func:`_contrast_kernel`), so ``tr M tr M^-1 <= P (P -
+    1) / prod_i ((P - 1) L_ii^2 / tr M)``. By Maclaurin's inequality that
+    bound is at least ``(P / (P - 1))^(P - 1) >= 2`` times ``tr M tr
+    M^-1``, far beyond rounding, so a row it vouches for passes the exact
+    test too. Only the certified rows it cannot vouch for (and every
+    certified row when ``P = 1``) take ``tr M^-1 = |L^-1|_F^2``, from an
+    inverse of their factors alone; a row the kernel does not certify has
+    a NaN factor and fails."""
     k, p = m.shape[:2]
-    # tr M^-1 = |L^-1|_F^2; written so that the NaN L^-1 of a row the
-    # kernel does not certify, or of an infinite value, fails
-    flat = lower_inv.reshape(k, -1)
-    return (np.add.reduce(flat * flat, axis=-1)
-            * np.add.reduce(m.reshape(k, -1)[:, ::p + 1], axis=-1)
-            <= SCREEN_CONDITION)
+    trace = np.add.reduce(m.reshape(k, -1)[:, ::p + 1], axis=-1)
+    if p == 1:
+        conditioned = np.zeros(k, dtype=bool)
+    else:
+        pivots = lower.reshape(k, -1)[:, ::p + 1]
+        factors = pivots * pivots
+        factors /= trace[:, None]
+        factors *= p - 1
+        # compared without dividing, so that a product that underflows to 0
+        # does not warn; one that overflows (P beyond about 1,900) or is NaN
+        # is merely not vouched for
+        product = np.multiply.reduce(factors, axis=-1)
+        conditioned = ((product >= p * (p - 1) / SCREEN_CONDITION)
+                       & (product < math.inf))
+    if not conditioned.all():
+        doubtful = np.flatnonzero(~conditioned & _factorised(lower))
+        flat = np.linalg.inv(lower[doubtful]).reshape(len(doubtful), p * p)
+        conditioned[doubtful] = (np.add.reduce(flat * flat, axis=-1) * trace[doubtful]
+                                 <= SCREEN_CONDITION)
+    return conditioned
 
 
 def _single_moves(criteria, batch, units, step: int) -> list:
@@ -971,11 +1014,11 @@ def _single_moves(criteria, batch, units, step: int) -> list:
     a stack of one; here they are taken as checked. Each row is screened
     under every part of its criterion: the parts the screen applies to
     share one :meth:`_ClusterBlocks.rank_one_terms` solve over their
-    stacked covariances, one :func:`_factor_solve` and the screened values
-    of every cell, and each part then takes its own condition check and
-    its own units' values. A row's screen is the prior sum
-    (:func:`_prior_sum`) of its parts' screens, ``None`` where any of them
-    is."""
+    stacked covariances, one :func:`_factor_solve`, one inverse of the
+    factors of the rows the condition check vouches for and the screened
+    values of every cell, and each part then takes its own units' values.
+    A row's screen is the prior sum (:func:`_prior_sum`) of its parts'
+    screens, ``None`` where any of them is."""
     parts, owner = _expand(criteria)
     if owner is not None:
         batch, units = batch[owner], [units[l] for l in owner]
@@ -986,8 +1029,12 @@ def _single_moves(criteria, batch, units, step: int) -> list:
     if rows:
         cl = _stacked_clusters([parts[l] for l in rows])
         info, u, var = cl.rank_one_terms(batch if len(rows) == len(batch) else batch[rows])
-        value, y, lower_inv = _factor_solve(info)
-        conditioned = _conditioned(info, lower_inv)
+        value, y, lower = _factor_solve(info)
+        conditioned = _conditioned(info, lower)
+        # L^-1 u for every cell needs L^-1, on the rows the screen serves
+        # alone: the one inverse on the first-order path
+        lower_inv = np.full_like(lower, np.nan)
+        lower_inv[conditioned] = np.linalg.inv(lower[conditioned])
         k = len(info)
         # every cell of every row, each row's matrix products of one shape
         delta = step * cl.cell_precision.reshape(k, -1)

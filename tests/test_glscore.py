@@ -12,8 +12,9 @@ from crtoptim import (Cell, CovarianceSpec, DesignCriterion, DesignSpace,
                       space_from_sequences, standard_space,
                       treatment_contrast, unit_information_blocks)
 from crtoptim import apportion, glscore
-from crtoptim.glscore import (CERTIFICATE_MARGIN, RANGE_TOL, RANK_TOL,
-                              _contrast_kernel, _eigen_solve, contrast_variance)
+from crtoptim.glscore import (CERTIFICATE_MARGIN, RANGE_TOL, RANK_TOL, SCREEN_CONDITION,
+                              _conditioned, _contrast_kernel, _eigen_solve, _factor_solve,
+                              contrast_variance)
 
 
 def manual_space(sequences, count=1, max_replication=1, granularity="sequence"):
@@ -672,6 +673,50 @@ def cholesky_calls(monkeypatch):
     return calls
 
 
+def inv_calls(monkeypatch):
+    """Patch ``np.linalg.inv`` to record the size of every stack it
+    inverts; returns the list it appends to."""
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(len(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls
+
+
+def conditioned_reference(m):
+    """The rows of a stack whose ``M`` the kernel certifies and whose ``tr M
+    |L^-1|_F^2`` is at most ``SCREEN_CONDITION``, row by row."""
+    lower = _contrast_kernel(m)[1]
+    return np.array([bool(np.isfinite(f).all())
+                     and np.trace(row) * np.sum(np.linalg.inv(f) ** 2) <= SCREEN_CONDITION
+                     for row, f in zip(m, lower)])
+
+
+def condition_matrix(rng, p, target):
+    """A matrix with spectrum ``(s, 1, ..., 1)`` whose ``tr M tr M^-1`` is
+    ``target`` (``s`` the small root of ``(s + a) (1 / s + a) = target``,
+    ``a = P - 1``)."""
+    a = p - 1
+    b = target - 1.0 - a * a
+    s = (b - math.sqrt(b * b - 4.0 * a * a)) / (2.0 * a)
+    return spectrum_matrix(rng, np.append(s, np.ones(a)))
+
+
+def bad_rows_of_size(p):
+    """``(P, P)`` rows the kernel does not certify: all NaN, one NaN
+    pair, all ``+inf`` and one infinite diagonal entry of the identity."""
+    partial = np.eye(p)
+    partial[0, -1] = partial[-1, 0] = np.nan
+    infinite_entry = np.eye(p)
+    infinite_entry[0, 0] = np.inf
+    return np.stack([np.full((p, p), np.nan), partial, np.full((p, p), np.inf),
+                     infinite_entry])
+
+
 class TestDeterminantBound:
     """The kernel factorises ``M`` once and factorises ``M - delta I`` only
     on rows its determinant bound cannot vouch for, with the results of
@@ -735,6 +780,103 @@ class TestDeterminantBound:
         calls = cholesky_calls(monkeypatch)
         assert crit.values(batch).tobytes() == expected.tobytes()
         assert calls == [crit._chunk_rows, crit._chunk_rows, rows - 2 * crit._chunk_rows]
+
+    # tr M tr M^-1 of each row after a first at 1.5 P^2 (its least is P^2):
+    # well conditioned, where the bound vouches; just inside the screen's
+    # limit, where only the exact product does; just outside it; far
+    # outside; and certified but nearly singular
+    TARGETS = (1e3, 0.999 * SCREEN_CONDITION, 1.001 * SCREEN_CONDITION,
+               1e7, 1e9 / CERTIFICATE_MARGIN)
+
+    @pytest.mark.parametrize("p", [2, 7, 12])
+    def test_conditioned_equals_the_exact_product(self, monkeypatch, p):
+        rng = np.random.default_rng(59)
+        k = CERTIFICATE_MARGIN * RANK_TOL
+        rows = [condition_matrix(rng, p, target) for target in (1.5 * p * p,) + self.TARGETS]
+        # uncertified: below the certificate's shift, and rank-deficient
+        rows.append(spectrum_matrix(rng, np.append(0.5 * k * (p - 1), np.ones(p - 1))))
+        rows.append(spectrum_matrix(rng, np.append(0.0, np.ones(p - 1))))
+        m = np.concatenate([np.stack(rows), bad_rows_of_size(p)])
+        m = np.concatenate([m, rng.permutation(m)])
+        _, _, lower = _factor_solve(m)
+        want = conditioned_reference(m)
+        calls = inv_calls(monkeypatch)
+        conditioned = _conditioned(m, lower)
+        assert conditioned.tolist() == want.tolist()
+        assert conditioned[:6].tolist() == [True, True, True, False, False, False]
+        # the certified rows the bound cannot vouch for, in one inverse: of
+        # each copy, those from just inside the limit on
+        assert calls == [2 * (len(self.TARGETS) - 1)]
+        for row, alone in zip(m, want):
+            assert _conditioned(row[None], _factor_solve(row[None])[2])[0] == alone
+
+    def test_conditioned_one_parameter_rows(self):
+        m = np.array([1e-300, 0.3, 1.0, 1e300, 0.0, -1.0, np.nan, np.inf])[:, None, None]
+        conditioned = _conditioned(m, _factor_solve(m)[2])
+        assert conditioned.tolist() == conditioned_reference(m).tolist()
+        assert conditioned.tolist() == 4 * [True] + 4 * [False]
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    def test_conditioned_design_rows(self, granularity):
+        space = standard_space(4, max_replication=3, cells_per_period=2,
+                               granularity=granularity)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("AR1", 0.05, decay=0.6))
+        batch = _batch_with_infinite_rows(np.random.default_rng(60), space, 40)
+        m = np.stack([crit.information(row) for row in batch])
+        conditioned = _conditioned(m, _factor_solve(m)[2])
+        assert conditioned.tolist() == conditioned_reference(m).tolist()
+        assert 0 < conditioned.sum() < len(m)
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    def test_y_solves_the_information_matrix(self, granularity):
+        space = (standard_space(6, max_replication=5, cells_per_period=10)
+                 if granularity == "sequence" else
+                 standard_space(4, max_replication=4, granularity=granularity))
+        rng = np.random.default_rng(61)
+        crit = DesignCriterion(space, CovarianceSpec.from_icc("EXC2", 0.05, cac=0.8))
+        batch = _batch_with_infinite_rows(rng, space, 60)
+        m = np.stack([crit.information(row) for row in batch]
+                     + [condition_matrix(rng, crit.contrast.size, target)
+                        for target in (100.0, 1e3, SCREEN_CONDITION)])
+        value, y, lower = _factor_solve(m)
+        certified = np.isfinite(lower).all(axis=(-2, -1))
+        assert certified.sum() > 40 and not certified.all()
+        symmetric = 0.5 * (m + m.swapaxes(-1, -2))
+        e = treatment_contrast(m.shape[-1])
+        for row, solved in zip(symmetric[certified], y[certified]):
+            want = np.linalg.solve(row, e)
+            assert np.abs(solved - want).max() <= 1e-12 * np.abs(want).max()
+        assert (value[certified] == 1.0 / lower[certified, -1, -1] ** 2).all()
+        assert np.isnan(y[np.isinf(value)]).all()
+
+
+class TestFirstOrderCore:
+    """The gradient and the swap bounds take ``y`` by back substitution on
+    the kernel's factor, and vouch for well-conditioned rows from its
+    determinant bound: on a well-conditioned batch they invert no matrix."""
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    def test_invert_no_matrix(self, monkeypatch, granularity):
+        space = standard_space(4, max_replication=3, cells_per_period=2,
+                               granularity=granularity)
+        covs = [CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7),
+                CovarianceSpec.from_icc("AR1", 0.1, decay=0.6)]
+        plain = DesignCriterion(space, covs[0])
+        robust = RobustCriterion(space, ModelClass.equal_priors(covs))
+        batch = np.random.default_rng(62).integers(1, 4, size=(30, space.n_units))
+        calls = inv_calls(monkeypatch)
+        for crit in (plain, robust):
+            assert crit.bound_terms(batch)[1].all()
+            for row in batch[:5]:
+                assert np.isfinite(crit.gradient(row)[1]).all()
+        glscore._gradients([plain, robust, plain], batch[:3])
+        assert calls == []
+        # a row the bound cannot vouch for is inverted alone
+        m = np.stack([plain.information(row) for row in batch[:3]]
+                     + [condition_matrix(np.random.default_rng(63), plain.contrast.size,
+                                         0.5 * SCREEN_CONDITION)])
+        assert _conditioned(m, _factor_solve(m)[2]).all()
+        assert calls == [1]
 
 
 class TestContrastVariance:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from crtoptim import (CovarianceSpec, DesignCriterion, ModelClass, ModelEntry,
                       ModelSpec, RobustCriterion, ValidationError,
                       local_search, reverse_greedy, robust_criterion, standard_space,
                       supermodularity_probe)
+from crtoptim import glscore
 
 
 def grid_class(form="linear-average"):
@@ -293,12 +295,9 @@ class TestClassOfOne:
         batch = rng.integers(0, cap + 1, (40, space.n_units))
         batch[0] = 0
         assert plain.values(batch).tobytes() == robust.values(batch).tobytes()
-        terms = plain.bound_terms(batch)
-        if terms is None:
-            assert robust.bound_terms(batch) is None
-        else:
-            assert [t.tobytes() for t in terms] == [
-                t.tobytes() for t in robust.bound_terms(batch)]
+        terms, robust_terms = plain.bound_terms(batch), robust.bound_terms(batch)
+        assert terms is not None and robust_terms is not None
+        assert [t.tobytes() for t in terms] == [t.tobytes() for t in robust_terms]
         screened = 0
         for row in batch[:10]:
             assert plain.information(row).tobytes() == robust.information(row).tobytes()
@@ -323,6 +322,57 @@ class TestClassOfOne:
                                                  progress=p)))
 
         assert runs(plain) == runs(robust)
+
+
+def loop_prior_sum(priors, log_form, terms, values=None):
+    """``_prior_sum`` as the loop over the parts it replaces."""
+    if log_form:
+        terms = np.log(terms) if values is None else terms / values[..., None]
+    total = 0.0
+    for prior, term in zip(priors, terms):
+        total = total + prior * term
+    return total
+
+
+class TestPriorSum:
+    """The prior sum over the parts is the loop that adds them one by one,
+    bit for bit: on one-row batches, on signed zeros and on non-finite
+    terms."""
+
+    @pytest.mark.parametrize("parts", [1, 3, 18])
+    @pytest.mark.parametrize("shape", [(), (1,), (5,), (1, 7), (5, 7)])
+    def test_matches_the_loop(self, parts, shape):
+        rng = np.random.default_rng(9)
+        priors = tuple(rng.dirichlet(np.ones(parts)))
+        size = (parts,) + shape
+        terms = rng.lognormal(size=size) * rng.choice([-1.0, 1.0], size)
+        signed = terms.copy()
+        signed.reshape(parts, -1)[:, 0] = -0.0
+        special = terms.copy()
+        special.reshape(parts, -1)[0, -1] = np.inf
+        # the parts' values of gradient terms, one per row
+        values = rng.lognormal(size=(parts,) + shape[:-1])
+        for log_form in (False, True):
+            criterion = SimpleNamespace(_priors=priors, _log_form=log_form)
+            cases = [(terms, None), (signed, None), (special, None)]
+            if log_form:
+                # the log of a term needs it positive
+                cases = [(abs(terms), None), (abs(special), None)]
+                if shape:
+                    cases += [(signed, values), (special, values)]
+            for t, v in cases:
+                want = loop_prior_sum(priors, log_form, t, v)
+                got = glscore._prior_sum(criterion, t, v)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                assert np.shape(got) == np.shape(want)
+
+    def test_list_of_screens(self):
+        rng = np.random.default_rng(10)
+        priors = (0.2, 0.5, 0.3)
+        screens = [rng.normal(size=4) for _ in priors]
+        criterion = SimpleNamespace(_priors=priors, _log_form=False)
+        assert (glscore._prior_sum(criterion, screens).tobytes()
+                == loop_prior_sum(priors, False, screens).tobytes())
 
 
 class ValuesOnly:
