@@ -3,9 +3,11 @@
 Largest-remainder (Hamilton) and ceiling-divisor (Adams) apportionment,
 plus a criterion-greedy floor fill; :func:`best_rounding` evaluates every
 candidate allocation and keeps the one with the smallest treatment
-variance. Adams guarantees at least one unit of every positive-weight
-type, which suits designs that must stagger their roll-out; Hamilton and
-the greedy fill allow weights to round to zero.
+variance. Values within ``CRITERION_ROUNDING`` of the smallest tie, and the
+first of Hamilton, Adams and the greedy fill wins the tie. Adams
+guarantees at least one unit of every positive-weight type, which suits
+designs that must stagger their roll-out; Hamilton and the greedy fill
+allow weights to round to zero.
 
 The cells of a weight grid round in lockstep (:func:`_lockstep_rounding`):
 their greedy fills walk as one stack, each step screening the moves of
@@ -26,7 +28,7 @@ from .designspace import Design, DesignSpace
 from .errors import (InfeasibleError, ValidationError, check_count,
                      check_instance, check_probabilities)
 from .glscore import DesignCriterion
-from .search import _greedy_walk
+from .search import _first_minimum, _greedy_walk
 
 
 def _check_weights(weights) -> np.ndarray:
@@ -151,8 +153,9 @@ def _lockstep_rounding(space: DesignSpace, criteria, weights, total: int) -> lis
         values[within] = criterion.values(batch[within])
         report = {name: (tuple(int(v) for v in alloc), value)
                   for (name, alloc), value in zip(allocs.items(), values.tolist())}
-        # min keeps the first of tied candidates
-        scheme = min(report, key=lambda name: report[name][1])
+        # values within CRITERION_ROUNDING are ties, which go to the first
+        # candidate, as in every other selection of the searches
+        scheme = list(report)[_first_minimum(values.tolist())]
         counts, value = report[scheme]
         if not math.isfinite(value):
             results.append(InfeasibleError(

@@ -50,6 +50,7 @@ class CovarianceSpec:
     sigma2: float = 1.0
 
     def __post_init__(self):
+        check_instance("kind", self.kind, str)
         if self.kind not in COVARIANCE_KINDS:
             raise ValidationError(f"unknown covariance kind {self.kind!r}")
         for name in ("sigma2", "tau2", "omega2", "decay"):
@@ -111,6 +112,7 @@ class CovarianceSpec:
 
         The mapping round-trips with the ``icc``/``cac`` properties.
         """
+        check_instance("kind", kind, str)
         check_real("icc", icc)
         check_real("sigma2", sigma2)
         if not 0.0 <= icc < 1.0:

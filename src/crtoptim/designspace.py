@@ -13,7 +13,7 @@ the cell of their (fixed) parent cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -52,6 +52,7 @@ class DesignSpace:
         check_count("max_replication", self.max_replication)
         if self.n_periods < 1:
             raise ValidationError("n_periods must be at least 1")
+        check_instance("granularity", self.granularity, str)
         if self.granularity not in GRANULARITIES:
             raise ValidationError(f"unknown granularity {self.granularity!r}")
         if self.max_replication < 1:
@@ -94,6 +95,7 @@ class DesignSpace:
         return self.n_units * self.max_replication
 
     def design_from_counts(self, counts: Sequence[int]) -> "Design":
+        check_instance("counts", counts, Iterable)
         counts = list(counts)
         for c in counts:
             check_count("multiplicity", c)
@@ -102,6 +104,7 @@ class DesignSpace:
         return design
 
     def design_from_indices(self, indices: Iterable[int]) -> "Design":
+        check_instance("indices", indices, Iterable)
         counts = [0] * self.n_units
         for idx in indices:
             check_count("unit index", idx)
@@ -146,6 +149,7 @@ def sequence_patterns(n_periods: int, style: str = "no-reversibility") -> list[t
     check_count("n_periods", n_periods)
     if n_periods < 2:
         raise ValidationError("standard spaces need at least 2 periods")
+    check_instance("style", style, str)
     if style not in STYLES:
         raise ValidationError(f"unknown style {style!r}")
     zeros = (0,) * n_periods
@@ -186,6 +190,7 @@ def space_from_sequences(sequences, n_periods=None, cells_per_period=1,
         n_periods = len(sequences[0])
     if any(len(s) != n_periods for s in sequences):
         raise ValidationError("sequences must all cover the same periods")
+    check_instance("granularity", granularity, str)
     units = []
     if granularity == "sequence":
         for cid, seq in enumerate(sequences):
@@ -297,6 +302,7 @@ def build_x(space: DesignSpace, design: Design) -> np.ndarray:
 
 
 def _random_effects(lay: DesignLayout, cov: CovarianceSpec) -> tuple[np.ndarray, np.ndarray]:
+    check_instance("covariance", cov, CovarianceSpec)
     clusters = list(dict.fromkeys(lay.cell_cluster.tolist()))
     cluster_col = {c: i for i, c in enumerate(clusters)}
     n_cells = lay.n_cells

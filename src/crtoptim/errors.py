@@ -59,10 +59,18 @@ def check_seed(seed) -> None:
             raise ValidationError(f"seed must be non-negative, got {seed}")
 
 
+def as_floats(name: str, values) -> np.ndarray:
+    """``values`` as a float array; rejects what numpy cannot convert."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be real numbers, got {values!r}") from exc
+
+
 def check_probabilities(name: str, values, tol: float) -> np.ndarray:
     """``values`` as a float vector of finite non-negative entries that sum
     to one within ``tol``."""
-    p = np.asarray(values, dtype=float)
+    p = as_floats(name, values)
     # written so that a NaN entry or sum fails
     if not ((p >= 0) & (p < np.inf)).all() or not abs(p.sum() - 1.0) <= tol:
         raise ValidationError(f"{name} must form a probability vector")

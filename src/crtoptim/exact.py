@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_count, check_real
+from .errors import ValidationError, check_count, check_instance, check_real
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,7 @@ def treatment_precision(params: CellMeanParams, treat_matrix: np.ndarray) -> flo
     A non-positive value signals a degenerate design whose treatment
     variance is infinite.
     """
+    check_instance("params", params, CellMeanParams)
     treat = _treatment_matrix(treat_matrix)
     m, t = treat.shape
     if (m, t) != (params.n_clusters, params.n_periods):

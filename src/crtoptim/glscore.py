@@ -19,12 +19,16 @@ linear form, and :class:`crtoptim.robust.RobustCriterion` a class of
 several. Each method is written once, over the parts, and
 :func:`_prior_sum` weighs the parts' results with the priors, in the
 linear or the log form; a class of one gives its part's results bit for
-bit. Scoring is batched, in one loop (:meth:`DesignCriterion.values`): it
-checks a ``(K, J)`` matrix of per-unit counts once and scores it chunk by
-chunk, each chunk in one block sum (or cluster solve) and one stacked
-rank-aware solve over the information matrices of its rows under the
-``L`` parts. Values and gradients in the multiplicities come from one
-first-order core, :func:`_first_order`, on a stack of parts
+bit. Counts become information matrices in one place,
+:func:`_information`: a block sum over the parts' unit blocks at sequence
+granularity, one solve of their stacked cluster blocks elsewhere, every
+row under every part at once. Scoring is batched, in one loop
+(:meth:`DesignCriterion.values`): it checks a ``(K, J)`` matrix of
+per-unit counts once and scores it chunk by chunk, at every granularity,
+each chunk in one information step and one stacked rank-aware solve over
+the information matrices of its rows under the ``L`` parts. Values and
+gradients in the multiplicities come from one first-order core,
+:func:`_first_order`, on a stack of parts
 (:func:`_stacked_clusters`: their unit blocks side by side at sequence
 granularity, their cluster blocks stacked elsewhere), whose batch
 broadcasts against the parts: one information step, one kernel call, one
@@ -36,7 +40,9 @@ from :func:`_gradients`, which scores one row per criterion of one space,
 its stack of one, and a weight grid solved in lockstep scores all its
 cells at once. The first-order terms by which local search bounds swaps
 from below (:meth:`DesignCriterion.bound_terms`) score each row of a batch
-under every part of one criterion, chunk by chunk, at every granularity.
+under every part of one criterion, chunk by chunk, at every granularity,
+and sum a class's parts by :func:`_prior_sum` too, so that they are its
+gradient rows bit for bit.
 The rank-one screen of the greedy walks (:func:`_single_moves`) is stacked
 the same way: one solve over the parts' stacked covariances and one
 kernel call screen one row per criterion, so a weight grid's rounding
@@ -75,7 +81,8 @@ import numpy as np
 
 from .covariance import CovarianceSpec, ModelSpec, iterated_weights
 from .designspace import Design, DesignSpace, build_x, expand_design, _random_effects
-from .errors import NumericDomainError, ValidationError, check_count, check_instance
+from .errors import (NumericDomainError, ValidationError, as_floats, check_count,
+                     check_instance)
 
 # Relative eigenvalue cutoff for rank decisions, and the tolerance on the
 # residual of the contrast after projection onto the range of M.
@@ -256,14 +263,15 @@ def _factor_solve(m: np.ndarray):
     (:func:`_contrast_kernel`) and ``y = M^+ e_P`` (``(K, P)``). On the
     rows the kernel certifies, ``L^-1 e_P = e_P / L_PP``, so ``y = L^-T
     (e_P / L_PP)`` is one stacked back substitution on the kernel's own
-    factor: no second factorisation and no inverse. Every other row takes
-    ``y`` from :func:`_eigen_solve` on its own, and its factor is NaN.
-    Where the value is infinite, ``y`` is NaN."""
+    factor: no second factorisation and no inverse. Every other row of
+    finite value takes ``y`` from one stacked :func:`_eigen_solve` over
+    those rows alone, and its factor is NaN. Where the value is infinite,
+    ``y`` is NaN."""
     value, lower = _contrast_kernel(m)
     # value * L_PP is 1 / L_PP on a certified row of finite value, NaN on a
     # row the kernel does not certify (its factor is NaN) and inf where the
     # value is; their sum is finite only when every row is of the first
-    # kind (an overflow merely takes the row-by-row path)
+    # kind (an overflow merely takes the masked path)
     pivots = lower[:, -1, -1]
     every = math.isfinite(value @ pivots)
     solved = slice(None) if every else np.isfinite(value * pivots)
@@ -278,9 +286,9 @@ def _factor_solve(m: np.ndarray):
         return value, solved_y, lower
     y = np.full(m.shape[:2], np.nan)
     y[solved] = solved_y
-    for k in np.flatnonzero(~solved):
-        if value[k] < math.inf:
-            y[k] = _eigen_solve(_symmetrised(m[k:k + 1]))[1][0]
+    rest = ~solved & (value < math.inf)
+    if rest.any():
+        y[rest] = _eigen_solve(_symmetrised(m[rest]))[1]
     return value, y, lower
 
 
@@ -341,8 +349,7 @@ def c_optimality(m: np.ndarray, c: np.ndarray) -> float:
 
 def information_matrix(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """``X' Sigma^-1 X`` for an explicit observation covariance."""
-    x = np.asarray(x, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
+    x, sigma = as_floats("x", x), as_floats("sigma", sigma)
     try:
         solved = np.linalg.solve(sigma, x)
     except np.linalg.LinAlgError as exc:
@@ -360,6 +367,7 @@ def glm_weight_diagonal(model: ModelSpec, x: np.ndarray, z: np.ndarray,
     the model) shrinks the predictor using the total random-effect
     variance of each observation.
     """
+    check_instance("model", model, ModelSpec)
     x = np.asarray(x, dtype=float)
     if model.is_gaussian:
         return np.full(x.shape[0], 1.0 / sigma2)
@@ -419,6 +427,7 @@ def aggregate_cluster_periods(space: DesignSpace, design: Design,
     function, so the criterion of the aggregated model equals the
     criterion of the observation-level model.
     """
+    check_instance("covariance", cov, CovarianceSpec)
     model = model or ModelSpec()
     lay = expand_design(space, design)
     xbar, base, w = _cell_block(model, cov, lay.cell_period, lay.cell_treated,
@@ -468,24 +477,22 @@ class _ClusterBlocks:
         return np.sqrt(self.weight * (counts[..., self.unit_idx] * self.n_per))
 
     def solve(self, counts: np.ndarray):
-        """``(s, t, info)`` for per-unit multiplicities ``counts`` (``(..., J)``).
+        """``(s, t, blocks)`` for per-unit multiplicities ``counts`` (``(...,
+        J)``).
 
         With ``S = diag(s)`` from :meth:`_scale`, the covariance of a
         cluster's cell means is ``B + S^-2``, so the cluster adds ``sx' t``
         to the information, with ``sx = S X`` and ``t = (I + S B S)^-1 S X``,
         and its GLS weights are ``Sigma^-1 X = S t``. Cells holding no
-        observations get zero rows and drop out. ``info`` sums the clusters
-        in order: ``(..., P, P)``.
+        observations get zero rows and drop out. ``blocks`` holds each
+        cluster's term ``sx' t``, ``(..., C, P, P)``; :func:`_information`
+        sums them.
         """
         s = self._scale(counts)
         sx = s[..., None] * self.x
         a = self.base * (s[..., :, None] * s[..., None, :]) + self._eye
         t = np.linalg.solve(a, sx)
-        per_cluster = sx.swapaxes(-1, -2) @ t
-        # a reduction over an outer axis adds the clusters one after another;
-        # starting from -0.0 keeps every bit, signed zeros included, of
-        # summing them in a loop
-        return s, t, np.add.reduce(per_cluster, axis=-3, initial=-0.0)
+        return s, t, sx.swapaxes(-1, -2) @ t
 
     def gradient(self, s: np.ndarray, t: np.ndarray, y: np.ndarray,
                  n_units: int) -> np.ndarray:
@@ -572,8 +579,9 @@ def unit_information_blocks(space: DesignSpace, cov: CovarianceSpec,
     """Information contribution of one replicate of each unit, stacked
     (J, P, P). Valid whenever units occupy distinct clusters, so a
     design's information is the multiplicity-weighted sum of blocks. Each
-    unit is a cluster of its own, whose block is its term ``(S X)' t`` of
-    one stacked :meth:`_ClusterBlocks.solve` at one replicate per unit.
+    unit is a cluster of its own, whose block is its term ``(S X)' t``
+    from one stacked :meth:`_ClusterBlocks.solve` at one replicate per
+    unit.
     Raises :class:`ValidationError` unless ``space`` is a
     :class:`DesignSpace`, ``cov`` a :class:`CovarianceSpec` and ``model`` a
     :class:`ModelSpec` or None."""
@@ -582,8 +590,7 @@ def unit_information_blocks(space: DesignSpace, cov: CovarianceSpec,
     if model is not None:
         check_instance("model", model, ModelSpec)
     cl = _cluster_blocks(space, cov, model or ModelSpec(), per_unit=True)
-    s, t, _ = cl.solve(np.ones(space.n_units))
-    return (s[..., None] * cl.x).swapaxes(-1, -2) @ t
+    return cl.solve(np.ones(space.n_units))[2]
 
 
 class _ClassOfOne:
@@ -679,27 +686,13 @@ class DesignCriterion:
         # as floats: einsum casts an integer batch 3x slower, to the same sums
         return batch.astype(float, copy=False)
 
-    def _information(self, batch: np.ndarray) -> np.ndarray:
-        """Information matrices ``(K L, P, P)`` of a checked ``(K, J)`` batch,
-        row ``k`` under each of the ``L`` parts whose unit blocks lie side by
-        side, or ``(K, P, P)`` under a part's clusters: summed in a fixed
-        order over units (einsum over the blocks flattened, ``(J, L P P)``; a
-        BLAS product would switch kernels, and rounding, with ``K``) or
-        clusters, so a row's matrix does not depend on the rest of the
-        batch."""
-        blocks = self._stack
-        if isinstance(blocks, _ClusterBlocks):
-            return blocks.solve(batch)[2]
-        return np.einsum("kj,jx->kx", batch, blocks.reshape(len(blocks), -1)).reshape(
-            -1, *blocks.shape[2:])
-
     def information(self, counts) -> np.ndarray:
         """Information matrix of the design given per-unit multiplicities.
         Raises :class:`ValidationError` for a class of several models,
         which has one per model."""
         if len(self._parts) > 1:
             raise ValidationError("a class of several models has no one information matrix")
-        return self._parts[0]._information(self._batch(np.asarray(counts)[None]))[0]
+        return _information(self._stack, self._batch(np.asarray(counts)[None])[:, None])[0][0, 0]
 
     def values(self, batch) -> np.ndarray:
         """Criterion values of a ``(K, J)`` batch of per-unit multiplicities,
@@ -707,11 +700,11 @@ class DesignCriterion:
         values under each part. Row ``i`` equals ``value(batch[i])`` bit for
         bit.
 
-        It scores a batch chunk by chunk. At sequence granularity the
-        parts' unit blocks lie side by side, ``(J, L, P, P)``, so a chunk of
-        ``1 / L`` of a plain chunk's rows takes one block sum
-        (:meth:`_information`) and one kernel call; elsewhere each part
-        solves the chunk's clusters and calls the kernel in turn.
+        It scores a batch chunk by chunk, at every granularity: a chunk of
+        ``1 / L`` of a plain chunk's rows takes one information step
+        (:func:`_information`, every row under every part: one block sum
+        over the parts' unit blocks, or one solve of their stacked cluster
+        blocks) and one kernel call.
 
         Multiplicities must be finite and non-negative; a fractional row is
         legal and scores the weighted design it describes (the weight
@@ -719,17 +712,12 @@ class DesignCriterion:
         otherwise.
         """
         parts, batch = self._parts, self._batch(batch)
-        sequence = self.space.granularity == "sequence"
-        rows = max(1, parts[0]._chunk_rows // (len(parts) if sequence else 1))
+        rows = max(1, parts[0]._chunk_rows // len(parts))
         out = np.empty((len(parts), len(batch)))
         for i in range(0, len(batch), rows):
-            chunk = batch[i:i + rows]
-            if sequence:
-                out[:, i:i + rows] = _contrast_kernel(self._information(chunk))[0].reshape(
-                    len(chunk), -1).T
-            else:
-                for l, part in enumerate(parts):
-                    out[l, i:i + rows] = _contrast_kernel(part._information(chunk))[0]
+            m = _information(self._stack, batch[i:i + rows, None])[0]
+            out[:, i:i + rows] = _contrast_kernel(m.reshape(-1, *m.shape[2:]))[0].reshape(
+                m.shape[:2]).T
         # a class of one is its own part: its values need no sum
         return out[0] if parts[0] is self else _prior_sum(self, out)
 
@@ -791,7 +779,8 @@ class DesignCriterion:
         if (units.dtype.kind not in "iu" or units.ndim != 1
                 or not ((units >= 0) & (units < self.space.n_units)).all()):
             raise ValidationError("units must be a vector of unit indices")
-        if step not in (1, -1) or isinstance(step, bool):
+        check_count("step", step)
+        if step not in (1, -1):
             raise ValidationError("step must be 1 or -1")
         if step == -1 and (batch[0, units] < 1).any():
             raise ValidationError("a removal from a unit the design does not hold")
@@ -821,8 +810,9 @@ class DesignCriterion:
         value itself for a plain criterion. Raises :class:`ValidationError`
         for a batch that :meth:`values` rejects.
 
-        For a class of models ``grad`` is the prior-weighted sum of the
-        parts' gradients, in one ``einsum``, and a row is vouched for only
+        For a class of models ``grad`` is the prior sum of the parts'
+        gradients (:func:`_prior_sum`), as :meth:`gradient` takes it, and so
+        its rows bit for bit; a row is vouched for only
         where every part's is: a linear average of convex criteria is
         convex, and so is a log average, ``sum_l prior_l log f_l``, whose
         gradient is ``sum_l prior_l g_l / f_l`` and whose scale ``sum_l
@@ -841,15 +831,11 @@ class DesignCriterion:
             # row k under part l: (K, L) values and (K, L, J) gradients
             value, g, m, lower = _first_order(self._stack, batch[i:i + rows, None])
             vouched[i:i + rows] = _conditioned(m, lower).reshape(len(value), -1).all(axis=1)
-            # each part's term of the value and the weight of its gradient
-            if self._log_form:
-                terms, weights = np.log(value), priors / value
-            else:
-                terms, weights = value, priors[None]
+            terms = np.log(value) if self._log_form else value
             scale[i:i + rows] = np.add.reduce(priors * abs(terms), axis=-1)
             # a class of one is its own part: its gradient needs no sum
             grad[i:i + rows] = (g[:, 0] if parts[0] is self
-                                else np.einsum("kl,klj->kj", weights, g))
+                                else _prior_sum(self, g.swapaxes(0, 1), value.T))
         return grad, vouched, scale
 
     def value_of(self, design: Design) -> float:
@@ -911,6 +897,36 @@ def _stacked_clusters(criteria):
     return _ClusterBlocks.stacked([part._stack for part in parts])
 
 
+def _information(stack, counts):
+    """``(m, solved)`` of per-unit multiplicities ``counts`` (``(..., J)``)
+    under a stack of parts (:func:`_stacked_clusters`), against whose ``L``
+    parts the leading axes of ``counts`` broadcast as in
+    :func:`_first_order`: ``m`` (``(..., L, P, P)``) holds each row's
+    information matrix, and ``solved`` the ``(s, t)`` of its cluster solve,
+    or ``None`` at sequence granularity. The one step from counts to
+    information matrices, for every criterion quantity.
+
+    At sequence granularity ``m`` is a block sum over the ``(J, L, P, P)``
+    unit blocks, in unit order: a ``(K, 1, J)`` batch takes one flat
+    ``einsum`` over the blocks flattened, ``(J, L P P)``, any other the
+    broadcast ``einsum``, which gives the same sums. Elsewhere it is one
+    :meth:`_ClusterBlocks.solve`, whose cluster blocks are summed in
+    cluster order. Never a BLAS product across rows, whose kernel (and
+    rounding) could change with ``K``: a row's matrix does not depend on
+    the rest of the batch."""
+    if isinstance(stack, _ClusterBlocks):
+        s, t, blocks = stack.solve(counts)
+        # a reduction over an outer axis adds the clusters one after another;
+        # starting from -0.0 keeps every bit, signed zeros included, of
+        # summing them in a loop
+        return np.add.reduce(blocks, axis=-3, initial=-0.0), (s, t)
+    if counts.ndim == 3 and counts.shape[1] == 1:
+        m = np.einsum("kj,jx->kx", counts[:, 0], stack.reshape(len(stack), -1))
+        return m.reshape((len(counts),) + stack.shape[1:]), None
+    m = np.einsum("...lj,jlx->...lx", counts, stack.reshape(*stack.shape[:2], -1))
+    return m.reshape(m.shape[:-1] + stack.shape[2:]), None
+
+
 def _first_order(stack, counts):
     """``(value, grad, m, lower)`` of per-unit multiplicities ``counts``
     (``(..., J)``) under a stack of parts (:func:`_stacked_clusters`),
@@ -922,25 +938,19 @@ def _first_order(stack, counts):
     and ``lower`` (``(N, P, P)``, rows in order) its information matrix
     and the kernel's Cholesky factor of it, from :func:`_factor_solve`.
 
-    One information step (a block sum over the unit blocks, or one cluster
-    solve), one :func:`_factor_solve` (a back substitution, no inverse) and
-    one contraction: ``-y' B_j y`` as one three-operand ``einsum`` over the
-    ``(J, L, P, P)`` unit blocks, which reduces every row in the order of a
-    lone part's, or :meth:`_ClusterBlocks.gradient`."""
-    if isinstance(stack, _ClusterBlocks):
-        s, t, m = stack.solve(counts)
-    else:
-        m = np.einsum("...lj,jlx->...lx", counts, stack.reshape(*stack.shape[:2], -1))
-        m = m.reshape(m.shape[:-1] + stack.shape[2:])
+    One information step (:func:`_information`), one :func:`_factor_solve`
+    (a back substitution, no inverse) and one contraction: ``-y' B_j y`` as
+    one three-operand ``einsum`` over the ``(J, L, P, P)`` unit blocks,
+    which reduces every row in the order of a lone part's, or
+    :meth:`_ClusterBlocks.gradient`."""
+    m, solved = _information(stack, counts)
     lead, p = m.shape[:-2], m.shape[-1]
     m = m.reshape(-1, p, p)
     value, y, lower = _factor_solve(m)
     y = y.reshape(lead + (p,))
     # the NaN y of a row of infinite value makes its whole gradient NaN
-    if isinstance(stack, _ClusterBlocks):
-        grad = stack.gradient(s, t, y, counts.shape[-1])
-    else:
-        grad = -np.einsum("...li,jlim,...lm->...lj", y, stack, y)
+    grad = (-np.einsum("...li,jlim,...lm->...lj", y, stack, y) if solved is None
+            else stack.gradient(*solved, y, counts.shape[-1]))
     return value.reshape(lead), grad, m, lower
 
 

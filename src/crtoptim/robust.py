@@ -13,20 +13,22 @@ the class's models of positive prior, so it has every method of one,
 written once in :mod:`crtoptim.glscore`: ``values`` checks a batch once and
 scores it chunk by chunk, each chunk giving the kernel values of its rows
 under every model, which are then summed with the priors, in model order
-(in the log form, their logarithms). At sequence granularity the models'
-unit blocks lie side by side, so a chunk takes one block sum and one
-kernel call; at cluster-period and observation granularity each model
-solves the chunk's clusters in turn. ``gradient`` sums the models'
-gradients the same way (``sum_l prior_l g_l / f_l`` in the log form), so
-the class's gradient is that of its value. ``single_moves`` sums the
-models' rank-one screens, and is ``None`` where any model's is, so the
-greedy walks screen a robust class as they do a plain criterion. At every
-granularity a class, in either form, also gives the first-order terms by
-which local search bounds swaps from below (``bound_terms``): per chunk,
-one information step, one kernel call and one contraction over the
-models' blocks, held as one stack (side by side at sequence granularity,
-stacked elsewhere). A class of one model in the linear form scores as
-that model's :class:`DesignCriterion` does, bit for bit.
+(in the log form, their logarithms). At every granularity a chunk takes
+one information step and one kernel call: a block sum over the models'
+unit blocks, which lie side by side, at sequence granularity, and one
+solve of their stacked cluster blocks at cluster-period and observation
+granularity. ``gradient`` sums the models' gradients the same way
+(``sum_l prior_l g_l / f_l`` in the log form), so the class's gradient is
+that of its value. ``single_moves`` sums the models' rank-one screens,
+and is ``None`` where any model's is, so the greedy walks screen a robust
+class as they do a plain criterion. At every granularity a class, in
+either form, also gives the first-order terms by which local search
+bounds swaps from below (``bound_terms``): per chunk, one information
+step, one kernel call and one contraction over the models' blocks, held
+as one stack (side by side at sequence granularity, stacked elsewhere),
+whose gradients are summed as ``gradient`` sums them, so a bound row is
+the class's gradient row bit for bit. A class of one model in the linear
+form scores as that model's :class:`DesignCriterion` does, bit for bit.
 """
 from __future__ import annotations
 

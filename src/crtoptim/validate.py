@@ -16,7 +16,7 @@ import numpy as np
 
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace, build_d, build_x, build_z
-from .errors import (EnumerationLimitError, InfeasibleError, ValidationError,
+from .errors import (EnumerationLimitError, InfeasibleError, ValidationError, as_floats,
                      check_count, check_instance, check_real, check_seed)
 from .glscore import treatment_contrast
 from .search import SearchResult, _check_criterion, _check_size, _first_minima, _tie_edge
@@ -126,7 +126,7 @@ def monte_carlo_variance(space: DesignSpace, design: Design,
     check_seed(seed)
     if n_sims < 1000:
         raise ValidationError("need at least 1000 simulations")
-    beta = np.asarray(beta, dtype=float)
+    beta = as_floats("beta", beta)
     if beta.shape != (space.n_periods + 1,):
         raise ValidationError(f"beta must have length {space.n_periods + 1}")
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import DesignSpace
-from .errors import (ConvergenceError, InfeasibleError, ValidationError,
+from .errors import (ConvergenceError, InfeasibleError, ValidationError, as_floats,
                      check_count, check_instance, check_probabilities, check_real)
 from .glscore import CRITERION_ROUNDING, DesignCriterion, _gradients, _stacked_clusters
 
@@ -59,7 +59,7 @@ class WeightedDesign:
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex. Raises
     :class:`ValidationError` unless ``v`` is a non-empty finite vector."""
-    v = np.asarray(v, dtype=float)
+    v = as_floats("v", v)
     if v.ndim != 1 or v.size == 0 or not np.isfinite(v).all():
         raise ValidationError("projection needs a non-empty finite vector")
     u = np.sort(v)[::-1]

@@ -261,3 +261,20 @@ class TestLockstepRounding:
             _lockstep_rounding(space, [crit, crit], [uniform, uniform], 1000)
         with pytest.raises(ValidationError, match="3 weights"):
             _lockstep_rounding(space, [crit, crit], [uniform, [0.5, 0.25, 0.25]], 40)
+
+    def test_near_tie_goes_to_the_first_scheme(self):
+        # each later row of a batch scores one ulp below the row before, so
+        # adams and the greedy fill beat hamilton by one and two ulps: ties
+        # within CRITERION_ROUNDING, which go to the first scheme
+        class DescendingUlps:
+            def values(self, batch):
+                return 1.0 - np.spacing(1.0) * np.arange(len(batch))
+
+        space = standard_space(3, max_replication=4)
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        result, = _lockstep_rounding(space, [DescendingUlps()], [w], 10)
+        values = [value for _, value in result.candidates.values()]
+        assert list(result.candidates) == ["hamilton", "adams", "floor-greedy"]
+        assert values == sorted(values, reverse=True) and len(set(values)) == 3
+        assert result.scheme == "hamilton" and result.value == 1.0
+        assert result.design.counts == tuple(hamilton_round(w, 10))

@@ -261,6 +261,30 @@ class TestStackedValues:
         assert calls == [n_models * chunk, n_models * chunk,
                          n_models * (rows - 2 * chunk)]
 
+    def test_one_cluster_solve_per_chunk(self, monkeypatch):
+        # at cluster-period granularity a chunk of 1 / L of a plain chunk's
+        # rows solves its clusters under all L models in one stacked call
+        space = standard_space(4, **self.SPACES["cluster-period"])
+        crit = RobustCriterion(space, grid_class())
+        n_models = len(crit.model_class.entries)
+        plain = DesignCriterion(space, crit.model_class.entries[0].covariance)
+        chunk = plain._chunk_rows // n_models
+        assert chunk > 1
+        rows = int(2.5 * chunk)
+        batch = np.random.default_rng(74).integers(1, 4, size=(rows, space.n_units))
+        expected = per_model_reference(space, crit.model_class, batch)
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(a.shape[:2])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        assert crit.values(batch).tobytes() == expected.tobytes()
+        assert calls == [(chunk, n_models), (chunk, n_models),
+                         (rows - 2 * chunk, n_models)]
+
 
 def one_entry_cases():
     """A sequence, a cluster-period and an observation space, each with a
@@ -434,6 +458,15 @@ class TestRobustScreen:
         assert screened == self.run(ValuesOnly(crit))
 
 
+def three_model_class(form):
+    """Three entries, one of them a binomial outcome model."""
+    return ModelClass((
+        ModelEntry(CovarianceSpec.from_icc("EXC2", 0.05, cac=0.7), 0.5),
+        ModelEntry(CovarianceSpec.from_icc("AR1", 0.2, decay=0.6), 0.3,
+                   ModelSpec("binomial-logit", beta=(-2, -1.5, -1, -0.5, 0.5))),
+        ModelEntry(CovarianceSpec.from_icc("EXC1", 0.1), 0.2)), form=form)
+
+
 class TestClassGradient:
     """The class gradient is the derivative of the class value."""
 
@@ -453,6 +486,17 @@ class TestClassGradient:
         steps = h * np.eye(space.n_units)
         central = (crit.values(counts + steps) - crit.values(counts - steps)) / (2 * h)
         assert np.abs(central - grad).max() <= 7e-9 * np.abs(grad).max()
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    @pytest.mark.parametrize("form", ["linear-average", "log-average"])
+    def test_bound_rows_equal_gradient_rows(self, granularity, form):
+        space = standard_space(4, max_replication=3, granularity=granularity)
+        crit = RobustCriterion(space, three_model_class(form))
+        rng = np.random.default_rng(9)
+        for batch in (rng.integers(1, 4, size=(30, space.n_units)),
+                      rng.uniform(0.5, 3.0, size=(10, space.n_units))):
+            for row, grad in zip(batch, crit.bound_terms(batch)[0]):
+                assert grad.tobytes() == crit.gradient(row)[1].tobytes()
 
 
 class TestClassInformation:

@@ -6,11 +6,13 @@ import pytest
 
 from crtoptim import (Cell, CovarianceSpec, DesignCriterion, DesignSpace,
                       ExperimentalUnit, InfeasibleError, ModelClass, ModelEntry, ModelSpec,
-                      RobustCriterion, ValidationError, best_rounding,
-                      brute_force_optimum, local_search, reverse_greedy,
-                      mixed_model_weights, simplex_weight_descent,
-                      space_from_sequences, standard_space,
-                      supermodularity_probe, swap_delta)
+                      RobustCriterion, ValidationError, WeightedDesign, adams_round,
+                      aggregate_cluster_periods, best_rounding, brute_force_optimum,
+                      build_d, build_sigma, build_z, glm_weight_diagonal, hamilton_round,
+                      information_matrix, local_search, reverse_greedy,
+                      mixed_model_weights, monte_carlo_variance, project_to_simplex,
+                      simplex_weight_descent, space_from_sequences, standard_space,
+                      supermodularity_probe, swap_delta, treatment_precision)
 from crtoptim import apportion, glscore, search
 from crtoptim.glscore import CRITERION_ROUNDING
 
@@ -441,6 +443,13 @@ class TestMergedRestarts:
         assert merged.rows == unmerged.rows
 
 
+def cluster_period_moves(cov, step):
+    """``single_moves`` of a design on a cluster-period space, where the
+    screen applies."""
+    space = standard_space(3, max_replication=2, granularity="cluster-period")
+    return DesignCriterion(space, cov).single_moves([1] * space.n_units, [0], step)
+
+
 class TestInputChecks:
     space = standard_space(3, max_replication=2)
     crit = DesignCriterion(space, CovarianceSpec("EXC1", tau2=0.1))
@@ -479,6 +488,41 @@ class TestInputChecks:
         }[call]
         with pytest.raises(ValidationError, match="space|criterion"):
             run()
+
+    # one argument that numpy cannot read as floats, or of the wrong kind,
+    # in each public entry point
+    WRONG_KIND = {
+        "hamilton_round weights": lambda s, cov, d: hamilton_round("x", 3),
+        "adams_round weights": lambda s, cov, d: adams_round("x", 3),
+        "best_rounding weights": lambda s, cov, d: best_rounding(s, cov, "x", 3),
+        "WeightedDesign weights": lambda s, cov, d: WeightedDesign("x", 1.0, 1),
+        "project_to_simplex": lambda s, cov, d: project_to_simplex("x"),
+        "information_matrix": lambda s, cov, d: information_matrix("x", "y"),
+        "monte_carlo_variance string beta":
+            lambda s, cov, d: monte_carlo_variance(s, d, cov, beta="x", n_sims=1000),
+        "monte_carlo_variance dict beta":
+            lambda s, cov, d: monte_carlo_variance(s, d, cov, beta={}, n_sims=1000),
+        "build_sigma": lambda s, cov, d: build_sigma(s, d, "x"),
+        "build_z": lambda s, cov, d: build_z(s, d, None),
+        "build_d": lambda s, cov, d: build_d(s, d, 5),
+        "aggregate_cluster_periods": lambda s, cov, d: aggregate_cluster_periods(s, d, "x"),
+        "treatment_precision": lambda s, cov, d: treatment_precision(None, [[0, 1], [1, 1]]),
+        "glm_weight_diagonal": lambda s, cov, d: glm_weight_diagonal(
+            None, np.ones((2, 2)), np.ones((2, 1)), np.ones((1, 1))),
+        "design_from_counts": lambda s, cov, d: s.design_from_counts(5),
+        "design_from_indices": lambda s, cov, d: s.design_from_indices(5),
+        "from_icc kind": lambda s, cov, d: CovarianceSpec.from_icc(
+            np.array(["EXC2", "AR1"]), 0.05, cac=0.5),
+        "standard_space granularity": lambda s, cov, d: standard_space(
+            3, granularity=np.array(["sequence", "cluster-period"])),
+        "single_moves step": lambda s, cov, d: cluster_period_moves(cov, np.array([1, 1])),
+    }
+
+    @pytest.mark.parametrize("call", list(WRONG_KIND))
+    def test_entry_point_raises_package_error(self, call):
+        design = self.space.design_from_counts([1] * self.space.n_units)
+        with pytest.raises(ValidationError):
+            self.WRONG_KIND[call](self.space, self.crit.covariance, design)
 
     @pytest.mark.parametrize("call", [
         "reverse_greedy", "local_search", "swap_delta", "brute_force_optimum",
