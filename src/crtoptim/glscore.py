@@ -438,6 +438,16 @@ def aggregate_cluster_periods(space: DesignSpace, design: Design,
     return xbar, sigbar
 
 
+def _cluster_sum(blocks: np.ndarray) -> np.ndarray:
+    """The sum over clusters, in cluster order, of their information terms
+    ``blocks`` (``(..., C, P, P)``): the one cluster sum, which
+    :func:`_information` and :meth:`_ClusterBlocks.rank_one_terms` share."""
+    # a reduction over an outer axis adds the clusters one after another;
+    # starting from -0.0 keeps every bit, signed zeros included, of summing
+    # them in a loop, where a plain reduction turns a sum of -0.0 into 0.0
+    return np.add.reduce(blocks, axis=-3, initial=-0.0)
+
+
 @dataclass
 class _ClusterBlocks:
     """Cell-level pieces of every cluster, stacked over clusters and padded
@@ -485,7 +495,7 @@ class _ClusterBlocks:
         to the information, with ``sx = S X`` and ``t = (I + S B S)^-1 S X``,
         and its GLS weights are ``Sigma^-1 X = S t``. Cells holding no
         observations get zero rows and drop out. ``blocks`` holds each
-        cluster's term ``sx' t``, ``(..., C, P, P)``; :func:`_information`
+        cluster's term ``sx' t``, ``(..., C, P, P)``; :func:`_cluster_sum`
         sums them.
         """
         s = self._scale(counts)
@@ -535,7 +545,7 @@ class _ClusterBlocks:
         solved = np.linalg.solve(sb * s[..., None, :] + self._eye,
                                  np.concatenate([sx, sb], axis=-1))
         t, h = solved[..., :p], solved[..., p:]
-        info = np.add.reduce(sx.swapaxes(-1, -2) @ t, axis=-3)
+        info = _cluster_sum(sx.swapaxes(-1, -2) @ t)
         observed = s > 0
         scale = 1.0 / np.where(observed, s, 1.0)
         u = np.where(observed[..., None], t * scale[..., None],
@@ -905,24 +915,19 @@ def _information(stack, counts):
     information matrix, and ``solved`` the ``(s, t)`` of its cluster solve,
     or ``None`` at sequence granularity. The one step from counts to
     information matrices, for every criterion quantity.
+    :meth:`_ClusterBlocks.rank_one_terms`, which also needs each cell's
+    conditional variance, solves a wider system but adds its cluster blocks
+    with the same :func:`_cluster_sum`.
 
-    At sequence granularity ``m`` is a block sum over the ``(J, L, P, P)``
-    unit blocks, in unit order: a ``(K, 1, J)`` batch takes one flat
-    ``einsum`` over the blocks flattened, ``(J, L P P)``, any other the
-    broadcast ``einsum``, which gives the same sums. Elsewhere it is one
-    :meth:`_ClusterBlocks.solve`, whose cluster blocks are summed in
-    cluster order. Never a BLAS product across rows, whose kernel (and
-    rounding) could change with ``K``: a row's matrix does not depend on
-    the rest of the batch."""
+    At sequence granularity ``m`` is one broadcast ``einsum`` over the
+    ``(J, L, P, P)`` unit blocks, summed in unit order, whatever the batch.
+    Elsewhere it is one :meth:`_ClusterBlocks.solve`, whose cluster blocks
+    :func:`_cluster_sum` adds in cluster order. Never a BLAS product across
+    rows, whose kernel (and rounding) could change with ``K``: a row's
+    matrix does not depend on the rest of the batch."""
     if isinstance(stack, _ClusterBlocks):
         s, t, blocks = stack.solve(counts)
-        # a reduction over an outer axis adds the clusters one after another;
-        # starting from -0.0 keeps every bit, signed zeros included, of
-        # summing them in a loop
-        return np.add.reduce(blocks, axis=-3, initial=-0.0), (s, t)
-    if counts.ndim == 3 and counts.shape[1] == 1:
-        m = np.einsum("kj,jx->kx", counts[:, 0], stack.reshape(len(stack), -1))
-        return m.reshape((len(counts),) + stack.shape[1:]), None
+        return _cluster_sum(blocks), (s, t)
     m = np.einsum("...lj,jlx->...lx", counts, stack.reshape(*stack.shape[:2], -1))
     return m.reshape(m.shape[:-1] + stack.shape[2:]), None
 

@@ -181,9 +181,11 @@ def per_model_reference(space, model_class, batch):
 
 
 def chunk_rows(space, model_class):
-    """Rows per chunk of a robust criterion: a plain criterion's, and at
-    sequence granularity, where one kernel call scores a chunk under each
-    of the ``L`` positive-prior models, ``1 / L`` of them."""
+    """A plain criterion's rows per chunk, and at sequence granularity
+    ``1 / L`` of them, ``L`` the positive-prior models: a robust
+    criterion's chunk at sequence granularity. (A class chunks at ``1 /
+    L`` at every granularity; the cluster-period boundary has its own
+    case below.)"""
     rows = DesignCriterion(space, model_class.entries[0].covariance)._chunk_rows
     if space.granularity != "sequence":
         return rows
@@ -191,8 +193,8 @@ def chunk_rows(space, model_class):
 
 
 class TestStackedValues:
-    """At sequence granularity one block sum and one kernel call score a
-    chunk under every model, with the values of scoring model by model."""
+    """At every granularity one information step and one kernel call score
+    a chunk under every model, with the values of scoring model by model."""
 
     SPACES = {"sequence": dict(max_replication=3, cells_per_period=2),
               "cluster-period": dict(max_replication=3, granularity="cluster-period")}
@@ -214,6 +216,27 @@ class TestStackedValues:
             got = crit.values(batch)
             assert got.shape == (k,) and got.dtype == np.float64
             assert got.tobytes() == per_model_reference(space, model_class, batch).tobytes()
+            fractional = rng.uniform(0.0, 3.0, size=(k, space.n_units))
+            assert (crit.values(fractional).tobytes()
+                    == per_model_reference(space, model_class, fractional).tobytes())
+
+    @pytest.mark.parametrize("form", ["linear-average", "log-average"])
+    @pytest.mark.parametrize("classes", ["mixed", "grid"])
+    def test_equals_per_model_loop_on_class_chunk_boundary(self, form, classes):
+        # at cluster-period granularity a class's chunk is 1 / L of a plain
+        # chunk's rows, as at sequence granularity
+        space = standard_space(4, **self.SPACES["cluster-period"])
+        model_class = mixed_class(form) if classes == "mixed" else grid_class(form)
+        crit = RobustCriterion(space, model_class)
+        plain = DesignCriterion(space, model_class.entries[0].covariance)
+        chunk = plain._chunk_rows // sum(entry.prior > 0.0 for entry in model_class.entries)
+        assert chunk > 1
+        rng = np.random.default_rng(75)
+        for k in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            batch = rng.integers(0, 4, size=(k, space.n_units))
+            batch[0] = 0                 # the empty design, which is inf
+            assert (crit.values(batch).tobytes()
+                    == per_model_reference(space, model_class, batch).tobytes())
             fractional = rng.uniform(0.0, 3.0, size=(k, space.n_units))
             assert (crit.values(fractional).tobytes()
                     == per_model_reference(space, model_class, fractional).tobytes())
