@@ -9,6 +9,11 @@ guarantees at least one unit of every positive-weight type, which suits
 designs that must stagger their roll-out; Hamilton and the greedy fill
 allow weights to round to zero.
 
+Like every optimiser, :func:`best_rounding` takes a
+:class:`CovarianceSpec` (with an optional model), which builds the plain
+:class:`DesignCriterion`, or in its place any criterion on the space, a
+robust model class included.
+
 The cells of a weight grid round in lockstep (:func:`_lockstep_rounding`):
 their greedy fills walk as one stack, each step screening the moves of
 every cell still filling in one stacked rank-one call, and each cell
@@ -25,9 +30,8 @@ import numpy as np
 
 from .covariance import CovarianceSpec, ModelSpec
 from .designspace import Design, DesignSpace
-from .errors import (InfeasibleError, ValidationError, check_count,
-                     check_instance, check_probabilities)
-from .glscore import DesignCriterion
+from .errors import InfeasibleError, ValidationError, check_count, check_probabilities
+from .glscore import DesignCriterion, _as_criterion
 from .search import _first_minimum, _greedy_walk
 
 
@@ -96,9 +100,14 @@ def _check_total(space: DesignSpace, total) -> None:
             f"total {total} exceeds the space capacity {space.total_capacity}")
 
 
-def best_rounding(space: DesignSpace, cov: CovarianceSpec, weights, total: int,
-                  model: ModelSpec | None = None) -> RoundingResult:
+def best_rounding(space: DesignSpace, cov: CovarianceSpec | DesignCriterion, weights,
+                  total: int, model: ModelSpec | None = None) -> RoundingResult:
     """Round weights with every scheme and keep the variance-minimising one.
+
+    ``cov`` and ``model`` give the criterion as in
+    :func:`crtoptim.weights.mixed_model_weights`: a :class:`CovarianceSpec`
+    builds the plain :class:`DesignCriterion`, and anything else must be a
+    criterion on ``space`` given without ``model``.
 
     Candidates violating the replication cap are reported with an infinite
     value. The greedy fill clips its floors at the cap, so it stays within
@@ -107,9 +116,10 @@ def best_rounding(space: DesignSpace, cov: CovarianceSpec, weights, total: int,
     is raised only if every candidate leaves the contrast unidentified.
     :func:`_lockstep_rounding` on a stack of one.
     """
-    check_instance("space", space, DesignSpace)
-    result, = _lockstep_rounding(space, [DesignCriterion(space, cov, model=model)],
-                                 [weights], total)
+    # a plain criterion is built through this module's DesignCriterion name,
+    # so that replacing apportion.DesignCriterion takes effect here
+    criterion = _as_criterion(space, cov, model, DesignCriterion)
+    result, = _lockstep_rounding(space, [criterion], [weights], total)
     if isinstance(result, InfeasibleError):
         raise result
     return result

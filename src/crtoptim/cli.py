@@ -9,7 +9,12 @@ configuration. ``crtoptim evaluate`` scores an explicit design against a
 configuration and cross-checks the closed form where it applies.
 
 An ``optimize`` run is a list of cells, one for a single run and one per
-``grid`` point. :func:`_solve` runs over the whole list, then one write
+``grid`` point, each with one criterion: a ``robust`` block's model class,
+or the plain criterion of the cell's covariance, built in the timed solve
+stage. Every algorithm runs that criterion as it is, except the closed
+form, which needs one covariance and rejects a class (exit 2); a
+``robust`` block cannot be combined with ``grid``. :func:`_solve` runs
+over the whole list, then one write
 loop writes each cell's whole bundle and makes its directory only then (a
 single run writes at the top of the output directory). A configuration
 error writes nothing; an output directory, or a cell directory under it,
@@ -254,27 +259,29 @@ def write_weights_csv(path, space: DesignSpace, weights: np.ndarray) -> None:
                                  repr(float(w))])
 
 
-def _until_failure(solve, cells) -> list:
-    """``solve(cov)`` of each cell's covariance in turn, stopping at the
+def _until_failure(solve, criteria) -> list:
+    """``solve(criterion)`` of each cell's criterion in turn, stopping at the
     first cell that raises :class:`InfeasibleError` or
     :class:`ConvergenceError`, whose error then ends the list."""
     results = []
-    for _, _, cov in cells:
+    for criterion in criteria:
         try:
-            results.append(solve(cov))
+            results.append(solve(criterion))
         except (InfeasibleError, ConvergenceError) as exc:
             results.append(exc)
             break
     return results
 
 
-def _solve(cfg: dict, space, model, robust, algorithm, m, restarts, seed,
-           cells) -> list:
-    """The solve stage of a run: per cell, in order, ``(value, design,
-    fields, weights)`` (``design`` and ``weights`` may be None, ``fields``
-    holds the cell's extra summary entries) or the optimiser error that
-    stops the run there; the list ends at the first error. The searches,
-    the closed form and the simplex descent run cell by cell; the
+def _solve(cfg: dict, space, algorithm, m, restarts, seed, criteria) -> list:
+    """The solve stage of a run over ``criteria``, one criterion per cell
+    (a plain one, or the model class of a ``robust`` block): per cell, in
+    order, ``(value, design, fields, weights)`` (``design`` and ``weights``
+    may be None, ``fields`` holds the cell's extra summary entries) or the
+    optimiser error that stops the run there; the list ends at the first
+    error. Every algorithm runs the cell's criterion as it is, but the
+    closed form, which needs one covariance and rejects a class. The
+    searches, the closed form and the simplex descent run cell by cell; the
     mixed-model fixed points of all cells run in lockstep, and the solved
     weights of all cells are rounded in lockstep."""
     if algorithm in ("local", "reverse-greedy"):
@@ -282,16 +289,14 @@ def _solve(cfg: dict, space, model, robust, algorithm, m, restarts, seed,
             raise ConfigError("missing field 'm'")
         fields = {"restarts": restarts} if algorithm == "local" else {}
 
-        def search(cov):
-            criterion = robust if robust is not None else DesignCriterion(
-                space, cov, model=model)
+        def search(criterion):
             result = (local_search(space, criterion, m, restarts=restarts, seed=seed)
                       if algorithm == "local" else reverse_greedy(space, criterion, m))
             return result.value, result.design, fields, None
-        return _until_failure(search, cells)
+        return _until_failure(search, criteria)
     if algorithm == "closed-form":
-        return _until_failure(lambda cov: (*_closed_form_design(
-            space, _closed_form_params(space, cov, model, m)), {}, None), cells)
+        return _until_failure(lambda criterion: (*_closed_form_design(
+            space, _closed_form_params(space, criterion, m)), {}, None), criteria)
 
     n_obs = _optional(cfg, "n_obs", int, "", None)
     # the rounding total, None for continuous weights; checked before the
@@ -302,18 +307,14 @@ def _solve(cfg: dict, space, model, robust, algorithm, m, restarts, seed,
     # the solvers' own default tolerance applies unless the config sets one
     tolerance = ({"tolerance": _require(cfg, "tolerance", float, "")}
                  if "tolerance" in cfg else {})
-    criteria = None
     if algorithm == "mixed-model-weights":
-        criteria = [DesignCriterion(space, cov, model=model) for _, _, cov in cells]
         weighted = _lockstep_weights(space, criteria, n_obs, **tolerance)
     else:
-        weighted = _until_failure(lambda cov: simplex_weight_descent(
-            space, cov, model=model, **tolerance), cells)
+        weighted = _until_failure(lambda criterion: simplex_weight_descent(
+            space, criterion, **tolerance), criteria)
     solved = list(itertools.takewhile(lambda wd: not isinstance(wd, Exception), weighted))
     rounded = []
     if budget is not None and solved:
-        criteria = criteria or [DesignCriterion(space, cov, model=model)
-                                for _, _, cov in cells]
         rounded = _lockstep_rounding(space, criteria[:len(solved)],
                                      [wd.weights for wd in solved], budget)
     results = []
@@ -330,11 +331,16 @@ def _solve(cfg: dict, space, model, robust, algorithm, m, restarts, seed,
     return results
 
 
-def _closed_form_params(space: DesignSpace, cov, model,
+def _closed_form_params(space: DesignSpace, criterion: DesignCriterion,
                         n_clusters: int | None) -> CellMeanParams:
-    """The cluster-mean model of the closed form, which needs EXC2, a Gaussian
-    model, ``n_clusters`` and a sequence space of equal cells; else
-    :class:`ConfigError`."""
+    """The cluster-mean model of the closed form, read from the criterion's
+    ``covariance`` and ``model``: it needs one covariance, not a model
+    class, EXC2, a Gaussian model, ``n_clusters`` and a sequence space of
+    equal cells; else :class:`ConfigError`."""
+    if isinstance(criterion, RobustCriterion):
+        raise ConfigError(
+            "field 'robust': closed-form needs one covariance, not a model class")
+    cov, model = criterion.covariance, criterion.model
     if cov.kind != "EXC2":
         raise ConfigError("field 'algorithm': closed-form needs an EXC2 covariance")
     if not model.is_gaussian:
@@ -450,13 +456,8 @@ def optimize(config_path, algorithm, m_override, restarts, seed, out_override):
     out_dir = Path(out_override or _optional(cfg, "out", str, "", "."))
 
     grid = cfg.get("grid")
-    if robust is not None:
-        if grid is not None:
-            raise ConfigError("field 'grid' cannot be combined with 'robust'")
-        if algorithm not in ("local", "reverse-greedy"):
-            raise ConfigError(
-                "field 'robust' only applies to the combinatorial "
-                "algorithms (local, reverse-greedy)")
+    if robust is not None and grid is not None:
+        raise ConfigError("field 'grid' cannot be combined with 'robust'")
     if grid is not None:
         axes, cells = _grid_cells(grid)
     else:
@@ -474,7 +475,10 @@ def optimize(config_path, algorithm, m_override, restarts, seed, out_override):
         files.append(out_dir / "grid_index.csv")
     _check_directories(cell_dirs, files)
     started = time.perf_counter()
-    results = _solve(cfg, space, model, robust, algorithm, m, restarts, seed, cells)
+    # one criterion per cell: a robust block's class, built as it was parsed,
+    # or a plain criterion per cell, built here in the timed solve stage
+    criteria = [robust or DesignCriterion(space, cov, model=model) for _, _, cov in cells]
+    results = _solve(cfg, space, algorithm, m, restarts, seed, criteria)
     share = (time.perf_counter() - started) / len(cells)
     digest = config_digest(cfg)
     index_rows = []
@@ -584,14 +588,14 @@ def evaluate(config_path, design_path):
     cond = eigs[-1] / eigs[0] if eigs[0] > 0 else math.inf
     click.echo(f"information matrix eigenvalues: min {eigs[0]:.6g} "
                f"max {eigs[-1]:.6g} condition {cond:.6g}")
-    _closed_form_check(space, cov, model, design, value)
+    _closed_form_check(space, criterion, design, value)
 
 
-def _closed_form_check(space, cov, model, design, value):
+def _closed_form_check(space, criterion, design, value):
     """Cross-check against the cluster-mean precision formula when the
     design is an equal-cell complete EXC2 layout."""
     try:
-        params = _closed_form_params(space, cov, model, design.size)
+        params = _closed_form_params(space, criterion, design.size)
     except ConfigError:
         return
     patterns = [_unit_pattern(space, unit) for unit in space.units]

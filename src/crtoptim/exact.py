@@ -60,13 +60,14 @@ class CellMeanParams:
 
 
 def _treatment_matrix(treat_matrix) -> np.ndarray:
-    """``treat_matrix`` as a 2-dimensional float array of 0/1 entries."""
+    """``treat_matrix`` as a 2-dimensional float array of 0/1 entries, with
+    at least one cluster row and one period."""
     try:
         treat = np.asarray(treat_matrix, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError("treatment matrix must be a numeric array") from exc
-    if treat.ndim != 2:
-        raise ValidationError("treatment matrix must be 2-dimensional")
+    if treat.ndim != 2 or 0 in treat.shape:
+        raise ValidationError("treatment matrix must be 2-dimensional and non-empty")
     if not np.isin(treat, (0.0, 1.0)).all():
         raise ValidationError("treatment matrix entries must be 0 or 1")
     return treat

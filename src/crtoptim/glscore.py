@@ -200,9 +200,7 @@ def _contrast_kernel(m: np.ndarray):
     m = _symmetrised(m)
     k, p = m.shape[:2]
     lower = _cholesky(m)
-    pivots = lower.reshape(k, p * p)[:, ::p + 1]
-    factors = pivots * pivots
-    value = 1.0 / factors[:, -1]
+    value = 1.0 / np.square(lower[:, -1, -1])
     # |tr M| capped at the largest float: an infinite entry on the diagonal
     # then never meets an infinite shift (inf - inf)
     trace = np.minimum(np.abs(np.add.reduce(m.reshape(k, p * p)[:, ::p + 1], axis=-1)),
@@ -210,10 +208,7 @@ def _contrast_kernel(m: np.ndarray):
     if p == 1:
         certified = _factorised(lower)
     else:
-        # a row whose trace is zero has a NaN factor: NaN / 0 does not warn
-        factors /= trace[:, None]
-        factors *= p - 1
-        bound = np.multiply.reduce(factors, axis=-1)
+        bound = _determinant_bound(lower, trace)
         # a finite bound above the threshold also vouches that every pivot
         # is finite and positive
         certified = ((bound > 2.0 * (p - 1) * CERTIFICATE_MARGIN * RANK_TOL)
@@ -230,6 +225,19 @@ def _contrast_kernel(m: np.ndarray):
             lower[uncertified] = np.nan
             value[uncertified] = _eigen_solve(m[uncertified])[0]
     return value, lower
+
+
+def _determinant_bound(lower: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """``prod_i ((P - 1) L_ii^2 / tr M)`` per row of a ``(K, P, P)`` stack of
+    Cholesky factors, ``tr M`` read from ``trace``, taken factor by factor
+    (see :func:`_contrast_kernel`). A row whose trace is zero has a NaN
+    factor, and NaN / 0 does not warn."""
+    k, p = lower.shape[:2]
+    pivots = lower.reshape(k, p * p)[:, ::p + 1]
+    factors = pivots * pivots
+    factors /= trace[:, None]
+    factors *= p - 1
+    return np.multiply.reduce(factors, axis=-1)
 
 
 def _eigen_solve(m: np.ndarray):
@@ -856,6 +864,22 @@ class DesignCriterion:
         return self.value(np.asarray(design.counts))
 
 
+def _as_criterion(space, cov, model=None, plain=DesignCriterion) -> DesignCriterion:
+    """The criterion that an optimiser given ``cov`` on ``space`` runs, the
+    one rule of every optimiser: the plain ``plain(space, cov,
+    model=model)`` for a :class:`CovarianceSpec`, else ``cov`` itself,
+    which must be a criterion (a model class included) built on ``space``
+    and given without ``model``, since it carries its own models;
+    :class:`ValidationError` otherwise."""
+    check_instance("space", space, DesignSpace)
+    if isinstance(cov, CovarianceSpec):
+        return plain(space, cov, model=model)
+    if not isinstance(cov, DesignCriterion) or model is not None or cov.space != space:
+        raise ValidationError("cov must be a CovarianceSpec, or a DesignCriterion built "
+                              "on this space and given without a model")
+    return cov
+
+
 def _prior_sum(criterion, terms, values=None):
     """``sum_l prior_l t_l`` over the parts of ``criterion``, in part order,
     with ``t_l`` from ``terms[l]``: the term itself in the linear form; in
@@ -1002,14 +1026,10 @@ def _conditioned(m: np.ndarray, lower: np.ndarray) -> np.ndarray:
     if p == 1:
         conditioned = np.zeros(k, dtype=bool)
     else:
-        pivots = lower.reshape(k, -1)[:, ::p + 1]
-        factors = pivots * pivots
-        factors /= trace[:, None]
-        factors *= p - 1
         # compared without dividing, so that a product that underflows to 0
         # does not warn; one that overflows (P beyond about 1,900) or is NaN
         # is merely not vouched for
-        product = np.multiply.reduce(factors, axis=-1)
+        product = _determinant_bound(lower, trace)
         conditioned = ((product >= p * (p - 1) / SCREEN_CONDITION)
                        & (product < math.inf))
     if not conditioned.all():

@@ -29,6 +29,13 @@ as one stack (side by side at sequence granularity, stacked elsewhere),
 whose gradients are summed as ``gradient`` sums them, so a bound row is
 the class's gradient row bit for bit. A class of one model in the linear
 form scores as that model's :class:`DesignCriterion` does, bit for bit.
+
+Every optimiser takes a class where it takes a plain criterion: the
+searches, :func:`crtoptim.weights.mixed_model_weights`,
+:func:`crtoptim.weights.simplex_weight_descent` and
+:func:`crtoptim.apportion.best_rounding` (the last three given the class
+in place of the covariance), and so every algorithm of the command line
+but the closed form, which needs one covariance.
 """
 from __future__ import annotations
 

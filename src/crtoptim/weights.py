@@ -22,6 +22,17 @@ step are those of the plain map, and only the number of criterion
 evaluations drops. :func:`simplex_weight_descent` minimises the
 same criterion at sequence granularity by projected gradient descent,
 serving as a generic cross-check on the fixed point.
+
+Both solvers take the criterion as every optimiser does: a
+:class:`CovarianceSpec`, with an optional model, builds the plain
+:class:`DesignCriterion`, and any criterion on the space, a robust model
+class included, is taken as it is (:func:`glscore._as_criterion`). A class's
+gradient is the prior sum of its models' (in the log form, of ``g_l /
+f_l``), so both solvers run it unchanged and a class of one model in the
+linear form gives that model's weights bit for bit. The fixed point's
+monotone descent is proved for one information matrix (Yu, Ann. Statist.
+38, 2010); under a class of several a plain step that raises the
+criterion ends the run with :class:`ConvergenceError`, as it would for one.
 """
 from __future__ import annotations
 
@@ -34,7 +45,8 @@ from .covariance import CovarianceSpec, ModelSpec
 from .designspace import DesignSpace
 from .errors import (ConvergenceError, InfeasibleError, ValidationError, as_floats,
                      check_count, check_instance, check_probabilities, check_real)
-from .glscore import CRITERION_ROUNDING, DesignCriterion, _gradients, _stacked_clusters
+from .glscore import (CRITERION_ROUNDING, DesignCriterion, _as_criterion, _gradients,
+                      _stacked_clusters)
 
 # Units whose weight falls below this bound are dropped for good.
 WEIGHT_FLOOR = 1e-7
@@ -78,17 +90,32 @@ def _check_positive(name: str, value) -> None:
         raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _check_stopping(tolerance, max_iter) -> None:
+    """Reject a ``tolerance`` that is not finite and positive, or a
+    ``max_iter`` that is not an integer of at least 1."""
+    _check_positive("tolerance", tolerance)
+    check_count("max_iter", max_iter)
+    if max_iter < 1:
+        raise ValidationError("max_iter must be at least 1")
+
+
 def _residual(phi: np.ndarray, grad: np.ndarray) -> float:
     """Unit-step projected-gradient residual: zero exactly at a minimiser."""
     return float(np.abs(phi - project_to_simplex(phi - grad)).max())
 
 
-def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
+def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec | DesignCriterion,
                         model: ModelSpec | None = None,
                         total_obs: float | None = None,
                         tolerance: float = 1e-6,
                         max_iter: int = 10000) -> WeightedDesign:
     """Optimal design weights by the multiplicative fixed point.
+
+    The criterion is the plain :class:`DesignCriterion` of ``cov`` and
+    ``model`` when ``cov`` is a :class:`CovarianceSpec`; otherwise ``cov``
+    is the criterion itself, built on ``space`` and given without
+    ``model``, such as a :class:`crtoptim.robust.RobustCriterion`
+    (anything else raises :class:`ValidationError`).
 
     The map sets ``phi ∝ phi * sqrt(-grad)`` from the criterion's
     gradient at ``N * phi``. At cluster-period or observation granularity
@@ -126,7 +153,7 @@ def mixed_model_weights(space: DesignSpace, cov: CovarianceSpec,
     when the contrast is not identified by the full space.
     :func:`_lockstep_weights` on a stack of one.
     """
-    result, = _lockstep_weights(space, [DesignCriterion(space, cov, model)],
+    result, = _lockstep_weights(space, [_as_criterion(space, cov, model)],
                                 total_obs, tolerance, max_iter)
     if isinstance(result, Exception):
         raise result
@@ -138,10 +165,7 @@ def _weight_scale(space, total_obs, tolerance, max_iter) -> float:
     covariance and model, and return the multiplicity ``N`` that scales
     the weights (1 at sequence granularity)."""
     check_instance("space", space, DesignSpace)
-    _check_positive("tolerance", tolerance)
-    check_count("max_iter", max_iter)
-    if max_iter < 1:
-        raise ValidationError("max_iter must be at least 1")
+    _check_stopping(tolerance, max_iter)
     if total_obs is not None:
         _check_positive("total_obs", total_obs)
     if space.granularity == "sequence":
@@ -266,14 +290,16 @@ def _squarem(n_units: int, scale: float, tolerance: float, max_iter: int):
         phi, f, grad = mapped, f_mapped, grad_mapped
 
 
-def simplex_weight_descent(space: DesignSpace, cov: CovarianceSpec,
+def simplex_weight_descent(space: DesignSpace, cov: CovarianceSpec | DesignCriterion,
                            model: ModelSpec | None = None,
                            tolerance: float = 1e-8,
                            max_iter: int = 100000) -> WeightedDesign:
     """Minimise the weighted-design criterion by projected gradient descent.
 
-    Requires sequence granularity: at cluster-period or observation
-    granularity ``DesignCriterion.gradient`` is not the one-sided
+    ``cov`` and ``model`` give the criterion as in
+    :func:`mixed_model_weights`. Requires sequence granularity: at
+    cluster-period or observation granularity
+    ``DesignCriterion.gradient`` is not the one-sided
     derivative for units whose period holds (almost) no observations, and
     descent stalls there far from the optimum. Barzilai-Borwein steps are
     backtracked until they pass the Armijo test, or, once the decrease is
@@ -285,15 +311,11 @@ def simplex_weight_descent(space: DesignSpace, cov: CovarianceSpec,
     (a positive integer) iterations or when no step passes while the
     residual still exceeds ``tolerance`` (the message gives it).
     """
-    check_instance("space", space, DesignSpace)
-    _check_positive("tolerance", tolerance)
-    check_count("max_iter", max_iter)
-    if max_iter < 1:
-        raise ValidationError("max_iter must be at least 1")
+    _check_stopping(tolerance, max_iter)
+    f_grad = _as_criterion(space, cov, model).gradient
     if space.granularity != "sequence":
         raise ValidationError(
             "simplex descent requires mutually uncorrelated (sequence) units")
-    f_grad = DesignCriterion(space, cov, model).gradient
     phi = np.full(space.n_units, 1.0 / space.n_units)
 
     fval, grad = f_grad(phi)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from crtoptim import (CovarianceSpec, DesignCriterion, InfeasibleError, ModelSpec,
-                      ValidationError, adams_round, best_rounding,
+from crtoptim import (CovarianceSpec, DesignCriterion, InfeasibleError, ModelClass,
+                      ModelEntry, ModelSpec, RobustCriterion, ValidationError,
+                      adams_round, best_rounding,
                       hamilton_round, mixed_model_weights,
                       space_from_sequences, standard_space,
                       unidirectional_weights)
@@ -199,6 +200,31 @@ class TestBestRounding:
             best_rounding(self.space, self.cov,
                           np.full(self.space.n_units, 1 / self.space.n_units),
                           self.space.total_capacity + 1)
+
+    @pytest.mark.parametrize("space,model,total", [
+        (standard_space(4, max_replication=8, cells_per_period=5), None, 10),
+        (standard_space(4, max_replication=10, granularity="cluster-period"),
+         ModelSpec("binomial-logit", beta=(-2, -1.5, -1, -0.5, 0.5)), 100),
+    ], ids=["sequence", "cluster-period-binomial-logit"])
+    def test_criterion_given_rounds_as_covariance_and_model(self, space, model, total):
+        cov = CovarianceSpec.from_icc("AR1", 0.05, decay=0.8)
+        weights = np.random.default_rng(4).dirichlet(np.ones(space.n_units))
+        plain = best_rounding(space, cov, weights, total, model=model)
+        one_model = RobustCriterion(space, ModelClass(
+            (ModelEntry(cov, 1.0, model or ModelSpec()),)))
+        for criterion in (DesignCriterion(space, cov, model), one_model):
+            result = best_rounding(space, criterion, weights, total)
+            assert result == plain
+            assert result.value.hex() == plain.value.hex()
+
+    def test_criterion_with_model_or_on_another_space_rejected(self):
+        criterion = DesignCriterion(self.space, self.cov)
+        weights = np.full(self.space.n_units, 1 / self.space.n_units)
+        with pytest.raises(ValidationError, match="without a model"):
+            best_rounding(self.space, criterion, weights, 10, model=ModelSpec())
+        other = standard_space(4, max_replication=8, cells_per_period=4)
+        with pytest.raises(ValidationError, match="on this space"):
+            best_rounding(other, criterion, weights, 10)
 
 
 def _fill_length(weights, total, cap):

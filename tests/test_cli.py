@@ -585,6 +585,73 @@ class TestWeightsGrid:
             "icc0.05_cac0.5"]
 
 
+class TestRobustEveryAlgorithm:
+    """A ``robust`` block runs with every algorithm but the closed form, and
+    a class of one model writes the bundle of that model's plain run."""
+
+    CLUSTER_PERIOD = {"standard": {"T": 6, "maxReplication": 10,
+                                   "granularity": "cluster-period"}}
+    TWO_MODELS = {"form": "log-average", "entries": [
+        {"covariance": {"kind": "EXC2", "icc": 0.05, "cac": 0.5}, "prior": 0.5},
+        {"covariance": {"kind": "AR1", "icc": 0.05, "decay": 0.8}, "prior": 0.5}]}
+
+    def run(self, tmp_path, runner, name, cfg):
+        cfg = dict(cfg, out=str(tmp_path / name))
+        return runner.invoke(main, ["optimize", "--config",
+                                    write_json(tmp_path / f"{name}.json", cfg)])
+
+    @pytest.mark.parametrize("algorithm,overrides,total", [
+        ("mixed-model-weights", {"space": CLUSTER_PERIOD, "n_obs": 60}, 60),
+        ("simplex-weights", {"m": 8}, 8),
+    ], ids=["mixed-model-weights", "simplex-weights"])
+    def test_weight_algorithms_run_a_class(self, tmp_path, runner, algorithm,
+                                           overrides, total):
+        cfg = base_config(tmp_path, algorithm=algorithm, robust=self.TWO_MODELS,
+                          **overrides)
+        cfg.pop("covariance")
+        result = self.run(tmp_path, runner, "out", cfg)
+        assert result.exit_code == 0, result.output
+        lines = (tmp_path / "out" / "weights.csv").read_text().splitlines()
+        assert sum(float(line.split(",")[-1]) for line in lines[1:]) == pytest.approx(1.0)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert sum(summary["design_counts"]) == total
+
+    @pytest.mark.parametrize("algorithm,overrides", [
+        ("mixed-model-weights", {"space": CLUSTER_PERIOD, "n_obs": 60}),
+        ("mixed-model-weights", {"m": 8}),
+        ("simplex-weights", {"m": 8}),
+    ], ids=["mixed-cluster-period", "mixed-sequence", "simplex-sequence"])
+    def test_class_of_one_writes_the_plain_bundle(self, tmp_path, runner, algorithm,
+                                                   overrides):
+        cfg = base_config(tmp_path, algorithm=algorithm, **overrides)
+        # one period effect per period, then the treatment effect
+        n_periods = cfg["space"]["standard"]["T"]
+        cfg["model"] = {"family": "binomial-logit",
+                        "beta": [-2] + [-1] * (n_periods - 1) + [0.5]}
+        assert self.run(tmp_path, runner, "plain", cfg).exit_code == 0
+        one = {key: v for key, v in cfg.items() if key not in ("covariance", "model")}
+        one["robust"] = {"entries": [
+            {"covariance": cfg["covariance"], "model": cfg["model"], "prior": 1}]}
+        result = self.run(tmp_path, runner, "one", one)
+        assert result.exit_code == 0, result.output
+        for name in ("weights.csv", "design_grid.csv"):
+            assert ((tmp_path / "one" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
+        summaries = [{key: v for key, v in json.loads(
+            (tmp_path / d / "summary.json").read_text()).items()
+                      if key not in ("wall_time_s", "config_digest")}
+                     for d in ("plain", "one")]
+        assert summaries[0] == summaries[1]
+
+    def test_closed_form_rejects_a_class(self, tmp_path, runner):
+        cfg = base_config(tmp_path, algorithm="closed-form")
+        cfg["robust"] = {"entries": [{"covariance": cfg.pop("covariance"), "prior": 1}]}
+        result = self.run(tmp_path, runner, "out", cfg)
+        assert result.exit_code == 2, result.output
+        assert "'robust'" in result.output
+        assert not (tmp_path / "out").exists()
+
+
 class TestDesignGrid:
     def test_sequence_replicates_get_their_own_rows(self, tmp_path):
         space = standard_space(3, max_replication=3, cells_per_period=2)

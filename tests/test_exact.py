@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,14 @@ class TestDesignCoefficients:
     def test_rejects_ragged_matrix(self):
         with pytest.raises(ValidationError):
             design_coefficients([[0, 1], [1]])
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_rejects_empty_matrix(self, shape):
+        # an empty matrix gave (nan, nan), with numpy's mean-of-empty warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-empty"):
+                design_coefficients(np.zeros(shape))
 
     def test_precision_rejects_one_dimensional_matrix(self):
         with pytest.raises(ValidationError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crtoptim import (ConvergenceError, CovarianceSpec, DesignCriterion,
-                      InfeasibleError, ModelClass, ModelSpec, RobustCriterion,
+                      InfeasibleError, ModelClass, ModelEntry, ModelSpec, RobustCriterion,
                       ValidationError, best_rounding, mixed_model_weights,
                       project_to_simplex, sequence_patterns,
                       simplex_weight_descent, space_from_sequences,
@@ -515,3 +515,73 @@ class TestFixedPointAgainstDescent:
             wd_pg = simplex_weight_descent(space, cov, tolerance=1e-10)
             assert np.abs(wd_fp.weights - wd_pg.weights).max() < 1e-5
             assert wd_fp.value == pytest.approx(wd_pg.value, rel=1e-8)
+
+
+def _one_model(space, cov, model=None):
+    """The class of the one model ``(cov, model)``, in the linear form."""
+    return RobustCriterion(space, ModelClass(
+        (ModelEntry(cov, 1.0, model or ModelSpec()),)))
+
+
+def _two_models(space, form):
+    return RobustCriterion(space, ModelClass((
+        ModelEntry(CovarianceSpec.from_icc("EXC2", 0.02, cac=0.7), 0.6),
+        ModelEntry(CovarianceSpec.from_icc("AR1", 0.1, decay=0.6), 0.4,
+                   ModelSpec("binomial-logit", beta=(-1, -1, -1, -1, 0.5)))),
+        form=form))
+
+
+def _bits(wd):
+    return wd.iterations, wd.value.hex(), wd.weights.tobytes()
+
+
+class TestCriterionGiven:
+    """Both solvers take, in place of a covariance, any criterion on the
+    space; a class of one model runs as the model's plain criterion."""
+
+    @pytest.mark.parametrize("space,model,total_obs", [
+        (standard_space(4, max_replication=3), None, None),
+        (standard_space(4, max_replication=3),
+         ModelSpec("binomial-logit", beta=(-1, -1, -1, -1, 0.5)), None),
+        (standard_space(6, max_replication=10, granularity="cluster-period"), None, 60),
+    ], ids=["sequence", "sequence-binomial-logit", "cluster-period"])
+    def test_class_of_one_gives_plain_weights(self, space, model, total_obs):
+        cov = CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5)
+        plain = mixed_model_weights(space, cov, model=model, total_obs=total_obs)
+        for criterion in (DesignCriterion(space, cov, model),
+                          _one_model(space, cov, model)):
+            assert _bits(mixed_model_weights(space, criterion, total_obs=total_obs)) == (
+                _bits(plain))
+
+    def test_class_of_one_gives_plain_descent(self):
+        space = standard_space(4, max_replication=3)
+        cov = CovarianceSpec.from_icc("AR1", 0.1, decay=0.6)
+        plain = simplex_weight_descent(space, cov)
+        for criterion in (DesignCriterion(space, cov), _one_model(space, cov)):
+            assert _bits(simplex_weight_descent(space, criterion)) == _bits(plain)
+
+    @pytest.mark.parametrize("form", ["linear-average", "log-average"])
+    def test_fixed_point_agrees_with_descent_on_a_class(self, form):
+        space = standard_space(4, cells_per_period=5)
+        criterion = _two_models(space, form)
+        fixed_point = mixed_model_weights(space, criterion, tolerance=1e-11,
+                                          max_iter=200000)
+        descent = simplex_weight_descent(space, criterion, tolerance=1e-10)
+        assert fixed_point.value == pytest.approx(descent.value, rel=1e-6)
+        assert np.abs(fixed_point.weights - descent.weights).max() < 1e-5
+        # each is the class's own optimum, not any one model's
+        for entry in criterion.model_class.entries:
+            alone = mixed_model_weights(space, entry.covariance, model=entry.model)
+            assert np.abs(alone.weights - fixed_point.weights).max() > 1e-3
+
+    @pytest.mark.parametrize("solver", [mixed_model_weights, simplex_weight_descent])
+    def test_criterion_with_model_or_on_another_space_rejected(self, solver):
+        space = standard_space(4, max_replication=3)
+        cov = CovarianceSpec.from_icc("EXC1", 0.1)
+        for criterion in (DesignCriterion(space, cov), _one_model(space, cov)):
+            with pytest.raises(ValidationError, match="without a model"):
+                solver(space, criterion, model=ModelSpec())
+            with pytest.raises(ValidationError, match="on this space"):
+                solver(standard_space(4, max_replication=4), criterion)
+        with pytest.raises(ValidationError, match="CovarianceSpec"):
+            solver(space, "EXC1")
