@@ -6,7 +6,9 @@ clusters or sequences, columns are periods, each cell ``treated:count``),
 a weights CSV for the weighting algorithms, and a JSON summary carrying
 the criterion value, seed, wall time, and a digest of the canonicalised
 configuration. ``crtoptim evaluate`` scores an explicit design against a
-configuration and cross-checks the closed form where it applies.
+configuration, under the criterion ``optimize`` would run (a ``robust``
+block's model class included), and cross-checks the closed form where it
+applies.
 
 An ``optimize`` run is a list of cells, one for a single run and one per
 ``grid`` point, each with one criterion: a ``robust`` block's model class,
@@ -561,7 +563,8 @@ def evaluate(config_path, design_path):
     """Report the criterion value of an explicit design."""
     cfg = load_config(config_path)
     space = parse_space(cfg)
-    cov = parse_covariance(cfg)
+    robust = parse_robust(cfg, space)
+    cov = parse_covariance(cfg) if robust is None else None
     model = parse_model(cfg)
     try:
         design_cfg = load_config(design_path)
@@ -576,18 +579,25 @@ def evaluate(config_path, design_path):
     except ConfigError as exc:
         raise ConfigError(f"design file: {exc}") from exc
 
-    criterion = DesignCriterion(space, cov, model=model)
-    info = criterion.information(np.asarray(design.counts))
-    value = criterion.value(np.asarray(design.counts))
+    # the criterion optimize runs: a robust block's class, or the plain
+    # criterion of the covariance and model
+    criterion = robust or DesignCriterion(space, cov, model=model)
+    counts = np.asarray(design.counts)
+    value = criterion.value(counts)
     if math.isinf(value):
         click.echo("criterion value: infinite (design does not identify "
                    "the treatment effect)")
     else:
         click.echo(f"criterion value: {value:.12g}")
-    eigs = np.linalg.eigvalsh(info)
-    cond = eigs[-1] / eigs[0] if eigs[0] > 0 else math.inf
-    click.echo(f"information matrix eigenvalues: min {eigs[0]:.6g} "
-               f"max {eigs[-1]:.6g} condition {cond:.6g}")
+    # one line per model the value scores, a class's named by its entry
+    names = ([""] if robust is None else
+             [f"robust.entries[{i}] " for i, entry in enumerate(robust.model_class.entries)
+              if entry.prior > 0.0])
+    for name, part in zip(names, criterion._parts):
+        eigs = np.linalg.eigvalsh(part.information(counts))
+        cond = eigs[-1] / eigs[0] if eigs[0] > 0 else math.inf
+        click.echo(f"{name}information matrix eigenvalues: min {eigs[0]:.6g} "
+                   f"max {eigs[-1]:.6g} condition {cond:.6g}")
     _closed_form_check(space, criterion, design, value)
 
 

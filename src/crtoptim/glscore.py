@@ -449,7 +449,10 @@ def aggregate_cluster_periods(space: DesignSpace, design: Design,
 def _cluster_sum(blocks: np.ndarray) -> np.ndarray:
     """The sum over clusters, in cluster order, of their information terms
     ``blocks`` (``(..., C, P, P)``): the one cluster sum, which
-    :func:`_information` and :meth:`_ClusterBlocks.rank_one_terms` share."""
+    :func:`_information` and :meth:`_ClusterBlocks.rank_one_terms` share:
+    both sum the blocks of one assembly of the cluster system
+    (:meth:`_ClusterBlocks._system`), so their information matrices agree
+    bit for bit."""
     # a reduction over an outer axis adds the clusters one after another;
     # starting from -0.0 keeps every bit, signed zeros included, of summing
     # them in a loop, where a plain reduction turns a sum of -0.0 into 0.0
@@ -489,16 +492,22 @@ class _ClusterBlocks:
                               np.stack([b.base for b in blocks]),
                               np.stack([b.weight for b in blocks]), first.n_per)
 
-    def _scale(self, counts: np.ndarray) -> np.ndarray:
-        """``s = sqrt(w n_obs)`` (``(..., C, c)``) of per-unit multiplicities
-        ``counts`` (``(..., J)``), with ``n_obs = n_per counts[unit_idx]``."""
-        return np.sqrt(self.weight * (counts[..., self.unit_idx] * self.n_per))
+    def _system(self, counts: np.ndarray):
+        """``(s, sx, a)`` of per-unit multiplicities ``counts`` (``(...,
+        J)``): ``s = sqrt(w n_obs)`` (``(..., C, c)``), with ``n_obs = n_per
+        counts[unit_idx]``, ``sx = S X`` and ``a = I + S B S`` with ``S =
+        diag(s)``. The one assembly of the cluster system, which
+        :meth:`solve` and :meth:`rank_one_terms` solve; the same ``a`` and
+        ``sx``, and so the same ``t``, whatever else is solved with them."""
+        s = np.sqrt(self.weight * (counts[..., self.unit_idx] * self.n_per))
+        return (s, s[..., None] * self.x,
+                self.base * (s[..., :, None] * s[..., None, :]) + self._eye)
 
     def solve(self, counts: np.ndarray):
         """``(s, t, blocks)`` for per-unit multiplicities ``counts`` (``(...,
         J)``).
 
-        With ``S = diag(s)`` from :meth:`_scale`, the covariance of a
+        With ``S = diag(s)`` from :meth:`_system`, the covariance of a
         cluster's cell means is ``B + S^-2``, so the cluster adds ``sx' t``
         to the information, with ``sx = S X`` and ``t = (I + S B S)^-1 S X``,
         and its GLS weights are ``Sigma^-1 X = S t``. Cells holding no
@@ -506,9 +515,7 @@ class _ClusterBlocks:
         cluster's term ``sx' t``, ``(..., C, P, P)``; :func:`_cluster_sum`
         sums them.
         """
-        s = self._scale(counts)
-        sx = s[..., None] * self.x
-        a = self.base * (s[..., :, None] * s[..., None, :]) + self._eye
+        s, sx, a = self._system(counts)
         t = np.linalg.solve(a, sx)
         return s, t, sx.swapaxes(-1, -2) @ t
 
@@ -536,22 +543,24 @@ class _ClusterBlocks:
         cell (flattened over clusters, ``(K, C c, P)`` and ``(K, C c)``) the
         row ``u = X - B S t`` and the conditional variance ``var = (B - B S
         A^-1 S B)_ii`` of the cell's random effect given the observed
-        cells, with ``A = I + S B S`` as in :meth:`solve`.
+        cells, with ``A = I + S B S``.
 
         Adding precision ``delta`` to cell ``i`` adds ``delta / (1 + delta
-        var_i) u_i u_i'`` to the information. One stacked solve of ``A``
-        against ``[S X, S B]`` gives both. With ``H = A^-1 S B``, both are
+        var_i) u_i u_i'`` to the information. One stacked solve of the
+        system :meth:`solve` solves, ``A`` from the one assembly
+        (:meth:`_system`), against ``[S X, S B]`` gives both, and its ``t``
+        columns are :meth:`solve`'s: ``info`` adds their cluster blocks with
+        :func:`_cluster_sum`, so it is :func:`_information`'s bit for bit.
+        With ``H = A^-1 S B``, both are
         ``(I + B S^2)^-1 [X, B] = S^-1 [t, H]``, so an observed cell takes
         ``u = t / s`` and ``var = H_ii / s``, free of the cancellation in the
         differences. An empty cell (``s = 0``) takes the differences, which
         stay finite there.
         """
-        s = self._scale(counts)
-        sx = s[..., None] * self.x
+        s, sx, a = self._system(counts)
         sb = s[..., :, None] * self.base
         p = sx.shape[-1]
-        solved = np.linalg.solve(sb * s[..., None, :] + self._eye,
-                                 np.concatenate([sx, sb], axis=-1))
+        solved = np.linalg.solve(a, np.concatenate([sx, sb], axis=-1))
         t, h = solved[..., :p], solved[..., p:]
         info = _cluster_sum(sx.swapaxes(-1, -2) @ t)
         observed = s > 0
@@ -938,10 +947,9 @@ def _information(stack, counts):
     :func:`_first_order`: ``m`` (``(..., L, P, P)``) holds each row's
     information matrix, and ``solved`` the ``(s, t)`` of its cluster solve,
     or ``None`` at sequence granularity. The one step from counts to
-    information matrices, for every criterion quantity.
-    :meth:`_ClusterBlocks.rank_one_terms`, which also needs each cell's
-    conditional variance, solves a wider system but adds its cluster blocks
-    with the same :func:`_cluster_sum`.
+    information matrices, for every criterion quantity: the rank-one
+    screen's matrices (:meth:`_ClusterBlocks.rank_one_terms`) are these bit
+    for bit.
 
     At sequence granularity ``m`` is one broadcast ``einsum`` over the
     ``(J, L, P, P)`` unit blocks, summed in unit order, whatever the batch.

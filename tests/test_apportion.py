@@ -145,14 +145,13 @@ class TestBestRounding:
 
     def test_one_hot_respects_cap_or_errors(self):
         # the whole budget of 5 exceeds the cap of the one weighted unit:
-        # the divisor schemes break the cap, and the greedy fill tops its
-        # clipped floor up with other units
+        # Hamilton breaks the cap, and the greedy fill tops its clipped
+        # floor up with other units
         space = standard_space(4, max_replication=3)
         weights = np.zeros(space.n_units)
         weights[-1] = 1.0
         result = best_rounding(space, self.cov, weights, 5)
         assert math.isinf(result.candidates["hamilton"][1])
-        assert math.isinf(result.candidates["adams"][1])
         assert result.scheme == "floor-greedy"
         assert result.design.size == 5
         assert result.design.counts[-1] == 3
@@ -179,7 +178,22 @@ class TestBestRounding:
     def test_reports_all_candidates(self):
         weights = unidirectional_weights(4, 5, 0.1)
         result = best_rounding(self.space, self.cov, weights, 10)
-        assert set(result.candidates) == {"hamilton", "adams", "floor-greedy"}
+        assert list(result.candidates) == ["hamilton", "floor-greedy"]
+
+    def test_adams_tie_goes_to_the_greedy_fill(self):
+        # Adams's rounding ties the greedy fill here, on the same design, and
+        # Hamilton breaks the cap: the greedy fill reports that design and
+        # the value Adams's rounding scores
+        space = standard_space(4, max_replication=4, cells_per_period=5)
+        cov = CovarianceSpec.from_icc("EXC2", 0.2, cac=0.5)
+        weights = mixed_model_weights(space, cov).weights
+        result = best_rounding(space, cov, weights, 17)
+        adams = adams_round(weights, 17)
+        assert adams.tolist() == [4, 3, 3, 3, 4]
+        assert result.scheme == "floor-greedy"
+        assert result.design.counts == (4, 3, 3, 3, 4)
+        assert result.value.hex() == DesignCriterion(space, cov).value(adams).hex()
+        assert math.isinf(result.candidates["hamilton"][1])
 
     def test_greedy_fill_clips_floors_at_the_cap(self):
         # the weights put 23-28 replicates on units capped at 10, so every
@@ -290,8 +304,8 @@ class TestLockstepRounding:
 
     def test_near_tie_goes_to_the_first_scheme(self):
         # each later row of a batch scores one ulp below the row before, so
-        # adams and the greedy fill beat hamilton by one and two ulps: ties
-        # within CRITERION_ROUNDING, which go to the first scheme
+        # the greedy fill beats hamilton by one ulp: a tie within
+        # CRITERION_ROUNDING, which goes to the first scheme
         class DescendingUlps:
             def values(self, batch):
                 return 1.0 - np.spacing(1.0) * np.arange(len(batch))
@@ -300,7 +314,7 @@ class TestLockstepRounding:
         w = np.array([0.1, 0.2, 0.3, 0.4])
         result, = _lockstep_rounding(space, [DescendingUlps()], [w], 10)
         values = [value for _, value in result.candidates.values()]
-        assert list(result.candidates) == ["hamilton", "adams", "floor-greedy"]
-        assert values == sorted(values, reverse=True) and len(set(values)) == 3
+        assert list(result.candidates) == ["hamilton", "floor-greedy"]
+        assert values == sorted(values, reverse=True) and len(set(values)) == 2
         assert result.scheme == "hamilton" and result.value == 1.0
         assert result.design.counts == tuple(hamilton_round(w, 10))

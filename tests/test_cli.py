@@ -707,6 +707,26 @@ class TestEvaluate:
         assert result.exit_code == 0, result.output
         assert "criterion value: 0.2" in result.output
 
+    def test_robust_class_scores_what_optimize_reported(self, tmp_path, runner):
+        cfg = base_config(tmp_path)
+        cfg.pop("covariance")
+        cfg["robust"] = {"form": "log-average", "entries": [
+            {"covariance": {"kind": "EXC2", "icc": 0.02, "cac": 0.7}, "prior": 0.5},
+            {"covariance": {"kind": "AR1", "icc": 0.1, "decay": 0.6}, "prior": 0.5}]}
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, ["optimize", "--config", cfg_path])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        design_path = write_json(tmp_path / "d.json", {"counts": summary["design_counts"]})
+        result = runner.invoke(main, ["evaluate", "--config", cfg_path,
+                                      "--design", design_path])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert lines[0] == f"criterion value: {summary['criterion_value']:.12g}"
+        # one eigenvalue line per model, and no closed-form check of a class
+        assert [line.split(" information")[0] for line in lines[1:]] == [
+            "robust.entries[0]", "robust.entries[1]"]
+
     def test_closed_form_cross_check_printed(self, tmp_path, runner):
         cfg_path = write_json(tmp_path / "cfg.json", base_config(tmp_path))
         design_path = write_json(tmp_path / "d.json",

@@ -14,7 +14,7 @@ from crtoptim import (Cell, CovarianceSpec, DesignCriterion, DesignSpace,
 from crtoptim import apportion, glscore
 from crtoptim.glscore import (CERTIFICATE_MARGIN, RANGE_TOL, RANK_TOL, SCREEN_CONDITION,
                               _conditioned, _contrast_kernel, _eigen_solve, _factor_solve,
-                              contrast_variance)
+                              _information, _stacked_clusters, contrast_variance)
 
 
 def manual_space(sequences, count=1, max_replication=1, granularity="sequence"):
@@ -1132,6 +1132,34 @@ class TestStackedScreen:
         units = [np.arange(space.n_units)] * 2
         assert glscore._single_moves(parts, np.ones((2, space.n_units)), units,
                                      1) == [None, None]
+
+
+class TestScreenInformation:
+    """The rank-one screen solves the one assembly of the cluster system, so
+    its information matrices are those of the information step, byte for
+    byte, for plain criteria and for a stack of parts."""
+
+    @pytest.mark.parametrize("granularity,count", [("cluster-period", 3),
+                                                   ("observation", 1)])
+    def test_screen_matrices_are_the_information_step(self, granularity, count):
+        space = standard_space(5, max_replication=4, cells_per_period=count,
+                               granularity=granularity)
+        logit = ModelSpec("binomial-logit", beta=(-2, -1.5, -1, -0.5, -0.2, 0.5))
+        parts = [DesignCriterion(space, cov, model) for cov, model in (
+            (CovarianceSpec.from_icc("EXC2", 0.05, cac=0.5), None),
+            (CovarianceSpec.from_icc("AR1", 0.1, decay=0.7), None),
+            (CovarianceSpec.from_icc("EXC1", 0.1), logit),
+            (CovarianceSpec.from_icc("EXC2", 0.2, cac=0.8), logit))]
+        rng = np.random.default_rng(33)
+        batch = rng.integers(0, 5, (30, space.n_units)).astype(float)
+        for part in parts:
+            got = part._stack.rank_one_terms(batch)[0]
+            assert got.tobytes() == _information(part._stack, batch)[0].tobytes()
+        # a stack of parts: row l under part l
+        stack = _stacked_clusters(parts)
+        rows = batch[:len(parts)]
+        got = stack.rank_one_terms(rows)[0]
+        assert got.tobytes() == _information(stack, rows)[0].tobytes()
 
 
 def mixed_stack(space):

@@ -930,8 +930,8 @@ class TestSingleMoveScreen:
         rows = scored_rows(monkeypatch)
         assert best_rounding(space, cov, weights, 60) == expected
         # the fill's 14 additions: 3 steps send 6 front-runners, the 11 with
-        # one front-runner send none; then the 3 candidates are scored
-        assert len(rows) == 9
+        # one front-runner send none; then the 2 candidates are scored
+        assert len(rows) == 8
 
     def test_rank_deficient_start_falls_back(self):
         # no observation in period 4: its effect is unidentified, the
