@@ -15,7 +15,10 @@ An ``optimize`` run is a list of cells, one for a single run and one per
 or the plain criterion of the cell's covariance, built in the timed solve
 stage. Every algorithm runs that criterion as it is, except the closed
 form, which needs one covariance and rejects a class (exit 2); a
-``robust`` block cannot be combined with ``grid``. :func:`_solve` runs
+``robust`` block cannot be combined with ``grid``. A top-level field the
+run would not read is a configuration error: a ``covariance`` or
+``model`` beside ``robust``, whose entries carry their own, and a
+``covariance`` beside ``grid``, whose cells do. :func:`_solve` runs
 over the whole list, then one write
 loop writes each cell's whole bundle and makes its directory only then (a
 single run writes at the top of the output directory). A configuration
@@ -197,6 +200,10 @@ def parse_model(cfg: dict, where: str = "") -> ModelSpec:
 
 
 def parse_robust(cfg: dict, space: DesignSpace) -> RobustCriterion | None:
+    """The class of the ``robust`` block of ``cfg``, or ``None`` without
+    one; its entries carry their own covariances and models, so a top-level
+    ``covariance`` or ``model`` beside it, which the run would not read, is
+    a :class:`ConfigError` too."""
     if "robust" not in cfg:
         return None
     spec = cfg["robust"]
@@ -211,11 +218,14 @@ def parse_robust(cfg: dict, space: DesignSpace) -> RobustCriterion | None:
         prior = _require(entry, "prior", float, where)
         entries.append(ModelEntry(covariance=cov, prior=prior, model=model))
     try:
-        model_class = ModelClass(tuple(entries),
-                                 form=spec.get("form", "linear-average"))
-        return RobustCriterion(space, model_class)
+        robust = RobustCriterion(space, ModelClass(tuple(entries),
+                                                   form=spec.get("form", "linear-average")))
     except ValidationError as exc:
         raise ConfigError(f"invalid field 'robust': {exc}") from exc
+    for field in ("covariance", "model"):
+        if field in cfg:
+            raise ConfigError(f"field '{field}' cannot be combined with 'robust'")
+    return robust
 
 
 def config_digest(cfg: dict) -> str:
@@ -442,8 +452,8 @@ def optimize(config_path, algorithm, m_override, restarts, seed, out_override):
         raise ConfigError(
             f"field 'algorithm' must be one of {', '.join(ALGORITHMS)}")
     space = parse_space(cfg)
-    model = parse_model(cfg)
     robust = parse_robust(cfg, space)
+    model = parse_model(cfg)
     m = m_override if m_override is not None else _optional(cfg, "m", int, "", None)
     if m is not None and m < 1:
         raise ConfigError("field 'm' must be a positive integer")
@@ -462,6 +472,8 @@ def optimize(config_path, algorithm, m_override, restarts, seed, out_override):
         raise ConfigError("field 'grid' cannot be combined with 'robust'")
     if grid is not None:
         axes, cells = _grid_cells(grid)
+        if "covariance" in cfg:  # each cell has its own
+            raise ConfigError("field 'covariance' cannot be combined with 'grid'")
     else:
         # one cell without parameters, whose directory is ``out_dir`` itself
         axes, cells = None, [((), {}, parse_covariance(cfg) if robust is None else None)]
@@ -593,8 +605,8 @@ def evaluate(config_path, design_path):
     names = ([""] if robust is None else
              [f"robust.entries[{i}] " for i, entry in enumerate(robust.model_class.entries)
               if entry.prior > 0.0])
-    for name, part in zip(names, criterion._parts):
-        eigs = np.linalg.eigvalsh(part.information(counts))
+    for name, information in zip(names, criterion._model_information(counts)):
+        eigs = np.linalg.eigvalsh(information)
         cond = eigs[-1] / eigs[0] if eigs[0] > 0 else math.inf
         click.echo(f"{name}information matrix eigenvalues: min {eigs[0]:.6g} "
                    f"max {eigs[-1]:.6g} condition {cond:.6g}")

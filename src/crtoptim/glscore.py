@@ -13,42 +13,45 @@ At sequence granularity each replicate of a unit is a cluster of its own:
 :class:`DesignCriterion` runs that solve once, at one replicate per unit,
 and sums the cached unit blocks.
 
-Every criterion is a prior-weighted class of models, its parts: a plain
-:class:`DesignCriterion` is the class of one, itself with prior 1 in the
-linear form, and :class:`crtoptim.robust.RobustCriterion` a class of
-several. Each method is written once, over the parts, and
-:func:`_prior_sum` weighs the parts' results with the priors, in the
-linear or the log form; a class of one gives its part's results bit for
-bit. Counts become information matrices in one place,
-:func:`_information`: a block sum over the parts' unit blocks at sequence
-granularity, one solve of their stacked cluster blocks elsewhere, every
-row under every part at once. Scoring is batched, in one loop
+Every criterion is a prior-weighted class of models in one stack: the
+models' blocks with a model axis of length ``L`` (:func:`_stacked_clusters`:
+their unit blocks side by side at sequence granularity, ``(J, L, P, P)``,
+their cluster blocks stacked elsewhere, ``(L, C, c, ...)``), their priors
+and their form. A plain :class:`DesignCriterion` is one model in its
+stack, with prior 1 in the linear form, and
+:class:`crtoptim.robust.RobustCriterion` a class of several, built once
+into one stack. Each method is written once, over the stack, and
+:func:`_prior_sum` weighs a class's models' results with the priors, in
+the linear or the log form; a class of one gives its model's results bit
+for bit. Counts become information matrices in one place,
+:func:`_information`: a block sum over the stacked unit blocks at sequence
+granularity, one solve of the stacked cluster blocks elsewhere, every row
+under every model at once. Scoring is batched, in one loop
 (:meth:`DesignCriterion.values`): it checks a ``(K, J)`` matrix of
 per-unit counts once and scores it chunk by chunk, at every granularity,
 each chunk in one information step and one stacked rank-aware solve over
-the information matrices of its rows under the ``L`` parts. Values and
+the information matrices of its rows under the ``L`` models. Values and
 gradients in the multiplicities come from one first-order core,
-:func:`_first_order`, on a stack of parts
-(:func:`_stacked_clusters`: their unit blocks side by side at sequence
-granularity, their cluster blocks stacked elsewhere), whose batch
-broadcasts against the parts: one information step, one kernel call, one
-back substitution on the certified factors (:func:`_factor_solve`) and one
-contraction, a three-operand ``einsum`` over the unit blocks or one
-``bincount`` over the cells. The gradients the weight solvers follow come
-from :func:`_gradients`, which scores one row per criterion of one space,
-``(L, J)``, under every part of each; :meth:`DesignCriterion.gradient` is
-its stack of one, and a weight grid solved in lockstep scores all its
-cells at once. The first-order terms by which local search bounds swaps
-from below (:meth:`DesignCriterion.bound_terms`) score each row of a batch
-under every part of one criterion, chunk by chunk, at every granularity,
-and sum a class's parts by :func:`_prior_sum` too, so that they are its
-gradient rows bit for bit.
-The rank-one screen of the greedy walks (:func:`_single_moves`) is stacked
-the same way: one solve over the parts' stacked covariances and one
-kernel call screen one row per criterion, so a weight grid's rounding
-fills share one call per step, and :meth:`DesignCriterion.single_moves`
-is its stack of one. A stack of plain criteria is its own stack of parts
-and takes no extra step.
+:func:`_first_order`, on a stack, whose batch broadcasts against its
+models: one information step, one kernel call, one back substitution on
+the certified factors (:func:`_factor_solve`) and one contraction, a
+three-operand ``einsum`` over the unit blocks or one ``bincount`` over
+the cells. Several criteria of one space stack as one, each criterion's
+models laid end to end along the model axis, and a lone criterion is its
+own stack. The gradients the weight solvers follow come from
+:func:`_gradients`, which scores one row per criterion, ``(L, J)``, under
+every model of each; :meth:`DesignCriterion.gradient` is its stack of
+one, and a weight grid solved in lockstep scores all its cells at once.
+The first-order terms by which local search bounds swaps from below
+(:meth:`DesignCriterion.bound_terms`) score each row of a batch under
+every model of one criterion, chunk by chunk, at every granularity, and
+sum a class's models by :func:`_prior_sum` too, so that they are its
+gradient rows bit for bit. The rank-one screen of the greedy walks
+(:func:`_single_moves`) is stacked the same way: one solve over the
+stacked covariances and one kernel call screen one row per criterion, so
+a weight grid's rounding fills share one call per step, and
+:meth:`DesignCriterion.single_moves` is its stack of one. A stack of plain
+criteria takes no extra step.
 ``contrast_variance`` is the kernel on a stack of one.
 The kernel factorises the whole stack once by Cholesky, ``M = L
 L'``, in one LAPACK call. A row is certified full-rank when its smallest
@@ -75,7 +78,7 @@ a row's value is bit-identical whichever batch it is scored in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -461,36 +464,30 @@ def _cluster_sum(blocks: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _ClusterBlocks:
-    """Cell-level pieces of every cluster, stacked over clusters and padded
-    to a common cell count: ``(C, c, ...)``. A padding cell has a zero row
-    in ``x``, never holds observations and so adds zero wherever it goes.
-    The blocks of ``L`` settings on one space (:meth:`stacked`) hold
-    ``(L, C, c, ...)`` covariances and weights."""
+    """Cell-level pieces of every cluster under ``L`` models (covariance and
+    outcome model) on one space, stacked over clusters and padded to a
+    common cell count: ``(C, c, ...)``, the models' covariances and weights
+    on a leading model axis, ``(L, C, c, ...)``. A padding cell has a zero
+    row in ``x``, never holds observations and so adds zero wherever it
+    goes. :meth:`solve` and :meth:`gradient` take row ``l`` of a ``(...,
+    L, J)`` batch under model ``l``, and a ``(..., 1, J)`` batch's rows
+    under every one."""
 
     unit_idx: np.ndarray     # (C, c) owning unit of each cell
     x: np.ndarray            # (C, c, P) cell rows of the fixed-effects matrix
-    base: np.ndarray         # ([L,] C, c, c) cell-level random-effect covariance
-    weight: np.ndarray       # ([L,] C, c) iterated weight of one observation per cell
+    base: np.ndarray         # (L, C, c, c) cell-level random-effect covariance
+    weight: np.ndarray       # (L, C, c) iterated weight of one observation per cell
     n_per: np.ndarray        # (C, c) observations added per unit replicate
+    unit_cell: np.ndarray    # (J,) each unit's cell among the flattened cells,
+                             # -1 for a unit of several cells
 
     def __post_init__(self):
         # per-cell constants of every solve and gradient
         self._eye = np.eye(self.unit_idx.shape[-1])
         self._cell_unit = self.unit_idx.ravel()
-        # precision one unit replicate adds to each cell, ([L,] C, c); zero
-        # at padding
+        # precision one unit replicate adds to each cell, (L, C, c); zero at
+        # padding
         self.cell_precision = self.n_per * self.weight
-
-    @staticmethod
-    def stacked(blocks) -> _ClusterBlocks:
-        """The blocks of ``L`` settings (covariance and model) on one
-        space as one set, whose :meth:`solve` and :meth:`gradient` take row
-        ``l`` of a ``(..., L, J)`` batch under ``blocks[l]``, and a ``(...,
-        1, J)`` batch's rows under every one."""
-        first = blocks[0]
-        return _ClusterBlocks(first.unit_idx, first.x,
-                              np.stack([b.base for b in blocks]),
-                              np.stack([b.weight for b in blocks]), first.n_per)
 
     def _system(self, counts: np.ndarray):
         """``(s, sx, a)`` of per-unit multiplicities ``counts`` (``(...,
@@ -578,8 +575,9 @@ class _ClusterBlocks:
 
 def _cluster_blocks(space: DesignSpace, cov: CovarianceSpec,
                     model: ModelSpec, per_unit: bool = False) -> _ClusterBlocks:
-    """One block per cluster, over the cells of all units in it; with
-    ``per_unit``, one block per unit, each unit a cluster of its own."""
+    """One block per cluster, over the cells of all units in it, under the
+    one model ``(cov, model)`` (``L = 1``); with ``per_unit``, one block per
+    unit, each unit a cluster of its own."""
     by_cluster: dict[int, list[int]] = {}
     for j, unit in enumerate(space.units):
         by_cluster.setdefault(j if per_unit else unit.cluster_id, []).append(j)
@@ -598,7 +596,13 @@ def _cluster_blocks(space: DesignSpace, cov: CovarianceSpec,
             np.array([cell.treated for _, cell in cl]), space.n_periods)
         unit_idx[k, :n] = [j for j, _ in cl]
         n_per[k, :n] = [cell.count for _, cell in cl]
-    return _ClusterBlocks(unit_idx, x, base, weight, n_per)
+    # padding cells hold no observations
+    real = np.flatnonzero(n_per.ravel() > 0)
+    owner = unit_idx.ravel()[real]
+    unit_cell = np.full(space.n_units, -1)
+    unit_cell[owner] = real
+    unit_cell[np.bincount(owner, minlength=space.n_units) != 1] = -1
+    return _ClusterBlocks(unit_idx, x, base[None], weight[None], n_per, unit_cell)
 
 
 def unit_information_blocks(space: DesignSpace, cov: CovarianceSpec,
@@ -617,17 +621,7 @@ def unit_information_blocks(space: DesignSpace, cov: CovarianceSpec,
     if model is not None:
         check_instance("model", model, ModelSpec)
     cl = _cluster_blocks(space, cov, model or ModelSpec(), per_unit=True)
-    return cl.solve(np.ones(space.n_units))[2]
-
-
-class _ClassOfOne:
-    """The parts of a plain criterion, ``(criterion,)``. A descriptor, not an
-    attribute, so that a criterion holds no reference to itself (and is
-    freed as soon as it is dropped), and a non-data one, so that a model
-    class's own ``_parts`` take precedence."""
-
-    def __get__(self, criterion, owner=None):
-        return (criterion,)
+    return cl.solve(np.ones(space.n_units))[2][0]
 
 
 class DesignCriterion:
@@ -648,18 +642,21 @@ class DesignCriterion:
     terms by which local search bounds a design's swaps from below and
     scores only those that can win.
 
-    It is also the model class of one that every criterion generalises:
-    its parts are ``(self,)``, with prior 1 in the linear form. A
-    subclass that sets other parts, priors and form, and the parts' blocks
-    as one stack (:func:`_stacked_clusters`), inherits every method, as
+    Every criterion is data of one shape: one stack of its models' blocks
+    (:func:`_stacked_clusters`), with a model axis of length ``L``, their
+    priors and their form. A plain criterion is one model, with prior 1 in
+    the linear form, and takes its one model's results as they are; a
+    subclass that sets a stack of several models, their priors and form,
+    and ``_summed``, inherits every method, as
     :class:`crtoptim.robust.RobustCriterion` does.
     Raises :class:`ValidationError` unless ``space`` is a
     :class:`DesignSpace`, ``covariance`` a :class:`CovarianceSpec` and
     ``model`` a :class:`ModelSpec` or None.
     """
 
-    # a model class of one: itself, prior 1, the linear form
-    _parts, _priors, _log_form = _ClassOfOne(), (1.0,), False
+    # one model, prior 1, the linear form; its results are that model's,
+    # with no prior sum (_summed)
+    _priors, _log_form, _summed = (1.0,), False, False
 
     def __init__(self, space: DesignSpace, covariance: CovarianceSpec,
                  model: ModelSpec | None = None):
@@ -674,22 +671,15 @@ class DesignCriterion:
         self.contrast = treatment_contrast(p)
         # a row's information matrix and the kernel's copies of it
         row_bytes = 6 * 8 * p * p
-        # its parts' blocks as one stack (see _stacked_clusters): its own
-        # unit blocks, (J, 1, P, P), so that several parts' blocks stack side
-        # by side, or its own cluster blocks
+        # its stack of one model (see _stacked_clusters): its unit blocks,
+        # (J, 1, P, P), or its cluster blocks, (1, C, c, ...)
         if space.granularity == "sequence":
             self._stack = unit_information_blocks(space, covariance, self.model)[:, None]
         else:
             self._stack = cl = _cluster_blocks(space, covariance, self.model)
             n_clusters, n_cells = cl.unit_idx.shape
-            # each unit's cell among the flattened cells, -1 for a unit of
-            # several cells (padding cells hold no observations)
-            real = np.flatnonzero(cl.n_per.ravel() > 0)
-            owner = cl.unit_idx.ravel()[real]
-            self._unit_cell = np.full(space.n_units, -1)
-            self._unit_cell[owner] = real
-            self._unit_cell[np.bincount(owner, minlength=space.n_units) != 1] = -1
             row_bytes += 8 * n_clusters * n_cells * (n_cells + 2 * p)
+        # rows of one chunk under one model
         self._chunk_rows = max(1, CHUNK_BYTES // row_bytes)
 
     # -- evaluation ----------------------------------------------------
@@ -717,20 +707,25 @@ class DesignCriterion:
         """Information matrix of the design given per-unit multiplicities.
         Raises :class:`ValidationError` for a class of several models,
         which has one per model."""
-        if len(self._parts) > 1:
+        if len(self._priors) > 1:
             raise ValidationError("a class of several models has no one information matrix")
-        return _information(self._stack, self._batch(np.asarray(counts)[None])[:, None])[0][0, 0]
+        return self._model_information(counts)[0]
+
+    def _model_information(self, counts) -> np.ndarray:
+        """The information matrix of the design under each model of the
+        stack, ``(L, P, P)``."""
+        return _information(self._stack, self._batch(np.asarray(counts)[None])[:, None])[0][0]
 
     def values(self, batch) -> np.ndarray:
         """Criterion values of a ``(K, J)`` batch of per-unit multiplicities,
         one per row: the prior sum (:func:`_prior_sum`) of the rows' kernel
-        values under each part. Row ``i`` equals ``value(batch[i])`` bit for
-        bit.
+        values under each model in the stack. Row ``i`` equals
+        ``value(batch[i])`` bit for bit.
 
         It scores a batch chunk by chunk, at every granularity: a chunk of
         ``1 / L`` of a plain chunk's rows takes one information step
-        (:func:`_information`, every row under every part: one block sum
-        over the parts' unit blocks, or one solve of their stacked cluster
+        (:func:`_information`, every row under every model: one block sum
+        over the stacked unit blocks, or one solve of the stacked cluster
         blocks) and one kernel call.
 
         Multiplicities must be finite and non-negative; a fractional row is
@@ -738,15 +733,14 @@ class DesignCriterion:
         solvers evaluate ``N * phi``). Raises :class:`ValidationError`
         otherwise.
         """
-        parts, batch = self._parts, self._batch(batch)
-        rows = max(1, parts[0]._chunk_rows // len(parts))
-        out = np.empty((len(parts), len(batch)))
+        batch, n_models = self._batch(batch), len(self._priors)
+        rows = max(1, self._chunk_rows // n_models)
+        out = np.empty((n_models, len(batch)))
         for i in range(0, len(batch), rows):
             m = _information(self._stack, batch[i:i + rows, None])[0]
             out[:, i:i + rows] = _contrast_kernel(m.reshape(-1, *m.shape[2:]))[0].reshape(
                 m.shape[:2]).T
-        # a class of one is its own part: its values need no sum
-        return out[0] if parts[0] is self else _prior_sum(self, out)
+        return _prior_sum(self, out) if self._summed else out[0]
 
     def value(self, counts) -> float:
         """Criterion value of one row of counts (``inf`` when unidentified)."""
@@ -765,7 +759,7 @@ class DesignCriterion:
         ``v = X y - B a = a / (w n)`` is the residual part of the GLS
         weights ``a = S t y``; unlike ``a / (w n)`` it stays finite at
         empty cells. ``grad`` is NaN where the value is infinite. For a
-        class of models both are the prior sums of the parts' (in the log
+        class of models both are the prior sums of the models' (in the log
         form, of ``log f_l`` and of ``g_l / f_l``), so ``grad`` is the
         derivative of :meth:`values`.
         """
@@ -797,9 +791,9 @@ class DesignCriterion:
         Once the arguments pass, this is :func:`_single_moves` on a stack
         of one: the greedy fills of a weight grid's cells screen their moves
         in one stacked call per step, each row bit for bit its lone screen.
-        For a class of models the screen is the prior sum of the parts'
+        For a class of models the screen is the prior sum of the models'
         screens, as :meth:`values` is of their values, and ``None`` where
-        any part's is.
+        any model's is.
         """
         batch = self._batch(np.asarray(counts)[None])
         units = np.asarray(units)
@@ -833,36 +827,34 @@ class DesignCriterion:
         kernel's determinant bound vouches for most rows without an inverse
         (:func:`_conditioned`).
         ``scale[k]`` is the size of row ``k``'s value that its rounding
-        grows with, ``sum_l prior_l |t_l|`` over the parts' terms: the
+        grows with, ``sum_l prior_l |t_l|`` over the models' terms: the
         value itself for a plain criterion. Raises :class:`ValidationError`
         for a batch that :meth:`values` rejects.
 
-        For a class of models ``grad`` is the prior sum of the parts'
+        For a class of models ``grad`` is the prior sum of the models'
         gradients (:func:`_prior_sum`), as :meth:`gradient` takes it, and so
         its rows bit for bit; a row is vouched for only
-        where every part's is: a linear average of convex criteria is
+        where every model's is: a linear average of convex criteria is
         convex, and so is a log average, ``sum_l prior_l log f_l``, whose
         gradient is ``sum_l prior_l g_l / f_l`` and whose scale ``sum_l
         prior_l |log f_l|`` covers the rounding of terms that cancel in the
-        sum. Each chunk takes one :func:`_first_order` call on the parts'
-        stack, every row under every part, and so inverts no matrix on its
-        well-conditioned rows.
+        sum. Each chunk takes one :func:`_first_order` call on the
+        criterion's stack, every row under every model, and so inverts no
+        matrix on its well-conditioned rows.
         """
-        batch, parts = self._batch(batch), self._parts
-        rows = max(1, parts[0]._chunk_rows // len(parts))
-        priors = np.asarray(self._priors, dtype=float)
+        batch, priors = self._batch(batch), np.asarray(self._priors, dtype=float)
+        rows = max(1, self._chunk_rows // len(priors))
         grad = np.empty(batch.shape)
         vouched = np.empty(len(batch), dtype=bool)
         scale = np.empty(len(batch))
         for i in range(0, len(batch), rows):
-            # row k under part l: (K, L) values and (K, L, J) gradients
+            # row k under model l: (K, L) values and (K, L, J) gradients
             value, g, m, lower = _first_order(self._stack, batch[i:i + rows, None])
             vouched[i:i + rows] = _conditioned(m, lower).reshape(len(value), -1).all(axis=1)
             terms = np.log(value) if self._log_form else value
             scale[i:i + rows] = np.add.reduce(priors * abs(terms), axis=-1)
-            # a class of one is its own part: its gradient needs no sum
-            grad[i:i + rows] = (g[:, 0] if parts[0] is self
-                                else _prior_sum(self, g.swapaxes(0, 1), value.T))
+            grad[i:i + rows] = (_prior_sum(self, g.swapaxes(0, 1), value.T) if self._summed
+                                else g[:, 0])
         return grad, vouched, scale
 
     def value_of(self, design: Design) -> float:
@@ -890,13 +882,13 @@ def _as_criterion(space, cov, model=None, plain=DesignCriterion) -> DesignCriter
 
 
 def _prior_sum(criterion, terms, values=None):
-    """``sum_l prior_l t_l`` over the parts of ``criterion``, in part order,
-    with ``t_l`` from ``terms[l]``: the term itself in the linear form; in
-    the log form its logarithm, or, given the parts' ``values``,
+    """``sum_l prior_l t_l`` over the models of ``criterion``, in stack
+    order, with ``t_l`` from ``terms[l]``: the term itself in the linear
+    form; in the log form its logarithm, or, given the models' ``values``,
     ``terms[l] / values[l]``, the derivative of ``log f_l`` from that of
     ``f_l``. One strictly sequential pass, ``np.add.accumulate`` along the
-    part axis, from ``0.0 + prior_0 t_0``: the sums of adding the parts one
-    by one, bit for bit (a pairwise ``np.add.reduce`` would change their
+    model axis, from ``0.0 + prior_0 t_0``: the sums of adding the models
+    one by one, bit for bit (a pairwise ``np.add.reduce`` would change their
     last bits). A class of one in the linear form gives ``0.0 + 1.0 t_0``,
     which is ``t_0`` bit for bit."""
     terms = np.asarray(terms)
@@ -910,40 +902,40 @@ def _prior_sum(criterion, terms, values=None):
 
 
 def _expand(criteria):
-    """``(parts, owner)``: the parts of ``criteria`` in order, and the row of
-    each part's criterion; ``owner`` is ``None`` when every criterion is its
-    own one part, so that a stack of plain criteria takes no extra step."""
-    if all(criterion._parts[0] is criterion for criterion in criteria):
-        return criteria, None
-    return ([part for criterion in criteria for part in criterion._parts],
-            np.repeat(np.arange(len(criteria)), [len(c._parts) for c in criteria]))
+    """The row of each model's criterion in the stack of ``criteria``
+    (:func:`_stacked_clusters`), or ``None`` when no criterion sums its
+    models, so that a stack of plain criteria takes no extra step."""
+    if not any(criterion._summed for criterion in criteria):
+        return None
+    return np.repeat(np.arange(len(criteria)), [len(c._priors) for c in criteria])
 
 
 def _by_class(criteria, rows):
-    """``rows``, one per part of ``criteria`` in order, cut into each
+    """``rows``, one per model of ``criteria`` in stack order, cut into each
     criterion's."""
-    ends = np.cumsum([len(criterion._parts) for criterion in criteria]).tolist()
-    return [rows[end - len(criterion._parts):end] for criterion, end in zip(criteria, ends)]
+    return np.split(rows, np.cumsum([len(criterion._priors) for criterion in criteria])[:-1])
 
 
 def _stacked_clusters(criteria):
-    """The blocks of the parts of ``criteria`` (all on one space) as one
-    stack, part ``l`` at index ``l`` of its part axis: at sequence
+    """The stacks of ``criteria`` (all on one space) as one, each
+    criterion's models laid end to end along the model axis: at sequence
     granularity, where each unit replicate is a cluster of its own, their
     unit blocks side by side, ``(J, L, P, P)``; elsewhere their cluster
-    blocks stacked, ``(L, C, c, ...)``. A lone part's own blocks."""
-    parts = _expand(criteria)[0]
-    if len(parts) == 1:
-        return parts[0]._stack
-    if parts[0].space.granularity == "sequence":
-        return np.concatenate([part._stack for part in parts], axis=1)
-    return _ClusterBlocks.stacked([part._stack for part in parts])
+    blocks, ``(L, C, c, ...)``, with the cells' unit map carried over. A
+    lone criterion's own stack."""
+    if len(criteria) == 1:
+        return criteria[0]._stack
+    stacks = [criterion._stack for criterion in criteria]
+    if isinstance(stacks[0], np.ndarray):
+        return np.concatenate(stacks, axis=1)
+    return replace(stacks[0], base=np.concatenate([s.base for s in stacks]),
+                   weight=np.concatenate([s.weight for s in stacks]))
 
 
 def _information(stack, counts):
     """``(m, solved)`` of per-unit multiplicities ``counts`` (``(..., J)``)
-    under a stack of parts (:func:`_stacked_clusters`), against whose ``L``
-    parts the leading axes of ``counts`` broadcast as in
+    under a stack of models (:func:`_stacked_clusters`), against whose ``L``
+    models the leading axes of ``counts`` broadcast as in
     :func:`_first_order`: ``m`` (``(..., L, P, P)``) holds each row's
     information matrix, and ``solved`` the ``(s, t)`` of its cluster solve,
     or ``None`` at sequence granularity. The one step from counts to
@@ -966,10 +958,10 @@ def _information(stack, counts):
 
 def _first_order(stack, counts):
     """``(value, grad, m, lower)`` of per-unit multiplicities ``counts``
-    (``(..., J)``) under a stack of parts (:func:`_stacked_clusters`),
-    against whose ``L`` parts the leading axes of ``counts`` broadcast: a
-    ``(L, J)`` batch scores row ``l`` under part ``l``, a ``(K, 1, J)`` batch
-    every row under every part. ``value`` (``(...)``) and ``grad`` (``(...,
+    (``(..., J)``) under a stack of models (:func:`_stacked_clusters`),
+    against whose ``L`` models the leading axes of ``counts`` broadcast: a
+    ``(L, J)`` batch scores row ``l`` under model ``l``, a ``(K, 1, J)``
+    batch every row under every model. ``value`` (``(...)``) and ``grad`` (``(...,
     J)``) are each row's kernel value and its derivative in each
     multiplicity, as :meth:`DesignCriterion.gradient` defines them; ``m``
     and ``lower`` (``(N, P, P)``, rows in order) its information matrix
@@ -978,7 +970,7 @@ def _first_order(stack, counts):
     One information step (:func:`_information`), one :func:`_factor_solve`
     (a back substitution, no inverse) and one contraction: ``-y' B_j y`` as
     one three-operand ``einsum`` over the ``(J, L, P, P)`` unit blocks,
-    which reduces every row in the order of a lone part's, or
+    which reduces every row in the order of a lone model's, or
     :meth:`_ClusterBlocks.gradient`."""
     m, solved = _information(stack, counts)
     lead, p = m.shape[:-2], m.shape[-1]
@@ -995,16 +987,14 @@ def _gradients(criteria, batch, stack=None):
     """``(value, grad)`` (``(L,)``, ``(L, J)``) of a ``(L, J)`` batch, row
     ``l`` scored under ``criteria[l]``, all on one space; row ``l`` equals
     ``criteria[l].gradient(batch[l])`` bit for bit, which is this on a stack
-    of one. Each row is scored under every part of its criterion, in one
-    :func:`_first_order` call on the parts' stack, ``stack`` when given
+    of one. Each row is scored under every model of its criterion, in one
+    :func:`_first_order` call on the criteria's stack, ``stack`` when given
     (``_stacked_clusters(criteria)``, kept by a caller that scores one
-    stack again and again), and :func:`_prior_sum` sums the parts' results
+    stack again and again), and :func:`_prior_sum` sums the models' results
     per criterion."""
-    parts, owner = _expand(criteria)
-    batch = parts[0]._batch(batch)
-    if owner is not None:
-        batch = batch[owner]
-    value, grad = _first_order(_stacked_clusters(parts) if stack is None else stack, batch)[:2]
+    batch, owner = criteria[0]._batch(batch), _expand(criteria)
+    value, grad = _first_order(_stacked_clusters(criteria) if stack is None else stack,
+                               batch if owner is None else batch[owner])[:2]
     if owner is None:
         return value, grad
     value, grad = _by_class(criteria, value), _by_class(criteria, grad)
@@ -1054,47 +1044,47 @@ def _single_moves(criteria, batch, units, step: int) -> list:
     unit in ``units[l]`` added (``step`` 1) or removed (``step`` -1): per
     row, ``criteria[l].single_moves(batch[l], units[l], step)`` bit for bit,
     so an array or ``None``. That method checks its arguments and is this on
-    a stack of one; here they are taken as checked. Each row is screened
-    under every part of its criterion: the parts the screen applies to
-    share one :meth:`_ClusterBlocks.rank_one_terms` solve over their
-    stacked covariances, one :func:`_factor_solve`, one inverse of the
-    factors of the rows the condition check vouches for and the screened
-    values of every cell, and each part then takes its own units' values.
-    A row's screen is the prior sum (:func:`_prior_sum`) of its parts'
-    screens, ``None`` where any of them is."""
-    parts, owner = _expand(criteria)
-    if owner is not None:
-        batch, units = batch[owner], [units[l] for l in owner]
-    screened = [None] * len(parts)
-    cells = ([] if parts[0].space.granularity == "sequence"
-             else [parts[0]._unit_cell[own] for own in units])
+    a stack of one; here they are taken as checked. The criteria the screen
+    applies to (every unit of ``units[l]`` one cell) are stacked, and each
+    row is screened under every model of its criterion: one
+    :meth:`_ClusterBlocks.rank_one_terms` solve over the stacked
+    covariances, one :func:`_factor_solve`, one inverse of the factors of
+    the rows the condition check vouches for and the screened values of
+    every cell, of which each criterion then takes its own units'. A row's
+    screen is the prior sum (:func:`_prior_sum`) of its models' screens,
+    ``None`` where any of them is."""
+    screened = [None] * len(criteria)
+    cells = ([] if criteria[0].space.granularity == "sequence" else
+             [criterion._stack.unit_cell[own] for criterion, own in zip(criteria, units)])
     rows = [l for l, own in enumerate(cells) if (own >= 0).all()]
-    if rows:
-        cl = _stacked_clusters([parts[l] for l in rows])
-        info, u, var = cl.rank_one_terms(batch if len(rows) == len(batch) else batch[rows])
-        value, y, lower = _factor_solve(info)
-        conditioned = _conditioned(info, lower)
-        # L^-1 u for every cell needs L^-1, on the rows the screen serves
-        # alone: the one inverse on the first-order path
-        lower_inv = np.full_like(lower, np.nan)
-        lower_inv[conditioned] = np.linalg.inv(lower[conditioned])
-        k = len(info)
-        # every cell of every row, each row's matrix products of one shape
-        delta = step * cl.cell_precision.reshape(k, -1)
-        shrink = 1.0 + delta * var
-        trusted = shrink > SCREEN_DENOMINATOR
-        # rho = delta / shrink, without dividing by a denominator near zero
-        rho = np.where(trusted, delta, 0.0) / np.where(trusted, shrink, 1.0)
-        solved = u @ lower_inv.swapaxes(-1, -2)
-        denominator = 1.0 + rho * np.add.reduce(solved * solved, axis=-1)
-        trusted &= denominator > SCREEN_DENOMINATOR
-        moved = value[:, None] - rho * (u @ y[:, :, None])[..., 0] ** 2 / np.where(
-            trusted, denominator, 1.0)
-        moved[~trusted] = np.nan
-        for i, (l, ok) in enumerate(zip(rows, conditioned.tolist())):
-            if ok:
-                screened[l] = moved[i, cells[l]]
-    if owner is None:
+    if not rows:
         return screened
-    return [None if any(s is None for s in own) else _prior_sum(c, own)
-            for c, own in zip(criteria, _by_class(criteria, screened))]
+    kept = [criteria[l] for l in rows]
+    owner = _expand(kept)
+    cl = _stacked_clusters(kept)
+    info, u, var = cl.rank_one_terms(batch[rows] if owner is None else batch[rows][owner])
+    value, y, lower = _factor_solve(info)
+    conditioned = _conditioned(info, lower)
+    # L^-1 u for every cell needs L^-1, on the rows the screen serves
+    # alone: the one inverse on the first-order path
+    lower_inv = np.full_like(lower, np.nan)
+    lower_inv[conditioned] = np.linalg.inv(lower[conditioned])
+    k = len(info)
+    # every cell of every row, each row's matrix products of one shape
+    delta = step * cl.cell_precision.reshape(k, -1)
+    shrink = 1.0 + delta * var
+    trusted = shrink > SCREEN_DENOMINATOR
+    # rho = delta / shrink, without dividing by a denominator near zero
+    rho = np.where(trusted, delta, 0.0) / np.where(trusted, shrink, 1.0)
+    solved = u @ lower_inv.swapaxes(-1, -2)
+    denominator = 1.0 + rho * np.add.reduce(solved * solved, axis=-1)
+    trusted &= denominator > SCREEN_DENOMINATOR
+    moved = value[:, None] - rho * (u @ y[:, :, None])[..., 0] ** 2 / np.where(
+        trusted, denominator, 1.0)
+    moved[~trusted] = np.nan
+    for l, criterion, own, ok in zip(rows, kept, _by_class(kept, moved),
+                                     _by_class(kept, conditioned)):
+        if ok.all():
+            own = own[:, cells[l]]
+            screened[l] = own[0] if owner is None else _prior_sum(criterion, own)
+    return screened

@@ -8,27 +8,27 @@ their logarithms. Both preserve the monotone supermodularity that the
 combinatorial optimisers rely on, so a :class:`RobustCriterion` plugs in
 wherever a plain criterion does.
 
-A :class:`RobustCriterion` is a :class:`DesignCriterion` whose parts are
-the class's models of positive prior, so it has every method of one,
-written once in :mod:`crtoptim.glscore`: ``values`` checks a batch once and
-scores it chunk by chunk, each chunk giving the kernel values of its rows
-under every model, which are then summed with the priors, in model order
-(in the log form, their logarithms). At every granularity a chunk takes
-one information step and one kernel call: a block sum over the models'
-unit blocks, which lie side by side, at sequence granularity, and one
-solve of their stacked cluster blocks at cluster-period and observation
-granularity. ``gradient`` sums the models' gradients the same way
-(``sum_l prior_l g_l / f_l`` in the log form), so the class's gradient is
-that of its value. ``single_moves`` sums the models' rank-one screens,
-and is ``None`` where any model's is, so the greedy walks screen a robust
-class as they do a plain criterion. At every granularity a class, in
-either form, also gives the first-order terms by which local search
-bounds swaps from below (``bound_terms``): per chunk, one information
-step, one kernel call and one contraction over the models' blocks, held
-as one stack (side by side at sequence granularity, stacked elsewhere),
-whose gradients are summed as ``gradient`` sums them, so a bound row is
-the class's gradient row bit for bit. A class of one model in the linear
-form scores as that model's :class:`DesignCriterion` does, bit for bit.
+A :class:`RobustCriterion` is a :class:`DesignCriterion` whose stack
+holds the class's models of positive prior, so it has every method of
+one, written once in :mod:`crtoptim.glscore`: ``values`` checks a batch
+once and scores it chunk by chunk, each chunk giving the kernel values of
+its rows under every model in the stack, which are then summed with the
+priors, in model order (in the log form, their logarithms). At every
+granularity a chunk takes one information step and one kernel call: a
+block sum over the models' unit blocks, which lie side by side, at
+sequence granularity, and one solve of their stacked cluster blocks at
+cluster-period and observation granularity. ``gradient`` sums the models'
+gradients the same way (``sum_l prior_l g_l / f_l`` in the log form), so
+the class's gradient is that of its value. ``single_moves`` sums the
+models' rank-one screens, and is ``None`` where any model's is, so the
+greedy walks screen a robust class as they do a plain criterion. At every
+granularity a class, in either form, also gives the first-order terms by
+which local search bounds swaps from below (``bound_terms``): per chunk,
+one information step, one kernel call and one contraction over the
+stack, whose gradients are summed as ``gradient`` sums them, so a bound
+row is the class's gradient row bit for bit. A class of one model in the
+linear form scores as that model's :class:`DesignCriterion` does, bit for
+bit.
 
 Every optimiser takes a class where it takes a plain criterion: the
 searches, :func:`crtoptim.weights.mixed_model_weights`,
@@ -98,27 +98,28 @@ class ModelClass:
 
 class RobustCriterion(DesignCriterion):
     """Prior-weighted criterion over a model class: a
-    :class:`DesignCriterion` whose parts are the entries of positive prior,
-    so every method is the one :class:`DesignCriterion` defines (see the
-    module docstring). :meth:`information` is that of a class of one model
-    and raises :class:`ValidationError` for more. Raises
-    :class:`ValidationError` unless ``model_class`` is a
-    :class:`ModelClass` and the space and every entry make a
-    :class:`DesignCriterion`."""
+    :class:`DesignCriterion` whose stack holds the models of the entries of
+    positive prior, in entry order, so every method is the one
+    :class:`DesignCriterion` defines (see the module docstring).
+    :meth:`information` is that of a class of one model and raises
+    :class:`ValidationError` for more. Raises :class:`ValidationError`
+    unless ``model_class`` is a :class:`ModelClass` and the space and every
+    entry make a :class:`DesignCriterion`."""
+
+    # the models' results are summed with the priors
+    _summed = True
 
     def __init__(self, space: DesignSpace, model_class: ModelClass):
         check_instance("model_class", model_class, ModelClass)
         self.space, self.model_class = space, model_class
         self._log_form = model_class.form == "log-average"
-        # every entry is built, and so checked; only those with a positive
-        # prior are scored
-        parts = [(entry.prior, DesignCriterion(space, entry.covariance, model=entry.model))
-                 for entry in model_class.entries]
-        self._priors, self._parts = zip(*[(prior, crit) for prior, crit in parts
-                                          if prior > 0.0])
-        # the models' blocks as one stack: their unit blocks side by side,
-        # or their cluster blocks stacked
-        self._stack = _stacked_clusters(self._parts)
+        # every entry is built, and so checked; only the stacked blocks of
+        # those with a positive prior are kept
+        models = [(entry.prior, DesignCriterion(space, entry.covariance, model=entry.model))
+                  for entry in model_class.entries]
+        self._priors, scored = zip(*[(prior, crit) for prior, crit in models if prior > 0.0])
+        self._stack = _stacked_clusters(scored)
+        self._chunk_rows = scored[0]._chunk_rows
 
     # an entry of its own, so that perfbench's traced runs time robust
     # values apart from plain ones

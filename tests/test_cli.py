@@ -456,6 +456,87 @@ class TestOptimize:
         assert result.exit_code == 3
 
 
+class TestConfigErrors:
+    """Configuration errors that no other test reaches: each exits 2, names
+    its field and leaves no out directory."""
+
+    @pytest.mark.parametrize("overrides, field", [
+        (None, "cannot read config"),
+        ("[1]", "config must be a JSON object"),
+        ({"space": {"standard": {"T": 1}}}, "'space'"),
+        ({"robust": 5}, "'robust'"),
+        ({"algorithm": "closed-form", "m": None}, "'m'"),
+        ({"algorithm": "closed-form", "space": {"standard": {
+            "T": 4, "maxReplication": 4, "granularity": "cluster-period"}}}, "'algorithm'"),
+        ({"m": 0}, "'m'"),
+        ({"covariance": None, "robust": ROBUST,
+          "grid": {"kind": "EXC1", "icc": [0.05]}}, "'grid'"),
+        ({"covariance": None, "grid": 5}, "'grid'"),
+    ], ids=["unreadable", "not-object", "space", "robust-not-object", "closed-form-no-m",
+            "closed-form-cluster-period", "m-zero", "grid-with-robust", "grid-not-object"])
+    def test_exits_two_and_writes_nothing(self, tmp_path, runner, overrides, field):
+        # overrides of the base config, an override of None leaving the field
+        # out; or the config file's text, or None for no file
+        path = tmp_path / "cfg.json"
+        if isinstance(overrides, dict):
+            write_json(path, {key: v for key, v in base_config(tmp_path, **overrides).items()
+                              if v is not None})
+        elif overrides is not None:
+            path.write_text(overrides)
+        result = runner.invoke(main, ["optimize", "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert field in result.output
+        assert not (tmp_path / "out").exists()
+
+
+class TestUnreadFields:
+    """A top-level field that a block beside it makes the run ignore is a
+    configuration error: a covariance or model beside a robust class,
+    whose entries carry their own, and a covariance beside a grid, whose
+    cells carry their own."""
+
+    UNFINISHED = {"family": "binomial-logit"}
+
+    @pytest.mark.parametrize("command", ["optimize", "evaluate"])
+    @pytest.mark.parametrize("field, value", [
+        ("covariance", "x"), ("model", UNFINISHED)])
+    def test_beside_robust(self, tmp_path, runner, command, field, value):
+        cfg = base_config(tmp_path, robust=ROBUST)
+        cfg.pop("covariance")
+        cfg[field] = value
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        args = ["--design", write_json(tmp_path / "d.json", {"counts": [1, 1, 1, 1, 2]})]
+        result = runner.invoke(main, [command, "--config", cfg_path,
+                                      *(args if command == "evaluate" else [])])
+        assert result.exit_code == 2, result.output
+        assert f"field '{field}' cannot be combined with 'robust'" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_covariance_beside_grid(self, tmp_path, runner):
+        cfg = base_config(tmp_path, covariance="x", grid={"kind": "EXC1", "icc": [0.05, 0.1]})
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(main, ["optimize", "--config", cfg_path])
+        assert result.exit_code == 2, result.output
+        assert "field 'covariance' cannot be combined with 'grid'" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_model_beside_grid_is_read(self, tmp_path, runner):
+        # every cell runs under the top-level model
+        model = {"family": "binomial-logit", "beta": [-1.0, -0.5, 0.0, 0.5, 0.5]}
+        grid = {"kind": "EXC1", "icc": [0.05]}
+        for name, extra in (("plain", {}), ("logit", {"model": model})):
+            cfg = base_config(tmp_path, covariance=None, grid=grid, out=str(tmp_path / name),
+                              **extra)
+            cfg = {key: v for key, v in cfg.items() if v is not None}
+            result = runner.invoke(main, ["optimize", "--config",
+                                          write_json(tmp_path / f"{name}.json", cfg)])
+            assert result.exit_code == 0, result.output
+        values = [json.loads((tmp_path / name / "icc0.05" / "summary.json").read_text())
+                  ["criterion_value"] for name in ("plain", "logit")]
+        assert values[0] != values[1]
+
+
 class TestWeightsGrid:
     """A ``mixed-model-weights`` grid solves its cells' weights in
     lockstep; each cell's bundle, under every algorithm, is that of a run

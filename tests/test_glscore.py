@@ -1217,3 +1217,47 @@ class TestMixedStack:
         for crit, w, got in zip(criteria, weights, stacked):
             want, = apportion._lockstep_rounding(space, [crit], [w], 30)
             assert got == want and got.value.hex() == want.value.hex()
+
+
+def one_stack_criteria(space):
+    """A plain criterion, a class of three models in each form and a class
+    of one, on one space."""
+    covs = [CovarianceSpec.from_icc("EXC2", 0.05, cac=0.6),
+            CovarianceSpec.from_icc("AR1", 0.1, decay=0.7),
+            CovarianceSpec.from_icc("EXC1", 0.1)]
+    return [DesignCriterion(space, covs[0]),
+            *(RobustCriterion(space, ModelClass.equal_priors(covs, form))
+              for form in ("linear-average", "log-average")),
+            RobustCriterion(space, ModelClass.equal_priors(covs[:1]))]
+
+
+class TestOneStack:
+    """A criterion is one stack of its models' blocks, stacked once when it
+    is built: stacking it alone, scoring its gradient or screening its
+    moves builds no other, and a class keeps no per-model criterion."""
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    def test_lone_criterion_is_its_own_stack(self, granularity):
+        space = standard_space(4, max_replication=3, granularity=granularity)
+        for crit in one_stack_criteria(space):
+            assert _stacked_clusters([crit]) is crit._stack
+
+    @pytest.mark.parametrize("granularity", ["sequence", "cluster-period"])
+    def test_gradient_and_screen_stack_nothing(self, monkeypatch, granularity):
+        space = standard_space(4, max_replication=3, granularity=granularity)
+        stacked, stacks = glscore._stacked_clusters, []
+        monkeypatch.setattr(glscore, "_stacked_clusters",
+                            lambda criteria: stacks.append(stacked(criteria)) or stacks[-1])
+        row = np.full(space.n_units, 2)
+        for crit in one_stack_criteria(space)[1:]:
+            stacks.clear()
+            crit.gradient(row)
+            glscore._single_moves([crit], row[None], [np.arange(space.n_units)], 1)
+            assert stacks and all(stack is crit._stack for stack in stacks)
+
+    def test_class_holds_no_criterion(self):
+        space = standard_space(4, max_replication=3, granularity="cluster-period")
+        for crit in one_stack_criteria(space)[1:]:
+            for value in vars(crit).values():
+                held = value if isinstance(value, (tuple, list)) else (value,)
+                assert not any(isinstance(v, DesignCriterion) for v in held)

@@ -1164,7 +1164,9 @@ class TestSwapBound:
         if case.id in ("readme-EXC2-gaussian-identity", "readme-robust-18")])
     def test_vouches_only_within_screen_condition(self, monkeypatch, space, crit):
         counts = random_designs(space, np.random.default_rng(1), 60)
-        parts = getattr(crit, "_parts", [crit])
+        parts = ([DesignCriterion(space, entry.covariance, entry.model)
+                  for entry in crit.model_class.entries]
+                 if isinstance(crit, RobustCriterion) else [crit])
         certified, measure = condition(parts, counts)
         threshold = float(np.median(measure[certified]))
         monkeypatch.setattr(glscore, "SCREEN_CONDITION", threshold)

@@ -12,7 +12,7 @@ from crtoptim import (ConvergenceError, CovarianceSpec, DesignCriterion,
                       unidirectional_weights, unit_information_blocks,
                       WeightedDesign)
 from crtoptim.covariance import iterated_weights
-from crtoptim import glscore
+from crtoptim import weights
 from crtoptim.glscore import contrast_variance, treatment_contrast
 from crtoptim.weights import WEIGHT_FLOOR, _lockstep_weights
 
@@ -412,16 +412,22 @@ class TestLockstep:
 
 class TestStackedOnce:
     """A lockstep run stacks its cells' cluster blocks once per set of
-    cells still running, not once per step."""
+    cells still running, not once per step, and a lone cell's criterion is
+    its own stack."""
 
     def test_one_stack_per_live_set(self, monkeypatch):
         space = standard_space(6, max_replication=10, granularity="cluster-period")
         criteria = [DesignCriterion(space, CovarianceSpec.from_icc("EXC2", icc, cac=cac))
                     for icc in (0.0431, 0.0567) for cac in (0.4612, 0.5388)]
-        stacked = glscore._ClusterBlocks.stacked
+        stacked = weights._stacked_clusters
         sizes = []
-        monkeypatch.setattr(glscore._ClusterBlocks, "stacked", staticmethod(
-            lambda blocks: sizes.append(len(blocks)) or stacked(blocks)))
+
+        def counted(parts):
+            stack = stacked(parts)
+            if stack is not parts[0]._stack:  # a lone live set stacks nothing
+                sizes.append(len(parts))
+            return stack
+        monkeypatch.setattr(weights, "_stacked_clusters", counted)
         iterations = [r.iterations for r in _lockstep_weights(space, criteria, 60)]
         # a cell is scored once per step until its last evaluation
         live = [len(criteria)] + [sum(n > k for n in iterations)
